@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -184,7 +183,10 @@ class _Evaluator:
         use_exhaustive = "op-exhaustive" in names or (
             "op-iterative" not in names and _ne_policy_count(self.inst) <= self.cfg.enumeration_cap
         )
-        if use_exhaustive:
+        return self._optimum("exhaustive" if use_exhaustive else "growth_rate")
+
+    def _optimum(self, method: str) -> tuple[float, str, bool]:
+        if method == "exhaustive":
             _, report = exact.exhaustive_optimal(self.inst, policy_cap=self.cfg.enumeration_cap)
             return report.average_cost, "exhaustive", report.converged
         result = exact.growth_rate_optimal(self.inst)
@@ -210,23 +212,22 @@ class _Evaluator:
         return None
 
     def evaluate_exact(self, spec: dict, reference: tuple[float, str, bool]) -> tuple[float, str, bool] | None:
-        """Exact J for the policy, or None when only simulation applies (wdd)."""
+        """Exact J for the policy, or None when only simulation applies (wdd).
+
+        The state cap applies to the policies whose exact value comes from a
+        finite chain (stationary, PRR, PS), not to the optimum searches.
+        """
         name = spec["name"]
+        if name == "wdd":
+            return None
+        optimum = {"op-exhaustive": "exhaustive", "op-iterative": "growth_rate"}.get(name)
+        if optimum is not None:
+            return reference if reference[1] == optimum else self._optimum(optimum)
         if self.inst.total_states > self.cfg.exact_state_cap:
             raise ConfigError(
                 f"exact evaluation infeasible: {self.inst.total_states} states exceed the cap "
                 f"of {self.cfg.exact_state_cap}"
             )
-        if name == "op-exhaustive" and reference[1] == "exhaustive":
-            return reference
-        if name == "op-iterative" and reference[1] == "growth_rate":
-            return reference
-        if name in ("op-exhaustive", "op-iterative"):
-            if name == "op-exhaustive":
-                _, report = exact.exhaustive_optimal(self.inst, policy_cap=self.cfg.enumeration_cap)
-                return report.average_cost, "exhaustive", report.converged
-            result = exact.growth_rate_optimal(self.inst)
-            return result.average_cost, "growth_rate", result.converged
         if name == "prr":
             report = heuristics.prr_average_cost(self.inst)
             return report.average_cost, "exact-augmented", report.converged
@@ -234,8 +235,6 @@ class _Evaluator:
             sched = self._schedule(int(spec["max_period"]))
             report = heuristics.periodic_schedule_average_cost(self.inst, sched)
             return report.average_cost, "exact-periodic", report.converged
-        if name == "wdd":
-            return None
         policy = self.stationary_policy(spec)
         assert policy is not None
         report = exact.average_cost(policy, self.inst)
@@ -291,18 +290,13 @@ def _point_rows(cfg: ExperimentConfig, value: float) -> list[ResultRow]:
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None, threads: int = 1) -> list[ResultRow]:
+def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> list[ResultRow]:
     """Evaluate every sweep point x policy; write CSV when a path is given.
 
-    Rows are computed independently (optionally in parallel) and emitted in
-    sorted order, so reruns of the same config are byte-identical.
+    Rows are emitted in sorted order, so reruns of the same config are
+    byte-identical.
     """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda v: _point_rows(cfg, v), cfg.sweep_values))
-    else:
-        chunks = [_point_rows(cfg, v) for v in cfg.sweep_values]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for value in cfg.sweep_values for row in _point_rows(cfg, value)]
     rows.sort(key=lambda r: (r.sweep_value, r.policy, r.method))
     target = out_path or cfg.output
     if target is not None:
@@ -376,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output path (CSV or JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep-point workers")
         if cmd == "emit-policy":
             p.add_argument("--policy", required=True, help="policy name to serialize")
     return parser
@@ -406,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.sweep_values = [cfg.sweep_values[0]]
             if cfg.sim_config is None:
                 raise ConfigError("simulate needs a 'sim' section in the config")
-        rows = run_experiment(cfg, out_path=args.out, threads=args.threads)
+        rows = run_experiment(cfg, out_path=args.out)
         print(CSV_HEADER)
         for row in rows:
             print(row.csv())

@@ -1,9 +1,10 @@
 """Exact finite-state machinery: dynamic programs, policy evaluation, search.
 
-Policy evaluation follows the multiplicative route: the per-slot cost scales
-the rows of the policy's transition matrix, and the long-run risk-sensitive
-average cost is ``ln(spectral radius) / theta`` of that matrix restricted to
-the recurrent structure reachable from the start state.
+Policy evaluation follows the multiplicative route: every finite-memory
+policy is a stationary ``Chain`` whose states move to one of two successors,
+the per-slot cost scales its transitions, and the long-run risk-sensitive
+average cost is ``ln(spectral radius) / theta`` of the cost-weighted chain
+restricted to the recurrent structure reachable from the start state.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -90,6 +91,60 @@ class SolveReport:
             "iterations": self.iterations,
             "converged": self.converged,
         }
+
+
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """A finite-memory policy as a stationary chain on (clipped state, memory).
+
+    From chain state ``i`` the slot pays ``exp(theta * hits[i])``, serves
+    client ``client[i] + 1`` and moves to ``succ[i]`` with probability
+    ``p[i]``, else to ``fail[i]``.  ``base[i]`` is the clipped-state index
+    underneath ``i`` and ``start`` the chain state of the first slot.
+    """
+
+    succ: np.ndarray
+    fail: np.ndarray
+    p: np.ndarray
+    hits: np.ndarray
+    client: np.ndarray
+    base: np.ndarray
+    start: int
+
+    @classmethod
+    def augmented(
+        cls,
+        inst: Instance,
+        memory: int,
+        client: np.ndarray,
+        on_success: np.ndarray | int,
+        on_failure: np.ndarray | int,
+        start: State | None = None,
+    ) -> "Chain":
+        """Chain on pairs ``(s, m)`` of clipped state and memory, index ``s * memory + m``.
+
+        ``client`` (0-based) is given per chain index, ``on_success`` and
+        ``on_failure`` (the next memory value) per chain index or as a scalar.
+        The chain starts at clipped state ``start`` (default all-threshold)
+        with memory 0.
+        """
+        tables = transition_tables(inst)
+        base = np.arange(tables.indexer.total_states * memory) // memory
+        return cls(
+            succ=tables.succ[base, client] * memory + on_success,
+            fail=tables.fail[base] * memory + on_failure,
+            p=np.asarray(inst.reliabilities)[client],
+            hits=tables.hits[base],
+            client=client,
+            base=base,
+            start=tables.indexer.index(tuple(inst.thresholds if start is None else start)) * memory,
+        )
+
+
+def stationary_chain(policy: StationaryPolicy, inst: Instance, start: State | None = None) -> Chain:
+    """The chain of a stationary policy: memoryless, indexed like the clipped states."""
+    policy.validate(inst)
+    return Chain.augmented(inst, 1, policy.decisions - 1, 0, 0, start)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +324,12 @@ def is_ne(policy: StationaryPolicy, inst: Instance) -> bool:
 
 
 def transition_matrix(policy: StationaryPolicy, inst: Instance) -> np.ndarray:
-    """Dense one-step transition matrix of a stationary policy."""
-    policy.validate(inst)
-    tables = transition_tables(inst)
-    n_states = tables.indexer.total_states
-    rows = np.arange(n_states)
-    u0 = policy.decisions - 1
-    p = np.asarray(inst.reliabilities)[u0]
-    mat = np.zeros((n_states, n_states))
-    np.add.at(mat, (rows, tables.succ[rows, u0]), p)
-    np.add.at(mat, (rows, tables.fail), 1.0 - p)
+    """Dense one-step transition matrix of a stationary policy (the dense view of its chain)."""
+    chain = stationary_chain(policy, inst)
+    rows = np.arange(len(chain.fail))
+    mat = np.zeros((len(rows), len(rows)))
+    np.add.at(mat, (rows, chain.succ), chain.p)
+    np.add.at(mat, (rows, chain.fail), 1.0 - chain.p)
     return mat
 
 
@@ -300,28 +351,20 @@ class PowerIterationResult:
     converged: bool
 
 
-def spectral_radius(
-    mat: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+def _power_iteration(
+    apply: Callable[[np.ndarray], np.ndarray], n: int, tol: float, max_iter: int
 ) -> PowerIterationResult:
-    """Largest-magnitude eigenvalue of a nonnegative matrix by power iteration.
+    """Largest eigenvalue of the nonnegative operator ``apply`` on ``n`` coordinates.
 
     Iterates ``v <- (M + I) v / ||.||_1`` from the all-ones direction; the +I
     shift guarantees convergence on periodic structures.  The estimate is the
     one-norm growth factor minus one; convergence is declared when successive
     estimates differ by less than ``tol``.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    if mat.size == 0:
-        raise ValueError("matrix must be nonempty")
-    if mat.min() < 0:
-        raise ValueError("matrix must be nonnegative")
-    n = mat.shape[0]
     v = np.full(n, 1.0 / n)
     prev = math.inf
     for it in range(1, max_iter + 1):
-        w = mat @ v + v
+        w = apply(v) + v
         norm = w.sum()  # one-norm of a nonnegative vector
         est = norm - 1.0
         v = w / norm
@@ -329,6 +372,20 @@ def spectral_radius(
             return PowerIterationResult(value=est, iterations=it, converged=True)
         prev = est
     return PowerIterationResult(value=prev, iterations=max_iter, converged=False)
+
+
+def spectral_radius(
+    mat: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> PowerIterationResult:
+    """Largest-magnitude eigenvalue of a nonnegative matrix by shifted power iteration."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("matrix must be square")
+    if mat.size == 0:
+        raise ValueError("matrix must be nonempty")
+    if mat.min() < 0:
+        raise ValueError("matrix must be nonnegative")
+    return _power_iteration(mat.__matmul__, mat.shape[0], tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +403,8 @@ class CommunicatingStructure:
         return [c for c, flag in zip(self.classes, self.closed) if flag]
 
 
-def _strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan over an adjacency list; avoids recursion limits."""
+def _strongly_connected_components(adjacency: Sequence[Sequence[int]], roots: Iterable[int]) -> list[list[int]]:
+    """Iterative Tarjan over what ``roots`` reach in an adjacency list; avoids recursion limits."""
     n = len(adjacency)
     index = [-1] * n
     lowlink = [0] * n
@@ -356,7 +413,7 @@ def _strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[l
     next_index = 0
     sccs: list[list[int]] = []
 
-    for root in range(n):
+    for root in roots:
         if index[root] != -1:
             continue
         work = [(root, 0)]
@@ -395,15 +452,13 @@ def _strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[l
     return sccs
 
 
-def communicating_structure(mat: np.ndarray) -> CommunicatingStructure:
-    """Communicating classes of the directed graph of positive entries.
+def _structure(adjacency: Sequence[Sequence[int]], roots: Iterable[int]) -> CommunicatingStructure:
+    """Communicating classes of the states ``roots`` reach along ``adjacency``.
 
     A class is closed iff no edge leaves it; states outside every closed class
     are transient.
     """
-    mat = np.asarray(mat)
-    adjacency = [np.flatnonzero(row > 0).tolist() for row in mat]
-    sccs = _strongly_connected_components(adjacency)
+    sccs = _strongly_connected_components(adjacency, roots)
     class_of = {}
     for k, scc in enumerate(sccs):
         for v in scc:
@@ -420,58 +475,43 @@ def communicating_structure(mat: np.ndarray) -> CommunicatingStructure:
     return CommunicatingStructure(classes=classes, closed=closed_flags, transient=transient)
 
 
-def _reachable_from(adjacency: Sequence[Sequence[int]], start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
+def communicating_structure(mat: np.ndarray) -> CommunicatingStructure:
+    """Communicating classes of the directed graph of a matrix's positive entries."""
+    adjacency = [np.flatnonzero(row > 0).tolist() for row in np.asarray(mat)]
+    return _structure(adjacency, range(len(adjacency)))
 
 
-def matrix_average_cost(
-    prob: np.ndarray,
-    weighted: np.ndarray,
-    start_index: int,
-    theta: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    slots_per_step: int = 1,
+def chain_average_cost(
+    chain: Chain, theta: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> SolveReport:
-    """Average cost of an arbitrary finite chain given its cost-weighted matrix.
+    """Average cost of a finite chain from its start state.
 
-    Restricts the weighted matrix to the closed communicating classes reachable
-    from ``start_index``; the average cost is the worst reachable recurrent
-    growth rate, ``ln(max spectral radius) / (theta * slots_per_step)``.
+    Finds the closed communicating classes reachable from ``chain.start``
+    along the two successor arrays and power-iterates the gather
+    ``(Wv)_i = cost_i (p_i v[succ_i] + (1 - p_i) v[fail_i])`` on each; the
+    average cost is the worst recurrent growth rate,
+    ``ln(max spectral radius) / theta``.  Reported state sets are chain indices.
     """
-    adjacency = [np.flatnonzero(row > 0).tolist() for row in prob]
-    reachable = _reachable_from(adjacency, start_index)
-    structure = communicating_structure(prob)
-    rho = 0.0
-    iterations = 0
-    converged = True
-    recurrent: set[int] = set()
-    for cls in structure.closed_classes:
-        if not cls & reachable:
-            continue
-        idx = sorted(cls)
-        res = spectral_radius(weighted[np.ix_(idx, idx)], tol=tol, max_iter=max_iter)
-        iterations += res.iterations
-        converged = converged and res.converged
-        recurrent.update(idx)
-        rho = max(rho, res.value)
-    if not recurrent:
-        raise StructuralError("no closed class reachable from the start state")
+    structure = _structure(np.stack([chain.succ, chain.fail], axis=1).tolist(), [chain.start])
+    closed = structure.closed_classes
+    radii = []
+    for cls in closed:
+        members = np.array(sorted(cls))
+        succ = np.searchsorted(members, chain.succ[members])
+        fail = np.searchsorted(members, chain.fail[members])
+        cost = np.exp(theta * chain.hits[members])
+        w_succ, w_fail = cost * chain.p[members], cost * (1.0 - chain.p[members])
+        radii.append(
+            _power_iteration(lambda v: w_succ * v[succ] + w_fail * v[fail], len(members), tol, max_iter)
+        )
+    rho = max(res.value for res in radii)
     return SolveReport(
         spectral_radius=rho,
-        average_cost=math.log(rho) / (theta * slots_per_step),
-        recurrent_class=frozenset(recurrent),
-        transient_states=frozenset(reachable - recurrent),
-        iterations=iterations,
-        converged=converged,
+        average_cost=math.log(rho) / theta,
+        recurrent_class=frozenset().union(*closed),
+        transient_states=structure.transient,
+        iterations=sum(res.iterations for res in radii),
+        converged=all(res.converged for res in radii),
     )
 
 
@@ -488,15 +528,7 @@ def average_cost(
     contains, so the report then covers the policy's recurrent behavior.
     """
     inst.require_interior_reliabilities()
-    policy.validate(inst)
-    indexer = inst.indexer()
-    if start is None:
-        start = inst.thresholds
-    prob = transition_matrix(policy, inst)
-    weighted = transition_tables(inst).cost[:, None] * prob
-    return matrix_average_cost(
-        prob, weighted, indexer.index(tuple(start)), inst.theta, tol=tol, max_iter=max_iter
-    )
+    return chain_average_cost(stationary_chain(policy, inst, start), inst.theta, tol=tol, max_iter=max_iter)
 
 
 def non_ne_trivial_cost(
@@ -511,32 +543,18 @@ def non_ne_trivial_cost(
     Requires the policy to serve ``n`` in every state where all other clients
     sit at threshold.  From the all-threshold state the chain then never
     leaves the pinned cycle over client n's elapsed values, so its cost is the
-    spectral radius of that small restriction.
+    spectral radius of that small closed class.
     """
-    inst.require_interior_reliabilities()
     policy.validate(inst)
     indexer = inst.indexer()
     taus = inst.thresholds
-    pinned = []
     for a in range(taus[n - 1] + 1):
         state = tuple(a if i == n - 1 else t for i, t in enumerate(taus))
-        idx = indexer.index(state)
-        if int(policy.decisions[idx]) != n:
+        if int(policy.decisions[indexer.index(state)]) != n:
             raise ValueError(
                 f"policy does not serve client {n} throughout the pinned states"
             )
-        pinned.append(idx)
-    weighted = disutility_matrix(policy, inst)
-    sub = weighted[np.ix_(pinned, pinned)]
-    res = spectral_radius(sub, tol=tol, max_iter=max_iter)
-    return SolveReport(
-        spectral_radius=res.value,
-        average_cost=math.log(res.value) / inst.theta,
-        recurrent_class=frozenset(pinned),
-        transient_states=frozenset(),
-        iterations=res.iterations,
-        converged=res.converged,
-    )
+    return average_cost(policy, inst, tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------

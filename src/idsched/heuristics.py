@@ -15,8 +15,8 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError
-from .exact import SolveReport, matrix_average_cost
-from .model import Instance, State, successor_on_success, transition_tables
+from .exact import Chain, SolveReport, chain_average_cost
+from .model import Instance, State, successor_on_success
 
 
 @dataclass(frozen=True)
@@ -168,31 +168,36 @@ def build_periodic_schedule(inst: Instance, max_period: int) -> PeriodicSchedule
 # exact evaluation of the finite-memory baselines
 
 
+def prr_chain(inst: Instance, start: State | None = None) -> Chain:
+    """Packet-level round robin as a chain on (state, token), index ``state_index * N + token - 1``.
+
+    The token holder is served; a delivery passes the token on, a failure
+    keeps it.  The token starts at client 1.
+    """
+    n = inst.n_clients
+    token = np.tile(np.arange(n), inst.total_states)
+    return Chain.augmented(inst, n, token, (token + 1) % n, token, start)
+
+
+def periodic_chain(inst: Instance, sched: PeriodicSchedule, start: State | None = None) -> Chain:
+    """A periodic schedule as a chain on (state, phase), index ``state_index * period + phase``.
+
+    Phase ``t mod period`` serves ``sequence[phase]``; every slot advances
+    the phase, whatever the channel outcome.  The phase starts at 0.
+    """
+    phase = np.tile(np.arange(sched.period), inst.total_states)
+    following = (phase + 1) % sched.period
+    client = np.asarray(sched.sequence)[phase] - 1
+    return Chain.augmented(inst, sched.period, client, following, following, start)
+
+
 def prr_average_cost(inst: Instance, tol: float = 1e-12, max_iter: int = 100_000) -> SolveReport:
     """Exact average cost of packet-level round robin via the token-augmented chain.
 
-    The pair (state, token) is Markov; its cost-weighted matrix is evaluated
-    like any stationary policy.  Reported state sets use augmented indices
-    ``state_index * N + token - 1``.
+    Reported state sets use augmented indices ``state_index * N + token - 1``.
     """
     inst.require_interior_reliabilities()
-    tables = transition_tables(inst)
-    n = inst.n_clients
-    n_states = tables.indexer.total_states
-    size = n_states * n
-    prob = np.zeros((size, size))
-    cost = np.empty(size)
-    for s in range(n_states):
-        for token in range(1, n + 1):
-            row = s * n + token - 1
-            cost[row] = tables.cost[s]
-            p = inst.reliabilities[token - 1]
-            succ_row = int(tables.succ[s, token - 1]) * n + (token % n)
-            fail_row = int(tables.fail[s]) * n + token - 1
-            prob[row, succ_row] += p
-            prob[row, fail_row] += 1.0 - p
-    start = tables.indexer.index(inst.thresholds) * n  # token at client 1
-    return matrix_average_cost(prob, cost[:, None] * prob, start, inst.theta, tol=tol, max_iter=max_iter)
+    return chain_average_cost(prr_chain(inst), inst.theta, tol=tol, max_iter=max_iter)
 
 
 def periodic_schedule_average_cost(
@@ -201,37 +206,10 @@ def periodic_schedule_average_cost(
     tol: float = 1e-12,
     max_iter: int = 100_000,
 ) -> SolveReport:
-    """Exact average cost of an open-loop periodic schedule.
+    """Exact average cost of an open-loop periodic schedule via the phase-augmented chain.
 
-    Multiplies the per-slot cost-weighted matrices over one period; the growth
-    per period is the spectral radius of the product, restricted to the period
-    chain's recurrent structure.
+    Reported state sets use augmented indices ``state_index * period + phase``,
+    and the spectral radius is the growth per slot.
     """
     inst.require_interior_reliabilities()
-    tables = transition_tables(inst)
-    n_states = tables.indexer.total_states
-    prob_step = []
-    weighted_step = []
-    for u in sched.sequence:
-        p = inst.reliabilities[u - 1]
-        mat = np.zeros((n_states, n_states))
-        rows = np.arange(n_states)
-        np.add.at(mat, (rows, tables.succ[:, u - 1]), p)
-        np.add.at(mat, (rows, tables.fail), 1.0 - p)
-        prob_step.append(mat)
-        weighted_step.append(tables.cost[:, None] * mat)
-    prob = prob_step[0].copy()
-    weighted = weighted_step[0].copy()
-    for pm, wm in zip(prob_step[1:], weighted_step[1:]):
-        prob = prob @ pm
-        weighted = weighted @ wm
-    start = tables.indexer.index(inst.thresholds)
-    return matrix_average_cost(
-        prob,
-        weighted,
-        start,
-        inst.theta,
-        tol=tol,
-        max_iter=max_iter,
-        slots_per_step=sched.period,
-    )
+    return chain_average_cost(periodic_chain(inst, sched), inst.theta, tol=tol, max_iter=max_iter)

@@ -17,9 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .exact import StationaryPolicy
-from .heuristics import DebtLedger, PeriodicSchedule, RoundRobinState, prr_advance, prr_decide, ps_decide, wdd_decide
-from .model import Instance, State, transition_tables
+from .exact import Chain, StationaryPolicy, stationary_chain
+from .heuristics import (
+    DebtLedger,
+    PeriodicSchedule,
+    RoundRobinState,
+    periodic_chain,
+    prr_advance,
+    prr_chain,
+    prr_decide,
+    ps_decide,
+    wdd_decide,
+)
+from .model import Instance, State
 
 _CHUNK = 16384  # slots of uniforms drawn per call; part of the stream contract
 _MIN_BLOCK = 64  # shortest estimator block, in slots
@@ -154,6 +164,10 @@ class PolicyHandle:
     def observe(self, served: int, delivered: bool) -> None:
         pass
 
+    def chain(self, inst: Instance, start: State | None = None) -> Chain:
+        """The policy's finite chain, which the batch engine runs; WDD has none."""
+        raise NotImplementedError
+
 
 class StationaryHandle(PolicyHandle):
     def __init__(self, name: str, policy: StationaryPolicy, inst: Instance):
@@ -164,6 +178,9 @@ class StationaryHandle(PolicyHandle):
 
     def decide(self, state: State, t: int) -> int:
         return int(self.policy.decisions[self._indexer.index(state)])
+
+    def chain(self, inst: Instance, start: State | None = None) -> Chain:
+        return stationary_chain(self.policy, inst, start)
 
 
 class PrrHandle(PolicyHandle):
@@ -181,6 +198,9 @@ class PrrHandle(PolicyHandle):
 
     def observe(self, served: int, delivered: bool) -> None:
         self._rr = prr_advance(self._rr, delivered)
+
+    def chain(self, inst: Instance, start: State | None = None) -> Chain:
+        return prr_chain(inst, start)
 
 
 class WddHandle(PolicyHandle):
@@ -208,6 +228,9 @@ class PsHandle(PolicyHandle):
 
     def decide(self, state: State, t: int) -> int:
         return ps_decide(self._sched, t)
+
+    def chain(self, inst: Instance, start: State | None = None) -> Chain:
+        return periodic_chain(inst, self._sched, start)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +266,10 @@ def run_trial(
     record_delivery_slots: bool = False,
 ) -> TrialResult:
     """Simulate ``warmup + horizon`` slots, accounting only the last ``horizon``.
+
+    This per-slot engine is the reference the batch engines are tested
+    against, bit for bit; ``stream_trials`` and the estimators run the batch
+    engines.
 
     Each slot: ask the policy for a client, draw the channel outcome from the
     trial's substream, charge the pre-transition state's exceedance count, and
@@ -313,34 +340,52 @@ def run_trial(
 # batch engines (trial-vectorized; bitwise identical to the reference)
 
 
-def _cycles_from_matrices(exc_row: np.ndarray, regen_row: np.ndarray) -> tuple[list[int], list[int]]:
-    pos = np.flatnonzero(regen_row)
-    if len(pos) < 2:
-        return [], []
-    lengths = np.diff(pos)
-    csum = np.concatenate(([0], np.cumsum(exc_row, dtype=np.int64)))
-    exceed = csum[pos[1:]] - csum[pos[:-1]]
-    return lengths.tolist(), exceed.tolist()
+def _trial_results(
+    snapshots: list[np.ndarray],
+    deliveries: np.ndarray,
+    exc_matrix: np.ndarray | None,
+    regen_matrix: np.ndarray | None,
+) -> list[TrialResult]:
+    """Per-trial results from a batch engine's block snapshots and slot records."""
+    blocks = np.diff(np.stack(snapshots, axis=1), axis=1, prepend=0)
+    out = []
+    for r in range(len(deliveries)):
+        lengths, exceed = [], []
+        pos = np.flatnonzero(regen_matrix[r]) if exc_matrix is not None else []
+        if len(pos) >= 2:
+            csum = np.concatenate(([0], np.cumsum(exc_matrix[r], dtype=np.int64)))
+            lengths = np.diff(pos).tolist()
+            exceed = (csum[pos[1:]] - csum[pos[:-1]]).tolist()
+        out.append(
+            TrialResult(
+                block_exceedances=blocks[r],
+                deliveries=tuple(int(d) for d in deliveries[r]),
+                cycle_lengths=lengths,
+                cycle_exceedances=exceed,
+            )
+        )
+    return out
 
 
-def _batch_stationary(
+def _batch_chain(
     inst: Instance,
-    decisions: np.ndarray,
+    chain: Chain,
     horizon: int,
     trials: int,
     seed: int,
-    start: State,
     warmup: int,
     record_cycles: bool,
 ) -> list[TrialResult]:
-    tables = transition_tables(inst)
-    regen_idx = tables.indexer.index(regeneration_state(inst.thresholds))
-    p = np.asarray(inst.reliabilities)
-    dec0 = np.asarray(decisions, dtype=np.int64) - 1
+    """Trials of a finite-memory policy, run on its chain from ``chain.start``.
+
+    Renewal hits are visits to the regeneration state in the chain's
+    ``base`` component, whatever the policy's memory.
+    """
+    regen_idx = inst.indexer().index(regeneration_state(inst.thresholds))
     rngs = [np.random.default_rng((seed, r)) for r in range(trials)]
     rows = np.arange(trials)
 
-    sidx = np.full(trials, tables.indexer.index(tuple(start)), dtype=np.int64)
+    sidx = np.full(trials, chain.start, dtype=np.int64)
     exceed_total = np.zeros(trials, dtype=np.int64)
     snapshots: list[np.ndarray] = []
     deliveries = np.zeros((trials, inst.n_clients), dtype=np.int64)
@@ -354,36 +399,19 @@ def _batch_stationary(
         for j in range(block.shape[1]):
             accounted = t >= warmup
             if accounted:
-                exc = tables.hits[sidx]
+                exc = chain.hits[sidx]
                 exceed_total += exc
                 if record_cycles:
                     exc_matrix[:, t - warmup] = exc
-                    regen_matrix[:, t - warmup] = sidx == regen_idx
-            u0 = dec0[sidx]
-            delivered = block[:, j] < p[u0]
+                    regen_matrix[:, t - warmup] = chain.base[sidx] == regen_idx
+            delivered = block[:, j] < chain.p[sidx]
             if accounted:
-                deliveries[rows, u0] += delivered
-            sidx = np.where(delivered, tables.succ[sidx, u0], tables.fail[sidx])
+                deliveries[rows, chain.client[sidx]] += delivered
+            sidx = np.where(delivered, chain.succ[sidx], chain.fail[sidx])
             t += 1
         if closes_block:
             snapshots.append(exceed_total.copy())
-
-    blocks = np.diff(np.stack(snapshots, axis=1), axis=1, prepend=0)
-    out = []
-    for r in range(trials):
-        if record_cycles:
-            lengths, exceed = _cycles_from_matrices(exc_matrix[r], regen_matrix[r])
-        else:
-            lengths, exceed = [], []
-        out.append(
-            TrialResult(
-                block_exceedances=blocks[r],
-                deliveries=tuple(int(d) for d in deliveries[r]),
-                cycle_lengths=lengths,
-                cycle_exceedances=exceed,
-            )
-        )
-    return out
+    return _trial_results(snapshots, deliveries, exc_matrix, regen_matrix)
 
 
 def _batch_wdd(
@@ -435,22 +463,7 @@ def _batch_wdd(
         if closes_block:
             snapshots.append(exceed_total.copy())
 
-    blocks = np.diff(np.stack(snapshots, axis=1), axis=1, prepend=0)
-    out = []
-    for r in range(trials):
-        if record_cycles:
-            lengths, exceed = _cycles_from_matrices(exc_matrix[r], regen_matrix[r])
-        else:
-            lengths, exceed = [], []
-        out.append(
-            TrialResult(
-                block_exceedances=blocks[r],
-                deliveries=tuple(int(d) for d in deliveries[r]),
-                cycle_lengths=lengths,
-                cycle_exceedances=exceed,
-            )
-        )
-    return out
+    return _trial_results(snapshots, deliveries, exc_matrix, regen_matrix)
 
 
 def _run_trials(
@@ -460,16 +473,11 @@ def _run_trials(
     start: State,
     record_cycles: bool,
 ) -> list[TrialResult]:
-    if isinstance(policy, StationaryHandle):
-        return _batch_stationary(
-            inst, policy.policy.decisions, cfg.horizon, cfg.trials, cfg.seed, start, cfg.warmup, record_cycles
-        )
     if isinstance(policy, WddHandle):
         return _batch_wdd(inst, cfg.horizon, cfg.trials, cfg.seed, start, cfg.warmup, record_cycles)
-    return [
-        run_trial(inst, policy, cfg.horizon, (cfg.seed, r), start, warmup=cfg.warmup)
-        for r in range(cfg.trials)
-    ]
+    return _batch_chain(
+        inst, policy.chain(inst, start), cfg.horizon, cfg.trials, cfg.seed, cfg.warmup, record_cycles
+    )
 
 
 def stream_trials(

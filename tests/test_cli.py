@@ -104,6 +104,11 @@ def test_run_experiment_state_cap(tmp_path):
     with pytest.raises(ConfigError):
         run_experiment(load_config(cfg_path))
 
+    # the optimum reference and WDD's simulation build no finite chain
+    cfg_path = _tiny_config(tmp_path, policies=["op-iterative", "wdd"], exact_state_cap=5)
+    rows = run_experiment(load_config(cfg_path))
+    assert {(row.policy, row.method) for row in rows} == {("op-iterative", "growth_rate"), ("wdd", "simulate")}
+
 
 def test_sweep_values_that_break_the_instance_are_config_errors(tmp_path):
     # b * eps reaching 1 would drive a reliability to zero
@@ -186,12 +191,3 @@ def test_seed_override_changes_only_simulated_rows(tmp_path):
     rows_b = {r.policy: r for r in run_experiment(cfg_b)}
     assert rows_a["op-iterative"].j == rows_b["op-iterative"].j
     assert rows_a["wdd"].j != rows_b["wdd"].j
-
-
-def test_main_sweep_threads_reproducible(tmp_path):
-    cfg_path = _tiny_config(tmp_path)
-    out1 = tmp_path / "t1.csv"
-    out2 = tmp_path / "t2.csv"
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out2), "--threads", "2"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()

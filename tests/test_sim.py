@@ -7,8 +7,11 @@ import pytest
 from idsched.asymptotic import mlg_stationary_policy
 from idsched.errors import EstimationError
 from idsched.exact import StationaryPolicy, average_cost
+from idsched.heuristics import PeriodicSchedule
 from idsched.model import Instance
 from idsched.sim import (
+    PrrHandle,
+    PsHandle,
     SimConfig,
     StationaryHandle,
     WddHandle,
@@ -20,7 +23,7 @@ from idsched.sim import (
     simulate_cycles,
     stream_trials,
 )
-from idsched.sim import _CHUNK, _batch_stationary, _batch_wdd, _uniform_pieces
+from idsched.sim import _CHUNK, _batch_chain, _batch_wdd, _uniform_pieces
 from idsched.model import successor_on_failure, successor_on_success
 
 
@@ -82,7 +85,7 @@ def test_batch_engines_match_reference_exactly():
     pol = _random_policy(inst, 2)
     handle = StationaryHandle("p", pol, inst)
     ref = [run_trial(inst, handle, 400, (123, r), inst.thresholds, warmup=13) for r in range(5)]
-    bat = _batch_stationary(inst, pol.decisions, 400, 5, 123, inst.thresholds, 13, True)
+    bat = _batch_chain(inst, handle.chain(inst), 400, 5, 123, 13, True)
     for r, b in zip(ref, bat):
         assert r.exceedance_total == b.exceedance_total
         assert len(r.block_exceedances) > 1
@@ -100,6 +103,25 @@ def test_batch_engines_match_reference_exactly():
         assert r.deliveries == b.deliveries
         assert r.cycle_lengths == b.cycle_lengths
         assert r.cycle_exceedances == b.cycle_exceedances
+
+    # round robin and periodic schedules on their augmented chains, with a
+    # warmup that is not a multiple of the period; on three clients the token
+    # wraps, and round robin never visits the regeneration state (0, 1, 2)
+    inst3 = Instance((2, 3, 4), (0.6, 0.7, 0.8), 0.05)
+    cases = [
+        (inst, PrrHandle(2), True),
+        (inst3, PrrHandle(3), False),
+        (inst3, PsHandle(PeriodicSchedule((3, 2, 1, 2), 3)), True),
+    ]
+    for seed, (case, handle, regenerates) in enumerate(cases):
+        ref = [run_trial(case, handle, 600, (seed, r), case.thresholds, warmup=13) for r in range(5)]
+        bat = _batch_chain(case, handle.chain(case), 600, 5, seed, 13, True)
+        assert any(r.cycle_lengths for r in ref) == regenerates
+        for r, b in zip(ref, bat):
+            assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
+            assert r.deliveries == b.deliveries
+            assert r.cycle_lengths == b.cycle_lengths
+            assert r.cycle_exceedances == b.cycle_exceedances
 
 
 def test_single_client_threshold_frequency():
