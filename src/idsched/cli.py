@@ -176,21 +176,26 @@ class _Evaluator:
         self.cfg = cfg
         self.inst = inst
         self._schedules: dict[int, heuristics.PeriodicSchedule] = {}
+        self._optima: dict[str, tuple[exact.StationaryPolicy, tuple[float, str, bool]]] = {}
 
-    def reference(self) -> tuple[float, str, bool]:
-        """Optimal-cost reference: exhaustive when the enumeration fits, else iterative."""
+    def reference(self) -> float:
+        """Optimal-cost reference J: exhaustive when the enumeration fits, else iterative."""
         names = [spec["name"] for spec in self.cfg.policies]
         use_exhaustive = "op-exhaustive" in names or (
             "op-iterative" not in names and _ne_policy_count(self.inst) <= self.cfg.enumeration_cap
         )
-        return self._optimum("exhaustive" if use_exhaustive else "growth_rate")
+        return self._optimum("exhaustive" if use_exhaustive else "growth_rate")[1][0]
 
-    def _optimum(self, method: str) -> tuple[float, str, bool]:
-        if method == "exhaustive":
-            _, report = exact.exhaustive_optimal(self.inst, policy_cap=self.cfg.enumeration_cap)
-            return report.average_cost, "exhaustive", report.converged
-        result = exact.growth_rate_optimal(self.inst)
-        return result.average_cost, "growth_rate", result.converged
+    def _optimum(self, method: str) -> tuple[exact.StationaryPolicy, tuple[float, str, bool]]:
+        """The optimal policy and its ``(J, method, converged)``, computed once per method."""
+        if method not in self._optima:
+            if method == "exhaustive":
+                policy, report = exact.exhaustive_optimal(self.inst, policy_cap=self.cfg.enumeration_cap)
+                self._optima[method] = policy, (report.average_cost, method, report.converged)
+            else:
+                result = exact.growth_rate_optimal(self.inst)
+                self._optima[method] = result.policy, (result.average_cost, method, result.converged)
+        return self._optima[method]
 
     def _schedule(self, max_period: int) -> heuristics.PeriodicSchedule:
         if max_period not in self._schedules:
@@ -200,9 +205,9 @@ class _Evaluator:
     def stationary_policy(self, spec: dict) -> exact.StationaryPolicy | None:
         name = spec["name"]
         if name == "op-exhaustive":
-            return exact.exhaustive_optimal(self.inst, policy_cap=self.cfg.enumeration_cap)[0]
+            return self._optimum("exhaustive")[0]
         if name == "op-iterative":
-            return exact.growth_rate_optimal(self.inst).policy
+            return self._optimum("growth_rate")[0]
         if name == "mlg":
             return asymptotic.mlg_stationary_policy(self.inst)
         if name == "sn":
@@ -211,7 +216,7 @@ class _Evaluator:
             return exact.StationaryPolicy(np.asarray(spec["decisions"], dtype=np.int64))
         return None
 
-    def evaluate_exact(self, spec: dict, reference: tuple[float, str, bool]) -> tuple[float, str, bool] | None:
+    def evaluate_exact(self, spec: dict) -> tuple[float, str, bool] | None:
         """Exact J for the policy, or None when only simulation applies (wdd).
 
         The state cap applies to the policies whose exact value comes from a
@@ -222,7 +227,7 @@ class _Evaluator:
             return None
         optimum = {"op-exhaustive": "exhaustive", "op-iterative": "growth_rate"}.get(name)
         if optimum is not None:
-            return reference if reference[1] == optimum else self._optimum(optimum)
+            return self._optimum(optimum)[1]
         if self.inst.total_states > self.cfg.exact_state_cap:
             raise ConfigError(
                 f"exact evaluation infeasible: {self.inst.total_states} states exceed the cap "
@@ -252,51 +257,44 @@ class _Evaluator:
         assert policy is not None
         return sim.StationaryHandle(name, policy, self.inst)
 
-    def evaluate_sim(self, spec: dict) -> tuple[float, float]:
-        if self.cfg.sim_config is None:
-            raise ConfigError(
-                f"policy {spec['name']!r} needs simulation but the config has no 'sim' section"
-            )
-        sc = sim.SimConfig(
-            horizon=int(self.cfg.sim_config["horizon"]),
-            trials=int(self.cfg.sim_config["trials"]),
-            seed=self.cfg.seed,
-            warmup=int(self.cfg.sim_config.get("warmup", 0)),
-        )
-        est = sim.estimate_cost(self.inst, self.handle(spec), sc)
-        return est.j_hat, est.stderr_j
 
-
-def _point_rows(cfg: ExperimentConfig, value: float) -> list[ResultRow]:
-    inst = _instance_at(cfg, value)
-    ev = _Evaluator(cfg, inst)
-    ref_j, ref_method, ref_converged = ev.reference()
-    rows = []
-    for spec in cfg.policies:
-        name = spec["name"]
-        exact_result = None
-        if cfg.evaluation in ("exact", "both"):
-            exact_result = ev.evaluate_exact(spec, (ref_j, ref_method, ref_converged))
-            if exact_result is not None:
-                j, method, converged = exact_result
-                rows.append(
-                    ResultRow(value, name, j, j / ref_j, None, method, converged)
-                )
-        if cfg.evaluation == "simulate" or (cfg.evaluation == "both") or (
-            cfg.evaluation == "exact" and exact_result is None
-        ):
-            j, stderr = ev.evaluate_sim(spec)
-            rows.append(ResultRow(value, name, j, j / ref_j, stderr, "simulate", True))
-    return rows
+def _sim_config(cfg: ExperimentConfig, spec: dict) -> sim.SimConfig:
+    if cfg.sim_config is None:
+        raise ConfigError(f"policy {spec['name']!r} needs simulation but the config has no 'sim' section")
+    return sim.SimConfig(
+        horizon=int(cfg.sim_config["horizon"]),
+        trials=int(cfg.sim_config["trials"]),
+        seed=cfg.seed,
+        warmup=int(cfg.sim_config.get("warmup", 0)),
+    )
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> list[ResultRow]:
     """Evaluate every sweep point x policy; write CSV when a path is given.
 
-    Rows are emitted in sorted order, so reruns of the same config are
-    byte-identical.
+    Each policy's simulated points go to the simulator in one call, so they
+    run as one stacked batch.  Rows are emitted in sorted order, so reruns of
+    the same config are byte-identical.
     """
-    rows = [row for value in cfg.sweep_values for row in _point_rows(cfg, value)]
+    points = [(value, _Evaluator(cfg, _instance_at(cfg, value))) for value in cfg.sweep_values]
+    ref_js = [ev.reference() for _, ev in points]
+    rows = []
+    for spec in cfg.policies:
+        name = spec["name"]
+        simulated = []
+        for (value, ev), ref_j in zip(points, ref_js):
+            exact_result = ev.evaluate_exact(spec) if cfg.evaluation in ("exact", "both") else None
+            if exact_result is not None:
+                j, method, converged = exact_result
+                rows.append(ResultRow(value, name, j, j / ref_j, None, method, converged))
+            if cfg.evaluation != "exact" or exact_result is None:
+                simulated.append((value, ev, ref_j))
+        if simulated:
+            insts = [ev.inst for _, ev, _ in simulated]
+            handles = [ev.handle(spec) for _, ev, _ in simulated]
+            estimates = sim.estimate_costs(insts, handles, _sim_config(cfg, spec))
+            for (value, _, ref_j), est in zip(simulated, estimates):
+                rows.append(ResultRow(value, name, est.j_hat, est.j_hat / ref_j, est.stderr_j, "simulate", True))
     rows.sort(key=lambda r: (r.sweep_value, r.policy, r.method))
     target = out_path or cfg.output
     if target is not None:

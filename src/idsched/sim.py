@@ -34,6 +34,8 @@ from .model import Instance, State
 _CHUNK = 16384  # slots of uniforms drawn per call; part of the stream contract
 _MIN_BLOCK = 64  # shortest estimator block, in slots
 _MIN_COVERAGE = 0.5  # least effective sample size of the block weights, per block
+_SLICE = 256  # most slots a batch engine records before deriving their accounting
+_NO_SLOT = 1 << 62  # -_NO_SLOT marks "no delivery here"; below every slot and start encoding
 
 
 @dataclass(frozen=True)
@@ -256,6 +258,11 @@ def _uniform_pieces(draw, warmup: int, horizon: int):
         start = stop
 
 
+def _check_start(taus: tuple[int, ...], start: State) -> None:
+    if len(start) != len(taus) or any(not 0 <= x <= t for x, t in zip(start, taus)):
+        raise ValueError("start state outside the clipped space")
+
+
 def run_trial(
     inst: Instance,
     policy: PolicyHandle,
@@ -280,8 +287,7 @@ def run_trial(
     taus = inst.thresholds
     ps = inst.reliabilities
     n = inst.n_clients
-    if len(start) != n or any(not 0 <= x <= t for x, t in zip(start, taus)):
-        raise ValueError("start state outside the clipped space")
+    _check_start(taus, start)
     regen = regeneration_state(taus)
     rng = np.random.default_rng(trial_seed)
     policy.reset()
@@ -340,144 +346,243 @@ def run_trial(
 # batch engines (trial-vectorized; bitwise identical to the reference)
 
 
-def _trial_results(
-    snapshots: list[np.ndarray],
-    deliveries: np.ndarray,
-    exc_matrix: np.ndarray | None,
-    regen_matrix: np.ndarray | None,
-) -> list[TrialResult]:
-    """Per-trial results from a batch engine's block snapshots and slot records."""
-    blocks = np.diff(np.stack(snapshots, axis=1), axis=1, prepend=0)
-    out = []
-    for r in range(len(deliveries)):
-        lengths, exceed = [], []
-        pos = np.flatnonzero(regen_matrix[r]) if exc_matrix is not None else []
-        if len(pos) >= 2:
-            csum = np.concatenate(([0], np.cumsum(exc_matrix[r], dtype=np.int64)))
-            lengths = np.diff(pos).tolist()
-            exceed = (csum[pos[1:]] - csum[pos[:-1]]).tolist()
-        out.append(
-            TrialResult(
-                block_exceedances=blocks[r],
-                deliveries=tuple(int(d) for d in deliveries[r]),
-                cycle_lengths=lengths,
-                cycle_exceedances=exceed,
+def _slices(trials: int, seed: int, warmup: int, horizon: int):
+    """Every trial's uniforms, slot-major, in sub-slices of the ``_uniform_pieces``.
+
+    Yields ``(t0, uniforms, block)`` where ``uniforms[j, r]`` is trial ``r``'s
+    uniform for slot ``t0 + j`` and ``block`` indexes the estimator block of
+    the slots (``block_edges``).  A sub-slice has at most ``_SLICE`` slots and
+    lies wholly in the warmup or wholly after it.
+    """
+    rngs = [np.random.default_rng((seed, r)) for r in range(trials)]
+
+    def draw(m: int) -> np.ndarray:
+        out = np.empty((trials, m))
+        for rng, row in zip(rngs, out):
+            rng.random(out=row)
+        return out
+
+    t0 = block = 0
+    for piece, closes_block in _uniform_pieces(draw, warmup, horizon):
+        size = piece.shape[1]
+        cuts = set(range(0, size, _SLICE))
+        if 0 < warmup - t0 < size:
+            cuts.add(warmup - t0)
+        cuts = sorted(cuts) + [size]
+        for a, b in zip(cuts, cuts[1:]):
+            yield t0 + a, np.ascontiguousarray(piece[:, a:b].T), block
+        t0 += size
+        block += closes_block
+
+
+class _Tally:
+    """Accounting of a batch engine's rows, fed one accounted sub-slice at a time."""
+
+    def __init__(self, rows: int, n_clients: int, horizon: int, warmup: int, record_cycles: bool):
+        self.warmup = warmup
+        # a block is under 128 slots (block_edges), so its total fits 32 bits
+        self.blocks = np.zeros((rows, len(block_edges(horizon))), dtype=np.int32)
+        self.deliveries = np.zeros((rows, n_clients), dtype=np.int64)
+        self.exc = np.zeros((horizon, rows), dtype=np.int16) if record_cycles else None
+        self.regen = np.zeros((horizon, rows), dtype=bool) if record_cycles else None
+
+    def add(self, t0: int, block: int, exc: np.ndarray, deliveries: np.ndarray, at_regen) -> None:
+        """Slots ``t0, t0 + 1, ...`` of one block: per-slot exceedances and
+        renewal hits ``(slots, rows)`` and the deliveries ``(rows, clients)``."""
+        self.blocks[:, block] += exc.sum(axis=0)
+        self.deliveries += deliveries
+        if self.exc is not None:
+            span = slice(t0 - self.warmup, t0 - self.warmup + len(exc))
+            self.exc[span] = exc
+            self.regen[span] = at_regen
+
+    def results(self, groups: int) -> list[list[TrialResult]]:
+        """Per-trial results, split into ``groups`` runs of consecutive rows."""
+        out = []
+        for r in range(len(self.deliveries)):
+            lengths, exceed = [], []
+            pos = np.flatnonzero(self.regen[:, r]) if self.exc is not None else []
+            if len(pos) >= 2:
+                csum = np.concatenate(([0], np.cumsum(self.exc[:, r], dtype=np.int64)))
+                lengths = np.diff(pos).tolist()
+                exceed = (csum[pos[1:]] - csum[pos[:-1]]).tolist()
+            out.append(
+                TrialResult(
+                    block_exceedances=self.blocks[r],
+                    deliveries=tuple(int(d) for d in self.deliveries[r]),
+                    cycle_lengths=lengths,
+                    cycle_exceedances=exceed,
+                )
             )
-        )
-    return out
+        size = len(out) // groups
+        return [out[g * size : (g + 1) * size] for g in range(groups)]
 
 
 def _batch_chain(
     inst: Instance,
-    chain: Chain,
+    chains: list[Chain],
     horizon: int,
     trials: int,
     seed: int,
     warmup: int,
     record_cycles: bool,
-) -> list[TrialResult]:
-    """Trials of a finite-memory policy, run on its chain from ``chain.start``.
+) -> list[list[TrialResult]]:
+    """Trials of each chain, from its ``start``, run as one stacked chain.
 
-    Renewal hits are visits to the regeneration state in the chain's
-    ``base`` component, whatever the policy's memory.
+    The chains are concatenated with index offsets, and row ``(chain, trial)``
+    draws trial ``trial``'s uniforms.  The slot loop records the chain state
+    of every row; exceedances, deliveries and renewal hits (visits to the
+    regeneration state in the ``base`` component, whatever the policy's
+    memory) are derived from those records after each sub-slice.
     """
     regen_idx = inst.indexer().index(regeneration_state(inst.thresholds))
-    rngs = [np.random.default_rng((seed, r)) for r in range(trials)]
-    rows = np.arange(trials)
+    offsets = np.cumsum([0] + [len(c.p) for c in chains[:-1]])
+    succ = np.concatenate([c.succ + off for c, off in zip(chains, offsets)])
+    fail = np.concatenate([c.fail + off for c, off in zip(chains, offsets)])
+    p, hits, client, base = (
+        np.concatenate([getattr(c, name) for c in chains]) for name in ("p", "hits", "client", "base")
+    )
+    shape = (len(chains), trials)
+    n = inst.n_clients
+    row_base = np.arange(shape[0] * trials).reshape(shape) * n
+    sidx = np.repeat([c.start + off for c, off in zip(chains, offsets)], trials).reshape(shape)
+    tally = _Tally(shape[0] * trials, n, horizon, warmup, record_cycles)
 
-    sidx = np.full(trials, chain.start, dtype=np.int64)
-    exceed_total = np.zeros(trials, dtype=np.int64)
-    snapshots: list[np.ndarray] = []
-    deliveries = np.zeros((trials, inst.n_clients), dtype=np.int64)
-    exc_matrix = np.zeros((trials, horizon), dtype=np.int16) if record_cycles else None
-    regen_matrix = np.zeros((trials, horizon), dtype=bool) if record_cycles else None
-
-    t = 0
-    for block, closes_block in _uniform_pieces(
-        lambda m: np.stack([rng.random(m) for rng in rngs]), warmup, horizon
-    ):
-        for j in range(block.shape[1]):
-            accounted = t >= warmup
-            if accounted:
-                exc = chain.hits[sidx]
-                exceed_total += exc
-                if record_cycles:
-                    exc_matrix[:, t - warmup] = exc
-                    regen_matrix[:, t - warmup] = chain.base[sidx] == regen_idx
-            delivered = block[:, j] < chain.p[sidx]
-            if accounted:
-                deliveries[rows, chain.client[sidx]] += delivered
-            sidx = np.where(delivered, chain.succ[sidx], chain.fail[sidx])
-            t += 1
-        if closes_block:
-            snapshots.append(exceed_total.copy())
-    return _trial_results(snapshots, deliveries, exc_matrix, regen_matrix)
+    for t0, u, block in _slices(trials, seed, warmup, horizon):
+        states = np.empty((len(u),) + shape, dtype=np.int64)
+        for j in range(len(u)):
+            states[j] = sidx
+            sidx = np.where(u[j] < p.take(sidx), succ.take(sidx), fail.take(sidx))
+        if t0 >= warmup:
+            delivered = u[:, None, :] < p.take(states)
+            served = (row_base + client.take(states))[delivered]
+            tally.add(
+                t0,
+                block,
+                hits.take(states).reshape(len(u), -1),
+                np.bincount(served, minlength=tally.deliveries.size).reshape(-1, n),
+                (base.take(states) == regen_idx).reshape(len(u), -1) if record_cycles else None,
+            )
+    return tally.results(len(chains))
 
 
 def _batch_wdd(
-    inst: Instance,
+    insts: list[Instance],
     horizon: int,
     trials: int,
     seed: int,
     start: State,
     warmup: int,
     record_cycles: bool,
-) -> list[TrialResult]:
-    taus = np.asarray(inst.thresholds, dtype=np.int64)
-    p = np.asarray(inst.reliabilities)
-    ptau = p * taus
-    n = inst.n_clients
-    regen = np.asarray(regeneration_state(inst.thresholds), dtype=np.int64)
-    rngs = [np.random.default_rng((seed, r)) for r in range(trials)]
-    rows = np.arange(trials)
+) -> list[list[TrialResult]]:
+    """Trials of WDD on each instance (sharing thresholds), stacked as rows ``(instance, trial)``.
 
-    x = np.tile(np.asarray(start, dtype=np.int64), (trials, 1))
-    m_counts = np.zeros((trials, n), dtype=np.int64)
-    exceed_total = np.zeros(trials, dtype=np.int64)
-    snapshots: list[np.ndarray] = []
-    deliveries = np.zeros((trials, n), dtype=np.int64)
-    exc_matrix = np.zeros((trials, horizon), dtype=np.int16) if record_cycles else None
-    regen_matrix = np.zeros((trials, horizon), dtype=bool) if record_cycles else None
+    Each slot makes only the decision, the first client with the largest
+    ``t / (p tau) - M / p`` (so ties go to the lowest client), and the
+    channel draw, and records the served client and the outcome.  After each
+    sub-slice the states follow from the last delivery slot of every (row,
+    client), ``x = min(t - last - 1, tau)`` with ``last = -start - 1`` before
+    the first delivery, and the exceedances and renewal hits from the states.
+    """
+    taus = insts[0].thresholds
+    regen = regeneration_state(taus)
+    n = len(taus)
+    rows = len(insts) * trials
+    # per-slot arrays are client-major, (client, instance, trial), so that
+    # each operation runs along the trials
+    p = np.array([inst.reliabilities for inst in insts]).T[:, :, None]
+    ptau = p * np.asarray(taus, dtype=np.int64)[:, None, None]
+    p_rows = np.ascontiguousarray(np.broadcast_to(p, (n, len(insts), trials)))
+    flat_of = np.arange(n * rows).reshape(p_rows.shape)
+    m_counts = np.zeros(p_rows.shape)  # deliveries so far; integers, exact as floats
+    m_flat = m_counts.reshape(-1)
+    debts = np.empty(p_rows.shape)
+    last = [np.full(rows, -x - 1, dtype=np.int64) for x in start]
+    tally = _Tally(rows, n, horizon, warmup, record_cycles)
 
-    t = 0
-    for block, closes_block in _uniform_pieces(
-        lambda m: np.stack([rng.random(m) for rng in rngs]), warmup, horizon
-    ):
-        for j in range(block.shape[1]):
-            accounted = t >= warmup
-            if accounted:
-                exc = (x == taus).sum(axis=1)
-                exceed_total += exc
+    for t0, u, block in _slices(trials, seed, warmup, horizon):
+        size = len(u)
+        ts = np.arange(t0, t0 + size)
+        t_debts = ts[:, None, None, None] / ptau
+        reach = u[:, None, None, :] < p_rows  # the outcome, had each client been served
+        served = np.empty((size,) + p_rows.shape[1:], dtype=np.int64)
+        delivered = np.empty(served.shape, dtype=bool)
+        for j in range(size):
+            np.divide(m_counts, p_rows, out=debts)
+            np.subtract(t_debts[j], debts, out=debts)
+            flat, best = flat_of[0].copy(), debts[0]
+            for c in range(1, n):
+                better = debts[c] > best
+                np.copyto(flat, flat_of[c], where=better)
+                if c + 1 < n:
+                    best = np.maximum(best, debts[c])
+            outcome = reach[j].take(flat)
+            m_flat[flat] += outcome
+            served[j] = flat
+            delivered[j] = outcome
+        served, delivered = served.reshape(size, rows), delivered.reshape(size, rows)
+
+        marks = np.empty((size + 1, rows), dtype=np.int64)
+        exc = np.zeros((size, rows), dtype=np.int16)
+        at_regen = np.ones((size, rows), dtype=bool) if record_cycles else None
+        counts = np.empty((rows, n), dtype=np.int64)
+        for c in range(n):
+            hit = delivered & (served >= c * rows) & (served < (c + 1) * rows)
+            # marks[i + 1] = last delivery slot up to slot t0 + i
+            np.multiply(hit, (ts + _NO_SLOT)[:, None], out=marks[1:])
+            marks[1:] -= _NO_SLOT
+            marks[0] = last[c]
+            np.maximum.accumulate(marks, axis=0, out=marks)
+            last[c] = marks[-1].copy()
+            if t0 >= warmup:
+                x = (ts - 1)[:, None] - marks[:-1]
+                exc += x >= taus[c]
+                counts[:, c] = np.count_nonzero(hit, axis=0)
                 if record_cycles:
-                    exc_matrix[:, t - warmup] = exc
-                    regen_matrix[:, t - warmup] = (x == regen).all(axis=1)
-            debts = t / ptau - m_counts / p
-            u0 = debts.argmax(axis=1)  # first maximum = lowest client
-            delivered = block[:, j] < p[u0]
-            if accounted:
-                deliveries[rows, u0] += delivered
-            np.minimum(x + 1, taus, out=x)
-            x[rows[delivered], u0[delivered]] = 0
-            m_counts[rows[delivered], u0[delivered]] += 1
-            t += 1
-        if closes_block:
-            snapshots.append(exceed_total.copy())
-
-    return _trial_results(snapshots, deliveries, exc_matrix, regen_matrix)
+                    at_regen &= np.minimum(x, taus[c]) == regen[c]
+        if t0 >= warmup:
+            tally.add(t0, block, exc, counts, at_regen)
+    return tally.results(len(insts))
 
 
 def _run_trials(
-    inst: Instance,
-    policy: PolicyHandle,
+    insts: list[Instance],
+    handles: list[PolicyHandle],
     cfg: SimConfig,
-    start: State,
+    start: State | None,
     record_cycles: bool,
-) -> list[TrialResult]:
-    if isinstance(policy, WddHandle):
-        return _batch_wdd(inst, cfg.horizon, cfg.trials, cfg.seed, start, cfg.warmup, record_cycles)
-    return _batch_chain(
-        inst, policy.chain(inst, start), cfg.horizon, cfg.trials, cfg.seed, cfg.warmup, record_cycles
-    )
+) -> list[list[TrialResult]]:
+    """The trials of every point ``(insts[i], handles[i])``, one call per engine.
+
+    The points must share thresholds.  Points whose engine inputs are equal
+    share one set of rows: for WDD the inputs are the reliabilities (theta
+    never enters the engine), for a chain every array and the start.
+    """
+    taus = insts[0].thresholds
+    if any(inst.thresholds != taus for inst in insts):
+        raise ValueError("the points of one simulation must share thresholds")
+    wdd: dict = {}
+    chains: dict = {}
+    keys = []
+    for inst, handle in zip(insts, handles):
+        if isinstance(handle, WddHandle):
+            key = ("wdd", inst.reliabilities)
+            wdd.setdefault(key, inst)
+        else:
+            chain = handle.chain(inst, start)
+            arrays = (chain.succ, chain.fail, chain.p, chain.hits, chain.client, chain.base)
+            key = ("chain", chain.start, *(a.tobytes() for a in arrays))
+            chains.setdefault(key, chain)
+        keys.append(key)
+    args = (cfg.horizon, cfg.trials, cfg.seed)
+    runs = {}
+    if wdd:
+        wdd_start = tuple(taus if start is None else start)
+        _check_start(taus, wdd_start)
+        runs.update(zip(wdd, _batch_wdd(list(wdd.values()), *args, wdd_start, cfg.warmup, record_cycles)))
+    if chains:
+        runs.update(zip(chains, _batch_chain(insts[0], list(chains.values()), *args, cfg.warmup, record_cycles)))
+    return [runs[key] for key in keys]
 
 
 def stream_trials(
@@ -495,9 +600,7 @@ def stream_trials(
     """
     import json
 
-    if start is None:
-        start = inst.thresholds
-    results = _run_trials(inst, policy, cfg, tuple(start), record_cycles=record_cycles)
+    results = _run_trials([inst], [policy], cfg, start, record_cycles)[0]
     if sink is not None:
         for res in results:
             sink.write(json.dumps(res.to_json()) + "\n")
@@ -535,13 +638,27 @@ def estimate_cost(
     The log-scale standard error comes from the delta method on the block
     weights, treating the blocks as independent.
     """
-    if start is None:
-        start = inst.thresholds
-    results = _run_trials(inst, policy, cfg, tuple(start), record_cycles=False)
+    return estimate_costs([inst], [policy], cfg, start)[0]
+
+
+def estimate_costs(
+    insts: list[Instance], handles: list[PolicyHandle], cfg: SimConfig, start: State | None = None
+) -> list[CostEstimate]:
+    """``estimate_cost`` at every point ``(insts[i], handles[i])`` of one sweep.
+
+    The points share thresholds, and each engine runs once for all of them;
+    points with equal engine inputs share their trials (see ``_run_trials``).
+    """
+    runs = _run_trials(insts, handles, cfg, start, record_cycles=False)
+    return [_block_estimate(inst.theta, results, cfg) for inst, results in zip(insts, runs)]
+
+
+def _block_estimate(theta: float, results: list[TrialResult], cfg: SimConfig) -> CostEstimate:
+    """The estimate of ``estimate_cost`` from one point's trials."""
     fine = np.stack([res.block_exceedances for res in results])
     per_trial = 1
     while True:
-        w = inst.theta * fine.reshape(cfg.trials, per_trial, -1).sum(axis=2).ravel()
+        w = theta * fine.reshape(cfg.trials, per_trial, -1).sum(axis=2).ravel()
         shifted = np.exp(w - w.max())
         coverage = float(shifted.sum() ** 2 / (shifted @ shifted)) / w.size
         if coverage >= _MIN_COVERAGE or per_trial == fine.shape[1]:
@@ -549,7 +666,7 @@ def estimate_cost(
         per_trial *= 2
     block_length = cfg.horizon / per_trial
     lme = log_mean_exp(w)
-    j_hat = lme / (inst.theta * block_length)
+    j_hat = lme / (theta * block_length)
     degenerate = bool(np.all(w == w[0]))
     if w.size > 1 and not degenerate:
         stderr_log = float(shifted.std(ddof=1) / (math.sqrt(w.size) * shifted.mean()))
@@ -559,7 +676,7 @@ def estimate_cost(
         j_hat=j_hat,
         log_mean_cost=lme,
         stderr_log=stderr_log,
-        stderr_j=stderr_log / (inst.theta * block_length),
+        stderr_j=stderr_log / (theta * block_length),
         trials_used=cfg.trials,
         degenerate=degenerate,
         block_length=block_length,
@@ -577,9 +694,7 @@ def simulate_cycles(
     ``ln(mean cost) / (theta * mean length)``.  Trials that never hit the
     renewal state complete no cycles; a warning is issued for them.
     """
-    if start is None:
-        start = inst.thresholds
-    results = _run_trials(inst, policy, cfg, tuple(start), record_cycles=True)
+    results = _run_trials([inst], [policy], cfg, start, record_cycles=True)[0]
     lengths: list[int] = []
     counts: list[int] = []
     aborted = 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from idsched import exact
 from idsched.cli import (
     CSV_HEADER,
     bundled_config_path,
@@ -191,3 +192,42 @@ def test_seed_override_changes_only_simulated_rows(tmp_path):
     rows_b = {r.policy: r for r in run_experiment(cfg_b)}
     assert rows_a["op-iterative"].j == rows_b["op-iterative"].j
     assert rows_a["wdd"].j != rows_b["wdd"].j
+
+
+@pytest.mark.parametrize("evaluation", ["simulate", "both"])
+def test_each_optimum_is_computed_once_per_point(tmp_path, monkeypatch, evaluation):
+    calls = {"growth_rate_optimal": 0, "exhaustive_optimal": 0}
+    for name in calls:
+        original = getattr(exact, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(exact, name, counted)
+    cfg_path = _tiny_config(tmp_path, policies=["op-iterative", "op-exhaustive", "mlg"], evaluation=evaluation)
+    rows = run_experiment(load_config(cfg_path))
+    assert len(rows) == 2 * 3 * (2 if evaluation == "both" else 1)
+    assert calls == {"growth_rate_optimal": 2, "exhaustive_optimal": 2}
+
+
+@pytest.mark.parametrize(
+    "instance, sweep",
+    [
+        ({"taus": [2, 3], "ps": [0.6, 0.7], "theta": 0.05}, {"axis": "theta", "values": [0.02, 0.05, 0.1]}),
+        ({"taus": [2, 3], "bs": [1.0, 2.0], "epsilon": 0.1, "theta": 0.05}, {"axis": "epsilon", "values": [0.05, 0.1, 0.2]}),
+    ],
+)
+def test_sweep_rows_equal_single_point_rows(tmp_path, instance, sweep):
+    # stacking the points of a sweep, and sharing trials between points with
+    # equal engine inputs, leaves every row as a one-point run writes it
+    policies = ["mlg", "prr", "wdd", {"name": "ps", "max_period": 4}]
+    common = {"instance": instance, "policies": policies, "evaluation": "both", "sim": {"horizon": 900, "trials": 6, "warmup": 40}}
+    swept = run_experiment(load_config({**common, "sweep": sweep, "seed": 3}))
+    single = [
+        row
+        for value in sweep["values"]
+        for row in run_experiment(load_config({**common, "sweep": {"axis": sweep["axis"], "values": [value]}, "seed": 3}))
+    ]
+    assert len(swept) == 3 * (2 * len(policies) - 1)  # WDD has no exact row
+    assert [row.csv() for row in swept] == [row.csv() for row in single]

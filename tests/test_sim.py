@@ -17,6 +17,7 @@ from idsched.sim import (
     WddHandle,
     block_edges,
     estimate_cost,
+    estimate_costs,
     log_mean_exp,
     regeneration_state,
     run_trial,
@@ -85,7 +86,7 @@ def test_batch_engines_match_reference_exactly():
     pol = _random_policy(inst, 2)
     handle = StationaryHandle("p", pol, inst)
     ref = [run_trial(inst, handle, 400, (123, r), inst.thresholds, warmup=13) for r in range(5)]
-    bat = _batch_chain(inst, handle.chain(inst), 400, 5, 123, 13, True)
+    bat = _batch_chain(inst, [handle.chain(inst)], 400, 5, 123, 13, True)[0]
     for r, b in zip(ref, bat):
         assert r.exceedance_total == b.exceedance_total
         assert len(r.block_exceedances) > 1
@@ -96,7 +97,7 @@ def test_batch_engines_match_reference_exactly():
 
     wdd = WddHandle(inst)
     refw = [run_trial(inst, wdd, 400, (55, r), inst.thresholds, warmup=7) for r in range(5)]
-    batw = _batch_wdd(inst, 400, 5, 55, inst.thresholds, 7, True)
+    batw = _batch_wdd([inst], 400, 5, 55, inst.thresholds, 7, True)[0]
     for r, b in zip(refw, batw):
         assert r.exceedance_total == b.exceedance_total
         assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
@@ -115,13 +116,87 @@ def test_batch_engines_match_reference_exactly():
     ]
     for seed, (case, handle, regenerates) in enumerate(cases):
         ref = [run_trial(case, handle, 600, (seed, r), case.thresholds, warmup=13) for r in range(5)]
-        bat = _batch_chain(case, handle.chain(case), 600, 5, seed, 13, True)
+        bat = _batch_chain(case, [handle.chain(case)], 600, 5, seed, 13, True)[0]
         assert any(r.cycle_lengths for r in ref) == regenerates
         for r, b in zip(ref, bat):
             assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
             assert r.deliveries == b.deliveries
             assert r.cycle_lengths == b.cycle_lengths
             assert r.cycle_exceedances == b.cycle_exceedances
+
+
+def _assert_points_match_reference(insts, handles, runs, horizon, seed, starts, warmup):
+    for inst, handle, start, run in zip(insts, handles, starts, runs):
+        for r, b in enumerate(run):
+            ref = run_trial(inst, handle, horizon, (seed, r), start, warmup=warmup)
+            assert ref.block_exceedances.tolist() == b.block_exceedances.tolist()
+            assert ref.deliveries == b.deliveries
+            assert ref.cycle_lengths == b.cycle_lengths
+            assert ref.cycle_exceedances == b.cycle_exceedances
+
+
+@pytest.mark.parametrize(
+    "taus, reliabilities, start, horizon, warmup",
+    [
+        # a repeated reliability vector (at another theta), warmup off the block grid
+        ((2, 3), [(0.6, 0.7), (0.9, 0.5), (0.6, 0.7)], None, 600, 13),
+        # the renewal state as the start, with no warmup to hide its encoding
+        ((2, 3), [(0.6, 0.7), (0.8, 0.8)], (1, 0), 500, 0),
+        ((2, 3, 4), [(0.6, 0.7, 0.8), (0.7, 0.7, 0.7)], (0, 2, 2), 500, 33),
+        # the warmup crosses a chunk of the uniform stream
+        ((2, 3), [(0.6, 0.7), (0.3, 0.9)], None, 50, 20_000),
+    ],
+)
+def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, start, horizon, warmup):
+    insts = [Instance(taus, ps, 0.05 * (k + 1)) for k, ps in enumerate(reliabilities)]
+    trials = 2 if warmup > horizon else 4
+    runs = _batch_wdd(insts, horizon, trials, 17, start or taus, warmup, True)
+    assert len(runs) == len(insts) and all(len(run) == trials for run in runs)
+    handles = [WddHandle(inst) for inst in insts]
+    _assert_points_match_reference(insts, handles, runs, horizon, 17, [start or taus] * len(insts), warmup)
+    if warmup < horizon:
+        assert any(res.cycle_lengths for run in runs for res in run)
+
+
+def test_stacked_chain_engine_matches_reference_per_point():
+    # chains of different sizes and reliabilities over one set of thresholds,
+    # each from its own start
+    taus = (2, 3, 4)
+    a = Instance(taus, (0.6, 0.7, 0.8), 0.05)
+    b = Instance(taus, (0.9, 0.5, 0.7), 0.05)
+    cases = [
+        (a, StationaryHandle("p", _random_policy(a, 3), a), taus),
+        (b, StationaryHandle("q", _random_policy(b, 4), b), (0, 1, 2)),
+        (a, PrrHandle(3), taus),
+        (b, PrrHandle(3), (1, 0, 4)),
+        (b, PsHandle(PeriodicSchedule((3, 2, 1, 2), 3)), (0, 1, 2)),
+    ]
+    insts, handles, starts = zip(*cases)
+    chains = [h.chain(inst, start) for inst, h, start in cases]
+    assert len({len(c.p) for c in chains}) == 3
+    runs = _batch_chain(a, chains, 600, 4, 29, 13, True)
+    _assert_points_match_reference(insts, handles, runs, 600, 29, starts, 13)
+    assert any(res.cycle_lengths for run in runs for res in run)
+
+
+def test_estimate_costs_equals_estimate_cost_per_point():
+    # equal engine inputs share their trials, which must not change any point
+    taus = (2, 3)
+    insts = [Instance(taus, (0.6, 0.7), 0.05), Instance(taus, (0.6, 0.7), 0.2), Instance(taus, (0.9, 0.5), 0.1)]
+    cfg = SimConfig(horizon=800, trials=6, seed=13, warmup=21)
+    pol = _random_policy(insts[0], 5)
+    for make in (WddHandle, lambda inst: PrrHandle(2), lambda inst: StationaryHandle("p", pol, inst)):
+        handles = [make(inst) for inst in insts]
+        together = estimate_costs(insts, handles, cfg)
+        assert together == [estimate_cost(inst, h, cfg) for inst, h in zip(insts, handles)]
+    # at equal reliabilities two policies' chains differ only in their successors
+    even = Instance(taus, (0.7, 0.7), 0.05)
+    handles = [StationaryHandle("p", _random_policy(even, k), even) for k in (6, 7)]
+    together = estimate_costs([even, even], handles, cfg)
+    assert together[0] != together[1]
+    assert together == [estimate_cost(even, h, cfg) for h in handles]
+    with pytest.raises(ValueError):
+        estimate_costs([insts[0], Instance((3, 3), (0.6, 0.7), 0.05)], [WddHandle(insts[0])] * 2, cfg)
 
 
 def test_single_client_threshold_frequency():
