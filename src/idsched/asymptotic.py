@@ -23,7 +23,7 @@ from .model import (
     StateIndexer,
     transition_tables,
 )
-from .exact import StationaryPolicy
+from .exact import StationaryPolicy, _lookahead
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,10 @@ def _excess_tables(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     the minimal window cost minus one.
     """
     tables = transition_tables(inst)
-    n = inst.n_clients
     g = np.ones(tables.indexer.total_states)
     first = None
-    for _ in range(n):
-        candidates = np.stack([g[tables.succ[:, u]] for u in range(n)])
+    for _ in range(inst.n_clients):
+        candidates = _lookahead(tables, 1.0, g)
         first = candidates.argmin(axis=0) + 1
         g = tables.cost * candidates.min(axis=0)
     assert first is not None
@@ -207,25 +206,28 @@ def all_success_excess(x: State, inst: Instance) -> tuple[float, int]:
 class LevelSets:
     """Graded state partition plus the per-state coefficients and decisions.
 
-    ``levels[k]`` collects the states whose minimal near-term cost excess is
-    of order epsilon^k; ``unplaced`` holds states the grading never reached
-    and ``remain`` the states whose value needed the fallback relaxation.
+    ``level[s]`` grades state ``s``: its minimal near-term cost excess is of
+    order epsilon^level, and -1 marks a state the grading never reached.
+    Levels run from 0 to the smallest threshold.  ``remain`` holds the
+    states whose value needed the fallback relaxation.
     """
 
     indexer: StateIndexer
-    levels: tuple
-    z: frozenset
+    level: np.ndarray
     a_values: dict
     b_values: dict
     decisions: dict
     remain: frozenset
-    unplaced: frozenset
 
-    def level_of(self, idx: int) -> int | None:
-        for k, members in enumerate(self.levels):
-            if idx in members:
-                return k
-        return None
+    @property
+    def levels(self) -> tuple:
+        """The members of each level, from 0 to the smallest threshold."""
+        depth = min(self.indexer.thresholds)
+        return tuple(frozenset(np.flatnonzero(self.level == k).tolist()) for k in range(depth + 1))
+
+    @property
+    def unplaced(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.level < 0).tolist())
 
     def to_json(self) -> dict:
         def value_arrays(mapping: dict) -> dict:
@@ -252,55 +254,26 @@ def build_level_sets(inst: Instance) -> LevelSets:
     construction fails loudly if they would need a decision.
     """
     tables = transition_tables(inst)
-    indexer = tables.indexer
-    n_states = indexer.total_states
-    n = inst.n_clients
     excess, _ = _excess_tables(inst)
 
-    y0 = frozenset(int(s) for s in np.flatnonzero(excess > 0.0))
-    a_values = {s: float(excess[s]) for s in y0}
-    decisions: dict[int, int] = {}
-    for s in sorted(y0):
-        best_u, best_val = 1, float(excess[tables.succ[s, 0]])
-        for u in range(1, n):
-            val = float(excess[tables.succ[s, u]])
-            if val < best_val:
-                best_u, best_val = u + 1, val
-        decisions[s] = best_u
+    level = np.where(excess > 0.0, 0, -1)
+    for k in range(1, min(inst.thresholds) + 1):
+        level[(level < 0) & (level[tables.fail] == k - 1)] = k
+        while True:
+            grown = (level < 0) & (level[tables.succ] >= 0).all(axis=1)
+            if not grown.any():
+                break
+            level[grown] = k
 
-    levels = [y0]
-    z: set[int] = set()
-    for _ in range(1, min(inst.thresholds) + 1):
-        z |= set(levels[-1])
-        seed = {
-            s
-            for s in range(n_states)
-            if s not in z and int(tables.fail[s]) in levels[-1]
-        }
-        grown = True
-        placed = z | seed
-        while grown:
-            grown = False
-            for s in range(n_states):
-                if s in placed:
-                    continue
-                if all(int(tables.succ[s, u]) in placed for u in range(n)):
-                    seed.add(s)
-                    placed.add(s)
-                    grown = True
-        levels.append(frozenset(seed))
-    placed_all = set().union(*levels) if levels else set()
-    unplaced = frozenset(range(n_states)) - placed_all
-
+    y0 = np.flatnonzero(level == 0)
+    first = excess[tables.succ[y0]].argmin(axis=1) + 1
     return LevelSets(
-        indexer=indexer,
-        levels=tuple(levels),
-        z=frozenset(z | set(levels[-1])),
-        a_values=a_values,
+        indexer=tables.indexer,
+        level=level,
+        a_values=dict(zip(y0.tolist(), excess[y0].tolist())),
         b_values={},
-        decisions=decisions,
+        decisions=dict(zip(y0.tolist(), first.tolist())),
         remain=frozenset(),
-        unplaced=unplaced,
     )
 
 
@@ -330,11 +303,7 @@ def sn_policy(
     indexer = ls.indexer
     n = inst.n_clients
     n_states = indexer.total_states
-
-    level_of = np.full(n_states, -1, dtype=np.int64)
-    for k, members in enumerate(ls.levels):
-        for s in members:
-            level_of[s] = k
+    level_of = ls.level
 
     a_values = dict(ls.a_values)
     decisions = dict(ls.decisions)
@@ -347,8 +316,8 @@ def sn_policy(
         m = max(succ_levels)
         return m, [u + 1 for u in range(n) if succ_levels[u] == m]
 
-    for k in range(1, len(ls.levels)):
-        members = sorted(ls.levels[k])
+    for k in range(1, int(level_of.max()) + 1):
+        members = np.flatnonzero(level_of == k).tolist()
         if not members:
             continue
         meta = {s: action_levels(s) for s in members}
@@ -427,13 +396,11 @@ def sn_policy(
     policy = StationaryPolicy(np.array([decisions[s] for s in range(n_states)], dtype=np.int64))
     out = LevelSets(
         indexer=indexer,
-        levels=ls.levels,
-        z=ls.z,
+        level=level_of,
         a_values=a_values,
         b_values=b_values,
         decisions=decisions,
         remain=frozenset(remain),
-        unplaced=ls.unplaced,
     )
     return policy, out
 

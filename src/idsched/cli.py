@@ -156,19 +156,6 @@ def _instance_at(cfg: ExperimentConfig, value: float) -> Instance:
         raise ConfigError(f"sweep value {value} produces an invalid instance: {exc}") from exc
 
 
-def _ne_policy_count(inst: Instance) -> int:
-    count = 1
-    indexer = inst.indexer()
-    constrained = set()
-    if inst.n_clients >= 2:
-        from .model import exclusion_state
-
-        constrained = {indexer.index(exclusion_state(inst.thresholds, n)) for n in range(1, inst.n_clients + 1)}
-    for s in range(inst.total_states):
-        count *= inst.n_clients - (1 if s in constrained else 0)
-    return count
-
-
 class _Evaluator:
     """Per-sweep-point policy construction and evaluation."""
 
@@ -182,7 +169,8 @@ class _Evaluator:
         """Optimal-cost reference J: exhaustive when the enumeration fits, else iterative."""
         names = [spec["name"] for spec in self.cfg.policies]
         use_exhaustive = "op-exhaustive" in names or (
-            "op-iterative" not in names and _ne_policy_count(self.inst) <= self.cfg.enumeration_cap
+            "op-iterative" not in names
+            and exact.policy_count(self.inst, True, self.cfg.enumeration_cap) <= self.cfg.enumeration_cap
         )
         return self._optimum("exhaustive" if use_exhaustive else "growth_rate")[1][0]
 

@@ -21,12 +21,14 @@ from .model import (
     Instance,
     State,
     StateIndexer,
+    TransitionTables,
     exclusion_state,
     transition_tables,
 )
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
+_LOOKAHEAD_BLOCK = 16384  # states per lookahead pass
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +153,22 @@ def stationary_chain(policy: StationaryPolicy, inst: Instance, start: State | No
 # finite-horizon dynamic programs
 
 
+def _lookahead(tables: TransitionTables, ps, v: np.ndarray) -> np.ndarray:
+    """One Bellman lookahead ``q[u, x] = p_u v[succ(x, u)] + (1 - p_u) v[fail(x)]``, shape (N, S).
+
+    ``ps`` holds the success probability of each client, or one shared by all.
+    The states go in blocks of ``_LOOKAHEAD_BLOCK``, so the temporaries stay
+    in cache on large spaces.
+    """
+    p = np.reshape(ps, (-1, 1))
+    succ = tables.succ.T
+    q = np.empty(succ.shape)
+    for lo in range(0, succ.shape[1], _LOOKAHEAD_BLOCK):
+        block = slice(lo, lo + _LOOKAHEAD_BLOCK)
+        q[:, block] = p * v[succ[:, block]] + (1.0 - p) * v[tables.fail[block]]
+    return q
+
+
 @dataclass(eq=False)
 class DpTable:
     """Clipped-space finite-horizon table.
@@ -173,13 +191,8 @@ class DpTable:
         if not 1 <= t <= self.horizon:
             raise ValueError("t must be in 1..horizon")
         tables = transition_tables(inst)
-        s = self.indexer.index(state)
-        prev = self.values[t - 1]
-        qs = []
-        for u in range(inst.n_clients):
-            p = inst.reliabilities[u]
-            qs.append(p * prev[tables.succ[s, u]] + (1.0 - p) * prev[tables.fail[s]])
-        qmin = min(qs)
+        qs = _lookahead(tables, inst.reliabilities, self.values[t - 1])[:, self.indexer.index(state)]
+        qmin = qs.min()
         return frozenset(u + 1 for u, q in enumerate(qs) if q <= qmin * (1.0 + rtol))
 
 
@@ -193,18 +206,13 @@ def dp_mdp2(inst: Instance, horizon: int) -> DpTable:
         raise ValueError("horizon must be nonnegative")
     tables = transition_tables(inst)
     n_states = tables.indexer.total_states
-    n = inst.n_clients
     ps = np.asarray(inst.reliabilities)
 
     values = np.empty((horizon + 1, n_states))
     values[0] = 1.0
     greedy = np.zeros((horizon, n_states), dtype=np.int64)
     for t in range(1, horizon + 1):
-        prev = values[t - 1]
-        q = np.empty((n, n_states))
-        fail_vals = prev[tables.fail]
-        for u in range(n):
-            q[u] = ps[u] * prev[tables.succ[:, u]] + (1.0 - ps[u]) * fail_vals
+        q = _lookahead(tables, ps, values[t - 1])
         greedy[t - 1] = q.argmin(axis=0) + 1
         values[t] = tables.cost * q.min(axis=0)
     return DpTable(horizon=horizon, values=values, greedy=greedy, indexer=tables.indexer)
@@ -337,11 +345,6 @@ def disutility_matrix(policy: StationaryPolicy, inst: Instance) -> np.ndarray:
     """Transition matrix with rows scaled by the per-slot cost factor."""
     tables = transition_tables(inst)
     return tables.cost[:, None] * transition_matrix(policy, inst)
-
-
-def matrix_to_csv(mat: np.ndarray, path) -> None:
-    """Dump a dense matrix as CSV, one row per source state (debug aid)."""
-    np.savetxt(path, np.asarray(mat, dtype=float), delimiter=",")
 
 
 @dataclass(frozen=True)
@@ -652,17 +655,21 @@ def cycle_expectations(
     return float(m[s0]), float(e_len)
 
 
-def _a2_pattern_client(policy: StationaryPolicy, inst: Instance) -> int | None:
-    """Lowest client the policy serves in all of its pinned states, if any."""
-    indexer = inst.indexer()
-    taus = inst.thresholds
-    for n in range(1, inst.n_clients + 1):
-        if all(
-            int(policy.decisions[indexer.index(tuple(a if i == n - 1 else t for i, t in enumerate(taus)))]) == n
-            for a in range(taus[n - 1] + 1)
-        ):
-            return n
-    return None
+def policy_count(inst: Instance, ne_only: bool, cap: int) -> int:
+    """How many decision maps ``exhaustive_optimal`` enumerates, counted until the count passes ``cap``.
+
+    With ``ne_only`` and two or more clients, no client may be served in its
+    own exclusion state.  The count is exact up to ``cap``; above it, the
+    first partial product past ``cap`` is returned.
+    """
+    n = inst.n_clients
+    excluded = n if ne_only and n >= 2 else 0
+    count = (n - 1) ** excluded
+    for _ in range(inst.total_states - excluded):
+        if count > cap:
+            break
+        count *= n
+    return count
 
 
 def exhaustive_optimal(
@@ -676,38 +683,27 @@ def exhaustive_optimal(
 
     By default only policies avoiding every exclusion state are enumerated
     (the rest are dominated or pinned); pass ``ne_only=False`` to enumerate
-    all decision maps, with pinned policies evaluated through their small
-    absorbed cycle.  Ties favor the lexicographically smallest decision array.
+    all decision maps.  Ties favor the lexicographically smallest decision array.
     """
     inst.require_interior_reliabilities()
+    count = policy_count(inst, ne_only, policy_cap)
+    if count > policy_cap:
+        raise ResourceLimitError(
+            f"{count}+ policies exceed the enumeration cap of {policy_cap}; "
+            "use growth_rate_optimal instead"
+        )
     indexer = inst.indexer()
     n = inst.n_clients
-    n_states = indexer.total_states
-    allowed: list[tuple[int, ...]] = [tuple(range(1, n + 1))] * n_states
+    allowed: list[tuple[int, ...]] = [tuple(range(1, n + 1))] * indexer.total_states
     if ne_only and n >= 2:
         for client in range(1, n + 1):
             idx = indexer.index(exclusion_state(inst.thresholds, client))
             allowed[idx] = tuple(u for u in allowed[idx] if u != client)
-    count = 1
-    for choices in allowed:
-        count *= len(choices)
-        if count > policy_cap:
-            raise ResourceLimitError(
-                f"{count}+ policies exceed the enumeration cap of {policy_cap}; "
-                "use growth_rate_optimal instead"
-            )
     best_policy: np.ndarray | None = None
     best_report: SolveReport | None = None
     for decisions in product(*allowed):
         policy = StationaryPolicy(np.asarray(decisions, dtype=np.int64))
-        if ne_only or is_ne(policy, inst):
-            report = average_cost(policy, inst, tol=tol, max_iter=max_iter)
-        else:
-            pinned = _a2_pattern_client(policy, inst)
-            if pinned is not None:
-                report = non_ne_trivial_cost(policy, inst, pinned, tol=tol, max_iter=max_iter)
-            else:
-                report = average_cost(policy, inst, tol=tol, max_iter=max_iter)
+        report = average_cost(policy, inst, tol=tol, max_iter=max_iter)
         if best_report is None or report.average_cost < best_report.average_cost:
             best_policy = policy.decisions
             best_report = report
@@ -740,20 +736,14 @@ def growth_rate_optimal(
     """
     inst.require_interior_reliabilities()
     tables = transition_tables(inst)
-    n_states = tables.indexer.total_states
-    n = inst.n_clients
     ps = np.asarray(inst.reliabilities)
 
-    v = np.ones(n_states)
+    v = np.ones(tables.indexer.total_states)
     log_factors: list[float] = []
     converged = False
     iterations = 0
-    q = np.empty((n, n_states))
     for iterations in range(1, max_iter + 1):
-        fail_vals = v[tables.fail]
-        for u in range(n):
-            q[u] = ps[u] * v[tables.succ[:, u]] + (1.0 - ps[u]) * fail_vals
-        bell = tables.cost * q.min(axis=0)
+        bell = tables.cost * _lookahead(tables, ps, v).min(axis=0)
         lam = bell.max()
         v = bell / lam
         log_factors.append(math.log(lam))
@@ -765,10 +755,7 @@ def growth_rate_optimal(
     tail = log_factors[-window:] if len(log_factors) >= window else log_factors
     growth = math.exp(sum(tail) / len(tail))
 
-    fail_vals = v[tables.fail]
-    for u in range(n):
-        q[u] = ps[u] * v[tables.succ[:, u]] + (1.0 - ps[u]) * fail_vals
-    greedy = StationaryPolicy(q.argmin(axis=0) + 1)
+    greedy = StationaryPolicy(_lookahead(tables, ps, v).argmin(axis=0) + 1)
     return GrowthRateResult(
         average_cost=math.log(growth) / inst.theta,
         growth_rate=growth,

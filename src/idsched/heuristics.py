@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError
-from .exact import Chain, SolveReport, chain_average_cost
+from .exact import DEFAULT_MAX_ITER, DEFAULT_TOL, Chain, SolveReport, chain_average_cost
 from .model import Instance, State, successor_on_success
 
 
@@ -191,7 +191,7 @@ def periodic_chain(inst: Instance, sched: PeriodicSchedule, start: State | None 
     return Chain.augmented(inst, sched.period, client, following, following, start)
 
 
-def prr_average_cost(inst: Instance, tol: float = 1e-12, max_iter: int = 100_000) -> SolveReport:
+def prr_average_cost(inst: Instance, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
     """Exact average cost of packet-level round robin via the token-augmented chain.
 
     Reported state sets use augmented indices ``state_index * N + token - 1``.
@@ -203,8 +203,8 @@ def prr_average_cost(inst: Instance, tol: float = 1e-12, max_iter: int = 100_000
 def periodic_schedule_average_cost(
     inst: Instance,
     sched: PeriodicSchedule,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveReport:
     """Exact average cost of an open-loop periodic schedule via the phase-augmented chain.
 

@@ -286,7 +286,9 @@ class TransitionTables:
 
     ``succ[s, u-1]`` is the index of the success successor when serving u,
     ``fail[s]`` the failure successor, ``hits[s]`` the threshold-exceedance
-    count, and ``cost[s]`` the per-slot cost factor.
+    count, and ``cost[s]`` the per-slot cost factor.  ``succ`` is stored
+    client-major (``succ.T`` is contiguous), so the Bellman lookahead gathers
+    each client's successors in one pass.
     """
 
     indexer: StateIndexer
@@ -306,11 +308,11 @@ def transition_tables(inst: Instance) -> TransitionTables:
 
     advanced = np.minimum(grids + 1, taus[:, None])
     fail = np.ravel_multi_index(advanced, dims)
-    succ = np.empty((indexer.total_states, n), dtype=np.int64)
+    succ = np.empty((n, indexer.total_states), dtype=np.int64)
     for u in range(n):
         comp = advanced.copy()
         comp[u] = 0
-        succ[:, u] = np.ravel_multi_index(comp, dims)
+        succ[u] = np.ravel_multi_index(comp, dims)
     hits = (grids == taus[:, None]).sum(axis=0).astype(np.int64)
     cost = np.exp(inst.theta * hits)
-    return TransitionTables(indexer=indexer, succ=succ, fail=fail.astype(np.int64), hits=hits, cost=cost)
+    return TransitionTables(indexer=indexer, succ=succ.T, fail=fail.astype(np.int64), hits=hits, cost=cost)

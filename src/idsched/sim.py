@@ -70,14 +70,6 @@ class TrialResult:
     def exceedance_total(self) -> int:
         return int(self.block_exceedances.sum())
 
-    def to_json(self) -> dict:
-        return {
-            "exceedance_total": self.exceedance_total,
-            "deliveries": list(self.deliveries),
-            "cycle_lengths": list(self.cycle_lengths),
-            "cycle_exceedances": list(self.cycle_exceedances),
-        }
-
 
 @dataclass(frozen=True)
 class CostEstimate:
@@ -275,8 +267,7 @@ def run_trial(
     """Simulate ``warmup + horizon`` slots, accounting only the last ``horizon``.
 
     This per-slot engine is the reference the batch engines are tested
-    against, bit for bit; ``stream_trials`` and the estimators run the batch
-    engines.
+    against, bit for bit; the estimators run the batch engines.
 
     Each slot: ask the policy for a client, draw the channel outcome from the
     trial's substream, charge the pre-transition state's exceedance count, and
@@ -583,28 +574,6 @@ def _run_trials(
     if chains:
         runs.update(zip(chains, _batch_chain(insts[0], list(chains.values()), *args, cfg.warmup, record_cycles)))
     return [runs[key] for key in keys]
-
-
-def stream_trials(
-    inst: Instance,
-    policy: PolicyHandle,
-    cfg: SimConfig,
-    start: State | None = None,
-    sink=None,
-    record_cycles: bool = True,
-) -> list[TrialResult]:
-    """Run the configured trials, optionally writing one JSON line per trial.
-
-    ``sink`` is any object with a ``write`` method (file, StringIO); pass None
-    to just get the results.
-    """
-    import json
-
-    results = _run_trials([inst], [policy], cfg, start, record_cycles)[0]
-    if sink is not None:
-        for res in results:
-            sink.write(json.dumps(res.to_json()) + "\n")
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,36 @@ def test_level_sets_partition_and_membership():
                 assert idx in levels.levels[k]
 
 
+@pytest.mark.parametrize("taus", [(2, 3, 4), (4, 6, 8), (2, 2, 3, 3), (3, 4, 5, 6)])
+def test_level_sets_are_seeded_and_closed_on_many_clients(taus):
+    inst = Instance(taus, (0.9,) * len(taus), 0.05)
+    levels = build_level_sets(inst)
+    tables = transition_tables(inst)
+    level_of = {}
+    for k, members in enumerate(levels.levels):
+        for s in members:
+            assert s not in level_of  # levels are disjoint
+            level_of[s] = k
+    assert not set(level_of) & levels.unplaced
+    assert set(level_of) | levels.unplaced == set(range(inst.total_states))
+
+    def graded_by(s, j):
+        return s in level_of and level_of[s] <= j
+
+    for s in range(inst.total_states):
+        succs = [int(t) for t in tables.succ[s]]
+        fail = int(tables.fail[s])
+        k = level_of.get(s)
+        if k is not None and k >= 1:
+            # a level-k state is seeded by its failure successor or closed over its success successors
+            assert level_of.get(fail) == k - 1 or all(graded_by(t, k) for t in succs)
+        for j in range(1, len(levels.levels)):
+            if k is None or k > j:
+                # nothing the grading of level j should have taken is left above it
+                assert level_of.get(fail) != j - 1 or graded_by(s, j - 1)
+                assert not all(graded_by(t, j) for t in succs)
+
+
 def test_level_sets_serialize_with_parallel_arrays():
     inst = Instance((2, 2), (0.9, 0.9), 0.1)
     _, levels = sn_policy(inst)

@@ -194,8 +194,7 @@ def test_seed_override_changes_only_simulated_rows(tmp_path):
     assert rows_a["wdd"].j != rows_b["wdd"].j
 
 
-@pytest.mark.parametrize("evaluation", ["simulate", "both"])
-def test_each_optimum_is_computed_once_per_point(tmp_path, monkeypatch, evaluation):
+def _count_optimum_calls(monkeypatch) -> dict:
     calls = {"growth_rate_optimal": 0, "exhaustive_optimal": 0}
     for name in calls:
         original = getattr(exact, name)
@@ -205,10 +204,33 @@ def test_each_optimum_is_computed_once_per_point(tmp_path, monkeypatch, evaluati
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(exact, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("evaluation", ["simulate", "both"])
+def test_each_optimum_is_computed_once_per_point(tmp_path, monkeypatch, evaluation):
+    calls = _count_optimum_calls(monkeypatch)
     cfg_path = _tiny_config(tmp_path, policies=["op-iterative", "op-exhaustive", "mlg"], evaluation=evaluation)
     rows = run_experiment(load_config(cfg_path))
     assert len(rows) == 2 * 3 * (2 if evaluation == "both" else 1)
     assert calls == {"growth_rate_optimal": 2, "exhaustive_optimal": 2}
+
+
+@pytest.mark.parametrize(
+    "cap, expected",
+    [
+        (1024, {"growth_rate_optimal": 0, "exhaustive_optimal": 1}),
+        (1023, {"growth_rate_optimal": 1, "exhaustive_optimal": 0}),
+    ],
+)
+def test_reference_is_exhaustive_exactly_when_the_ne_policies_fit_the_cap(tmp_path, monkeypatch, cap, expected):
+    # thresholds (2, 3): 12 states, two of them exclusion states, so 2**10 NE policies
+    calls = _count_optimum_calls(monkeypatch)
+    sweep = {"axis": "epsilon", "values": [0.05]}
+    cfg_path = _tiny_config(tmp_path, policies=["mlg"], sweep=sweep, enumeration_cap=cap)
+    (row,) = run_experiment(load_config(cfg_path))
+    assert calls == expected
+    assert row.j_normalized >= 1.0 - 1e-9  # MLG cannot beat either optimum
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from idsched.exact import (
     growth_rate_optimal,
     is_ne,
     non_ne_trivial_cost,
+    policy_count,
     spectral_radius,
     theta_threshold,
     transition_matrix,
@@ -315,21 +316,13 @@ def test_cycle_expectations_single_client():
 # threshold, hitting times, optimality
 
 
-def test_solve_report_and_matrix_serialization(tmp_path):
-    from idsched.exact import matrix_to_csv
-
+def test_solve_report_serialization():
     inst = Instance((1,), (0.5,), 1.0)
     pol = StationaryPolicy(np.array([1, 1]))
     report = average_cost(pol, inst)
     payload = report.to_json()
     assert payload["recurrent_class"] == [0, 1]
     assert payload["converged"] is True
-
-    path = tmp_path / "mat.csv"
-    matrix_to_csv(transition_matrix(pol, inst), path)
-    rows = [line.split(",") for line in path.read_text().strip().split("\n")]
-    assert len(rows) == 2 and len(rows[0]) == 2
-    assert float(rows[0][0]) == pytest.approx(0.5)
 
 
 def test_theta_threshold_examples():
@@ -403,6 +396,16 @@ def test_exhaustive_enumeration_cap():
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     with pytest.raises(ResourceLimitError):
         exhaustive_optimal(inst, policy_cap=100)
+    # 12 states, two of them exclusion states: the count is exact up to the
+    # cap and passes the cap exactly when the full count does
+    assert policy_count(inst, True, 4096) == 2**10
+    assert policy_count(inst, False, 4096) == 2**12
+    for cap in (511, 512, 1023, 1024):
+        assert (policy_count(inst, True, cap) <= cap) == (2**10 <= cap)
+    three = Instance((1, 1, 1), (0.6, 0.7, 0.8), 0.05)  # 8 states, three exclusion states
+    assert policy_count(three, True, 10**6) == 2**3 * 3**5
+    big = Instance((6, 8, 10, 12, 14), (0.9,) * 5, 0.05)
+    assert 4096 < policy_count(big, True, 4096) <= 5 * 4096
 
 
 def test_growth_rate_single_client_matches_forced_policy():

@@ -22,7 +22,6 @@ from idsched.sim import (
     regeneration_state,
     run_trial,
     simulate_cycles,
-    stream_trials,
 )
 from idsched.sim import _CHUNK, _batch_chain, _batch_wdd, _uniform_pieces
 from idsched.model import successor_on_failure, successor_on_success
@@ -257,7 +256,8 @@ def test_estimate_cost_halves_blocks_only_when_the_tail_is_uncovered():
     mild = Instance((1,), (0.5,), 0.01)
     handle = StationaryHandle("f", pol, mild)
     est = estimate_cost(mild, handle, cfg)
-    totals = np.array([res.exceedance_total for res in stream_trials(mild, handle, cfg)], dtype=float)
+    trials = [run_trial(mild, handle, cfg.horizon, (cfg.seed, r), mild.thresholds) for r in range(cfg.trials)]
+    totals = np.array([res.exceedance_total for res in trials], dtype=float)
     assert est.block_length == 1000
     assert est.tail_coverage >= 0.5
     assert est.j_hat == log_mean_exp(mild.theta * totals) / (mild.theta * 1000)
@@ -328,24 +328,6 @@ def test_simulate_cycles_errors_without_regeneration():
             simulate_cycles(
                 inst, StationaryHandle("pin", pol, inst), SimConfig(horizon=300, trials=2, seed=6)
             )
-
-
-def test_stream_trials_emits_one_json_line_per_trial():
-    import io
-    import json
-
-    inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    pol = _random_policy(inst, 8)
-    sink = io.StringIO()
-    results = stream_trials(
-        inst, StationaryHandle("p", pol, inst), SimConfig(horizon=300, trials=4, seed=21), sink=sink
-    )
-    lines = sink.getvalue().strip().split("\n")
-    assert len(lines) == 4
-    for line, res in zip(lines, results):
-        payload = json.loads(line)
-        assert payload["exceedance_total"] == res.exceedance_total
-        assert payload["deliveries"] == list(res.deliveries)
 
 
 def test_warmup_shifts_accounting():
