@@ -246,43 +246,39 @@ class _Evaluator:
         return sim.StationaryHandle(name, policy, self.inst)
 
 
-def _sim_config(cfg: ExperimentConfig, spec: dict) -> sim.SimConfig:
-    if cfg.sim_config is None:
-        raise ConfigError(f"policy {spec['name']!r} needs simulation but the config has no 'sim' section")
-    return sim.SimConfig(
-        horizon=int(cfg.sim_config["horizon"]),
-        trials=int(cfg.sim_config["trials"]),
-        seed=cfg.seed,
-        warmup=int(cfg.sim_config.get("warmup", 0)),
-    )
-
-
 def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> list[ResultRow]:
     """Evaluate every sweep point x policy; write CSV when a path is given.
 
-    Each policy's simulated points go to the simulator in one call, so they
-    run as one stacked batch.  Rows are emitted in sorted order, so reruns of
-    the same config are byte-identical.
+    The simulated (policy, point) pairs of every policy go to the simulator in
+    one call, so each engine runs once per sweep.  Rows are emitted in sorted
+    order, so reruns of the same config are byte-identical.
     """
     points = [(value, _Evaluator(cfg, _instance_at(cfg, value))) for value in cfg.sweep_values]
     ref_js = [ev.reference() for _, ev in points]
     rows = []
+    simulated = []
     for spec in cfg.policies:
-        name = spec["name"]
-        simulated = []
         for (value, ev), ref_j in zip(points, ref_js):
             exact_result = ev.evaluate_exact(spec) if cfg.evaluation in ("exact", "both") else None
             if exact_result is not None:
                 j, method, converged = exact_result
-                rows.append(ResultRow(value, name, j, j / ref_j, None, method, converged))
+                rows.append(ResultRow(value, spec["name"], j, j / ref_j, None, method, converged))
             if cfg.evaluation != "exact" or exact_result is None:
-                simulated.append((value, ev, ref_j))
-        if simulated:
-            insts = [ev.inst for _, ev, _ in simulated]
-            handles = [ev.handle(spec) for _, ev, _ in simulated]
-            estimates = sim.estimate_costs(insts, handles, _sim_config(cfg, spec))
-            for (value, _, ref_j), est in zip(simulated, estimates):
-                rows.append(ResultRow(value, name, est.j_hat, est.j_hat / ref_j, est.stderr_j, "simulate", True))
+                simulated.append((spec, value, ev, ref_j))
+    if simulated:
+        if cfg.sim_config is None:
+            name = simulated[0][0]["name"]
+            raise ConfigError(f"policy {name!r} needs simulation but the config has no 'sim' section")
+        sim_cfg = sim.SimConfig(
+            horizon=int(cfg.sim_config["horizon"]),
+            trials=int(cfg.sim_config["trials"]),
+            seed=cfg.seed,
+            warmup=int(cfg.sim_config.get("warmup", 0)),
+        )
+        insts = [ev.inst for _, _, ev, _ in simulated]
+        handles = [ev.handle(spec) for spec, _, ev, _ in simulated]
+        for (spec, value, _, ref_j), est in zip(simulated, sim.estimate_costs(insts, handles, sim_cfg)):
+            rows.append(ResultRow(value, spec["name"], est.j_hat, est.j_hat / ref_j, est.stderr_j, "simulate", True))
     rows.sort(key=lambda r: (r.sweep_value, r.policy, r.method))
     target = out_path or cfg.output
     if target is not None:

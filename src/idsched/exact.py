@@ -534,32 +534,6 @@ def average_cost(
     return chain_average_cost(stationary_chain(policy, inst, start), inst.theta, tol=tol, max_iter=max_iter)
 
 
-def non_ne_trivial_cost(
-    policy: StationaryPolicy,
-    inst: Instance,
-    n: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SolveReport:
-    """Average cost of a policy that pins itself to client ``n``.
-
-    Requires the policy to serve ``n`` in every state where all other clients
-    sit at threshold.  From the all-threshold state the chain then never
-    leaves the pinned cycle over client n's elapsed values, so its cost is the
-    spectral radius of that small closed class.
-    """
-    policy.validate(inst)
-    indexer = inst.indexer()
-    taus = inst.thresholds
-    for a in range(taus[n - 1] + 1):
-        state = tuple(a if i == n - 1 else t for i, t in enumerate(taus))
-        if int(policy.decisions[indexer.index(state)]) != n:
-            raise ValueError(
-                f"policy does not serve client {n} throughout the pinned states"
-            )
-    return average_cost(policy, inst, tol=tol, max_iter=max_iter)
-
-
 # ---------------------------------------------------------------------------
 # stationary-optimum machinery
 

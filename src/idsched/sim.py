@@ -35,7 +35,6 @@ _CHUNK = 16384  # slots of uniforms drawn per call; part of the stream contract
 _MIN_BLOCK = 64  # shortest estimator block, in slots
 _MIN_COVERAGE = 0.5  # least effective sample size of the block weights, per block
 _SLICE = 256  # most slots a batch engine records before deriving their accounting
-_NO_SLOT = 1 << 62  # -_NO_SLOT marks "no delivery here"; below every slot and start encoding
 
 
 @dataclass(frozen=True)
@@ -470,10 +469,13 @@ def _batch_wdd(
 
     Each slot makes only the decision, the first client with the largest
     ``t / (p tau) - M / p`` (so ties go to the lowest client), and the
-    channel draw, and records the served client and the outcome.  After each
-    sub-slice the states follow from the last delivery slot of every (row,
-    client), ``x = min(t - last - 1, tau)`` with ``last = -start - 1`` before
-    the first delivery, and the exceedances and renewal hits from the states.
+    channel draw, and records the running delivery counts ``M``.  A virtual
+    delivery at slot ``-x - 1`` stands for each client's start ``x``.  With
+    ``D(t)`` a client's count before slot ``t``, it sits at its threshold
+    ``tau`` when ``D(t) == D(t - tau)`` (no delivery in the last ``tau``
+    slots), and at a renewal value ``r < tau`` when also
+    ``D(t - r) > D(t - r - 1)`` (its last delivery was in slot ``t - r - 1``).
+    So the last ``max(tau) + 1`` records carry over between sub-slices.
     """
     taus = insts[0].thresholds
     regen = regeneration_state(taus)
@@ -486,18 +488,19 @@ def _batch_wdd(
     p_rows = np.ascontiguousarray(np.broadcast_to(p, (n, len(insts), trials)))
     flat_of = np.arange(n * rows).reshape(p_rows.shape)
     m_counts = np.zeros(p_rows.shape)  # deliveries so far; integers, exact as floats
-    m_flat = m_counts.reshape(-1)
+    m_flat, m_rows = m_counts.reshape(-1), m_counts.reshape(n, rows)
     debts = np.empty(p_rows.shape)
-    last = [np.full(rows, -x - 1, dtype=np.int64) for x in start]
+    lag = max(taus) + 1
+    # record[i]: the counts after slot t0 - lag + i, for the sub-slice from t0;
+    # before the first slot they are -1, and 0 from the virtual delivery on
+    record = np.empty((lag + _SLICE, n, rows), dtype=np.int32)
+    record[:lag] = (np.arange(lag)[:, None] >= lag - 1 - np.asarray(start))[:, :, None] - 1
     tally = _Tally(rows, n, horizon, warmup, record_cycles)
 
     for t0, u, block in _slices(trials, seed, warmup, horizon):
         size = len(u)
-        ts = np.arange(t0, t0 + size)
-        t_debts = ts[:, None, None, None] / ptau
+        t_debts = np.arange(t0, t0 + size)[:, None, None, None] / ptau
         reach = u[:, None, None, :] < p_rows  # the outcome, had each client been served
-        served = np.empty((size,) + p_rows.shape[1:], dtype=np.int64)
-        delivered = np.empty(served.shape, dtype=bool)
         for j in range(size):
             np.divide(m_counts, p_rows, out=debts)
             np.subtract(t_debts[j], debts, out=debts)
@@ -507,32 +510,21 @@ def _batch_wdd(
                 np.copyto(flat, flat_of[c], where=better)
                 if c + 1 < n:
                     best = np.maximum(best, debts[c])
-            outcome = reach[j].take(flat)
-            m_flat[flat] += outcome
-            served[j] = flat
-            delivered[j] = outcome
-        served, delivered = served.reshape(size, rows), delivered.reshape(size, rows)
+            m_flat[flat] += reach[j].take(flat)
+            record[lag + j] = m_rows
 
-        marks = np.empty((size + 1, rows), dtype=np.int64)
-        exc = np.zeros((size, rows), dtype=np.int16)
-        at_regen = np.ones((size, rows), dtype=bool) if record_cycles else None
-        counts = np.empty((rows, n), dtype=np.int64)
-        for c in range(n):
-            hit = delivered & (served >= c * rows) & (served < (c + 1) * rows)
-            # marks[i + 1] = last delivery slot up to slot t0 + i
-            np.multiply(hit, (ts + _NO_SLOT)[:, None], out=marks[1:])
-            marks[1:] -= _NO_SLOT
-            marks[0] = last[c]
-            np.maximum.accumulate(marks, axis=0, out=marks)
-            last[c] = marks[-1].copy()
-            if t0 >= warmup:
-                x = (ts - 1)[:, None] - marks[:-1]
-                exc += x >= taus[c]
-                counts[:, c] = np.count_nonzero(hit, axis=0)
-                if record_cycles:
-                    at_regen &= np.minimum(x, taus[c]) == regen[c]
         if t0 >= warmup:
-            tally.add(t0, block, exc, counts, at_regen)
+            exc = np.zeros((size, rows), dtype=np.int16)
+            at_regen = np.ones((size, rows), dtype=bool) if record_cycles else None
+            for c, (tau, r) in enumerate(zip(taus, regen)):
+                # d[k][j] = D(t0 + j - k), the client's count before slot t0 + j - k
+                d = [record[lag - 1 - k : lag - 1 - k + size, c] for k in range(tau + 1)]
+                at_tau = d[0] == d[tau]
+                exc += at_tau
+                if record_cycles:
+                    at_regen &= at_tau if r == tau else (d[0] == d[r]) & (d[r] > d[r + 1])
+            tally.add(t0, block, exc, (record[lag - 1 + size] - record[lag - 1]).T, at_regen)
+        record[:lag] = record[size : size + lag]
     return tally.results(len(insts))
 
 

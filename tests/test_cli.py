@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from idsched import exact
+from idsched import exact, sim
 from idsched.cli import (
     CSV_HEADER,
     bundled_config_path,
@@ -233,6 +233,35 @@ def test_reference_is_exhaustive_exactly_when_the_ne_policies_fit_the_cap(tmp_pa
     assert row.j_normalized >= 1.0 - 1e-9  # MLG cannot beat either optimum
 
 
+def _count_simulation_calls(monkeypatch) -> list[int]:
+    """The number of points of each ``sim.estimate_costs`` call, in call order."""
+    calls = []
+    original = sim.estimate_costs
+
+    def counted(insts, *args, **kwargs):
+        calls.append(len(insts))
+        return original(insts, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "estimate_costs", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "evaluation, policies, calls",
+    [
+        ("simulate", ["op-iterative", "mlg", "prr", {"name": "ps", "max_period": 4}], [8]),
+        ("both", ["op-iterative", "mlg", "prr", "wdd"], [8]),
+        ("exact", ["op-iterative", "mlg", "wdd"], [2]),
+        ("exact", ["op-iterative", "mlg", "prr"], []),
+    ],
+)
+def test_one_simulation_call_per_sweep(tmp_path, monkeypatch, evaluation, policies, calls):
+    # every simulated (policy, point) pair of the two-point sweep goes to one call
+    counted = _count_simulation_calls(monkeypatch)
+    run_experiment(load_config(_tiny_config(tmp_path, policies=policies, evaluation=evaluation)))
+    assert counted == calls
+
+
 @pytest.mark.parametrize(
     "instance, sweep",
     [
@@ -241,15 +270,22 @@ def test_reference_is_exhaustive_exactly_when_the_ne_policies_fit_the_cap(tmp_pa
     ],
 )
 def test_sweep_rows_equal_single_point_rows(tmp_path, instance, sweep):
-    # stacking the points of a sweep, and sharing trials between points with
-    # equal engine inputs, leaves every row as a one-point run writes it
+    # stacking the points and policies of a sweep, and sharing trials between
+    # pairs with equal engine inputs, leaves every row as a run of that one
+    # point and policy writes it; an enumeration cap below the 2**10 NE
+    # policies keeps each run's optimum reference on the growth-rate method
     policies = ["mlg", "prr", "wdd", {"name": "ps", "max_period": 4}]
-    common = {"instance": instance, "policies": policies, "evaluation": "both", "sim": {"horizon": 900, "trials": 6, "warmup": 40}}
-    swept = run_experiment(load_config({**common, "sweep": sweep, "seed": 3}))
+    sim_section = {"horizon": 900, "trials": 6, "warmup": 40}
+    common = {"instance": instance, "evaluation": "both", "sim": sim_section, "seed": 3, "enumeration_cap": 1000}
+    swept = run_experiment(load_config({**common, "policies": policies, "sweep": sweep}))
     single = [
         row
         for value in sweep["values"]
-        for row in run_experiment(load_config({**common, "sweep": {"axis": sweep["axis"], "values": [value]}, "seed": 3}))
+        for policy in policies
+        for row in run_experiment(
+            load_config({**common, "policies": [policy], "sweep": {"axis": sweep["axis"], "values": [value]}})
+        )
     ]
+    single.sort(key=lambda r: (r.sweep_value, r.policy, r.method))
     assert len(swept) == 3 * (2 * len(policies) - 1)  # WDD has no exact row
     assert [row.csv() for row in swept] == [row.csv() for row in single]

@@ -18,7 +18,6 @@ from idsched.exact import (
     exhaustive_optimal,
     growth_rate_optimal,
     is_ne,
-    non_ne_trivial_cost,
     policy_count,
     spectral_radius,
     theta_threshold,
@@ -270,37 +269,20 @@ def test_pinned_policy_cost_matches_eigenvalue_oracle():
     # client 2 stuck at threshold, whose radius is computed independently here
     inst = Instance((2, 2), (0.5, 0.5), 0.1)
     pol = StationaryPolicy(np.ones(inst.total_states, dtype=np.int64))
-    report = non_ne_trivial_cost(pol, inst, 1)
+    report = average_cost(pol, inst)
     indexer = inst.indexer()
     pinned = [indexer.index((a, 2)) for a in range(3)]
     weighted = disutility_matrix(pol, inst)
     rho = max(abs(np.linalg.eigvals(weighted[np.ix_(pinned, pinned)])))
     assert report.spectral_radius == pytest.approx(rho, rel=1e-9)
-    assert report.average_cost == pytest.approx(average_cost(pol, inst).average_cost, rel=1e-9)
 
 
 def test_pinned_policy_cost_near_perfect_channel():
     inst = Instance((2, 2), (0.999, 0.5), 0.1)
     pol = StationaryPolicy(np.ones(inst.total_states, dtype=np.int64))
-    report = non_ne_trivial_cost(pol, inst, 1)
-    assert report.average_cost == pytest.approx(average_cost(pol, inst).average_cost, rel=1e-9)
+    report = average_cost(pol, inst)
     # client 2 pinned at threshold costs about one exceedance per slot
     assert report.average_cost == pytest.approx(1.0, rel=5e-2)
-
-
-def test_pinned_policy_single_client_reduces_to_average_cost():
-    inst = Instance((2,), (0.5,), 0.1)
-    pol = StationaryPolicy(np.ones(inst.total_states, dtype=np.int64))
-    report = non_ne_trivial_cost(pol, inst, 1)
-    assert report.average_cost == pytest.approx(average_cost(pol, inst).average_cost, rel=1e-12)
-
-
-def test_pinned_policy_requires_the_pattern():
-    inst = Instance((2, 2), (0.5, 0.5), 0.1)
-    decisions = np.ones(inst.total_states, dtype=np.int64)
-    decisions[inst.indexer().index((1, 2))] = 2
-    with pytest.raises(ValueError):
-        non_ne_trivial_cost(StationaryPolicy(decisions), inst, 1)
 
 
 def test_cycle_expectations_single_client():

@@ -144,6 +144,15 @@ def _assert_points_match_reference(insts, handles, runs, horizon, seed, starts, 
         ((2, 3, 4), [(0.6, 0.7, 0.8), (0.7, 0.7, 0.7)], (0, 2, 2), 500, 33),
         # the warmup crosses a chunk of the uniform stream
         ((2, 3), [(0.6, 0.7), (0.3, 0.9)], None, 50, 20_000),
+        # the renewal component of client 1 equals its threshold
+        ((1, 3), [(0.6, 0.7), (0.9, 0.4)], None, 600, 13),
+        # a start below the thresholds, with no warmup to hide its encoding
+        ((2, 3), [(0.6, 0.7), (0.8, 0.5)], (0, 3), 500, 0),
+        # equal reliabilities, where the decision ties exactly; a 3-slot warmup
+        # makes a sub-slice shorter than the carried records
+        ((2, 4), [(0.9, 0.9), (0.6, 0.6)], None, 1000, 3),
+        # a full 256-slot sub-slice in the warmup, and a horizon off the 256 grid
+        ((2, 3), [(0.6, 0.7)], None, 777, 300),
     ],
 )
 def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, start, horizon, warmup):
@@ -184,10 +193,20 @@ def test_estimate_costs_equals_estimate_cost_per_point():
     insts = [Instance(taus, (0.6, 0.7), 0.05), Instance(taus, (0.6, 0.7), 0.2), Instance(taus, (0.9, 0.5), 0.1)]
     cfg = SimConfig(horizon=800, trials=6, seed=13, warmup=21)
     pol = _random_policy(insts[0], 5)
-    for make in (WddHandle, lambda inst: PrrHandle(2), lambda inst: StationaryHandle("p", pol, inst)):
+    makers = (
+        WddHandle,
+        lambda inst: PrrHandle(2),
+        lambda inst: PsHandle(PeriodicSchedule((1, 2, 2), 2)),
+        lambda inst: StationaryHandle("p", pol, inst),
+    )
+    for make in makers:
         handles = [make(inst) for inst in insts]
         together = estimate_costs(insts, handles, cfg)
         assert together == [estimate_cost(inst, h, cfg) for inst, h in zip(insts, handles)]
+    # every engine in one call, as a sweep with several simulated policies makes it
+    points = [(inst, make(inst)) for make in makers for inst in insts]
+    mixed = estimate_costs([inst for inst, _ in points], [h for _, h in points], cfg)
+    assert mixed == [estimate_cost(inst, h, cfg) for inst, h in points]
     # at equal reliabilities two policies' chains differ only in their successors
     even = Instance(taus, (0.7, 0.7), 0.05)
     handles = [StationaryHandle("p", _random_policy(even, k), even) for k in (6, 7)]
