@@ -204,34 +204,24 @@ class _Evaluator:
             return exact.StationaryPolicy(np.asarray(spec["decisions"], dtype=np.int64))
         return None
 
-    def evaluate_exact(self, spec: dict) -> tuple[float, str, bool] | None:
-        """Exact J for the policy, or None when only simulation applies (wdd).
+    def optimum_result(self, spec: dict) -> tuple[float, str, bool] | None:
+        """``(J, method, converged)`` of an optimum policy, or None for any other policy."""
+        optimum = {"op-exhaustive": "exhaustive", "op-iterative": "growth_rate"}.get(spec["name"])
+        return None if optimum is None else self._optimum(optimum)[1]
 
-        The state cap applies to the policies whose exact value comes from a
-        finite chain (stationary, PRR, PS), not to the optimum searches.
+    def exact_chain(self, spec: dict) -> tuple[exact.Chain, str]:
+        """The finite chain of a stationary, PRR or PS policy, to evaluate exactly, and its method.
+
+        The state cap applies to these chains, not to the optimum searches.
         """
-        name = spec["name"]
-        if name == "wdd":
-            return None
-        optimum = {"op-exhaustive": "exhaustive", "op-iterative": "growth_rate"}.get(name)
-        if optimum is not None:
-            return self._optimum(optimum)[1]
         if self.inst.total_states > self.cfg.exact_state_cap:
             raise ConfigError(
                 f"exact evaluation infeasible: {self.inst.total_states} states exceed the cap "
                 f"of {self.cfg.exact_state_cap}"
             )
-        if name == "prr":
-            report = heuristics.prr_average_cost(self.inst)
-            return report.average_cost, "exact-augmented", report.converged
-        if name == "ps":
-            sched = self._schedule(int(spec["max_period"]))
-            report = heuristics.periodic_schedule_average_cost(self.inst, sched)
-            return report.average_cost, "exact-periodic", report.converged
-        policy = self.stationary_policy(spec)
-        assert policy is not None
-        report = exact.average_cost(policy, self.inst)
-        return report.average_cost, "exact", report.converged
+        self.inst.require_interior_reliabilities()
+        method = {"prr": "exact-augmented", "ps": "exact-periodic"}.get(spec["name"], "exact")
+        return self.handle(spec).chain(self.inst), method
 
     def handle(self, spec: dict) -> sim.PolicyHandle:
         name = spec["name"]
@@ -249,22 +239,33 @@ class _Evaluator:
 def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> list[ResultRow]:
     """Evaluate every sweep point x policy; write CSV when a path is given.
 
-    The simulated (policy, point) pairs of every policy go to the simulator in
-    one call, so each engine runs once per sweep.  Rows are emitted in sorted
+    The finite chains of every (policy, point) pair are evaluated exactly in
+    one stacked call, and the simulated pairs go to the simulator in one
+    call, so each engine runs once per sweep.  Rows are emitted in sorted
     order, so reruns of the same config are byte-identical.
     """
     points = [(value, _Evaluator(cfg, _instance_at(cfg, value))) for value in cfg.sweep_values]
     ref_js = [ev.reference() for _, ev in points]
     rows = []
+    chains = []
     simulated = []
     for spec in cfg.policies:
         for (value, ev), ref_j in zip(points, ref_js):
-            exact_result = ev.evaluate_exact(spec) if cfg.evaluation in ("exact", "both") else None
-            if exact_result is not None:
-                j, method, converged = exact_result
-                rows.append(ResultRow(value, spec["name"], j, j / ref_j, None, method, converged))
-            if cfg.evaluation != "exact" or exact_result is None:
+            if cfg.evaluation != "simulate" and spec["name"] != "wdd":  # WDD has no exact method
+                optimum = ev.optimum_result(spec)
+                if optimum is None:
+                    chain, method = ev.exact_chain(spec)
+                    chains.append((spec["name"], value, ref_j, method, chain, ev.inst.theta))
+                else:
+                    j, method, converged = optimum
+                    rows.append(ResultRow(value, spec["name"], j, j / ref_j, None, method, converged))
+            if cfg.evaluation != "exact" or spec["name"] == "wdd":
                 simulated.append((spec, value, ev, ref_j))
+    if chains:
+        reports = exact.chain_average_costs([c[4] for c in chains], [c[5] for c in chains])
+        for (name, value, ref_j, method, _, _), report in zip(chains, reports):
+            j = report.average_cost
+            rows.append(ResultRow(value, name, j, j / ref_j, None, method, report.converged))
     if simulated:
         if cfg.sim_config is None:
             name = simulated[0][0]["name"]

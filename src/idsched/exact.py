@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -26,9 +26,11 @@ from .model import (
     transition_tables,
 )
 
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-6  # relative accuracy of a certified J: J_hi - J_lo <= tol * J_lo
 DEFAULT_MAX_ITER = 100_000
 _LOOKAHEAD_BLOCK = 16384  # states per lookahead pass
+_STACK_BLOCK = 1 << 16  # chain states per stacked exhaustive evaluation
+_STALL = 8  # iterations without a narrower bracket that mark the floating-point floor
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +77,16 @@ class StationaryPolicy:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of evaluating one stationary policy."""
+    """Outcome of evaluating one stationary policy.
+
+    ``[j_lo, j_hi]`` brackets J; ``average_cost`` is its midpoint, and
+    ``converged`` is true iff ``j_hi - j_lo <= tol * j_lo``.
+    """
 
     spectral_radius: float
     average_cost: float
+    j_lo: float
+    j_hi: float
     recurrent_class: frozenset
     transient_states: frozenset
     iterations: int
@@ -88,6 +96,8 @@ class SolveReport:
         return {
             "spectral_radius": self.spectral_radius,
             "average_cost": self.average_cost,
+            "j_lo": self.j_lo,
+            "j_hi": self.j_hi,
             "recurrent_class": sorted(self.recurrent_class),
             "transient_states": sorted(self.transient_states),
             "iterations": self.iterations,
@@ -153,19 +163,22 @@ def stationary_chain(policy: StationaryPolicy, inst: Instance, start: State | No
 # finite-horizon dynamic programs
 
 
-def _lookahead(tables: TransitionTables, ps, v: np.ndarray) -> np.ndarray:
+def _lookahead(tables: TransitionTables, ps, v: np.ndarray, relative: bool = False) -> np.ndarray:
     """One Bellman lookahead ``q[u, x] = p_u v[succ(x, u)] + (1 - p_u) v[fail(x)]``, shape (N, S).
 
     ``ps`` holds the success probability of each client, or one shared by all.
-    The states go in blocks of ``_LOOKAHEAD_BLOCK``, so the temporaries stay
-    in cache on large spaces.
+    With ``relative`` it is ``(P_u v - v)(x)``, formed from the differences
+    ``v[succ(x, u)] - v[x]`` and ``v[fail(x)] - v[x]``, so small drifts keep
+    their digits.  The states go in blocks of ``_LOOKAHEAD_BLOCK``, so the
+    temporaries stay in cache on large spaces.
     """
     p = np.reshape(ps, (-1, 1))
     succ = tables.succ.T
     q = np.empty(succ.shape)
     for lo in range(0, succ.shape[1], _LOOKAHEAD_BLOCK):
         block = slice(lo, lo + _LOOKAHEAD_BLOCK)
-        q[:, block] = p * v[succ[:, block]] + (1.0 - p) * v[tables.fail[block]]
+        here = v[block] if relative else 0.0
+        q[:, block] = p * (v[succ[:, block]] - here) + (1.0 - p) * (v[tables.fail[block]] - here)
     return q
 
 
@@ -354,33 +367,16 @@ class PowerIterationResult:
     converged: bool
 
 
-def _power_iteration(
-    apply: Callable[[np.ndarray], np.ndarray], n: int, tol: float, max_iter: int
+def spectral_radius(
+    mat: np.ndarray, tol: float = 1e-12, max_iter: int = DEFAULT_MAX_ITER
 ) -> PowerIterationResult:
-    """Largest eigenvalue of the nonnegative operator ``apply`` on ``n`` coordinates.
+    """Largest-magnitude eigenvalue of a nonnegative matrix by shifted power iteration.
 
     Iterates ``v <- (M + I) v / ||.||_1`` from the all-ones direction; the +I
     shift guarantees convergence on periodic structures.  The estimate is the
     one-norm growth factor minus one; convergence is declared when successive
-    estimates differ by less than ``tol``.
+    estimates differ by less than the absolute ``tol``.
     """
-    v = np.full(n, 1.0 / n)
-    prev = math.inf
-    for it in range(1, max_iter + 1):
-        w = apply(v) + v
-        norm = w.sum()  # one-norm of a nonnegative vector
-        est = norm - 1.0
-        v = w / norm
-        if abs(est - prev) < tol:
-            return PowerIterationResult(value=est, iterations=it, converged=True)
-        prev = est
-    return PowerIterationResult(value=prev, iterations=max_iter, converged=False)
-
-
-def spectral_radius(
-    mat: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> PowerIterationResult:
-    """Largest-magnitude eigenvalue of a nonnegative matrix by shifted power iteration."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
@@ -388,7 +384,17 @@ def spectral_radius(
         raise ValueError("matrix must be nonempty")
     if mat.min() < 0:
         raise ValueError("matrix must be nonnegative")
-    return _power_iteration(mat.__matmul__, mat.shape[0], tol, max_iter)
+    v = np.full(mat.shape[0], 1.0 / mat.shape[0])
+    prev = math.inf
+    for it in range(1, max_iter + 1):
+        w = mat @ v + v
+        norm = w.sum()  # one-norm of a nonnegative vector
+        est = norm - 1.0
+        v = w / norm
+        if abs(est - prev) < tol:
+            return PowerIterationResult(value=est, iterations=it, converged=True)
+        prev = est
+    return PowerIterationResult(value=prev, iterations=max_iter, converged=False)
 
 
 # ---------------------------------------------------------------------------
@@ -484,38 +490,191 @@ def communicating_structure(mat: np.ndarray) -> CommunicatingStructure:
     return _structure(adjacency, range(len(adjacency)))
 
 
+# ---------------------------------------------------------------------------
+# certified Perron brackets
+
+
+@dataclass(frozen=True)
+class _Brackets:
+    """Per row: ``lo <= rho - 1 <= hi`` and the iteration the row stopped at."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    iterations: np.ndarray
+
+    def costs(self, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(J, J_lo, J_hi)`` per row; J is the midpoint of the bracket."""
+        j_lo, j_hi = np.log1p(self.lo) / theta, np.log1p(self.hi) / theta
+        return (j_lo + j_hi) / 2, j_lo, j_hi
+
+
+def _perron(
+    drift: Callable[[np.ndarray], np.ndarray], excess: np.ndarray, max_iter: int
+) -> tuple[_Brackets, np.ndarray]:
+    """Collatz-Wielandt brackets on ``rho - 1`` of maps ``W v = exp(theta hits) (v + d(v))``, one per row.
+
+    ``drift(w)`` gives ``d = min_u (P_u v - v)`` from ``w = v - 1`` (a chain
+    has one client per state), and ``excess`` (rows, S) is
+    ``expm1(theta * hits)``.  Each row is one closed class.  The map is
+    monotone and homogeneous, so every ``v > 0`` gives
+    ``min (W - I)v / v <= rho - 1 <= max (W - I)v / v`` (Gaubert and
+    Gunawardena, Trans. AMS 356, 2004), and the bracket never widens along the
+    shifted iteration ``v <- v + (W - I)v / 2``.  The iterate is kept as
+    ``w = v - 1`` with max ``v = 1`` per row, and ``(W - I)v`` is formed as
+    ``excess (v + d) + d`` from differences of ``w``, so no digit of
+    ``rho - 1`` is lost to the 1 in ``rho``.  A row runs to its
+    floating-point floor: the iterations go in windows of ``_STALL``, and a
+    row stops after the first window that finds no bracket narrower than its
+    narrowest so far, the one reported.  Returns the brackets and the last
+    iterate ``w``.
+    """
+    rows = len(excess)
+    w = np.zeros(excess.shape)
+    lo, hi = np.full(rows, -np.inf), np.full(rows, np.inf)
+    iterations = np.full(rows, max_iter)
+    running = np.ones(rows, dtype=bool)
+    seen_lo, seen_hi = [], []
+    for it in range(1, max_iter + 1):
+        d = drift(w)
+        v = 1.0 + w
+        y = excess * (v + d) + d
+        ratio = y / v
+        seen_lo.append(np.minimum.reduce(ratio, axis=1))
+        seen_hi.append(np.maximum.reduce(ratio, axis=1))
+        if len(seen_lo) == _STALL or it == max_iter:
+            window_lo, window_hi = np.array(seen_lo), np.array(seen_hi)
+            seen_lo, seen_hi = [], []
+            first = (window_hi - window_lo).argmin(axis=0), np.arange(rows)
+            narrower = running & (window_hi[first] - window_lo[first] < hi - lo)
+            lo[narrower], hi[narrower] = window_lo[first][narrower], window_hi[first][narrower]
+            iterations[running & ~narrower] = it
+            running = narrower
+            if not running.any():
+                break
+        w += 0.5 * y
+        top = np.maximum.reduce(w, axis=1, keepdims=True)
+        w = (w - top) / (1.0 + top)
+    return _Brackets(lo, hi, iterations), w
+
+
+def _chain_brackets(
+    succ: np.ndarray, fail: np.ndarray, p: np.ndarray, excess: np.ndarray, max_iter: int
+) -> _Brackets:
+    """Brackets of closed chains stacked as rows of (rows, S) arrays."""
+    rows, n = succ.shape
+    offsets = np.arange(0, rows * n, n)[:, None]
+    succ, fail = succ + offsets, fail + offsets
+
+    def drift(w: np.ndarray) -> np.ndarray:
+        flat = w.ravel()
+        after_fail = flat[fail]
+        return (after_fail - w) + p * (flat[succ] - after_fail)
+
+    return _perron(drift, excess, max_iter)[0]
+
+
+def _reachable(succ: np.ndarray, fail: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The states each row's ``start`` reaches along its successor arrays, shape (rows, S).
+
+    One frontier walk serves the whole stack.  From an all-threshold start
+    the set is the row's closed class: every state fails its way back there.
+    """
+    rows, n = succ.shape
+    offsets = np.arange(0, rows * n, n)
+    succ, fail = (succ + offsets[:, None]).ravel(), (fail + offsets[:, None]).ravel()
+    reached = np.zeros(rows * n, dtype=bool)
+    claim = np.empty(rows * n, dtype=np.int64)  # the last entry naming a state walks it, once
+    frontier = np.asarray(start) + offsets
+    reached[frontier] = True
+    while frontier.size:
+        following = np.concatenate([succ[frontier], fail[frontier]])
+        following = following[~reached[following]]
+        entries = np.arange(len(following))
+        claim[following] = entries
+        frontier = following[claim[following] == entries]
+        reached[frontier] = True
+    return reached.reshape(rows, n)
+
+
+def _leads_back(chain: Chain, reached: np.ndarray) -> bool:
+    """True iff every state in ``reached`` leads back to the chain's start, which is then recurrent."""
+    back = np.zeros(len(reached), dtype=bool)
+    back[chain.start] = True
+    while True:
+        grown = back | (reached & (back[chain.succ] | back[chain.fail]))
+        if np.array_equal(grown, back):
+            return bool(back[reached].all())
+        back = grown
+
+
+def _solve_report(
+    brackets: _Brackets, rows, theta: float, tol: float, members: np.ndarray, transient: frozenset
+) -> SolveReport:
+    """The report of a chain whose closed classes are ``rows`` of ``brackets``: the worst class sets J."""
+    worst = _Brackets(*(x[rows].max(keepdims=True) for x in (brackets.lo, brackets.hi, brackets.iterations)))
+    j, j_lo, j_hi = (float(x[0]) for x in worst.costs(theta))
+    return SolveReport(
+        spectral_radius=math.exp(theta * j),
+        average_cost=j,
+        j_lo=j_lo,
+        j_hi=j_hi,
+        recurrent_class=frozenset(members.tolist()),
+        transient_states=transient,
+        iterations=int(worst.iterations[0]),
+        converged=j_hi - j_lo <= tol * j_lo,
+    )
+
+
+def chain_average_costs(
+    chains: Sequence[Chain],
+    thetas: Sequence[float],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[SolveReport]:
+    """Average costs of finite chains from their start states, in one stacked ``_perron`` call.
+
+    A chain's closed classes are those its start reaches: the reached set
+    itself when the start is recurrent (always so from the all-threshold
+    state), else the closed classes Tarjan finds.  Each class is one row,
+    compacted to its states and padded with copies of its first state, whose
+    iterates mirror that state's and leave the bracket unchanged; so a
+    chain's report does not depend on the chains stacked with it.  A chain's
+    average cost is its worst recurrent growth rate, ``ln(max spectral
+    radius) / theta``.  Reported state sets are chain indices; ``converged``
+    is true iff ``J_hi - J_lo <= tol * J_lo``.
+    """
+    found = []  # per chain: its closed classes and its transient states
+    for chain in chains:
+        reached = _reachable(chain.succ[None], chain.fail[None], [chain.start])[0]
+        if _leads_back(chain, reached):
+            found.append(([np.flatnonzero(reached)], frozenset()))
+        else:
+            structure = _structure(np.stack([chain.succ, chain.fail], axis=1).tolist(), [chain.start])
+            found.append(([np.array(sorted(c)) for c in structure.closed_classes], structure.transient))
+    rows = [(k, members) for k, (classes, _) in enumerate(found) for members in classes]
+    width = max(len(members) for _, members in rows)
+    succ, fail = (np.empty((len(rows), width), dtype=np.int64) for _ in range(2))
+    p, excess = (np.empty((len(rows), width)) for _ in range(2))
+    for row, (k, members) in enumerate(rows):
+        chain = chains[k]
+        states = np.concatenate([members, np.full(width - len(members), members[0])])
+        succ[row] = np.searchsorted(members, chain.succ[states])
+        fail[row] = np.searchsorted(members, chain.fail[states])
+        p[row] = chain.p[states]
+        excess[row] = np.expm1(thetas[k] * chain.hits[states])
+    brackets = _chain_brackets(succ, fail, p, excess, max_iter)
+    owner = np.array([k for k, _ in rows])
+    return [
+        _solve_report(brackets, owner == k, thetas[k], tol, np.concatenate(classes), transient)
+        for k, (classes, transient) in enumerate(found)
+    ]
+
+
 def chain_average_cost(
     chain: Chain, theta: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> SolveReport:
-    """Average cost of a finite chain from its start state.
-
-    Finds the closed communicating classes reachable from ``chain.start``
-    along the two successor arrays and power-iterates the gather
-    ``(Wv)_i = cost_i (p_i v[succ_i] + (1 - p_i) v[fail_i])`` on each; the
-    average cost is the worst recurrent growth rate,
-    ``ln(max spectral radius) / theta``.  Reported state sets are chain indices.
-    """
-    structure = _structure(np.stack([chain.succ, chain.fail], axis=1).tolist(), [chain.start])
-    closed = structure.closed_classes
-    radii = []
-    for cls in closed:
-        members = np.array(sorted(cls))
-        succ = np.searchsorted(members, chain.succ[members])
-        fail = np.searchsorted(members, chain.fail[members])
-        cost = np.exp(theta * chain.hits[members])
-        w_succ, w_fail = cost * chain.p[members], cost * (1.0 - chain.p[members])
-        radii.append(
-            _power_iteration(lambda v: w_succ * v[succ] + w_fail * v[fail], len(members), tol, max_iter)
-        )
-    rho = max(res.value for res in radii)
-    return SolveReport(
-        spectral_radius=rho,
-        average_cost=math.log(rho) / theta,
-        recurrent_class=frozenset().union(*closed),
-        transient_states=structure.transient,
-        iterations=sum(res.iterations for res in radii),
-        converged=all(res.converged for res in radii),
-    )
+    """Average cost of a finite chain from its start state; ``chain_average_costs`` of one chain."""
+    return chain_average_costs([chain], [theta], tol=tol, max_iter=max_iter)[0]
 
 
 def average_cost(
@@ -629,6 +788,29 @@ def cycle_expectations(
     return float(m[s0]), float(e_len)
 
 
+def _stationary_brackets(inst: Instance, served: np.ndarray, max_iter: int) -> tuple[_Brackets, np.ndarray]:
+    """Brackets and closed classes of stationary policies, one per row of 0-based clients in ``served``.
+
+    Each row starts at the all-threshold state, so its closed class is what
+    that state reaches.  A state off the class is made a copy of the start:
+    its iterate then mirrors the start's and leaves the bracket unchanged.
+    """
+    tables = transition_tables(inst)
+    start = tables.indexer.index(inst.thresholds)
+    succ = tables.succ[np.arange(len(tables.fail)), served]
+    p = np.asarray(inst.reliabilities)[served]
+    excess = np.expm1(inst.theta * tables.hits)
+    member = _reachable(succ, np.broadcast_to(tables.fail, served.shape), np.full(len(served), start))
+    brackets = _chain_brackets(
+        np.where(member, succ, succ[:, [start]]),
+        np.where(member, tables.fail, tables.fail[start]),
+        np.where(member, p, p[:, [start]]),
+        np.where(member, excess, excess[start]),
+        max_iter,
+    )
+    return brackets, member
+
+
 def policy_count(inst: Instance, ne_only: bool, cap: int) -> int:
     """How many decision maps ``exhaustive_optimal`` enumerates, counted until the count passes ``cap``.
 
@@ -658,6 +840,9 @@ def exhaustive_optimal(
     By default only policies avoiding every exclusion state are enumerated
     (the rest are dominated or pinned); pass ``ne_only=False`` to enumerate
     all decision maps.  Ties favor the lexicographically smallest decision array.
+    The policies are evaluated as rows of stacked chains, up to
+    ``_STACK_BLOCK`` chain states per ``_perron`` call; each row's closed
+    class is what the all-threshold start reaches.
     """
     inst.require_interior_reliabilities()
     count = policy_count(inst, ne_only, policy_cap)
@@ -667,27 +852,30 @@ def exhaustive_optimal(
             "use growth_rate_optimal instead"
         )
     indexer = inst.indexer()
-    n = inst.n_clients
-    allowed: list[tuple[int, ...]] = [tuple(range(1, n + 1))] * indexer.total_states
+    n_states, n = indexer.total_states, inst.n_clients
+    allowed: list[tuple[int, ...]] = [tuple(range(n))] * n_states
     if ne_only and n >= 2:
-        for client in range(1, n + 1):
-            idx = indexer.index(exclusion_state(inst.thresholds, client))
+        for client in range(n):
+            idx = indexer.index(exclusion_state(inst.thresholds, client + 1))
             allowed[idx] = tuple(u for u in allowed[idx] if u != client)
-    best_policy: np.ndarray | None = None
-    best_report: SolveReport | None = None
-    for decisions in product(*allowed):
-        policy = StationaryPolicy(np.asarray(decisions, dtype=np.int64))
-        report = average_cost(policy, inst, tol=tol, max_iter=max_iter)
-        if best_report is None or report.average_cost < best_report.average_cost:
-            best_policy = policy.decisions
-            best_report = report
-    assert best_policy is not None and best_report is not None
-    return StationaryPolicy(best_policy), best_report
+    policies = product(*allowed)  # lexicographic, so the first minimum wins ties
+    best: tuple | None = None
+    while served := list(islice(policies, max(1, _STACK_BLOCK // n_states))):
+        served = np.array(served)
+        brackets, member = _stationary_brackets(inst, served, max_iter)
+        row = int(np.argmin(brackets.costs(inst.theta)[0]))
+        report = _solve_report(brackets, [row], inst.theta, tol, np.flatnonzero(member[row]), frozenset())
+        if best is None or report.average_cost < best[1].average_cost:
+            best = served[row] + 1, report
+    assert best is not None
+    return StationaryPolicy(best[0]), best[1]
 
 
 @dataclass(frozen=True)
 class GrowthRateResult:
     average_cost: float
+    j_lo: float
+    j_hi: float
     growth_rate: float
     policy: StationaryPolicy
     iterations: int
@@ -696,44 +884,33 @@ class GrowthRateResult:
 
 def growth_rate_optimal(
     inst: Instance,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-    window: int = 32,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> GrowthRateResult:
-    """Optimal average cost by normalized iteration of the one-step minimization.
+    """Optimal average cost by the shifted iteration of the one-step minimization.
 
-    Each sweep applies the optimal one-step operator and renormalizes in sup
-    norm; the normalization factors converge to the optimal growth rate.  The
-    returned rate is the geometric mean over a trailing window, declared
-    converged once the window's log spread falls below ``tol``.  The greedy
-    policy of the final iterate is returned alongside.
+    The Bellman map ``(Wv)(x) = cost(x) min_u [p_u v(succ(x, u)) + (1 - p_u) v(fail(x))]``
+    is monotone and homogeneous, so ``_perron`` brackets its growth rate over
+    all states.  J is the bracket's midpoint, ``converged`` is true iff
+    ``J_hi - J_lo <= tol * J_lo``, and the greedy policy of the final iterate
+    is returned alongside.
     """
     inst.require_interior_reliabilities()
     tables = transition_tables(inst)
     ps = np.asarray(inst.reliabilities)
 
-    v = np.ones(tables.indexer.total_states)
-    log_factors: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        bell = tables.cost * _lookahead(tables, ps, v).min(axis=0)
-        lam = bell.max()
-        v = bell / lam
-        log_factors.append(math.log(lam))
-        if len(log_factors) >= window:
-            tail = log_factors[-window:]
-            if max(tail) - min(tail) < tol:
-                converged = True
-                break
-    tail = log_factors[-window:] if len(log_factors) >= window else log_factors
-    growth = math.exp(sum(tail) / len(tail))
+    def drift(w: np.ndarray) -> np.ndarray:
+        return np.minimum.reduce(_lookahead(tables, ps, w[0], relative=True), axis=0)[None]
 
-    greedy = StationaryPolicy(_lookahead(tables, ps, v).argmin(axis=0) + 1)
+    brackets, w = _perron(drift, np.expm1(inst.theta * tables.hits)[None], max_iter)
+    j, j_lo, j_hi = (float(x[0]) for x in brackets.costs(inst.theta))
+    greedy = StationaryPolicy(_lookahead(tables, ps, w[0]).argmin(axis=0) + 1)
     return GrowthRateResult(
-        average_cost=math.log(growth) / inst.theta,
-        growth_rate=growth,
+        average_cost=j,
+        j_lo=j_lo,
+        j_hi=j_hi,
+        growth_rate=math.exp(inst.theta * j),
         policy=greedy,
-        iterations=iterations,
-        converged=converged,
+        iterations=int(brackets.iterations[0]),
+        converged=j_hi - j_lo <= tol * j_lo,
     )

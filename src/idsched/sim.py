@@ -31,7 +31,7 @@ from .heuristics import (
 )
 from .model import Instance, State
 
-_CHUNK = 16384  # slots of uniforms drawn per call; part of the stream contract
+_CHUNK = 1024  # slots of uniforms drawn per call; bounds memory only, the streams do not depend on it
 _MIN_BLOCK = 64  # shortest estimator block, in slots
 _MIN_COVERAGE = 0.5  # least effective sample size of the block weights, per block
 _SLICE = 256  # most slots a batch engine records before deriving their accounting
@@ -234,10 +234,11 @@ def _uniform_pieces(draw, warmup: int, horizon: int):
     """The trial's uniforms in slot order, cut at the estimator block edges.
 
     ``draw(n)`` returns the next ``n`` uniforms along its last axis; it is
-    called with ``_CHUNK`` (the last call with the remainder), which keeps
-    the streams engine-independent.  Yields ``(uniforms, closes_block)``
-    pieces; a piece closes a block when it ends at one of the
-    ``block_edges(horizon)``, counted after the warmup.
+    called with ``_CHUNK`` (the last call with the remainder).  A float64
+    ``Generator.random`` stream is the same whatever sizes it is drawn in, so
+    ``_CHUNK`` only bounds the memory a draw holds.  Yields
+    ``(uniforms, closes_block)`` pieces; a piece closes a block when it ends
+    at one of the ``block_edges(horizon)``, counted after the warmup.
     """
     total = warmup + horizon
     edges = {warmup + e for e in block_edges(horizon)}

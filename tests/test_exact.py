@@ -1,10 +1,20 @@
 import math
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
 
+from idsched import exact
+from idsched.asymptotic import mlg_stationary_policy
 from idsched.errors import ResourceLimitError
+from idsched.heuristics import (
+    PeriodicSchedule,
+    periodic_chain,
+    periodic_schedule_average_cost,
+    prr_average_cost,
+    prr_chain,
+)
 from idsched.exact import (
     Mdp1Table,
     StationaryPolicy,
@@ -23,7 +33,7 @@ from idsched.exact import (
     theta_threshold,
     transition_matrix,
 )
-from idsched.model import Instance, exclusion_state
+from idsched.model import Instance, exceedance_count, exclusion_state, step_distribution
 
 
 def _random_ne_policy(inst, rng):
@@ -264,6 +274,19 @@ def test_average_cost_matches_empirical_growth_rate():
     assert abs(empirical - report.average_cost) < 1e-4
 
 
+def test_average_cost_from_a_transient_start_brackets_the_closed_class():
+    # (0, 0) is never revisited, so the classes come from Tarjan, not from
+    # the states the start reaches
+    inst = Instance((2, 3), (0.6, 0.7), 0.05)
+    pol = _random_ne_policy(inst, np.random.default_rng(3))
+    recurrent = average_cost(pol, inst)
+    report = average_cost(pol, inst, start=(0, 0))
+    assert report.transient_states and not recurrent.transient_states
+    assert report.recurrent_class == recurrent.recurrent_class
+    assert report.average_cost == recurrent.average_cost
+    assert report.converged
+
+
 def test_pinned_policy_cost_matches_eigenvalue_oracle():
     # serve client 1 everywhere; the absorbed cycle is the three states with
     # client 2 stuck at threshold, whose radius is computed independently here
@@ -428,3 +451,154 @@ def test_dp_greedy_breaks_ties_toward_the_lowest_client():
         s = indexer.index((a, a))
         for t in range(tab.horizon):
             assert tab.greedy[t, s] == 1
+
+
+# ---------------------------------------------------------------------------
+# certified brackets
+
+
+def _excess_form_cost(inst, memory, serve, advance):
+    """J from ``numpy.linalg.eigvals`` in excess form on a chain over (state, memory) built from the model.
+
+    ``serve(x, m)`` is the client served in state ``x`` at memory ``m`` and
+    ``advance(m, delivered)`` the next memory.  The Perron root of
+    ``W - I = diag(expm1(theta k)) P + (P - I)`` is taken over what the
+    all-threshold state with memory 0 reaches.
+    """
+    states = list(inst.indexer().states())
+    index = {(x, m): i for i, (x, m) in enumerate((x, m) for x in states for m in range(memory))}
+    prob = np.zeros((len(index), len(index)))
+    hits = np.zeros(len(index))
+    for (x, m), i in index.items():
+        step = step_distribution(x, serve(x, m), inst)
+        prob[i, index[step.success_state, advance(m, True)]] += step.success_prob
+        prob[i, index[step.failure_state, advance(m, False)]] += step.failure_prob
+        hits[i] = exceedance_count(x, inst.thresholds)
+    reach = {index[inst.thresholds, 0]}
+    frontier = list(reach)
+    while frontier:
+        frontier = list({int(j) for i in frontier for j in np.flatnonzero(prob[i])} - reach)
+        reach.update(frontier)
+    keep = sorted(reach)
+    excess = np.expm1(inst.theta * hits)[:, None] * prob + prob - np.eye(len(index))
+    return math.log1p(np.linalg.eigvals(excess[np.ix_(keep, keep)]).real.max()) / inst.theta
+
+
+def _bracket_case(kind, inst, arg):
+    """The program's report and the eigvals J of a ``stationary`` (random NE policy, seed ``arg``), ``mlg``,
+    ``prr`` or ``ps`` (schedule ``arg``) chain."""
+    if kind == "prr":
+        n = inst.n_clients
+        advance = lambda m, delivered: (m + 1) % n if delivered else m  # noqa: E731
+        return prr_average_cost(inst), _excess_form_cost(inst, n, lambda x, m: m + 1, advance)
+    if kind == "ps":
+        period = len(arg)
+        report = periodic_schedule_average_cost(inst, PeriodicSchedule(arg, inst.n_clients))
+        advance = lambda m, delivered: (m + 1) % period  # noqa: E731
+        return report, _excess_form_cost(inst, period, lambda x, m: arg[m], advance)
+    if kind == "mlg":
+        policy = mlg_stationary_policy(inst)
+    else:
+        policy = _random_ne_policy(inst, np.random.default_rng(arg))
+    indexer = inst.indexer()
+    serve = lambda x, m: int(policy.decisions[indexer.index(x)])  # noqa: E731
+    return average_cost(policy, inst), _excess_form_cost(inst, 1, serve, lambda m, delivered: 0)
+
+
+@pytest.mark.parametrize(
+    "kind, inst, arg",
+    [
+        ("stationary", Instance((3, 5), (0.8, 0.9), 0.1), 8),
+        ("mlg", Instance((2, 3), (0.6, 0.7), 0.05), None),
+        ("stationary", Instance((1, 2, 2), (0.6, 0.7, 0.8), 0.2), 9),
+        # PRR stopped 4.4e-9 relative off this value under the old absolute stopping rule
+        ("prr", Instance((2, 3), (0.7, 0.8), 0.5), None),
+        ("prr", Instance((1, 2, 2), (0.6, 0.7, 0.8), 0.2), None),
+        ("ps", Instance((2, 3), (0.7, 0.8), 0.5), (1, 2, 2)),
+        ("ps", Instance((1, 2, 2), (0.6, 0.7, 0.8), 0.2), (1, 2, 3)),
+    ],
+)
+def test_bracket_contains_the_excess_form_eigenvalue(kind, inst, arg):
+    report, j = _bracket_case(kind, inst, arg)
+    assert report.converged
+    assert report.j_lo <= report.average_cost <= report.j_hi
+    assert report.j_hi - report.j_lo <= 1e-6 * report.j_lo
+    # a slack of 1e-12 relative allows for eigvals' own rounding
+    assert report.j_lo * (1 - 1e-12) <= j <= report.j_hi * (1 + 1e-12)
+
+
+def test_epsilon_sweep_is_certified_down_to_the_floating_point_floor():
+    # fig4's instance; a 40-digit evaluation puts MLG's J at 1.00005 times
+    # the leading term (e^theta - 1) / (theta delta) (b1 epsilon)^(tau1 - 1) at 1e-5
+    taus, bs, theta = (3, 5), (2.0, 1.0), 0.01
+    for epsilon in (1e-3, 1e-4, 3e-5, 1e-5, 1e-7, 1e-8):
+        inst = Instance(taus, tuple(1 - b * epsilon for b in bs), theta)
+        optimum = growth_rate_optimal(inst)
+        mlg = average_cost(mlg_stationary_policy(inst), inst)
+        prr = prr_average_cost(inst)
+        converged = [optimum.converged, mlg.converged, prr.converged]
+        if epsilon >= 3e-5:
+            assert all(converged)
+        if epsilon >= 1e-5:
+            assert optimum.j_lo <= mlg.j_hi
+        if epsilon == 1e-5:
+            leading = math.expm1(theta) / (theta * 2) * (bs[0] * epsilon) ** 2
+            assert mlg.average_cost / leading == pytest.approx(1.00005, abs=2e-6)
+        if epsilon <= 1e-7:
+            assert not any(converged)
+
+
+@pytest.mark.parametrize("inst", [Instance((2, 2), (0.5, 0.5), 0.1), Instance((1, 3), (0.6, 0.9), 0.3)])
+@pytest.mark.parametrize("rows_per_call", [None, 5])
+def test_stacked_exhaustive_search_matches_per_policy_evaluation(monkeypatch, inst, rows_per_call):
+    if rows_per_call is not None:
+        monkeypatch.setattr(exact, "_STACK_BLOCK", rows_per_call * inst.total_states)
+    indexer = inst.indexer()
+    allowed = [(1, 2)] * inst.total_states
+    for client in (1, 2):
+        idx = indexer.index(exclusion_state(inst.thresholds, client))
+        allowed[idx] = tuple(u for u in allowed[idx] if u != client)
+    decisions = list(product(*allowed))
+    costs = [average_cost(StationaryPolicy(np.array(d)), inst).average_cost for d in decisions]
+    first = int(np.argmin(costs))  # the lexicographically smallest of the tied minima
+    policy, report = exhaustive_optimal(inst)
+    assert policy.decisions.tolist() == list(decisions[first])
+    assert report.average_cost == costs[first]
+    assert report.converged
+    if inst.thresholds == (2, 2):
+        assert costs.count(costs[first]) > 1  # the symmetric instance ties
+
+
+def test_stacked_rows_match_per_policy_evaluation_where_cycles_lie_off_the_class():
+    # some NE policies on thresholds (2, 3) cycle among states the
+    # all-threshold start never reaches; in the stack those states must not
+    # touch their row's bracket
+    inst = Instance((2, 3), (0.6, 0.9), 0.3)
+    start = inst.indexer().index(inst.thresholds)
+    off_class, others = [], []
+    for policy in (_random_ne_policy(inst, np.random.default_rng(seed)) for seed in range(400)):
+        mat = transition_matrix(policy, inst)
+        cycles = [c for c in communicating_structure(mat).classes if len(c) > 1 or mat[min(c), min(c)] > 0]
+        (off_class if any(start not in c for c in cycles) else others).append(policy.decisions)
+    assert off_class
+    served = np.array(off_class + others[:8]) - 1
+    brackets, _ = exact._stationary_brackets(inst, served, exact.DEFAULT_MAX_ITER)
+    expected = [average_cost(StationaryPolicy(d + 1), inst).average_cost for d in served]
+    assert brackets.costs(inst.theta)[0].tolist() == expected
+
+
+def test_stacked_chains_of_any_size_match_their_own_evaluation():
+    # padding a row with copies of its first state must not move its bracket
+    two = Instance((2, 3), (0.6, 0.7), 0.05)
+    three = Instance((2, 3, 4), (0.6, 0.7, 0.8), 0.3)
+    policy = _random_ne_policy(two, np.random.default_rng(3))
+    chains = [
+        exact.stationary_chain(policy, two),
+        prr_chain(three),
+        exact.stationary_chain(policy, two, start=(0, 0)),  # a transient start: Tarjan's classes
+        periodic_chain(three, PeriodicSchedule((1, 2, 1, 3), 3)),
+    ]
+    thetas = [two.theta, three.theta, two.theta, three.theta]
+    for stacked, chain, theta in zip(exact.chain_average_costs(chains, thetas), chains, thetas):
+        alone = exact.chain_average_cost(chain, theta)
+        assert stacked == alone

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from idsched import sim
 from idsched.asymptotic import mlg_stationary_policy
 from idsched.errors import EstimationError
 from idsched.exact import StationaryPolicy, average_cost
@@ -122,6 +123,34 @@ def test_batch_engines_match_reference_exactly():
             assert r.deliveries == b.deliveries
             assert r.cycle_lengths == b.cycle_lengths
             assert r.cycle_exceedances == b.cycle_exceedances
+
+
+@pytest.mark.parametrize("chunk", [300, 16384])
+def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
+    # Generator.random streams do not depend on the sizes they are drawn in
+    inst = Instance((2, 3), (0.6, 0.7), 0.05)
+    handle = StationaryHandle("p", _random_policy(inst, 2), inst)
+    horizon, trials, seed, warmup = 2500, 3, 41, 13
+
+    def trials_of_each_engine():
+        start = inst.thresholds
+        return [
+            [run_trial(inst, handle, horizon, (seed, r), start, warmup=warmup) for r in range(trials)],
+            _batch_chain(inst, [handle.chain(inst)], horizon, trials, seed, warmup, True)[0],
+            [run_trial(inst, WddHandle(inst), horizon, (seed, r), start, warmup=warmup) for r in range(trials)],
+            _batch_wdd([inst], horizon, trials, seed, start, warmup, True)[0],
+        ]
+
+    def fields(result):
+        return (result.block_exceedances.tolist(), result.deliveries, result.cycle_lengths, result.cycle_exceedances)
+
+    default = trials_of_each_engine()
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    patched = trials_of_each_engine()
+    for engine in range(4):
+        assert [fields(r) for r in patched[engine]] == [fields(r) for r in default[engine]]
+    assert [fields(r) for r in default[0]] == [fields(r) for r in default[1]]
+    assert [fields(r) for r in default[2]] == [fields(r) for r in default[3]]
 
 
 def _assert_points_match_reference(insts, handles, runs, horizon, seed, starts, warmup):
