@@ -208,15 +208,17 @@ class LevelSets:
 
     ``level[s]`` grades state ``s``: its minimal near-term cost excess is of
     order epsilon^level, and -1 marks a state the grading never reached.
-    Levels run from 0 to the smallest threshold.  ``remain`` holds the
-    states whose value needed the fallback relaxation.
+    Levels run from 0 to the smallest threshold.  ``a`` and ``b`` hold each
+    state's coefficient and auxiliary (fallback) coefficient, NaN where
+    unset, and ``decision`` the client served (1-based), 0 where undecided.
+    ``remain`` holds the states whose value needed the fallback relaxation.
     """
 
     indexer: StateIndexer
     level: np.ndarray
-    a_values: dict
-    b_values: dict
-    decisions: dict
+    a: np.ndarray
+    b: np.ndarray
+    decision: np.ndarray
     remain: frozenset
 
     @property
@@ -230,15 +232,15 @@ class LevelSets:
         return frozenset(np.flatnonzero(self.level < 0).tolist())
 
     def to_json(self) -> dict:
-        def value_arrays(mapping: dict) -> dict:
-            idxs = sorted(mapping)
-            return {"indices": idxs, "values": [mapping[i] for i in idxs]}
+        def value_arrays(values: np.ndarray, present: np.ndarray) -> dict:
+            idxs = np.flatnonzero(present)
+            return {"indices": idxs.tolist(), "values": values[idxs].tolist()}
 
         return {
             "levels": [sorted(members) for members in self.levels],
-            "a": value_arrays(self.a_values),
-            "b": value_arrays(self.b_values),
-            "decisions": value_arrays({i: int(u) for i, u in self.decisions.items()}),
+            "a": value_arrays(self.a, ~np.isnan(self.a)),
+            "b": value_arrays(self.b, ~np.isnan(self.b)),
+            "decisions": value_arrays(self.decision, self.decision > 0),
             "remain": sorted(self.remain),
             "unplaced": sorted(self.unplaced),
         }
@@ -251,7 +253,9 @@ def build_level_sets(inst: Instance) -> LevelSets:
     level k is seeded by the failure predecessors of level k-1 and closed
     under "all success successors already graded".  States never reached by
     the grading are recorded as unplaced rather than raising here; the policy
-    construction fails loudly if they would need a decision.
+    construction fails loudly if they would need a decision.  Only level 0
+    gets coefficients and decisions here: its excess, and the action whose
+    success successor has the least excess.
     """
     tables = transition_tables(inst)
     excess, _ = _excess_tables(inst)
@@ -266,15 +270,18 @@ def build_level_sets(inst: Instance) -> LevelSets:
             level[grown] = k
 
     y0 = np.flatnonzero(level == 0)
-    first = excess[tables.succ[y0]].argmin(axis=1) + 1
-    return LevelSets(
-        indexer=tables.indexer,
-        level=level,
-        a_values=dict(zip(y0.tolist(), excess[y0].tolist())),
-        b_values={},
-        decisions=dict(zip(y0.tolist(), first.tolist())),
-        remain=frozenset(),
-    )
+    a = np.full(level.shape, np.nan)
+    a[y0] = excess[y0]
+    decision = np.zeros(level.shape, dtype=np.int64)
+    decision[y0] = excess[tables.succ[y0]].argmin(axis=1) + 1
+    return LevelSets(tables.indexer, level, a, np.full(level.shape, np.nan), decision, frozenset())
+
+
+def _settle(ls: LevelSets, states: np.ndarray, values: np.ndarray) -> None:
+    """Settle each state on the least entry of its row of ``values`` (inf bars a client), the first on ties."""
+    best = values.argmin(axis=1)
+    ls.a[states] = values.min(axis=1)
+    ls.decision[states] = best + 1
 
 
 def sn_policy(
@@ -282,12 +289,20 @@ def sn_policy(
 ) -> tuple[StationaryPolicy, LevelSets]:
     """Stationary policy from the graded level sets.
 
-    Sweeps levels in increasing order, assigning each state the action whose
-    success successor sits at the deepest level and whose combined coefficient
-    (successor coefficient plus failure-coefficient-weighted predecessor term)
-    is minimal.  Cyclic within-level dependencies fall back to a bounded
-    relaxation of auxiliary coefficients.  ``coefficients`` defaults to the
-    per-client failure rates 1 - p_n; only their ratios matter.
+    Sweeps levels in increasing order.  Each state may serve only the
+    clients whose success successor sits at the deepest level, and takes the
+    one of least combined coefficient, the first on ties:
+    ``coef[u] * a[fail]`` when that level lies below its own, otherwise the
+    successor's coefficient (0 where unset) plus ``coef[u]`` times the
+    failure successor's coefficient (when that sits one level up, else 0).
+    The second kind is settled in rounds, each taking every state whose
+    same-level successors are settled.  States left on within-level cycles
+    go to a fallback: ``n - 1`` in-order (ascending state index) relaxation
+    sweeps of auxiliary coefficients ``b`` over the level, each run as the
+    fixed point of ``x(s) = min_u [(t < s ? x(t) : old(t)) + c(s, u)]``, so
+    it reproduces the sequential sweep from the same operands.
+    ``coefficients`` defaults to the per-client failure rates 1 - p_n; only
+    their ratios matter.
 
     Raises :class:`StructuralError` if any state ends up without a decision.
     """
@@ -300,109 +315,63 @@ def sn_policy(
 
     ls = build_level_sets(inst)
     tables = transition_tables(inst)
-    indexer = ls.indexer
-    n = inst.n_clients
-    n_states = indexer.total_states
-    level_of = ls.level
+    coef = np.asarray(coefficients, dtype=float)
+    level, a = ls.level, ls.a
+    remain = np.zeros(level.shape, dtype=bool)
+    for k in range(1, int(level.max()) + 1):
+        members = np.flatnonzero(level == k)
+        succ, fail_a = tables.succ[members], a[tables.fail[members]]
+        succ_level = level[succ]
+        deepest = succ_level.max(axis=1, keepdims=True)
+        allowed, inside = succ_level == deepest, succ_level == k
+        # deep states: the deepest success successor lies below level k
+        deep = deepest[:, 0] > k
+        missing = deep & np.isnan(fail_a)
+        if missing.any():
+            state = ls.indexer.deindex(int(members[missing][0]))
+            raise StructuralError(f"missing predecessor coefficient for state {state}")
+        _settle(ls, members[deep], np.where(allowed[deep], coef * fail_a[deep, None], np.inf))
 
-    a_values = dict(ls.a_values)
-    decisions = dict(ls.decisions)
-    b_values: dict[int, float] = {}
-    remain: set[int] = set()
-
-    def action_levels(s: int) -> tuple[int, list[int]]:
-        """Deepest successor level and the actions (1-based) attaining it."""
-        succ_levels = [int(level_of[tables.succ[s, u]]) for u in range(n)]
-        m = max(succ_levels)
-        return m, [u + 1 for u in range(n) if succ_levels[u] == m]
-
-    for k in range(1, int(level_of.max()) + 1):
-        members = np.flatnonzero(level_of == k).tolist()
-        if not members:
+        # ready states, in rounds: each takes the states whose same-level successors are settled
+        cost = coef * np.where(level[tables.fail[members]] == k - 1, fail_a, 0.0)[:, None]
+        todo = ~deep
+        while True:
+            ready = todo & ~(allowed & inside & np.isnan(a[succ])).any(axis=1)
+            if not ready.any():
+                break
+            values = np.nan_to_num(a[succ[ready]]) + cost[ready]
+            _settle(ls, members[ready], np.where(allowed[ready], values, np.inf))
+            todo &= ~ready
+        if not todo.any():
             continue
-        meta = {s: action_levels(s) for s in members}
-        pending = list(members)
-        while pending:
-            next_pending = []
-            for s in pending:
-                m, u_set = meta[s]
-                fail_idx = int(tables.fail[s])
-                if m > k:
-                    if fail_idx not in a_values:
-                        raise StructuralError(
-                            f"missing predecessor coefficient for state {indexer.deindex(s)}"
-                        )
-                    best_u, best_val = None, math.inf
-                    for u in u_set:
-                        val = coefficients[u - 1] * a_values[fail_idx]
-                        if val < best_val:
-                            best_u, best_val = u, val
-                    a_values[s] = best_val
-                    decisions[s] = best_u
-                    continue
-                succs = [int(tables.succ[s, u - 1]) for u in u_set]
-                if any(level_of[t] == k and t not in a_values for t in succs):
-                    next_pending.append(s)
-                    continue
-                fail_term = (
-                    a_values[fail_idx] if int(level_of[fail_idx]) == k - 1 else 0.0
-                )
-                best_u, best_val = None, math.inf
-                for u, t in zip(u_set, succs):
-                    val = a_values.get(t, 0.0) + coefficients[u - 1] * fail_term
-                    if val < best_val:
-                        best_u, best_val = u, val
-                a_values[s] = best_val
-                decisions[s] = best_u
-            if len(next_pending) == len(pending):
-                break  # no progress; cyclic dependencies go to the fallback
-            pending = next_pending
 
-        if pending:
-            remain |= set(pending)
-            b_local = {s: 0.0 for s in members}
+        # fallback: settled states keep their client, and a successor outside the level counts 0
+        remain[members[todo]] = True
+        clients = np.arange(1, inst.n_clients + 1)
+        choice = np.where(todo[:, None], allowed, clients == ls.decision[members, None])
+        local = np.where(inside, np.searchsorted(members, succ), 0)
+        earlier = local < np.arange(len(members))[:, None]
+        x = np.zeros(len(members))
+        for _ in range(inst.n_clients - 1):
+            old = x
+            while True:
+                values = np.where(inside, np.where(earlier, x[local], old[local]), 0.0) + cost
+                swept = np.where(choice, values, np.inf).min(axis=1)
+                if np.array_equal(swept, x):
+                    break
+                x = swept
+        values = np.where(inside, x[local], 0.0) + cost
+        _settle(ls, members[todo], np.where(choice, values, np.inf)[todo])
+        ls.b[members] = x
 
-            def relax_value(s: int) -> tuple[float, int]:
-                m, u_set = meta[s]
-                restricted = [decisions[s]] if s in decisions else u_set
-                fail_idx = int(tables.fail[s])
-                fail_term = (
-                    a_values[fail_idx] if int(level_of[fail_idx]) == k - 1 else 0.0
-                )
-                best_u, best_val = None, math.inf
-                for u in restricted:
-                    t = int(tables.succ[s, u - 1])
-                    val = b_local.get(t, 0.0) + coefficients[u - 1] * fail_term
-                    if val < best_val:
-                        best_u, best_val = u, val
-                return best_val, best_u
-
-            for _ in range(n - 1):
-                for s in members:
-                    b_local[s] = relax_value(s)[0]
-            for s in sorted(pending):
-                val, u = relax_value(s)
-                a_values[s] = val
-                decisions[s] = u
-            b_values.update(b_local)
-
-    missing = [s for s in range(n_states) if s not in decisions]
-    if missing:
-        states = [indexer.deindex(s) for s in missing]
+    missing = np.flatnonzero(ls.decision == 0)
+    if len(missing):
+        states = [ls.indexer.deindex(int(s)) for s in missing]
         raise StructuralError(
             f"the level-set construction left {len(missing)} state(s) undecided: {states}"
         )
-
-    policy = StationaryPolicy(np.array([decisions[s] for s in range(n_states)], dtype=np.int64))
-    out = LevelSets(
-        indexer=indexer,
-        level=level_of,
-        a_values=a_values,
-        b_values=b_values,
-        decisions=decisions,
-        remain=frozenset(remain),
-    )
-    return policy, out
+    ls.remain = frozenset(np.flatnonzero(remain).tolist())
+    return StationaryPolicy(ls.decision.copy()), ls
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotic, exact, heuristics, sim
-from .errors import ConfigError, EstimationError, ResourceLimitError, SchedulingError, StructuralError
+from .errors import ConfigError, SchedulingError, StructuralError
 from .model import AsymptoticInstance, Instance, instance_from_json
 
 CSV_HEADER = "sweep_value,policy,J,J_normalized,stderr,method,converged"
@@ -39,6 +40,18 @@ class ExperimentConfig:
     output: str | None
     exact_state_cap: int = 2000
     enumeration_cap: int = 4096
+
+
+def _integer(section: dict, key: str, default: int | None, minimum: int) -> int:
+    """``section[key]`` (``default`` when absent) as an integer of at least ``minimum``."""
+    value = section.get(key, default)
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        number = minimum - 1
+    if number < minimum:
+        raise ConfigError(f"'{key}' must be an integer of at least {minimum}, not {value!r}")
+    return number
 
 
 def load_config(obj: dict | str | Path) -> ExperimentConfig:
@@ -63,6 +76,7 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
     if not raw_policies:
         raise ConfigError("config needs a nonempty 'policies' list")
     policies = []
+    n_states = math.prod(t + 1 for t in instance.thresholds)
     for spec in raw_policies:
         if isinstance(spec, str):
             spec = {"name": spec}
@@ -70,10 +84,17 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
             raise ConfigError(f"bad policy spec: {spec!r}")
         if spec["name"] not in _POLICY_NAMES:
             raise ConfigError(f"unknown policy {spec['name']!r}; known: {', '.join(_POLICY_NAMES)}")
-        if spec["name"] == "ps" and "max_period" not in spec:
-            raise ConfigError("ps policy spec needs a 'max_period'")
-        if spec["name"] == "explicit" and "decisions" not in spec:
-            raise ConfigError("explicit policy spec needs a 'decisions' array")
+        if spec["name"] == "ps":
+            spec = {**spec, "max_period": _integer(spec, "max_period", None, 1)}
+        decisions = spec.get("decisions")
+        if spec["name"] == "explicit" and not (
+            isinstance(decisions, list)
+            and len(decisions) == n_states
+            and all(isinstance(u, int) and 1 <= u <= instance.n_clients for u in decisions)
+        ):
+            raise ConfigError(
+                f"explicit policy spec needs a 'decisions' array of {n_states} clients in 1..{instance.n_clients}"
+            )
         policies.append(spec)
 
     sweep = obj.get("sweep")
@@ -81,6 +102,8 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
         axis = "epsilon" if isinstance(instance, AsymptoticInstance) else "theta"
         base = instance.epsilon if isinstance(instance, AsymptoticInstance) else instance.theta
         values = [base]
+    elif not isinstance(sweep, dict):
+        raise ConfigError("the 'sweep' section must be a JSON object")
     else:
         axis = sweep.get("axis")
         values = list(sweep.get("values", []))
@@ -100,9 +123,13 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
     if evaluation in ("simulate", "both") and sim_config is None:
         raise ConfigError(f"evaluation '{evaluation}' needs a 'sim' section")
     if sim_config is not None:
-        for key in ("horizon", "trials"):
-            if key not in sim_config:
-                raise ConfigError(f"sim section needs '{key}'")
+        if not isinstance(sim_config, dict):
+            raise ConfigError("the 'sim' section must be a JSON object")
+        sim_config = {
+            "horizon": _integer(sim_config, "horizon", None, 1),
+            "trials": _integer(sim_config, "trials", None, 1),
+            "warmup": _integer(sim_config, "warmup", 0, 0),
+        }
 
     return ExperimentConfig(
         instance=instance,
@@ -111,10 +138,10 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
         sweep_values=values,
         evaluation=evaluation,
         sim_config=sim_config,
-        seed=int(obj.get("seed", 0)),
+        seed=_integer(obj, "seed", 0, 0),
         output=obj.get("output"),
-        exact_state_cap=int(obj.get("exact_state_cap", 2000)),
-        enumeration_cap=int(obj.get("enumeration_cap", 4096)),
+        exact_state_cap=_integer(obj, "exact_state_cap", 2000, 1),
+        enumeration_cap=_integer(obj, "enumeration_cap", 4096, 1),
     )
 
 
@@ -230,7 +257,7 @@ class _Evaluator:
         if name == "wdd":
             return sim.WddHandle(self.inst)
         if name == "ps":
-            return sim.PsHandle(self._schedule(int(spec["max_period"])))
+            return sim.PsHandle(self._schedule(spec["max_period"]))
         policy = self.stationary_policy(spec)
         assert policy is not None
         return sim.StationaryHandle(name, policy, self.inst)
@@ -270,12 +297,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
         if cfg.sim_config is None:
             name = simulated[0][0]["name"]
             raise ConfigError(f"policy {name!r} needs simulation but the config has no 'sim' section")
-        sim_cfg = sim.SimConfig(
-            horizon=int(cfg.sim_config["horizon"]),
-            trials=int(cfg.sim_config["trials"]),
-            seed=cfg.seed,
-            warmup=int(cfg.sim_config.get("warmup", 0)),
-        )
+        sim_cfg = sim.SimConfig(seed=cfg.seed, **cfg.sim_config)
         insts = [ev.inst for _, _, ev, _ in simulated]
         handles = [ev.handle(spec) for spec, _, ev, _ in simulated]
         for (spec, value, _, ref_j), est in zip(simulated, sim.estimate_costs(insts, handles, sim_cfg)):
@@ -333,7 +355,9 @@ def emit_policy(cfg: ExperimentConfig, name: str) -> dict:
     inst = base.materialize() if isinstance(base, AsymptoticInstance) else base
     ev = _Evaluator(cfg, inst)
     if name == "ps":
-        return ev._schedule(int(spec.get("max_period", 12))).to_json()
+        if "max_period" not in spec:
+            raise ConfigError("ps policy needs a spec with a 'max_period' in the config")
+        return ev._schedule(spec["max_period"]).to_json()
     if name in ("prr", "wdd"):
         raise ConfigError(f"policy {name!r} is stateful; it has no decision-array form")
     policy = ev.stationary_policy(spec)
@@ -390,9 +414,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, StructuralError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SchedulingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -177,6 +178,164 @@ def test_level_sets_serialize_with_parallel_arrays():
     assert len(payload["a"]["indices"]) == len(payload["a"]["values"])
     assert len(payload["decisions"]["indices"]) == 9
     assert payload["unplaced"] == []
+
+
+def _sn_oracle(inst, coefficients=None, jacobi=False):
+    """SN built one state at a time from the model: ``(decisions, a, b, remain)``, with dicts keyed by state.
+
+    Level 0 takes its excess and the action whose success successor has the
+    least excess.  Each later level settles its states in ascending passes,
+    deep states (deepest success successor below the level) first; states
+    left on within-level cycles go to ``n - 1`` in-order relaxation sweeps,
+    or, with ``jacobi``, simultaneous ones.  Ties go to the first client by
+    a strict ``<`` scan.
+    """
+    if coefficients is None:
+        coefficients = tuple(1.0 - p for p in inst.reliabilities)
+    n = inst.n_clients
+    indexer = inst.indexer()
+    tables = transition_tables(inst)
+    level_of = build_level_sets(inst).level
+    excess = [all_success_excess(x, inst)[0] for x in indexer.states()]
+
+    def argmin(pairs):
+        best_u, best_val = None, math.inf
+        for u, val in pairs:
+            if val < best_val:
+                best_u, best_val = u, val
+        return best_val, best_u
+
+    a_values, decisions, b_values, remain = {}, {}, {}, set()
+    for s in range(inst.total_states):
+        if level_of[s] == 0:
+            a_values[s] = excess[s]
+            decisions[s] = argmin((u + 1, excess[int(tables.succ[s, u])]) for u in range(n))[1]
+
+    for k in range(1, int(level_of.max()) + 1):
+        members = [s for s in range(inst.total_states) if level_of[s] == k]
+        meta = {}
+        for s in members:
+            succ_levels = [int(level_of[tables.succ[s, u]]) for u in range(n)]
+            m = max(succ_levels)
+            meta[s] = m, [u + 1 for u in range(n) if succ_levels[u] == m]
+
+        def fail_term(s):
+            fail = int(tables.fail[s])
+            return a_values[fail] if level_of[fail] == k - 1 else 0.0
+
+        pending = list(members)
+        while pending:
+            next_pending = []
+            for s in pending:
+                m, u_set = meta[s]
+                if m > k:
+                    fail = int(tables.fail[s])
+                    pairs = [(u, coefficients[u - 1] * a_values[fail]) for u in u_set]
+                else:
+                    succs = [int(tables.succ[s, u - 1]) for u in u_set]
+                    if any(level_of[t] == k and t not in a_values for t in succs):
+                        next_pending.append(s)
+                        continue
+                    pairs = [
+                        (u, a_values.get(t, 0.0) + coefficients[u - 1] * fail_term(s))
+                        for u, t in zip(u_set, succs)
+                    ]
+                a_values[s], decisions[s] = argmin(pairs)
+            if len(next_pending) == len(pending):
+                break
+            pending = next_pending
+
+        if pending:
+            remain |= set(pending)
+            b_local = {s: 0.0 for s in members}
+
+            def relax_value(s, b):
+                restricted = [decisions[s]] if s in decisions else meta[s][1]
+                return argmin(
+                    (u, b.get(int(tables.succ[s, u - 1]), 0.0) + coefficients[u - 1] * fail_term(s))
+                    for u in restricted
+                )
+
+            for _ in range(n - 1):
+                snapshot = dict(b_local) if jacobi else b_local
+                for s in members:
+                    b_local[s] = relax_value(s, snapshot)[0]
+            for s in sorted(pending):
+                a_values[s], decisions[s] = relax_value(s, b_local)
+            b_values.update(b_local)
+    return decisions, a_values, b_values, remain
+
+
+def _oracle_arrays(inst, oracle):
+    """The oracle's dicts as state-indexed arrays: NaN for an unset value, 0 for no decision."""
+    decisions, a_values, b_values, remain = oracle
+    out = {"decision": np.zeros(inst.total_states, dtype=np.int64)}
+    for name, mapping in (("a", a_values), ("b", b_values)):
+        out[name] = np.full(inst.total_states, np.nan)
+        out[name][list(mapping)] = list(mapping.values())
+    out["decision"][list(decisions)] = list(decisions.values())
+    out["remain"] = frozenset(remain)
+    return out
+
+
+def _random_instance(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    taus = tuple(sorted(int(t) for t in rng.integers(1, 7, size=n)))
+    ps = tuple(float(p) for p in rng.uniform(0.5, 0.999, size=n))
+    return Instance(taus, ps, float(rng.uniform(0.01, 0.3)))
+
+
+_ORACLE_CASES = (
+    [AsymptoticInstance((4, 6, 8), (1, 1, 1), eps, 0.05).materialize() for eps in (0.01, 0.03, 0.1)]
+    + [AsymptoticInstance((7, 10, 13), (1, 1, 1), eps, 0.05).materialize() for eps in (0.1, 0.2, 0.3)]
+    + [AsymptoticInstance((3, 5), (2, 1), 0.001, 0.01).materialize()]
+    + [AsymptoticInstance((4, 6, 8, 10), (1, 1, 1, 1), 0.01, 0.05).materialize()]
+    + [_random_instance(seed) for seed in range(12)]
+)
+
+
+@pytest.mark.parametrize("inst", _ORACLE_CASES, ids=lambda inst: f"{inst.thresholds}-{inst.reliabilities[0]:.4g}")
+def test_sn_policy_matches_the_per_state_oracle_bitwise(inst):
+    policy, levels = sn_policy(inst)
+    oracle = _sn_oracle(inst)
+    expected = _oracle_arrays(inst, oracle)
+    assert np.array_equal(policy.decisions, expected["decision"])
+    assert np.array_equal(levels.decision, expected["decision"])
+    for name in ("a", "b"):
+        got = getattr(levels, name)
+        assert np.array_equal(np.isnan(got), np.isnan(expected[name]))
+        assert got.tobytes() == expected[name].tobytes()
+    assert levels.remain == expected["remain"]
+
+    decisions, a_values, b_values, remain = oracle
+
+    def value_arrays(mapping):
+        idxs = sorted(mapping)
+        return {"indices": idxs, "values": [mapping[i] for i in idxs]}
+
+    payload = levels.to_json()
+    assert payload == {
+        "levels": [sorted(members) for members in levels.levels],
+        "a": value_arrays(a_values),
+        "b": value_arrays(b_values),
+        "decisions": value_arrays(decisions),
+        "remain": sorted(remain),
+        "unplaced": [],
+    }
+    assert json.loads(json.dumps(payload)) == payload
+
+
+def test_sn_oracle_cases_include_one_where_jacobi_sweeps_differ():
+    # on thresholds (3, 4, 4), one of the oracle cases, the fallback settles
+    # 35 states, and simultaneous (Jacobi) sweeps would decide some of them
+    # differently from the in-order sweeps the construction reproduces
+    inst = _random_instance(6)
+    assert inst in _ORACLE_CASES
+    assert len(sn_policy(inst)[1].remain) == 35
+    in_order = _oracle_arrays(inst, _sn_oracle(inst))
+    jacobi = _oracle_arrays(inst, _sn_oracle(inst, jacobi=True))
+    assert not np.array_equal(jacobi["decision"], in_order["decision"])
 
 
 def test_sn_policy_total_and_non_exclusionary():

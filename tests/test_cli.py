@@ -179,6 +179,59 @@ def test_main_exit_codes(tmp_path, capsys):
     assert CSV_HEADER in captured.out
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"sim": {"horizon": 0, "trials": 8}},
+        {"sim": {"trials": 8}},
+        {"sim": {"horizon": 2000, "trials": 8, "warmup": -1}},
+        {"sim": [2000, 8]},
+        {"exact_state_cap": "lots"},
+        {"enumeration_cap": None},
+        {"seed": -1},
+        {"policies": ["mlg", {"name": "explicit", "decisions": [1, 2, 1]}]},
+        {"policies": [{"name": "explicit"}]},
+        {"policies": [{"name": "explicit", "decisions": [3] * 12}]},
+        {"policies": [{"name": "ps", "max_period": "x"}]},
+        {"sweep": [0.05, 0.1]},
+    ],
+    ids=[
+        "zero-horizon",
+        "no-horizon",
+        "negative-warmup",
+        "sim-not-an-object",
+        "state-cap-not-a-number",
+        "enumeration-cap-null",
+        "negative-seed",
+        "explicit-wrong-length",
+        "explicit-no-decisions",
+        "explicit-client-out-of-range",
+        "ps-period-not-a-number",
+        "sweep-not-an-object",
+    ],
+)
+def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
+    # each is rejected when the config loads, not by a traceback mid-sweep
+    cfg_path = _tiny_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError):
+        load_config(cfg_path)
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_resource_limits_exit_with_code_3(tmp_path, capsys):
+    # thresholds (2, 3) have 2**10 NE policies, above an enumeration cap of 5
+    cfg_path = _tiny_config(tmp_path, policies=["op-exhaustive"], enumeration_cap=5)
+    assert main(["sweep", "--config", str(cfg_path)]) == 3
+    assert "enumeration cap" in capsys.readouterr().err
+
+
+def test_emit_policy_ps_needs_a_max_period():
+    cfg = load_config(bundled_config_path("fig4"))  # no ps spec
+    with pytest.raises(ConfigError):
+        emit_policy(cfg, "ps")
+
+
 def test_seed_override_changes_only_simulated_rows(tmp_path):
     cfg_path = _tiny_config(
         tmp_path,
