@@ -27,17 +27,13 @@ from .exact import (
     StationaryPolicy,
     ThetaThreshold,
     average_cost,
-    communicating_structure,
-    disutility_matrix,
     doeblin_hitting_times,
     dp_mdp1,
     dp_mdp2,
     exhaustive_optimal,
     growth_rate_optimal,
     is_ne,
-    spectral_radius,
     theta_threshold,
-    transition_matrix,
 )
 from .asymptotic import (
     AsymptoticCost,

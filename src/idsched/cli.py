@@ -43,15 +43,16 @@ class ExperimentConfig:
 
 
 def _integer(section: dict, key: str, default: int | None, minimum: int) -> int:
-    """``section[key]`` (``default`` when absent) as an integer of at least ``minimum``."""
+    """``section[key]`` (``default`` when absent) as an integer of at least ``minimum``.
+
+    JSON integers and integral numbers such as ``1e5`` pass; booleans,
+    strings and fractions do not.
+    """
     value = section.get(key, default)
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        number = minimum - 1
-    if number < minimum:
+    integral = isinstance(value, float) and value.is_integer() or type(value) is int
+    if not integral or value < minimum:
         raise ConfigError(f"'{key}' must be an integer of at least {minimum}, not {value!r}")
-    return number
+    return int(value)
 
 
 def load_config(obj: dict | str | Path) -> ExperimentConfig:
@@ -358,6 +359,8 @@ def emit_policy(cfg: ExperimentConfig, name: str) -> dict:
         if "max_period" not in spec:
             raise ConfigError("ps policy needs a spec with a 'max_period' in the config")
         return ev._schedule(spec["max_period"]).to_json()
+    if name == "explicit" and "decisions" not in spec:
+        raise ConfigError("explicit policy needs a spec with 'decisions' in the config")
     if name in ("prr", "wdd"):
         raise ConfigError(f"policy {name!r} is stateful; it has no decision-array form")
     policy = ev.stationary_policy(spec)
@@ -387,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _integer(vars(args), "seed", None, 0)
         if args.command == "describe":
             print(describe(cfg))
             return 0

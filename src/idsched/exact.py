@@ -4,7 +4,7 @@ Policy evaluation follows the multiplicative route: every finite-memory
 policy is a stationary ``Chain`` whose states move to one of two successors,
 the per-slot cost scales its transitions, and the long-run risk-sensitive
 average cost is ``ln(spectral radius) / theta`` of the cost-weighted chain
-restricted to the recurrent structure reachable from the start state.
+restricted to the one closed class the start state reaches.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -326,7 +326,7 @@ def dp_mdp1(inst: Instance, horizon: int, start: State, cell_cap: int = 10**7) -
 
 
 # ---------------------------------------------------------------------------
-# policy matrices and spectral evaluation
+# policy structure
 
 
 def is_ne(policy: StationaryPolicy, inst: Instance) -> bool:
@@ -342,152 +342,6 @@ def is_ne(policy: StationaryPolicy, inst: Instance) -> bool:
         if int(policy.decisions[indexer.index(exclusion_state(inst.thresholds, n))]) == n:
             return False
     return True
-
-
-def transition_matrix(policy: StationaryPolicy, inst: Instance) -> np.ndarray:
-    """Dense one-step transition matrix of a stationary policy (the dense view of its chain)."""
-    chain = stationary_chain(policy, inst)
-    rows = np.arange(len(chain.fail))
-    mat = np.zeros((len(rows), len(rows)))
-    np.add.at(mat, (rows, chain.succ), chain.p)
-    np.add.at(mat, (rows, chain.fail), 1.0 - chain.p)
-    return mat
-
-
-def disutility_matrix(policy: StationaryPolicy, inst: Instance) -> np.ndarray:
-    """Transition matrix with rows scaled by the per-slot cost factor."""
-    tables = transition_tables(inst)
-    return tables.cost[:, None] * transition_matrix(policy, inst)
-
-
-@dataclass(frozen=True)
-class PowerIterationResult:
-    value: float
-    iterations: int
-    converged: bool
-
-
-def spectral_radius(
-    mat: np.ndarray, tol: float = 1e-12, max_iter: int = DEFAULT_MAX_ITER
-) -> PowerIterationResult:
-    """Largest-magnitude eigenvalue of a nonnegative matrix by shifted power iteration.
-
-    Iterates ``v <- (M + I) v / ||.||_1`` from the all-ones direction; the +I
-    shift guarantees convergence on periodic structures.  The estimate is the
-    one-norm growth factor minus one; convergence is declared when successive
-    estimates differ by less than the absolute ``tol``.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    if mat.size == 0:
-        raise ValueError("matrix must be nonempty")
-    if mat.min() < 0:
-        raise ValueError("matrix must be nonnegative")
-    v = np.full(mat.shape[0], 1.0 / mat.shape[0])
-    prev = math.inf
-    for it in range(1, max_iter + 1):
-        w = mat @ v + v
-        norm = w.sum()  # one-norm of a nonnegative vector
-        est = norm - 1.0
-        v = w / norm
-        if abs(est - prev) < tol:
-            return PowerIterationResult(value=est, iterations=it, converged=True)
-        prev = est
-    return PowerIterationResult(value=prev, iterations=max_iter, converged=False)
-
-
-# ---------------------------------------------------------------------------
-# communicating structure
-
-
-@dataclass(frozen=True)
-class CommunicatingStructure:
-    classes: tuple  # tuple[frozenset, ...] sorted by smallest member
-    closed: tuple  # tuple[bool, ...] aligned with classes
-    transient: frozenset
-
-    @property
-    def closed_classes(self) -> list:
-        return [c for c, flag in zip(self.classes, self.closed) if flag]
-
-
-def _strongly_connected_components(adjacency: Sequence[Sequence[int]], roots: Iterable[int]) -> list[list[int]]:
-    """Iterative Tarjan over what ``roots`` reach in an adjacency list; avoids recursion limits."""
-    n = len(adjacency)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    next_index = 0
-    sccs: list[list[int]] = []
-
-    for root in roots:
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = lowlink[v] = next_index
-                next_index += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            neighbors = adjacency[v]
-            for i in range(pos, len(neighbors)):
-                w = neighbors[i]
-                if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc.append(w)
-                    if w == v:
-                        break
-                sccs.append(scc)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return sccs
-
-
-def _structure(adjacency: Sequence[Sequence[int]], roots: Iterable[int]) -> CommunicatingStructure:
-    """Communicating classes of the states ``roots`` reach along ``adjacency``.
-
-    A class is closed iff no edge leaves it; states outside every closed class
-    are transient.
-    """
-    sccs = _strongly_connected_components(adjacency, roots)
-    class_of = {}
-    for k, scc in enumerate(sccs):
-        for v in scc:
-            class_of[v] = k
-    closed = []
-    for k, scc in enumerate(sccs):
-        closed.append(all(class_of[w] == k for v in scc for w in adjacency[v]))
-    order = sorted(range(len(sccs)), key=lambda k: min(sccs[k]))
-    classes = tuple(frozenset(sccs[k]) for k in order)
-    closed_flags = tuple(closed[k] for k in order)
-    transient = frozenset(
-        v for k, flag in zip(order, closed_flags) if not flag for v in sccs[k]
-    )
-    return CommunicatingStructure(classes=classes, closed=closed_flags, transient=transient)
-
-
-def communicating_structure(mat: np.ndarray) -> CommunicatingStructure:
-    """Communicating classes of the directed graph of a matrix's positive entries."""
-    adjacency = [np.flatnonzero(row > 0).tolist() for row in np.asarray(mat)]
-    return _structure(adjacency, range(len(adjacency)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +450,10 @@ def _reachable(succ: np.ndarray, fail: np.ndarray, start: np.ndarray) -> np.ndar
     return reached.reshape(rows, n)
 
 
-def _leads_back(chain: Chain, reached: np.ndarray) -> bool:
-    """True iff every state in ``reached`` leads back to the chain's start, which is then recurrent."""
+def _leads_back(chain: Chain, reached: np.ndarray, target: int) -> bool:
+    """True iff every state in ``reached`` leads back to ``target``."""
     back = np.zeros(len(reached), dtype=bool)
-    back[chain.start] = True
+    back[target] = True
     while True:
         grown = back | (reached & (back[chain.succ] | back[chain.fail]))
         if np.array_equal(grown, back):
@@ -607,12 +461,33 @@ def _leads_back(chain: Chain, reached: np.ndarray) -> bool:
         back = grown
 
 
+def _closed_class(chain: Chain) -> tuple[np.ndarray, frozenset]:
+    """The closed class the chain's start reaches, as sorted chain indices, and the transient states it reaches.
+
+    From any state, ``tau_max`` failures in a row reach the all-threshold
+    state, so a chain has one closed class and every start reaches it.  When
+    the start is recurrent the class is the reached set.  Else it is what a
+    state ``x`` on the failure walk's cycle reaches, once every reached state
+    is shown to lead back to ``x``.
+    """
+    reached = _reachable(chain.succ[None], chain.fail[None], [chain.start])[0]
+    if _leads_back(chain, reached, chain.start):
+        return np.flatnonzero(reached), frozenset()
+    jump = chain.fail
+    for _ in range(len(jump).bit_length()):
+        jump = jump[jump]
+    x = int(jump[chain.start])
+    if not _leads_back(chain, reached, x):
+        raise StructuralError("start reaches more than one closed class, or one off its failure cycle")
+    member = _reachable(chain.succ[None], chain.fail[None], [x])[0]
+    return np.flatnonzero(member), frozenset(np.flatnonzero(reached & ~member).tolist())
+
+
 def _solve_report(
-    brackets: _Brackets, rows, theta: float, tol: float, members: np.ndarray, transient: frozenset
+    brackets: _Brackets, row: int, theta: float, tol: float, members: np.ndarray, transient: frozenset
 ) -> SolveReport:
-    """The report of a chain whose closed classes are ``rows`` of ``brackets``: the worst class sets J."""
-    worst = _Brackets(*(x[rows].max(keepdims=True) for x in (brackets.lo, brackets.hi, brackets.iterations)))
-    j, j_lo, j_hi = (float(x[0]) for x in worst.costs(theta))
+    """The report of the chain whose closed class is ``row`` of ``brackets``."""
+    j, j_lo, j_hi = (float(x[row]) for x in brackets.costs(theta))
     return SolveReport(
         spectral_radius=math.exp(theta * j),
         average_cost=j,
@@ -620,7 +495,7 @@ def _solve_report(
         j_hi=j_hi,
         recurrent_class=frozenset(members.tolist()),
         transient_states=transient,
-        iterations=int(worst.iterations[0]),
+        iterations=int(brackets.iterations[row]),
         converged=j_hi - j_lo <= tol * j_lo,
     )
 
@@ -633,40 +508,27 @@ def chain_average_costs(
 ) -> list[SolveReport]:
     """Average costs of finite chains from their start states, in one stacked ``_perron`` call.
 
-    A chain's closed classes are those its start reaches: the reached set
-    itself when the start is recurrent (always so from the all-threshold
-    state), else the closed classes Tarjan finds.  Each class is one row,
-    compacted to its states and padded with copies of its first state, whose
-    iterates mirror that state's and leave the bracket unchanged; so a
-    chain's report does not depend on the chains stacked with it.  A chain's
-    average cost is its worst recurrent growth rate, ``ln(max spectral
-    radius) / theta``.  Reported state sets are chain indices; ``converged``
-    is true iff ``J_hi - J_lo <= tol * J_lo``.
+    Each chain is one row: its closed class (``_closed_class``), compacted to
+    its states and padded with copies of its first state, whose iterates
+    mirror that state's and leave the bracket unchanged; so a chain's report
+    does not depend on the chains stacked with it.  A chain's average cost
+    is ``ln(spectral radius) / theta`` of its class.  Reported state sets
+    are chain indices; ``converged`` is true iff ``J_hi - J_lo <= tol * J_lo``.
     """
-    found = []  # per chain: its closed classes and its transient states
-    for chain in chains:
-        reached = _reachable(chain.succ[None], chain.fail[None], [chain.start])[0]
-        if _leads_back(chain, reached):
-            found.append(([np.flatnonzero(reached)], frozenset()))
-        else:
-            structure = _structure(np.stack([chain.succ, chain.fail], axis=1).tolist(), [chain.start])
-            found.append(([np.array(sorted(c)) for c in structure.closed_classes], structure.transient))
-    rows = [(k, members) for k, (classes, _) in enumerate(found) for members in classes]
-    width = max(len(members) for _, members in rows)
-    succ, fail = (np.empty((len(rows), width), dtype=np.int64) for _ in range(2))
-    p, excess = (np.empty((len(rows), width)) for _ in range(2))
-    for row, (k, members) in enumerate(rows):
-        chain = chains[k]
+    found = [_closed_class(chain) for chain in chains]
+    width = max(len(members) for members, _ in found)
+    succ, fail = (np.empty((len(chains), width), dtype=np.int64) for _ in range(2))
+    p, excess = (np.empty((len(chains), width)) for _ in range(2))
+    for row, (chain, theta, (members, _)) in enumerate(zip(chains, thetas, found)):
         states = np.concatenate([members, np.full(width - len(members), members[0])])
         succ[row] = np.searchsorted(members, chain.succ[states])
         fail[row] = np.searchsorted(members, chain.fail[states])
         p[row] = chain.p[states]
-        excess[row] = np.expm1(thetas[k] * chain.hits[states])
+        excess[row] = np.expm1(theta * chain.hits[states])
     brackets = _chain_brackets(succ, fail, p, excess, max_iter)
-    owner = np.array([k for k, _ in rows])
     return [
-        _solve_report(brackets, owner == k, thetas[k], tol, np.concatenate(classes), transient)
-        for k, (classes, transient) in enumerate(found)
+        _solve_report(brackets, row, thetas[row], tol, members, transient)
+        for row, (members, transient) in enumerate(found)
     ]
 
 
@@ -727,6 +589,23 @@ def theta_threshold(inst: Instance) -> ThetaThreshold:
     return ThetaThreshold(value=value, k=k, p_max=p_max, tau_max=tau_max, underflow=value == 0.0)
 
 
+def _excursion(chain: Chain, weight: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """``(I - K, k)``: K is the chain's transition matrix, rows scaled by ``weight``, less its start's column ``k``.
+
+    ``(I - K) h = 1`` gives the expected passage times to the start, and the
+    expected return time at the start itself.  The renewal analytics serve
+    desk-scale chains, and this is the one dense matrix they build.
+    """
+    n = len(chain.fail)
+    rows = np.arange(n)
+    mat = np.zeros((n, n))
+    np.add.at(mat, (rows, chain.succ), weight * chain.p)
+    np.add.at(mat, (rows, chain.fail), weight * (1.0 - chain.p))
+    into = mat[:, chain.start].copy()
+    mat[:, chain.start] = 0.0
+    return np.eye(n) - mat, into
+
+
 def doeblin_hitting_times(policy: StationaryPolicy, inst: Instance) -> np.ndarray:
     """Expected first passage times to the all-threshold state, per start index.
 
@@ -734,22 +613,11 @@ def doeblin_hitting_times(policy: StationaryPolicy, inst: Instance) -> np.ndarra
     (minimum over t > 0), not zero.
     """
     inst.require_interior_reliabilities()
-    policy.validate(inst)
-    indexer = inst.indexer()
-    target = indexer.index(inst.thresholds)
-    prob = transition_matrix(policy, inst)
-    n_states = indexer.total_states
-    others = [i for i in range(n_states) if i != target]
-    sub = prob[np.ix_(others, others)]
+    chain = stationary_chain(policy, inst)
     try:
-        h = np.linalg.solve(np.eye(len(others)) - sub, np.ones(len(others)))
+        return np.linalg.solve(_excursion(chain, 1.0)[0], np.ones(len(chain.fail)))
     except np.linalg.LinAlgError as exc:  # unreachable for interior reliabilities
         raise StructuralError("all-threshold state is not reachable under this policy") from exc
-    out = np.empty(n_states)
-    for pos, i in enumerate(others):
-        out[i] = h[pos]
-    out[target] = 1.0 + prob[target, others] @ h
-    return out
 
 
 def cycle_expectations(
@@ -760,31 +628,24 @@ def cycle_expectations(
     A cycle runs from one pre-transition visit of ``regen`` to the next; the
     multiplicative cycle cost is the product of the per-slot cost factors over
     the cycle's slots.  Serves as the population counterpart of the Monte
-    Carlo cycle estimator.  Raises if the cost expectation diverges (the
-    excursion matrix must be a strict contraction) or if the renewal state is
-    not recurrent under the policy.
+    Carlo cycle estimator.  Raises if the renewal state is not recurrent
+    under the policy, or if the cost expectation diverges: the excursion
+    matrix K must have spectral radius below one, which holds iff
+    ``(I - K) z = 1`` has a strictly positive solution (Collatz-Wielandt).
     """
     inst.require_interior_reliabilities()
-    policy.validate(inst)
-    indexer = inst.indexer()
-    s0 = indexer.index(tuple(regen))
-    prob = transition_matrix(policy, inst)
-    structure = communicating_structure(prob)
-    if not any(s0 in cls for cls in structure.closed_classes):
+    chain = stationary_chain(policy, inst, regen)
+    s0, ones = chain.start, np.ones(len(chain.fail))
+    if not _leads_back(chain, _reachable(chain.succ[None], chain.fail[None], [s0])[0], s0):
         raise StructuralError("renewal state is not recurrent under this policy")
-    n_states = indexer.total_states
-    others = [i for i in range(n_states) if i != s0]
-    h = np.linalg.solve(np.eye(n_states - 1) - prob[np.ix_(others, others)], np.ones(n_states - 1))
-    e_len = 1.0 + prob[s0, others] @ h
-    weighted = transition_tables(inst).cost[:, None] * prob
-    excursion = weighted.copy()
-    excursion[:, s0] = 0.0
-    rho_exc = spectral_radius(excursion).value
-    if rho_exc >= 1.0:
-        raise StructuralError(
-            f"cycle cost expectation diverges (excursion radius {rho_exc:.6f} >= 1)"
-        )
-    m = np.linalg.solve(np.eye(n_states) - excursion, weighted[:, s0])
+    e_len = np.linalg.solve(_excursion(chain, 1.0)[0], ones)[s0]
+    excursion, into = _excursion(chain, np.exp(inst.theta * chain.hits))
+    try:
+        m, z = np.linalg.solve(excursion, np.stack([into, ones], axis=1)).T
+    except np.linalg.LinAlgError as exc:
+        raise StructuralError("cycle cost expectation diverges (singular excursion matrix)") from exc
+    if not (z > 0).all():
+        raise StructuralError("cycle cost expectation diverges (excursion radius >= 1)")
     return float(m[s0]), float(e_len)
 
 
@@ -864,7 +725,7 @@ def exhaustive_optimal(
         served = np.array(served)
         brackets, member = _stationary_brackets(inst, served, max_iter)
         row = int(np.argmin(brackets.costs(inst.theta)[0]))
-        report = _solve_report(brackets, [row], inst.theta, tol, np.flatnonzero(member[row]), frozenset())
+        report = _solve_report(brackets, row, inst.theta, tol, np.flatnonzero(member[row]), frozenset())
         if best is None or report.average_cost < best[1].average_cost:
             best = served[row] + 1, report
     assert best is not None

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 
+from dense_oracle import recurrent, stationary_dense
+
 from idsched.asymptotic import (
     TwoClientConfig,
     mlg_cost_leading,
@@ -21,7 +23,6 @@ from idsched.exact import (
     Mdp1Table,
     StationaryPolicy,
     average_cost,
-    communicating_structure,
     cycle_expectations,
     doeblin_hitting_times,
     dp_mdp1,
@@ -29,16 +30,14 @@ from idsched.exact import (
     exhaustive_optimal,
     growth_rate_optimal,
     is_ne,
-    spectral_radius,
     theta_threshold,
-    transition_matrix,
 )
 from idsched.heuristics import (
     build_periodic_schedule,
     periodic_schedule_average_cost,
     prr_average_cost,
 )
-from idsched.model import AsymptoticInstance, Instance, exclusion_state, transition_tables
+from idsched.model import AsymptoticInstance, Instance, exclusion_state, slot_cost
 from idsched.sim import (
     SimConfig,
     StationaryHandle,
@@ -205,7 +204,7 @@ def test_acceptance_08_simulator_consistency():
     indexer = inst.indexer()
     regen = regeneration_state(inst.thresholds)
     regen_idx = indexer.index(regen)
-    tables = transition_tables(inst)
+    cost = np.array([slot_cost(x, inst) for x in indexer.states()])
     rng = np.random.default_rng(SEED)
 
     def draw():
@@ -214,20 +213,18 @@ def test_acceptance_08_simulator_consistency():
         # second moment for standard errors to exist
         while True:
             pol = StationaryPolicy(rng.integers(1, 3, inst.total_states))
-            prob = transition_matrix(pol, inst)
-            if not any(regen_idx in c for c in communicating_structure(prob).closed_classes):
+            weighted, reach = stationary_dense(pol, inst)
+            if not recurrent(reach)[regen_idx]:
                 continue
-            excursion2 = (tables.cost**2)[:, None] * prob
+            excursion2 = cost[:, None] * weighted
             excursion2[:, regen_idx] = 0.0
-            if spectral_radius(excursion2).value >= 1.0:
+            if abs(np.linalg.eigvals(excursion2)).max() >= 1.0:
                 continue
             return pol
 
     def exact_finite_horizon_j(pol, horizon):
         # deterministic value of the estimator's target, free of sampling noise
-        from idsched.exact import disutility_matrix
-
-        weighted = disutility_matrix(pol, inst)
+        weighted, _ = stationary_dense(pol, inst)
         v = np.ones(inst.total_states)
         log_acc = 0.0
         for _ in range(horizon):
@@ -280,13 +277,11 @@ def test_acceptance_09_structure_suite():
         if not is_ne(pol, inst):
             continue
         ne_count += 1
-        prob = transition_matrix(pol, inst)
-        structure = communicating_structure(prob)
-        closed = structure.closed_classes
-        assert len(closed) == 1
-        assert idx_tau in closed[0]
-        for y in structure.transient:
-            assert prob[y, y] == 0.0
+        weighted, reach = stationary_dense(pol, inst)
+        closed = recurrent(reach)
+        # one closed class: all-threshold is recurrent and every recurrent state is in its class
+        assert closed[idx_tau] and np.array_equal(closed, reach[idx_tau])
+        assert not np.diag(weighted)[~closed].any()  # no self-loop on a transient state
         assert np.all(doeblin_hitting_times(pol, inst) <= bound)
     assert ne_count == 1024
 

@@ -189,6 +189,10 @@ def test_main_exit_codes(tmp_path, capsys):
         {"exact_state_cap": "lots"},
         {"enumeration_cap": None},
         {"seed": -1},
+        {"seed": 3.9},
+        {"sim": {"horizon": 2000, "trials": 2.7}},
+        {"sim": {"horizon": 2000, "trials": True}},
+        {"sim": {"horizon": 2000, "trials": "100"}},
         {"policies": ["mlg", {"name": "explicit", "decisions": [1, 2, 1]}]},
         {"policies": [{"name": "explicit"}]},
         {"policies": [{"name": "explicit", "decisions": [3] * 12}]},
@@ -203,6 +207,10 @@ def test_main_exit_codes(tmp_path, capsys):
         "state-cap-not-a-number",
         "enumeration-cap-null",
         "negative-seed",
+        "fractional-seed",
+        "fractional-trials",
+        "boolean-trials",
+        "string-trials",
         "explicit-wrong-length",
         "explicit-no-decisions",
         "explicit-client-out-of-range",
@@ -226,10 +234,25 @@ def test_resource_limits_exit_with_code_3(tmp_path, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
-def test_emit_policy_ps_needs_a_max_period():
-    cfg = load_config(bundled_config_path("fig4"))  # no ps spec
+def test_integral_numbers_are_integers(tmp_path):
+    cfg = load_config(_tiny_config(tmp_path, sim={"horizon": 1e5, "trials": 8.0}, seed=3))
+    assert cfg.sim_config["horizon"] == 100_000 and type(cfg.sim_config["horizon"]) is int
+    assert cfg.sim_config["trials"] == 8 and type(cfg.sim_config["trials"]) is int
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys, command):
+    cfg_path = _tiny_config(tmp_path)
+    assert main([command, "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["ps", "explicit"])
+def test_emit_policy_ps_needs_a_max_period(name):
+    # fig4 has neither a ps spec with a max_period nor an explicit spec with decisions
+    cfg = load_config(bundled_config_path("fig4"))
     with pytest.raises(ConfigError):
-        emit_policy(cfg, "ps")
+        emit_policy(cfg, name)
 
 
 def test_seed_override_changes_only_simulated_rows(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import lru_cache
 from itertools import product
@@ -5,9 +6,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from dense_oracle import eigvals_cost, recurrent, stationary_dense
+
 from idsched import exact
 from idsched.asymptotic import mlg_stationary_policy
-from idsched.errors import ResourceLimitError
+from idsched.errors import ResourceLimitError, StructuralError
 from idsched.heuristics import (
     PeriodicSchedule,
     periodic_chain,
@@ -19,9 +22,7 @@ from idsched.exact import (
     Mdp1Table,
     StationaryPolicy,
     average_cost,
-    communicating_structure,
     cycle_expectations,
-    disutility_matrix,
     doeblin_hitting_times,
     dp_mdp1,
     dp_mdp2,
@@ -29,11 +30,9 @@ from idsched.exact import (
     growth_rate_optimal,
     is_ne,
     policy_count,
-    spectral_radius,
     theta_threshold,
-    transition_matrix,
 )
-from idsched.model import Instance, exceedance_count, exclusion_state, step_distribution
+from idsched.model import Instance, exclusion_state
 
 
 def _random_ne_policy(inst, rng):
@@ -148,23 +147,6 @@ def test_is_ne_examples():
     assert not is_ne(StationaryPolicy(np.ones(3, dtype=np.int64)), single)
 
 
-def test_transition_matrix_rows_sum_to_one():
-    inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    pol = _random_ne_policy(inst, np.random.default_rng(0))
-    mat = transition_matrix(pol, inst)
-    assert np.all(mat >= 0)
-    np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
-    assert all((row > 0).sum() <= 2 for row in mat)
-
-
-def test_disutility_row_sum_at_all_threshold_state():
-    inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    pol = _random_ne_policy(inst, np.random.default_rng(1))
-    weighted = disutility_matrix(pol, inst)
-    idx = inst.indexer().index(inst.thresholds)
-    assert weighted[idx].sum() == pytest.approx(math.exp(inst.theta * 2), rel=1e-12)
-
-
 def _swap_policy(inst, pol):
     indexer = inst.indexer()
     decisions = np.empty_like(pol.decisions)
@@ -175,48 +157,19 @@ def _swap_policy(inst, pol):
 
 
 def test_relabeling_conjugates_the_transition_matrix():
-    # swapping client labels permutes states and matches the swapped policy's
-    # matrix entrywise (exact permutation similarity)
+    # swapping client labels permutes states and maps the swapped policy's
+    # chain, its transition matrix in array form, onto the original's
+    # (exact permutation similarity)
     inst = Instance((2, 2), (0.5, 0.5), 0.1)
     indexer = inst.indexer()
     pol = _random_ne_policy(inst, np.random.default_rng(2))
-    swapped = _swap_policy(inst, pol)
     perm = np.array([indexer.index((x[1], x[0])) for x in indexer.states()])
-    mat = transition_matrix(pol, inst)
-    np.testing.assert_allclose(
-        transition_matrix(swapped, inst), mat[np.ix_(perm, perm)], atol=1e-15
-    )
-
-
-# ---------------------------------------------------------------------------
-# spectral machinery
-
-
-def test_spectral_radius_identity_and_permutation():
-    res = spectral_radius(np.eye(5))
-    assert res.value == pytest.approx(1.0, abs=1e-10)
-    res = spectral_radius(np.array([[0.0, 2.0], [2.0, 0.0]]))
-    assert res.value == pytest.approx(2.0, abs=1e-9)
-    assert res.converged
-
-
-def test_spectral_radius_matches_quadratic_root():
-    # forced single-client policy: weighted matrix [[p, 1-p], [p e, (1-p) e]]
-    # has a zero determinant, so its radius is the trace p + (1-p) e
-    inst = Instance((1,), (0.5,), 1.0)
-    pol = StationaryPolicy(np.array([1, 1]))
-    weighted = disutility_matrix(pol, inst)
-    expected = 0.5 + 0.5 * math.e
-    assert spectral_radius(weighted).value == pytest.approx(expected, rel=1e-10)
-
-
-def test_communicating_structure_single_client():
-    inst = Instance((1,), (0.5,), 1.0)
-    pol = StationaryPolicy(np.array([1, 1]))
-    structure = communicating_structure(transition_matrix(pol, inst))
-    assert len(structure.classes) == 1
-    assert structure.closed == (True,)
-    assert structure.transient == frozenset()
+    chain = exact.stationary_chain(pol, inst)
+    swapped = exact.stationary_chain(_swap_policy(inst, pol), inst)
+    assert np.array_equal(swapped.succ, perm[chain.succ[perm]])
+    assert np.array_equal(swapped.fail, perm[chain.fail[perm]])
+    assert np.array_equal(swapped.p, chain.p[perm])
+    assert np.array_equal(swapped.hits, chain.hits[perm])
 
 
 def test_ne_policies_have_one_closed_class_with_threshold_state():
@@ -225,13 +178,31 @@ def test_ne_policies_have_one_closed_class_with_threshold_state():
     rng = np.random.default_rng(3)
     for _ in range(25):
         pol = _random_ne_policy(inst, rng)
-        mat = transition_matrix(pol, inst)
-        structure = communicating_structure(mat)
-        closed = structure.closed_classes
-        assert len(closed) == 1
-        assert idx_tau in closed[0]
-        for y in structure.transient:
-            assert mat[y, y] == 0.0
+        weighted, reach = stationary_dense(pol, inst)
+        closed = recurrent(reach)
+        # all-threshold is recurrent and every recurrent state is in its class
+        assert closed[idx_tau] and np.array_equal(closed, reach[idx_tau])
+        assert not np.diag(weighted)[~closed].any()
+        for start in inst.indexer().states():
+            members, transient = exact._closed_class(exact.stationary_chain(pol, inst, start))
+            assert members.tolist() == np.flatnonzero(closed).tolist()
+            assert transient == set(np.flatnonzero(reach[inst.indexer().index(start)] & ~closed).tolist())
+
+
+def test_a_start_that_reaches_two_closed_classes_is_a_structural_error():
+    # state 0 moves to one of two absorbing states
+    chain = exact.Chain(
+        succ=np.array([1, 1, 2]),
+        fail=np.array([2, 1, 2]),
+        p=np.full(3, 0.5),
+        hits=np.zeros(3),
+        client=np.zeros(3, dtype=np.int64),
+        base=np.arange(3),
+        start=0,
+    )
+    with pytest.raises(StructuralError, match="more than one closed class"):
+        exact.chain_average_cost(chain, 0.1)
+    assert exact.chain_average_cost(dataclasses.replace(chain, start=1), 0.1).recurrent_class == {1}
 
 
 def test_average_cost_single_client_matches_analytic_value():
@@ -256,7 +227,7 @@ def test_average_cost_matches_empirical_growth_rate():
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_ne_policy(inst, np.random.default_rng(5))
     report = average_cost(pol, inst)
-    weighted = disutility_matrix(pol, inst)
+    weighted, _ = stationary_dense(pol, inst)
     start = inst.indexer().index(inst.thresholds)
     v = np.ones(inst.total_states)
     log_acc = 0.0
@@ -275,8 +246,8 @@ def test_average_cost_matches_empirical_growth_rate():
 
 
 def test_average_cost_from_a_transient_start_brackets_the_closed_class():
-    # (0, 0) is never revisited, so the classes come from Tarjan, not from
-    # the states the start reaches
+    # (0, 0) is never revisited, so the class is what the failure walk's
+    # cycle reaches, not the states the start reaches
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_ne_policy(inst, np.random.default_rng(3))
     recurrent = average_cost(pol, inst)
@@ -295,7 +266,7 @@ def test_pinned_policy_cost_matches_eigenvalue_oracle():
     report = average_cost(pol, inst)
     indexer = inst.indexer()
     pinned = [indexer.index((a, 2)) for a in range(3)]
-    weighted = disutility_matrix(pol, inst)
+    weighted, _ = stationary_dense(pol, inst)
     rho = max(abs(np.linalg.eigvals(weighted[np.ix_(pinned, pinned)])))
     assert report.spectral_radius == pytest.approx(rho, rel=1e-9)
 
@@ -434,10 +405,6 @@ def test_unconverged_runs_are_flagged_not_raised():
     assert not result.converged
     assert math.isfinite(result.average_cost)
 
-    res = spectral_radius(np.array([[0.3, 0.7], [0.6, 0.4]]), max_iter=1)
-    assert not res.converged
-    assert math.isfinite(res.value)
-
 
 def test_dp_greedy_breaks_ties_toward_the_lowest_client():
     # symmetric instance: at the one-step horizon every action is optimal,
@@ -457,52 +424,25 @@ def test_dp_greedy_breaks_ties_toward_the_lowest_client():
 # certified brackets
 
 
-def _excess_form_cost(inst, memory, serve, advance):
-    """J from ``numpy.linalg.eigvals`` in excess form on a chain over (state, memory) built from the model.
-
-    ``serve(x, m)`` is the client served in state ``x`` at memory ``m`` and
-    ``advance(m, delivered)`` the next memory.  The Perron root of
-    ``W - I = diag(expm1(theta k)) P + (P - I)`` is taken over what the
-    all-threshold state with memory 0 reaches.
-    """
-    states = list(inst.indexer().states())
-    index = {(x, m): i for i, (x, m) in enumerate((x, m) for x in states for m in range(memory))}
-    prob = np.zeros((len(index), len(index)))
-    hits = np.zeros(len(index))
-    for (x, m), i in index.items():
-        step = step_distribution(x, serve(x, m), inst)
-        prob[i, index[step.success_state, advance(m, True)]] += step.success_prob
-        prob[i, index[step.failure_state, advance(m, False)]] += step.failure_prob
-        hits[i] = exceedance_count(x, inst.thresholds)
-    reach = {index[inst.thresholds, 0]}
-    frontier = list(reach)
-    while frontier:
-        frontier = list({int(j) for i in frontier for j in np.flatnonzero(prob[i])} - reach)
-        reach.update(frontier)
-    keep = sorted(reach)
-    excess = np.expm1(inst.theta * hits)[:, None] * prob + prob - np.eye(len(index))
-    return math.log1p(np.linalg.eigvals(excess[np.ix_(keep, keep)]).real.max()) / inst.theta
-
-
 def _bracket_case(kind, inst, arg):
     """The program's report and the eigvals J of a ``stationary`` (random NE policy, seed ``arg``), ``mlg``,
     ``prr`` or ``ps`` (schedule ``arg``) chain."""
     if kind == "prr":
         n = inst.n_clients
         advance = lambda m, delivered: (m + 1) % n if delivered else m  # noqa: E731
-        return prr_average_cost(inst), _excess_form_cost(inst, n, lambda x, m: m + 1, advance)
+        return prr_average_cost(inst), eigvals_cost(inst, n, lambda x, m: m + 1, advance)
     if kind == "ps":
         period = len(arg)
         report = periodic_schedule_average_cost(inst, PeriodicSchedule(arg, inst.n_clients))
         advance = lambda m, delivered: (m + 1) % period  # noqa: E731
-        return report, _excess_form_cost(inst, period, lambda x, m: arg[m], advance)
+        return report, eigvals_cost(inst, period, lambda x, m: arg[m], advance)
     if kind == "mlg":
         policy = mlg_stationary_policy(inst)
     else:
         policy = _random_ne_policy(inst, np.random.default_rng(arg))
     indexer = inst.indexer()
     serve = lambda x, m: int(policy.decisions[indexer.index(x)])  # noqa: E731
-    return average_cost(policy, inst), _excess_form_cost(inst, 1, serve, lambda m, delivered: 0)
+    return average_cost(policy, inst), eigvals_cost(inst, 1, serve, lambda m, delivered: 0)
 
 
 @pytest.mark.parametrize(
@@ -577,9 +517,9 @@ def test_stacked_rows_match_per_policy_evaluation_where_cycles_lie_off_the_class
     start = inst.indexer().index(inst.thresholds)
     off_class, others = [], []
     for policy in (_random_ne_policy(inst, np.random.default_rng(seed)) for seed in range(400)):
-        mat = transition_matrix(policy, inst)
-        cycles = [c for c in communicating_structure(mat).classes if len(c) > 1 or mat[min(c), min(c)] > 0]
-        (off_class if any(start not in c for c in cycles) else others).append(policy.decisions)
+        weighted, reach = stationary_dense(policy, inst)
+        on_cycle = ((weighted > 0) & reach.T).any(axis=1)  # a successor leads back
+        (off_class if (on_cycle & ~reach[start]).any() else others).append(policy.decisions)
     assert off_class
     served = np.array(off_class + others[:8]) - 1
     brackets, _ = exact._stationary_brackets(inst, served, exact.DEFAULT_MAX_ITER)
@@ -595,7 +535,7 @@ def test_stacked_chains_of_any_size_match_their_own_evaluation():
     chains = [
         exact.stationary_chain(policy, two),
         prr_chain(three),
-        exact.stationary_chain(policy, two, start=(0, 0)),  # a transient start: Tarjan's classes
+        exact.stationary_chain(policy, two, start=(0, 0)),  # a transient start
         periodic_chain(three, PeriodicSchedule((1, 2, 1, 3), 3)),
     ]
     thetas = [two.theta, three.theta, two.theta, three.theta]

@@ -1,7 +1,6 @@
-import math
-
-import numpy as np
 import pytest
+
+from dense_oracle import eigvals_cost
 
 from idsched.errors import ConfigError
 from idsched.heuristics import (
@@ -17,7 +16,7 @@ from idsched.heuristics import (
     ps_decide,
     wdd_decide,
 )
-from idsched.model import Instance, slot_cost, step_distribution
+from idsched.model import Instance
 from idsched.sim import PrrHandle, PsHandle, SimConfig, estimate_cost, run_trial
 
 
@@ -128,31 +127,6 @@ def test_periodic_exact_cost_matches_simulation():
     assert est.j_hat == pytest.approx(report.average_cost, rel=0.05)
 
 
-def _augmented_cost(inst, memory, serve, advance):
-    """J from eigvals on a cost-weighted chain over (state, memory) built from the model.
-
-    ``serve(m)`` is the client served at memory ``m`` and ``advance(m, delivered)``
-    the next memory.  The chain is restricted to the states reachable from
-    the all-threshold state with memory 0.
-    """
-    states = list(inst.indexer().states())
-    index = {(x, m): i for i, (x, m) in enumerate((x, m) for x in states for m in range(memory))}
-    weighted = np.zeros((len(index), len(index)))
-    for (x, m), i in index.items():
-        step = step_distribution(x, serve(m), inst)
-        weighted[i, index[step.success_state, advance(m, True)]] += slot_cost(x, inst) * step.success_prob
-        weighted[i, index[step.failure_state, advance(m, False)]] += slot_cost(x, inst) * step.failure_prob
-    reach = {index[inst.thresholds, 0]}
-    frontier = list(reach)
-    while frontier:
-        nxt = {int(j) for i in frontier for j in np.flatnonzero(weighted[i])} - reach
-        reach |= nxt
-        frontier = list(nxt)
-    keep = sorted(reach)
-    rho = np.linalg.eigvals(weighted[np.ix_(keep, keep)]).real.max()
-    return math.log(rho) / inst.theta
-
-
 @pytest.mark.parametrize(
     "inst, sequence",
     [
@@ -162,8 +136,8 @@ def _augmented_cost(inst, memory, serve, advance):
 )
 def test_prr_and_periodic_exact_costs_match_eigenvalues(inst, sequence):
     n, period = inst.n_clients, len(sequence)
-    prr = _augmented_cost(inst, n, lambda m: m + 1, lambda m, delivered: (m + 1) % n if delivered else m)
-    ps = _augmented_cost(inst, period, lambda m: sequence[m], lambda m, delivered: (m + 1) % period)
+    prr = eigvals_cost(inst, n, lambda x, m: m + 1, lambda m, delivered: (m + 1) % n if delivered else m)
+    ps = eigvals_cost(inst, period, lambda x, m: sequence[m], lambda m, delivered: (m + 1) % period)
     # a tight tolerance checks the chains, not the stopping rule: at the
     # default 1e-12, PRR on the two-client instance stops 4.4e-9 relative early
     sched = PeriodicSchedule(sequence, n)
