@@ -51,32 +51,20 @@ from .asymptotic import (
     sn_policy,
 )
 from .heuristics import (
-    DebtLedger,
     PeriodicSchedule,
-    RoundRobinState,
     build_periodic_schedule,
     periodic_schedule_average_cost,
-    prr_advance,
     prr_average_cost,
-    prr_decide,
-    ps_decide,
-    wdd_decide,
 )
 from .sim import (
     CostEstimate,
     CycleEstimate,
-    PolicyHandle,
-    PrrHandle,
-    PsHandle,
     SimConfig,
-    StationaryHandle,
     TrialResult,
-    WddHandle,
     estimate_cost,
     estimate_costs,
     log_mean_exp,
     regeneration_state,
-    run_trial,
     simulate_cycles,
 )
 

@@ -91,7 +91,7 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
         if spec["name"] == "explicit" and not (
             isinstance(decisions, list)
             and len(decisions) == n_states
-            and all(isinstance(u, int) and 1 <= u <= instance.n_clients for u in decisions)
+            and all(type(u) is int and 1 <= u <= instance.n_clients for u in decisions)
         ):
             raise ConfigError(
                 f"explicit policy spec needs a 'decisions' array of {n_states} clients in 1..{instance.n_clients}"
@@ -107,11 +107,16 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
         raise ConfigError("the 'sweep' section must be a JSON object")
     else:
         axis = sweep.get("axis")
-        values = list(sweep.get("values", []))
+        values = sweep.get("values")
         if axis not in ("theta", "epsilon"):
             raise ConfigError("sweep axis must be 'theta' or 'epsilon'")
-        if not values or any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError("sweep values must be nonempty and strictly increasing")
+        if (
+            not isinstance(values, list)
+            or not values
+            or any(type(v) not in (int, float) for v in values)
+            or any(b <= a for a, b in zip(values, values[1:]))
+        ):
+            raise ConfigError("sweep values must be a nonempty, strictly increasing list of numbers")
     if axis == "epsilon" and not isinstance(instance, AsymptoticInstance):
         raise ConfigError("an epsilon sweep requires the asymptotic instance form (taus/bs/epsilon/theta)")
     if any(spec["name"] == "mlg" for spec in policies) and instance.n_clients != 2:
@@ -131,6 +136,9 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
             "trials": _integer(sim_config, "trials", None, 1),
             "warmup": _integer(sim_config, "warmup", 0, 0),
         }
+    output = obj.get("output")
+    if output is not None and not (isinstance(output, str) and output):
+        raise ConfigError("'output' must be a nonempty path string")
 
     return ExperimentConfig(
         instance=instance,
@@ -140,7 +148,7 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
         evaluation=evaluation,
         sim_config=sim_config,
         seed=_integer(obj, "seed", 0, 0),
-        output=obj.get("output"),
+        output=output,
         exact_state_cap=_integer(obj, "exact_state_cap", 2000, 1),
         enumeration_cap=_integer(obj, "enumeration_cap", 4096, 1),
     )
@@ -249,19 +257,20 @@ class _Evaluator:
             )
         self.inst.require_interior_reliabilities()
         method = {"prr": "exact-augmented", "ps": "exact-periodic"}.get(spec["name"], "exact")
-        return self.handle(spec).chain(self.inst), method
+        return self.chain(spec), method
 
-    def handle(self, spec: dict) -> sim.PolicyHandle:
+    def chain(self, spec: dict) -> exact.Chain | None:
+        """The policy's finite chain from the all-threshold state; None for WDD, which has none."""
         name = spec["name"]
         if name == "prr":
-            return sim.PrrHandle(self.inst.n_clients)
+            return heuristics.prr_chain(self.inst)
         if name == "wdd":
-            return sim.WddHandle(self.inst)
+            return None
         if name == "ps":
-            return sim.PsHandle(self._schedule(spec["max_period"]))
+            return heuristics.periodic_chain(self.inst, self._schedule(spec["max_period"]))
         policy = self.stationary_policy(spec)
         assert policy is not None
-        return sim.StationaryHandle(name, policy, self.inst)
+        return exact.stationary_chain(policy, self.inst)
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> list[ResultRow]:
@@ -300,8 +309,8 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
             raise ConfigError(f"policy {name!r} needs simulation but the config has no 'sim' section")
         sim_cfg = sim.SimConfig(seed=cfg.seed, **cfg.sim_config)
         insts = [ev.inst for _, _, ev, _ in simulated]
-        handles = [ev.handle(spec) for spec, _, ev, _ in simulated]
-        for (spec, value, _, ref_j), est in zip(simulated, sim.estimate_costs(insts, handles, sim_cfg)):
+        sim_chains = [ev.chain(spec) for spec, _, ev, _ in simulated]
+        for (spec, value, _, ref_j), est in zip(simulated, sim.estimate_costs(insts, sim_chains, sim_cfg)):
             rows.append(ResultRow(value, spec["name"], est.j_hat, est.j_hat / ref_j, est.stderr_j, "simulate", True))
     rows.sort(key=lambda r: (r.sweep_value, r.policy, r.method))
     target = out_path or cfg.output

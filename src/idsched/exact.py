@@ -54,9 +54,6 @@ class StationaryPolicy:
         if self.decisions.min() < 1 or self.decisions.max() > inst.n_clients:
             raise ValueError("policy contains an invalid client index")
 
-    def decide(self, indexer: StateIndexer, state: State) -> int:
-        return int(self.decisions[indexer.index(state)])
-
     @classmethod
     def from_callable(cls, inst: Instance, fn: Callable[[State], int]) -> "StationaryPolicy":
         indexer = inst.indexer()
@@ -568,9 +565,6 @@ class ThetaThreshold:
     p_max: float
     tau_max: int
     underflow: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def theta_threshold(inst: Instance) -> ThetaThreshold:

@@ -1,14 +1,14 @@
-"""Baseline scheduling policies: round-robin, delivery debt, periodic.
+"""Baseline scheduling policies as finite chains: round-robin and periodic.
 
 The round-robin baseline is packet-level: the token holder keeps the slot
-until a delivery succeeds, then the token rotates.  The debt baseline serves
-the client with the largest weighted delivery debt.  The periodic baseline is
+until a delivery succeeds, then the token rotates.  The periodic baseline is
 open loop: a fixed cyclic sequence indexed by the wall clock, never by state.
+The delivery-debt baseline (WDD), which serves the client with the largest
+weighted delivery debt, has no finite chain; ``sim`` simulates it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -17,67 +17,6 @@ import numpy as np
 from .errors import ConfigError
 from .exact import DEFAULT_MAX_ITER, DEFAULT_TOL, Chain, SolveReport, chain_average_cost
 from .model import Instance, State, successor_on_success
-
-
-@dataclass(frozen=True)
-class RoundRobinState:
-    """Token position for packet-level round robin."""
-
-    current: int
-    n_clients: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.current <= self.n_clients:
-            raise ValueError("token outside 1..N")
-
-
-def prr_decide(rr: RoundRobinState) -> int:
-    return rr.current
-
-
-def prr_advance(rr: RoundRobinState, delivered: bool) -> RoundRobinState:
-    """Rotate the token only on delivery; failures retry the same client."""
-    if not delivered:
-        return rr
-    return RoundRobinState(current=rr.current % rr.n_clients + 1, n_clients=rr.n_clients)
-
-
-@dataclass(frozen=True)
-class DebtLedger:
-    """Elapsed slots and per-client delivered-packet counts."""
-
-    t: int
-    deliveries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.t < 0 or any(m < 0 for m in self.deliveries):
-            raise ValueError("ledger entries must be nonnegative")
-        if any(m > self.t for m in self.deliveries):
-            raise ValueError("cannot have delivered more packets than elapsed slots")
-
-    @classmethod
-    def fresh(cls, n_clients: int) -> "DebtLedger":
-        return cls(t=0, deliveries=(0,) * n_clients)
-
-    def after_slot(self, delivered_client: int | None) -> "DebtLedger":
-        """Advance one slot, crediting a delivery to ``delivered_client`` if any."""
-        if delivered_client is None:
-            return DebtLedger(self.t + 1, self.deliveries)
-        ms = list(self.deliveries)
-        ms[delivered_client - 1] += 1
-        return DebtLedger(self.t + 1, tuple(ms))
-
-
-def wdd_decide(ledger: DebtLedger, inst: Instance) -> int:
-    """Largest weighted delivery debt ``t / (p_n tau_n) - M_n / p_n``; ties to the lowest client."""
-    best_u, best_debt = 1, -math.inf
-    for n in range(inst.n_clients):
-        debt = ledger.t / (inst.reliabilities[n] * inst.thresholds[n]) - ledger.deliveries[
-            n
-        ] / inst.reliabilities[n]
-        if debt > best_debt:
-            best_u, best_debt = n + 1, debt
-    return best_u
 
 
 @dataclass(frozen=True)
@@ -106,13 +45,6 @@ class PeriodicSchedule:
     @classmethod
     def from_json(cls, obj: dict, n_clients: int) -> "PeriodicSchedule":
         return cls(tuple(obj["sequence"]), n_clients)
-
-
-def ps_decide(sched: PeriodicSchedule, t: int) -> int:
-    """Clock-driven decision; deliberately blind to the system state."""
-    if t < 0:
-        raise ValueError("slot index must be nonnegative")
-    return sched.sequence[t % sched.period]
 
 
 def deterministic_cycle_cost(sequence: tuple[int, ...], thresholds: tuple[int, ...]) -> float:

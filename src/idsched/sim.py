@@ -3,9 +3,11 @@
 Costs are accumulated as integer exceedance counts and only exponentiated
 inside log-domain reductions, so horizons of 10^7 slots cannot overflow.
 Each trial owns a pseudorandom substream derived from (seed, trial index);
-the same substream is consumed identically by the per-slot reference engine
-and the vectorized batch engines, so results are independent of which engine
-ran and of any batching, and repeated runs are bitwise identical.
+the batch engines consume it as a per-slot walk of the model would, so
+results are independent of any batching, and repeated runs are bitwise
+identical.  A finite-memory policy enters as its ``exact.Chain``, which
+carries its start; WDD, which has no finite chain, enters as ``None`` and
+starts from the all-threshold state.
 """
 
 from __future__ import annotations
@@ -17,18 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .exact import Chain, StationaryPolicy, stationary_chain
-from .heuristics import (
-    DebtLedger,
-    PeriodicSchedule,
-    RoundRobinState,
-    periodic_chain,
-    prr_advance,
-    prr_chain,
-    prr_decide,
-    ps_decide,
-    wdd_decide,
-)
+from .exact import Chain
 from .model import Instance, State
 
 _CHUNK = 1024  # slots of uniforms drawn per call; bounds memory only, the streams do not depend on it
@@ -63,7 +54,6 @@ class TrialResult:
     deliveries: tuple[int, ...]
     cycle_lengths: list[int]
     cycle_exceedances: list[int]
-    delivery_slots: list[list[int]] | None = None
 
     @property
     def exceedance_total(self) -> int:
@@ -105,7 +95,11 @@ class CycleEstimate:
 
 
 def regeneration_state(thresholds: tuple[int, ...]) -> State:
-    """Renewal marker: (1, 0) for two clients, (0, 1, ..., N-1) otherwise."""
+    """Renewal marker: (1, 0) for two clients, (0, 1, ..., N-1) otherwise.
+
+    For three or more clients the marker lies outside the clipped space when
+    some client's threshold is below its component; it is then never visited.
+    """
     n = len(thresholds)
     if n == 2:
         return (1, 0)
@@ -136,98 +130,8 @@ def log_mean_exp(values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# policy handles
-
-
-class PolicyHandle:
-    """Uniform per-slot decision interface used by the simulator.
-
-    Stateful wrappers are reset at the start of every trial; ``observe`` is
-    called once per slot after the channel outcome is known.
-    """
-
-    name = "policy"
-
-    def reset(self) -> None:
-        pass
-
-    def decide(self, state: State, t: int) -> int:
-        raise NotImplementedError
-
-    def observe(self, served: int, delivered: bool) -> None:
-        pass
-
-    def chain(self, inst: Instance, start: State | None = None) -> Chain:
-        """The policy's finite chain, which the batch engine runs; WDD has none."""
-        raise NotImplementedError
-
-
-class StationaryHandle(PolicyHandle):
-    def __init__(self, name: str, policy: StationaryPolicy, inst: Instance):
-        policy.validate(inst)
-        self.name = name
-        self.policy = policy
-        self._indexer = inst.indexer()
-
-    def decide(self, state: State, t: int) -> int:
-        return int(self.policy.decisions[self._indexer.index(state)])
-
-    def chain(self, inst: Instance, start: State | None = None) -> Chain:
-        return stationary_chain(self.policy, inst, start)
-
-
-class PrrHandle(PolicyHandle):
-    name = "prr"
-
-    def __init__(self, n_clients: int):
-        self._n = n_clients
-        self._rr = RoundRobinState(1, n_clients)
-
-    def reset(self) -> None:
-        self._rr = RoundRobinState(1, self._n)
-
-    def decide(self, state: State, t: int) -> int:
-        return prr_decide(self._rr)
-
-    def observe(self, served: int, delivered: bool) -> None:
-        self._rr = prr_advance(self._rr, delivered)
-
-    def chain(self, inst: Instance, start: State | None = None) -> Chain:
-        return prr_chain(inst, start)
-
-
-class WddHandle(PolicyHandle):
-    name = "wdd"
-
-    def __init__(self, inst: Instance):
-        self._inst = inst
-        self._ledger = DebtLedger.fresh(inst.n_clients)
-
-    def reset(self) -> None:
-        self._ledger = DebtLedger.fresh(self._inst.n_clients)
-
-    def decide(self, state: State, t: int) -> int:
-        return wdd_decide(self._ledger, self._inst)
-
-    def observe(self, served: int, delivered: bool) -> None:
-        self._ledger = self._ledger.after_slot(served if delivered else None)
-
-
-class PsHandle(PolicyHandle):
-    name = "ps"
-
-    def __init__(self, sched: PeriodicSchedule):
-        self._sched = sched
-
-    def decide(self, state: State, t: int) -> int:
-        return ps_decide(self._sched, t)
-
-    def chain(self, inst: Instance, start: State | None = None) -> Chain:
-        return periodic_chain(inst, self._sched, start)
-
-
-# ---------------------------------------------------------------------------
-# reference engine
+# batch engines (trial-vectorized; bitwise identical to the per-slot reference
+# that tests/sim_oracle.py writes against the model)
 
 
 def _uniform_pieces(draw, warmup: int, horizon: int):
@@ -248,93 +152,6 @@ def _uniform_pieces(draw, warmup: int, horizon: int):
             chunk, offset = draw(min(_CHUNK, total - start)), start
         yield chunk[..., start - offset : stop - offset], stop in edges
         start = stop
-
-
-def _check_start(taus: tuple[int, ...], start: State) -> None:
-    if len(start) != len(taus) or any(not 0 <= x <= t for x, t in zip(start, taus)):
-        raise ValueError("start state outside the clipped space")
-
-
-def run_trial(
-    inst: Instance,
-    policy: PolicyHandle,
-    horizon: int,
-    trial_seed,
-    start: State,
-    warmup: int = 0,
-    record_delivery_slots: bool = False,
-) -> TrialResult:
-    """Simulate ``warmup + horizon`` slots, accounting only the last ``horizon``.
-
-    This per-slot engine is the reference the batch engines are tested
-    against, bit for bit; the estimators run the batch engines.
-
-    Each slot: ask the policy for a client, draw the channel outcome from the
-    trial's substream, charge the pre-transition state's exceedance count, and
-    apply the clipped transition.  Renewal hits (pre-transition) delimit the
-    recorded cycles; the running exceedance total is recorded at each
-    ``block_edges(horizon)`` edge.
-    """
-    taus = inst.thresholds
-    ps = inst.reliabilities
-    n = inst.n_clients
-    _check_start(taus, start)
-    regen = regeneration_state(taus)
-    rng = np.random.default_rng(trial_seed)
-    policy.reset()
-
-    state = tuple(start)
-    exceed_total = 0
-    snapshots: list[int] = []
-    deliveries = [0] * n
-    slots: list[list[int]] | None = [[] for _ in range(n)] if record_delivery_slots else None
-    cycle_lengths: list[int] = []
-    cycle_exceedances: list[int] = []
-    open_start: int | None = None
-    exc_since = 0
-
-    t = 0
-    for block, closes_block in _uniform_pieces(rng.random, warmup, horizon):
-        for draw in block.tolist():
-            accounted = t >= warmup
-            if accounted and state == regen:
-                if open_start is not None:
-                    cycle_lengths.append(t - open_start)
-                    cycle_exceedances.append(exc_since)
-                open_start = t
-                exc_since = 0
-            k = sum(1 for x, tau in zip(state, taus) if x == tau)
-            if accounted:
-                exceed_total += k
-                exc_since += k
-            u = policy.decide(state, t)
-            delivered = draw < ps[u - 1]
-            if delivered:
-                state = tuple(
-                    0 if i == u - 1 else min(x + 1, tau)
-                    for i, (x, tau) in enumerate(zip(state, taus))
-                )
-                if accounted:
-                    deliveries[u - 1] += 1
-                    if slots is not None:
-                        slots[u - 1].append(t)
-            else:
-                state = tuple(min(x + 1, tau) for x, tau in zip(state, taus))
-            policy.observe(u, delivered)
-            t += 1
-        if closes_block:
-            snapshots.append(exceed_total)
-    return TrialResult(
-        block_exceedances=np.diff(np.array(snapshots, dtype=np.int64), prepend=0),
-        deliveries=tuple(deliveries),
-        cycle_lengths=cycle_lengths,
-        cycle_exceedances=cycle_exceedances,
-        delivery_slots=slots,
-    )
-
-
-# ---------------------------------------------------------------------------
-# batch engines (trial-vectorized; bitwise identical to the reference)
 
 
 def _slices(trials: int, seed: int, warmup: int, horizon: int):
@@ -426,7 +243,9 @@ def _batch_chain(
     regeneration state in the ``base`` component, whatever the policy's
     memory) are derived from those records after each sub-slice.
     """
-    regen_idx = inst.indexer().index(regeneration_state(inst.thresholds))
+    regen = regeneration_state(inst.thresholds)
+    # a renewal state outside the clipped space is never visited
+    regen_idx = inst.indexer().index(regen) if all(r <= t for r, t in zip(regen, inst.thresholds)) else -1
     offsets = np.cumsum([0] + [len(c.p) for c in chains[:-1]])
     succ = np.concatenate([c.succ + off for c, off in zip(chains, offsets)])
     fail = np.concatenate([c.fail + off for c, off in zip(chains, offsets)])
@@ -522,7 +341,9 @@ def _batch_wdd(
                 d = [record[lag - 1 - k : lag - 1 - k + size, c] for k in range(tau + 1)]
                 at_tau = d[0] == d[tau]
                 exc += at_tau
-                if record_cycles:
+                if record_cycles and r > tau:  # a renewal state outside the clipped space
+                    at_regen[:] = False
+                elif record_cycles:
                     at_regen &= at_tau if r == tau else (d[0] == d[r]) & (d[r] > d[r + 1])
             tally.add(t0, block, exc, (record[lag - 1 + size] - record[lag - 1]).T, at_regen)
         record[:lag] = record[size : size + lag]
@@ -530,42 +351,36 @@ def _batch_wdd(
 
 
 def _run_trials(
-    insts: list[Instance],
-    handles: list[PolicyHandle],
-    cfg: SimConfig,
-    start: State | None,
-    record_cycles: bool,
+    insts: list[Instance], chains: list[Chain | None], cfg: SimConfig, record_cycles: bool
 ) -> list[list[TrialResult]]:
-    """The trials of every point ``(insts[i], handles[i])``, one call per engine.
+    """The trials of every point ``(insts[i], chains[i])``, one call per engine.
 
-    The points must share thresholds.  Points whose engine inputs are equal
-    share one set of rows: for WDD the inputs are the reliabilities (theta
-    never enters the engine), for a chain every array and the start.
+    A chain of ``None`` stands for WDD, from the all-threshold state.  The
+    points must share thresholds.  Points whose engine inputs are equal share
+    one set of rows: for WDD the inputs are the reliabilities (theta never
+    enters the engine), for a chain every array and the start.
     """
     taus = insts[0].thresholds
     if any(inst.thresholds != taus for inst in insts):
         raise ValueError("the points of one simulation must share thresholds")
     wdd: dict = {}
-    chains: dict = {}
+    distinct: dict = {}
     keys = []
-    for inst, handle in zip(insts, handles):
-        if isinstance(handle, WddHandle):
+    for inst, chain in zip(insts, chains):
+        if chain is None:
             key = ("wdd", inst.reliabilities)
             wdd.setdefault(key, inst)
         else:
-            chain = handle.chain(inst, start)
             arrays = (chain.succ, chain.fail, chain.p, chain.hits, chain.client, chain.base)
             key = ("chain", chain.start, *(a.tobytes() for a in arrays))
-            chains.setdefault(key, chain)
+            distinct.setdefault(key, chain)
         keys.append(key)
     args = (cfg.horizon, cfg.trials, cfg.seed)
     runs = {}
     if wdd:
-        wdd_start = tuple(taus if start is None else start)
-        _check_start(taus, wdd_start)
-        runs.update(zip(wdd, _batch_wdd(list(wdd.values()), *args, wdd_start, cfg.warmup, record_cycles)))
-    if chains:
-        runs.update(zip(chains, _batch_chain(insts[0], list(chains.values()), *args, cfg.warmup, record_cycles)))
+        runs.update(zip(wdd, _batch_wdd(list(wdd.values()), *args, taus, cfg.warmup, record_cycles)))
+    if distinct:
+        runs.update(zip(distinct, _batch_chain(insts[0], list(distinct.values()), *args, cfg.warmup, record_cycles)))
     return [runs[key] for key in keys]
 
 
@@ -573,9 +388,7 @@ def _run_trials(
 # estimators
 
 
-def estimate_cost(
-    inst: Instance, policy: PolicyHandle, cfg: SimConfig, start: State | None = None
-) -> CostEstimate:
+def estimate_cost(inst: Instance, chain: Chain | None, cfg: SimConfig) -> CostEstimate:
     """Risk-sensitive average cost from blocks pooled over independent trials.
 
     Each trial is cut into ``n`` nested blocks of mean length
@@ -600,18 +413,16 @@ def estimate_cost(
     The log-scale standard error comes from the delta method on the block
     weights, treating the blocks as independent.
     """
-    return estimate_costs([inst], [policy], cfg, start)[0]
+    return estimate_costs([inst], [chain], cfg)[0]
 
 
-def estimate_costs(
-    insts: list[Instance], handles: list[PolicyHandle], cfg: SimConfig, start: State | None = None
-) -> list[CostEstimate]:
-    """``estimate_cost`` at every point ``(insts[i], handles[i])`` of one sweep.
+def estimate_costs(insts: list[Instance], chains: list[Chain | None], cfg: SimConfig) -> list[CostEstimate]:
+    """``estimate_cost`` at every point ``(insts[i], chains[i])`` of one sweep.
 
     The points share thresholds, and each engine runs once for all of them;
     points with equal engine inputs share their trials (see ``_run_trials``).
     """
-    runs = _run_trials(insts, handles, cfg, start, record_cycles=False)
+    runs = _run_trials(insts, chains, cfg, record_cycles=False)
     return [_block_estimate(inst.theta, results, cfg) for inst, results in zip(insts, runs)]
 
 
@@ -646,9 +457,7 @@ def _block_estimate(theta: float, results: list[TrialResult], cfg: SimConfig) ->
     )
 
 
-def simulate_cycles(
-    inst: Instance, policy: PolicyHandle, cfg: SimConfig, start: State | None = None
-) -> CycleEstimate:
+def simulate_cycles(inst: Instance, chain: Chain | None, cfg: SimConfig) -> CycleEstimate:
     """Renewal-cycle estimates pooled across trials.
 
     Estimates the mean cycle length and the mean multiplicative cycle cost
@@ -656,7 +465,7 @@ def simulate_cycles(
     ``ln(mean cost) / (theta * mean length)``.  Trials that never hit the
     renewal state complete no cycles; a warning is issued for them.
     """
-    results = _run_trials([inst], [policy], cfg, start, record_cycles=True)[0]
+    results = _run_trials([inst], [chain], cfg, record_cycles=True)[0]
     lengths: list[int] = []
     counts: list[int] = []
     aborted = 0

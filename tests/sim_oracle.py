@@ -1,0 +1,111 @@
+"""Per-slot reference simulator, written state by state against the model.
+
+A policy is a triple ``(memory, serve, advance)``: the memory it starts with,
+``serve(x, m)``, the client (1-based) it serves at clipped state ``x`` with
+memory ``m``, and ``advance(m, u, delivered)``, its next memory.  Each slot
+steps through ``model.step_distribution`` and reads the trial's uniforms from
+``sim._uniform_pieces``, as the batch engines do.  Nothing here reads
+``exact.Chain``, so testing the batch engines against it is not circular.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from idsched import sim
+from idsched.model import exceedance_count, step_distribution
+
+
+def stationary(policy, inst):
+    """A stationary policy: no memory, the decision of the state's index."""
+    indexer = inst.indexer()
+    return None, lambda x, m: int(policy.decisions[indexer.index(x)]), lambda m, u, delivered: m
+
+
+def prr(n_clients):
+    """Packet-level round robin on its token (0-based), which moves on only on a delivery."""
+    return 0, lambda x, m: m + 1, lambda m, u, delivered: (m + 1) % n_clients if delivered else m
+
+
+def ps(sequence):
+    """A periodic schedule on its phase, which advances every slot, blind to state and outcome."""
+    return 0, lambda x, m: sequence[m], lambda m, u, delivered: (m + 1) % len(sequence)
+
+
+def wdd(inst):
+    """Weighted delivery debt on the ledger ``(t, M)`` of elapsed slots and delivery counts.
+
+    It serves the largest ``t / (p tau) - M / p``; ties go to the lowest client.
+    """
+
+    def serve(x, ledger):
+        t, counts = ledger
+        best_u, best_debt = 1, -math.inf
+        for n, (p, tau, m) in enumerate(zip(inst.reliabilities, inst.thresholds, counts)):
+            debt = t / (p * tau) - m / p
+            if debt > best_debt:
+                best_u, best_debt = n + 1, debt
+        return best_u
+
+    def advance(ledger, u, delivered):
+        t, counts = ledger
+        return t + 1, tuple(m + (delivered and i == u - 1) for i, m in enumerate(counts))
+
+    return (0, (0,) * inst.n_clients), serve, advance
+
+
+@dataclass
+class Trial:
+    """A trial's accounting, in the fields of ``sim.TrialResult``, and each client's delivery slots."""
+
+    block_exceedances: np.ndarray
+    deliveries: tuple
+    cycle_lengths: list
+    cycle_exceedances: list
+    delivery_slots: list
+
+    @property
+    def exceedance_total(self):
+        return int(self.block_exceedances.sum())
+
+
+def run_trial(inst, policy, horizon, trial_seed, start, warmup=0):
+    """Simulate ``warmup + horizon`` slots from ``start``, accounting only the last ``horizon``.
+
+    Each slot charges the pre-transition state's exceedance count, serves the
+    policy's client, draws the channel outcome and steps.  Visits to the
+    renewal state (pre-transition) delimit the cycles; the running exceedance
+    total is recorded at each ``sim.block_edges(horizon)`` edge.
+    """
+    memory, serve, advance = policy
+    regen = sim.regeneration_state(inst.thresholds)
+    rng = np.random.default_rng(trial_seed)
+    state = tuple(start)
+    exceed_total = 0
+    snapshots, hits = [], []
+    slots = [[] for _ in range(inst.n_clients)]
+    t = 0
+    for piece, closes_block in sim._uniform_pieces(rng.random, warmup, horizon):
+        for draw in piece.tolist():
+            if t >= warmup:
+                if state == regen:
+                    hits.append((t, exceed_total))
+                exceed_total += exceedance_count(state, inst.thresholds)
+            u = serve(state, memory)
+            step = step_distribution(state, u, inst)
+            delivered = draw < step.success_prob
+            if delivered and t >= warmup:
+                slots[u - 1].append(t)
+            state = step.success_state if delivered else step.failure_state
+            memory = advance(memory, u, delivered)
+            t += 1
+        if closes_block:
+            snapshots.append(exceed_total)
+    return Trial(
+        block_exceedances=np.diff(np.array(snapshots, dtype=np.int64), prepend=0),
+        deliveries=tuple(len(s) for s in slots),
+        cycle_lengths=[b - a for (a, _), (b, _) in zip(hits, hits[1:])],
+        cycle_exceedances=[b - a for (_, a), (_, b) in zip(hits, hits[1:])],
+        delivery_slots=slots,
+    )

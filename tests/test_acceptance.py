@@ -30,6 +30,7 @@ from idsched.exact import (
     exhaustive_optimal,
     growth_rate_optimal,
     is_ne,
+    stationary_chain,
     theta_threshold,
 )
 from idsched.heuristics import (
@@ -38,14 +39,7 @@ from idsched.heuristics import (
     prr_average_cost,
 )
 from idsched.model import AsymptoticInstance, Instance, exclusion_state, slot_cost
-from idsched.sim import (
-    SimConfig,
-    StationaryHandle,
-    WddHandle,
-    estimate_cost,
-    regeneration_state,
-    simulate_cycles,
-)
+from idsched.sim import SimConfig, estimate_cost, regeneration_state, simulate_cycles
 
 SEED = 20240817
 
@@ -161,9 +155,7 @@ def test_acceptance_06_two_client_trends():
         mlg_norm = average_cost(mlg_stationary_policy(inst), inst).average_cost / j_op
         prr_norm = prr_average_cost(inst).average_cost / j_op
         horizon, trials = sim_sizes[eps]
-        wdd = estimate_cost(
-            inst, WddHandle(inst), SimConfig(horizon=horizon, trials=trials, seed=SEED, warmup=2000)
-        )
+        wdd = estimate_cost(inst, None, SimConfig(horizon=horizon, trials=trials, seed=SEED, warmup=2000))
         wdd_norm = wdd.j_hat / j_op
         print(f"  eps={eps}: mlg={mlg_norm:.4f} prr={prr_norm:.4f} wdd={wdd_norm:.4f}")
         assert mlg_norm <= wdd_norm
@@ -187,9 +179,7 @@ def test_acceptance_07_three_client_trends():
         if eps == 1e-2:
             sched = build_periodic_schedule(inst, 12)
             norms[eps]["ps"] = periodic_schedule_average_cost(inst, sched).average_cost / j_op
-            wdd = estimate_cost(
-                inst, WddHandle(inst), SimConfig(horizon=100_000, trials=96, seed=SEED, warmup=2000)
-            )
+            wdd = estimate_cost(inst, None, SimConfig(horizon=100_000, trials=96, seed=SEED, warmup=2000))
             norms[eps]["wdd"] = wdd.j_hat / j_op
         print(f"  eps={eps}: {norms[eps]}")
     at_small = norms[1e-2]
@@ -239,10 +229,10 @@ def test_acceptance_08_simulator_consistency():
     for i in range(5):
         pol = draw()
         exact_j = average_cost(pol, inst).average_cost
-        handle = StationaryHandle(f"random-{i}", pol, inst)
+        chain = stationary_chain(pol, inst)
         cfg = SimConfig(horizon=100_000, trials=64, seed=SEED + i)
-        est = estimate_cost(inst, handle, cfg)
-        cyc = simulate_cycles(inst, handle, cfg)
+        est = estimate_cost(inst, chain, cfg)
+        cyc = simulate_cycles(inst, chain, cfg)
         e_v, e_l = cycle_expectations(pol, inst, regen)
         j_quotient = math.log(e_v) / (inst.theta * e_l)
         rel = abs(est.j_hat - exact_j) / exact_j

@@ -22,9 +22,10 @@ from idsched.exact import (
     cycle_expectations,
     growth_rate_optimal,
     is_ne,
+    stationary_chain,
 )
 from idsched.model import AsymptoticInstance, Instance, exclusion_state, transition_tables
-from idsched.sim import SimConfig, StationaryHandle, simulate_cycles
+from idsched.sim import SimConfig, simulate_cycles
 
 
 def test_mlg_decide_examples():
@@ -416,12 +417,7 @@ def test_cycle_analytics_match_monte_carlo():
     assert abs(e_l - analytics.expected_cycle_length) <= 0.05 * analytics.expected_cycle_length
     assert abs((e_v - 1.0) - lead_excess) <= 0.15 * lead_excess
 
-    cyc = simulate_cycles(
-        inst,
-        StationaryHandle("mlg", pol, inst),
-        SimConfig(horizon=200_000, trials=32, seed=11),
-        start=(1, 0),
-    )
+    cyc = simulate_cycles(inst, stationary_chain(pol, inst, (1, 0)), SimConfig(horizon=200_000, trials=32, seed=11))
     assert abs(cyc.mean_length - analytics.expected_cycle_length) <= 0.05 * analytics.expected_cycle_length
     # the Monte Carlo excess tracks the population excess closely
     assert abs((cyc.mean_cost - 1.0) - (e_v - 1.0)) <= 0.05 * (e_v - 1.0)

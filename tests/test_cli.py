@@ -198,6 +198,10 @@ def test_main_exit_codes(tmp_path, capsys):
         {"policies": [{"name": "explicit", "decisions": [3] * 12}]},
         {"policies": [{"name": "ps", "max_period": "x"}]},
         {"sweep": [0.05, 0.1]},
+        {"sweep": {"axis": "epsilon", "values": 5}},
+        {"output": 5},
+        {"output": ""},
+        {"policies": [{"name": "explicit", "decisions": [True] * 12}]},
     ],
     ids=[
         "zero-horizon",
@@ -216,6 +220,10 @@ def test_main_exit_codes(tmp_path, capsys):
         "explicit-client-out-of-range",
         "ps-period-not-a-number",
         "sweep-not-an-object",
+        "sweep-values-not-a-list",
+        "output-not-a-string",
+        "output-empty",
+        "explicit-boolean-decisions",
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
@@ -225,6 +233,15 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
         load_config(cfg_path)
     assert main(["sweep", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_simulated_sweep_with_the_renewal_state_outside_the_clipped_space(tmp_path, capsys):
+    # thresholds (1, 1, 1) clip away the renewal state (0, 1, 2), which the estimates never need
+    instance = {"taus": [1, 1, 1], "bs": [1.0, 1.0, 1.0], "epsilon": 0.05, "theta": 0.05}
+    policies = ["op-iterative", "prr", "wdd"]
+    cfg_path = _tiny_config(tmp_path, instance=instance, policies=policies, evaluation="simulate")
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * len(policies)
 
 
 def test_resource_limits_exit_with_code_3(tmp_path, capsys):

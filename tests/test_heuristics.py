@@ -1,63 +1,58 @@
 import pytest
 
+import sim_oracle
 from dense_oracle import eigvals_cost
 
 from idsched.errors import ConfigError
 from idsched.heuristics import (
-    DebtLedger,
     PeriodicSchedule,
-    RoundRobinState,
     build_periodic_schedule,
     deterministic_cycle_cost,
+    periodic_chain,
     periodic_schedule_average_cost,
-    prr_advance,
     prr_average_cost,
-    prr_decide,
-    ps_decide,
-    wdd_decide,
+    prr_chain,
 )
 from idsched.model import Instance
-from idsched.sim import PrrHandle, PsHandle, SimConfig, estimate_cost, run_trial
+from idsched.sim import SimConfig, estimate_cost
+
+# a stand-in state: round robin, WDD and periodic decisions read only their memory
+ANY = (0, 0, 0)
 
 
 def test_round_robin_rotation():
-    rr = RoundRobinState(1, 3)
-    assert prr_decide(rr) == 1
-    rr = prr_advance(rr, delivered=True)
-    assert rr.current == 2
-    rr = prr_advance(RoundRobinState(3, 3), delivered=True)
-    assert rr.current == 1  # wrap
-    rr = prr_advance(RoundRobinState(2, 3), delivered=False)
-    assert rr.current == 2  # retry until delivery
+    # the token is 0-based: token m serves client m + 1
+    _, serve, advance = sim_oracle.prr(3)
+    assert serve(ANY, 0) == 1
+    assert serve(ANY, advance(0, 1, True)) == 2
+    assert serve(ANY, advance(2, 3, True)) == 1  # wrap
+    assert serve(ANY, advance(1, 2, False)) == 2  # retry until delivery
 
 
 def test_wdd_decide_examples():
     inst = Instance((2, 4), (0.5, 0.5), 0.05)
-    ledger = DebtLedger(t=10, deliveries=(2, 1))
-    assert wdd_decide(ledger, inst) == 1  # debts (6, 3)
-
-    fresh = DebtLedger.fresh(2)
-    assert wdd_decide(fresh, inst) == 1  # all-zero debts, lowest client
+    fresh, serve, _ = sim_oracle.wdd(inst)
+    assert serve(ANY, (10, (2, 1))) == 1  # debts (6, 3)
+    assert serve(ANY, fresh) == 1  # all-zero debts, lowest client
 
     sym = Instance((3, 3), (0.5, 0.5), 0.05)
-    assert wdd_decide(DebtLedger(t=6, deliveries=(1, 1)), sym) == 1
+    assert sim_oracle.wdd(sym)[1](ANY, (6, (1, 1))) == 1
 
 
 def test_wdd_argmax_invariances():
     # common scaling of equal reliabilities never changes the winner
-    lo = Instance((2, 4, 3), (0.4, 0.4, 0.4), 0.05)
-    hi = Instance((2, 4, 3), (0.8, 0.8, 0.8), 0.05)
+    lo = sim_oracle.wdd(Instance((2, 4, 3), (0.4, 0.4, 0.4), 0.05))[1]
+    hi = sim_oracle.wdd(Instance((2, 4, 3), (0.8, 0.8, 0.8), 0.05))[1]
     for t, ms in [(5, (1, 0, 1)), (9, (2, 2, 1)), (12, (3, 1, 2))]:
-        ledger = DebtLedger(t=t, deliveries=ms)
-        assert wdd_decide(ledger, lo) == wdd_decide(ledger, hi)
+        assert lo(ANY, (t, ms)) == hi(ANY, (t, ms))
 
 
 def test_ledger_updates():
-    ledger = DebtLedger.fresh(2)
-    ledger = ledger.after_slot(None)
-    assert (ledger.t, ledger.deliveries) == (1, (0, 0))
-    ledger = ledger.after_slot(2)
-    assert (ledger.t, ledger.deliveries) == (2, (0, 1))
+    ledger, _, advance = sim_oracle.wdd(Instance((2, 4), (0.5, 0.5), 0.05))
+    ledger = advance(ledger, 1, False)
+    assert ledger == (1, (0, 0))
+    ledger = advance(ledger, 2, True)
+    assert ledger == (2, (0, 1))
 
 
 def test_periodic_schedule_validation():
@@ -93,10 +88,15 @@ def test_schedule_search_dominates_naive_rotation():
 
 
 def test_ps_decide_is_clock_driven():
-    sched = PeriodicSchedule((1, 2), 2)
-    assert ps_decide(sched, 5) == 2
-    assert ps_decide(sched, 0) == 1
-    assert [ps_decide(sched, t) for t in range(4)] == [1, 2, 1, 2]
+    # the phase advances every slot, whatever the state, client and outcome
+    phase, serve, advance = sim_oracle.ps(PeriodicSchedule((1, 2), 2).sequence)
+    decisions = []
+    for t in range(6):
+        decisions.append(serve((t % 3, 1), phase))
+        phase = advance(phase, decisions[-1], t % 2 == 0)
+    assert decisions[5] == 2
+    assert decisions[0] == 1
+    assert decisions[:4] == [1, 2, 1, 2]
 
 
 def test_round_robin_perfect_channels_cycle():
@@ -104,7 +104,7 @@ def test_round_robin_perfect_channels_cycle():
     # with the rotation nobody ever reaches a threshold covering the cycle,
     # and every client's inter-delivery gap is exactly the client count
     inst = Instance((3, 3, 3), (1.0, 1.0, 1.0), 0.05, allow_endpoint_reliabilities=True)
-    res = run_trial(inst, PrrHandle(3), 60, (1, 0), (2, 1, 0), record_delivery_slots=True)
+    res = sim_oracle.run_trial(inst, sim_oracle.prr(3), 60, (1, 0), (2, 1, 0))
     assert res.exceedance_total == 0
     assert res.deliveries == (20, 20, 20)
     for slots in res.delivery_slots:
@@ -115,7 +115,7 @@ def test_round_robin_perfect_channels_cycle():
 def test_prr_exact_cost_matches_simulation():
     inst = Instance((3, 4), (0.7, 0.8), 0.05)
     report = prr_average_cost(inst)
-    est = estimate_cost(inst, PrrHandle(2), SimConfig(horizon=60_000, trials=32, seed=17))
+    est = estimate_cost(inst, prr_chain(inst), SimConfig(horizon=60_000, trials=32, seed=17))
     assert est.j_hat == pytest.approx(report.average_cost, rel=0.05)
 
 
@@ -123,7 +123,7 @@ def test_periodic_exact_cost_matches_simulation():
     inst = Instance((3, 4), (0.8, 0.9), 0.05)
     sched = build_periodic_schedule(inst, 6)
     report = periodic_schedule_average_cost(inst, sched)
-    est = estimate_cost(inst, PsHandle(sched), SimConfig(horizon=60_000, trials=32, seed=19))
+    est = estimate_cost(inst, periodic_chain(inst, sched), SimConfig(horizon=60_000, trials=32, seed=19))
     assert est.j_hat == pytest.approx(report.average_cost, rel=0.05)
 
 

@@ -3,25 +3,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sim_oracle
+from sim_oracle import run_trial
 
 from idsched import sim
 from idsched.asymptotic import mlg_stationary_policy
 from idsched.errors import EstimationError
-from idsched.exact import StationaryPolicy, average_cost
-from idsched.heuristics import PeriodicSchedule
+from idsched.exact import StationaryPolicy, average_cost, stationary_chain
+from idsched.heuristics import PeriodicSchedule, periodic_chain, prr_chain
 from idsched.model import Instance
 from idsched.sim import (
-    PrrHandle,
-    PsHandle,
     SimConfig,
-    StationaryHandle,
-    WddHandle,
     block_edges,
     estimate_cost,
     estimate_costs,
     log_mean_exp,
     regeneration_state,
-    run_trial,
     simulate_cycles,
 )
 from idsched.sim import _CHUNK, _batch_chain, _batch_wdd, _uniform_pieces
@@ -42,8 +42,8 @@ def test_regeneration_state_convention():
 def test_run_trial_is_deterministic():
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_policy(inst, 0)
-    a = run_trial(inst, StationaryHandle("p", pol, inst), 500, (11, 3), inst.thresholds)
-    b = run_trial(inst, StationaryHandle("p", pol, inst), 500, (11, 3), inst.thresholds)
+    a = run_trial(inst, sim_oracle.stationary(pol, inst), 500, (11, 3), inst.thresholds)
+    b = run_trial(inst, sim_oracle.stationary(pol, inst), 500, (11, 3), inst.thresholds)
     assert a.exceedance_total == b.exceedance_total
     assert a.deliveries == b.deliveries
     assert a.cycle_lengths == b.cycle_lengths
@@ -54,7 +54,7 @@ def test_cycles_tile_the_trajectory():
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_policy(inst, 1)
     horizon = 2000
-    res = run_trial(inst, StationaryHandle("p", pol, inst), horizon, (5, 0), inst.thresholds)
+    (res,) = _batch_chain(inst, [stationary_chain(pol, inst)], horizon, 1, 5, 0, True)[0]
     assert res.exceedance_total <= inst.n_clients * horizon
     assert sum(res.cycle_lengths) <= horizon
     assert sum(res.cycle_exceedances) <= res.exceedance_total
@@ -84,9 +84,9 @@ def test_cycles_tile_the_trajectory():
 def test_batch_engines_match_reference_exactly():
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_policy(inst, 2)
-    handle = StationaryHandle("p", pol, inst)
-    ref = [run_trial(inst, handle, 400, (123, r), inst.thresholds, warmup=13) for r in range(5)]
-    bat = _batch_chain(inst, [handle.chain(inst)], 400, 5, 123, 13, True)[0]
+    policy = sim_oracle.stationary(pol, inst)
+    ref = [run_trial(inst, policy, 400, (123, r), inst.thresholds, warmup=13) for r in range(5)]
+    bat = _batch_chain(inst, [stationary_chain(pol, inst)], 400, 5, 123, 13, True)[0]
     for r, b in zip(ref, bat):
         assert r.exceedance_total == b.exceedance_total
         assert len(r.block_exceedances) > 1
@@ -95,8 +95,7 @@ def test_batch_engines_match_reference_exactly():
         assert r.cycle_lengths == b.cycle_lengths
         assert r.cycle_exceedances == b.cycle_exceedances
 
-    wdd = WddHandle(inst)
-    refw = [run_trial(inst, wdd, 400, (55, r), inst.thresholds, warmup=7) for r in range(5)]
+    refw = [run_trial(inst, sim_oracle.wdd(inst), 400, (55, r), inst.thresholds, warmup=7) for r in range(5)]
     batw = _batch_wdd([inst], 400, 5, 55, inst.thresholds, 7, True)[0]
     for r, b in zip(refw, batw):
         assert r.exceedance_total == b.exceedance_total
@@ -109,14 +108,15 @@ def test_batch_engines_match_reference_exactly():
     # warmup that is not a multiple of the period; on three clients the token
     # wraps, and round robin never visits the regeneration state (0, 1, 2)
     inst3 = Instance((2, 3, 4), (0.6, 0.7, 0.8), 0.05)
+    sched = PeriodicSchedule((3, 2, 1, 2), 3)
     cases = [
-        (inst, PrrHandle(2), True),
-        (inst3, PrrHandle(3), False),
-        (inst3, PsHandle(PeriodicSchedule((3, 2, 1, 2), 3)), True),
+        (inst, sim_oracle.prr(2), prr_chain(inst), True),
+        (inst3, sim_oracle.prr(3), prr_chain(inst3), False),
+        (inst3, sim_oracle.ps(sched.sequence), periodic_chain(inst3, sched), True),
     ]
-    for seed, (case, handle, regenerates) in enumerate(cases):
-        ref = [run_trial(case, handle, 600, (seed, r), case.thresholds, warmup=13) for r in range(5)]
-        bat = _batch_chain(case, [handle.chain(case)], 600, 5, seed, 13, True)[0]
+    for seed, (case, policy, chain, regenerates) in enumerate(cases):
+        ref = [run_trial(case, policy, 600, (seed, r), case.thresholds, warmup=13) for r in range(5)]
+        bat = _batch_chain(case, [chain], 600, 5, seed, 13, True)[0]
         assert any(r.cycle_lengths for r in ref) == regenerates
         for r, b in zip(ref, bat):
             assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
@@ -129,15 +129,16 @@ def test_batch_engines_match_reference_exactly():
 def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
     # Generator.random streams do not depend on the sizes they are drawn in
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    handle = StationaryHandle("p", _random_policy(inst, 2), inst)
+    pol = _random_policy(inst, 2)
     horizon, trials, seed, warmup = 2500, 3, 41, 13
 
     def trials_of_each_engine():
         start = inst.thresholds
+        policy = sim_oracle.stationary(pol, inst)
         return [
-            [run_trial(inst, handle, horizon, (seed, r), start, warmup=warmup) for r in range(trials)],
-            _batch_chain(inst, [handle.chain(inst)], horizon, trials, seed, warmup, True)[0],
-            [run_trial(inst, WddHandle(inst), horizon, (seed, r), start, warmup=warmup) for r in range(trials)],
+            [run_trial(inst, policy, horizon, (seed, r), start, warmup) for r in range(trials)],
+            _batch_chain(inst, [stationary_chain(pol, inst)], horizon, trials, seed, warmup, True)[0],
+            [run_trial(inst, sim_oracle.wdd(inst), horizon, (seed, r), start, warmup) for r in range(trials)],
             _batch_wdd([inst], horizon, trials, seed, start, warmup, True)[0],
         ]
 
@@ -153,10 +154,10 @@ def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
     assert [fields(r) for r in default[2]] == [fields(r) for r in default[3]]
 
 
-def _assert_points_match_reference(insts, handles, runs, horizon, seed, starts, warmup):
-    for inst, handle, start, run in zip(insts, handles, starts, runs):
+def _assert_points_match_reference(insts, policies, runs, horizon, seed, starts, warmup):
+    for inst, policy, start, run in zip(insts, policies, starts, runs):
         for r, b in enumerate(run):
-            ref = run_trial(inst, handle, horizon, (seed, r), start, warmup=warmup)
+            ref = run_trial(inst, policy, horizon, (seed, r), start, warmup=warmup)
             assert ref.block_exceedances.tolist() == b.block_exceedances.tolist()
             assert ref.deliveries == b.deliveries
             assert ref.cycle_lengths == b.cycle_lengths
@@ -189,8 +190,8 @@ def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, sta
     trials = 2 if warmup > horizon else 4
     runs = _batch_wdd(insts, horizon, trials, 17, start or taus, warmup, True)
     assert len(runs) == len(insts) and all(len(run) == trials for run in runs)
-    handles = [WddHandle(inst) for inst in insts]
-    _assert_points_match_reference(insts, handles, runs, horizon, 17, [start or taus] * len(insts), warmup)
+    policies = [sim_oracle.wdd(inst) for inst in insts]
+    _assert_points_match_reference(insts, policies, runs, horizon, 17, [start or taus] * len(insts), warmup)
     if warmup < horizon:
         assert any(res.cycle_lengths for run in runs for res in run)
 
@@ -201,18 +202,18 @@ def test_stacked_chain_engine_matches_reference_per_point():
     taus = (2, 3, 4)
     a = Instance(taus, (0.6, 0.7, 0.8), 0.05)
     b = Instance(taus, (0.9, 0.5, 0.7), 0.05)
+    pa, pb, sched = _random_policy(a, 3), _random_policy(b, 4), PeriodicSchedule((3, 2, 1, 2), 3)
     cases = [
-        (a, StationaryHandle("p", _random_policy(a, 3), a), taus),
-        (b, StationaryHandle("q", _random_policy(b, 4), b), (0, 1, 2)),
-        (a, PrrHandle(3), taus),
-        (b, PrrHandle(3), (1, 0, 4)),
-        (b, PsHandle(PeriodicSchedule((3, 2, 1, 2), 3)), (0, 1, 2)),
+        (a, sim_oracle.stationary(pa, a), stationary_chain(pa, a, taus), taus),
+        (b, sim_oracle.stationary(pb, b), stationary_chain(pb, b, (0, 1, 2)), (0, 1, 2)),
+        (a, sim_oracle.prr(3), prr_chain(a, taus), taus),
+        (b, sim_oracle.prr(3), prr_chain(b, (1, 0, 4)), (1, 0, 4)),
+        (b, sim_oracle.ps(sched.sequence), periodic_chain(b, sched, (0, 1, 2)), (0, 1, 2)),
     ]
-    insts, handles, starts = zip(*cases)
-    chains = [h.chain(inst, start) for inst, h, start in cases]
+    insts, policies, chains, starts = zip(*cases)
     assert len({len(c.p) for c in chains}) == 3
-    runs = _batch_chain(a, chains, 600, 4, 29, 13, True)
-    _assert_points_match_reference(insts, handles, runs, 600, 29, starts, 13)
+    runs = _batch_chain(a, list(chains), 600, 4, 29, 13, True)
+    _assert_points_match_reference(insts, policies, runs, 600, 29, starts, 13)
     assert any(res.cycle_lengths for run in runs for res in run)
 
 
@@ -223,34 +224,34 @@ def test_estimate_costs_equals_estimate_cost_per_point():
     cfg = SimConfig(horizon=800, trials=6, seed=13, warmup=21)
     pol = _random_policy(insts[0], 5)
     makers = (
-        WddHandle,
-        lambda inst: PrrHandle(2),
-        lambda inst: PsHandle(PeriodicSchedule((1, 2, 2), 2)),
-        lambda inst: StationaryHandle("p", pol, inst),
+        lambda inst: None,  # WDD
+        prr_chain,
+        lambda inst: periodic_chain(inst, PeriodicSchedule((1, 2, 2), 2)),
+        lambda inst: stationary_chain(pol, inst),
     )
     for make in makers:
-        handles = [make(inst) for inst in insts]
-        together = estimate_costs(insts, handles, cfg)
-        assert together == [estimate_cost(inst, h, cfg) for inst, h in zip(insts, handles)]
+        chains = [make(inst) for inst in insts]
+        together = estimate_costs(insts, chains, cfg)
+        assert together == [estimate_cost(inst, c, cfg) for inst, c in zip(insts, chains)]
     # every engine in one call, as a sweep with several simulated policies makes it
     points = [(inst, make(inst)) for make in makers for inst in insts]
-    mixed = estimate_costs([inst for inst, _ in points], [h for _, h in points], cfg)
-    assert mixed == [estimate_cost(inst, h, cfg) for inst, h in points]
+    mixed = estimate_costs([inst for inst, _ in points], [c for _, c in points], cfg)
+    assert mixed == [estimate_cost(inst, c, cfg) for inst, c in points]
     # at equal reliabilities two policies' chains differ only in their successors
     even = Instance(taus, (0.7, 0.7), 0.05)
-    handles = [StationaryHandle("p", _random_policy(even, k), even) for k in (6, 7)]
-    together = estimate_costs([even, even], handles, cfg)
+    chains = [stationary_chain(_random_policy(even, k), even) for k in (6, 7)]
+    together = estimate_costs([even, even], chains, cfg)
     assert together[0] != together[1]
-    assert together == [estimate_cost(even, h, cfg) for h in handles]
+    assert together == [estimate_cost(even, c, cfg) for c in chains]
     with pytest.raises(ValueError):
-        estimate_costs([insts[0], Instance((3, 3), (0.6, 0.7), 0.05)], [WddHandle(insts[0])] * 2, cfg)
+        estimate_costs([insts[0], Instance((3, 3), (0.6, 0.7), 0.05)], [None] * 2, cfg)
 
 
 def test_single_client_threshold_frequency():
     # symmetric two-state chain spends half its accounted slots at threshold
     inst = Instance((1,), (0.5,), 0.1)
     pol = StationaryPolicy(np.array([1, 1]))
-    res = run_trial(inst, StationaryHandle("f", pol, inst), 200_000, (9, 0), (0,))
+    (res,) = _batch_chain(inst, [stationary_chain(pol, inst, (0,))], 200_000, 1, 9, 0, False)[0]
     assert res.exceedance_total / 200_000 == pytest.approx(0.5, abs=0.01)
 
 
@@ -258,7 +259,7 @@ def test_estimate_cost_degenerate_and_single_trial():
     # perfect channels, generous thresholds: zero exceedances, zero cost
     inst = Instance((3, 3), (1.0, 1.0), 0.1, allow_endpoint_reliabilities=True)
     pol = StationaryPolicy(np.tile([1, 2], inst.total_states)[: inst.total_states])
-    est = estimate_cost(inst, StationaryHandle("p", pol, inst), SimConfig(horizon=100, trials=8, seed=1), start=(0, 1))
+    est = estimate_cost(inst, stationary_chain(pol, inst, (0, 1)), SimConfig(horizon=100, trials=8, seed=1))
     assert est.j_hat == 0.0
     assert est.degenerate
     assert est.stderr_log == 0.0
@@ -266,8 +267,8 @@ def test_estimate_cost_degenerate_and_single_trial():
     # one trial: the estimate is the raw exceedance rate
     inst2 = Instance((1,), (0.5,), 0.1)
     forced = StationaryPolicy(np.array([1, 1]))
-    est2 = estimate_cost(inst2, StationaryHandle("f", forced, inst2), SimConfig(horizon=1000, trials=1, seed=2))
-    single = run_trial(inst2, StationaryHandle("f", forced, inst2), 1000, (2, 0), (1,))
+    est2 = estimate_cost(inst2, stationary_chain(forced, inst2), SimConfig(horizon=1000, trials=1, seed=2))
+    single = run_trial(inst2, sim_oracle.stationary(forced, inst2), 1000, (2, 0), (1,))
     assert est2.j_hat == pytest.approx(single.exceedance_total / 1000, rel=1e-12)
 
 
@@ -302,9 +303,9 @@ def test_estimate_cost_halves_blocks_only_when_the_tail_is_uncovered():
     # mild risk weighting: the trial totals cover their tail, so the estimate
     # is the whole-horizon log-mean-exp exactly
     mild = Instance((1,), (0.5,), 0.01)
-    handle = StationaryHandle("f", pol, mild)
-    est = estimate_cost(mild, handle, cfg)
-    trials = [run_trial(mild, handle, cfg.horizon, (cfg.seed, r), mild.thresholds) for r in range(cfg.trials)]
+    est = estimate_cost(mild, stationary_chain(pol, mild), cfg)
+    policy = sim_oracle.stationary(pol, mild)
+    trials = [run_trial(mild, policy, cfg.horizon, (cfg.seed, r), mild.thresholds) for r in range(cfg.trials)]
     totals = np.array([res.exceedance_total for res in trials], dtype=float)
     assert est.block_length == 1000
     assert est.tail_coverage >= 0.5
@@ -312,7 +313,7 @@ def test_estimate_cost_halves_blocks_only_when_the_tail_is_uncovered():
 
     # stronger weighting: shorter blocks restore the coverage
     strong = Instance((1,), (0.5,), 0.1)
-    est = estimate_cost(strong, StationaryHandle("f", pol, strong), cfg)
+    est = estimate_cost(strong, stationary_chain(pol, strong), cfg)
     assert est.block_length < 1000
     assert est.tail_coverage >= 0.5
     assert 0.0 < est.stderr_j < 0.02 * est.j_hat
@@ -321,7 +322,7 @@ def test_estimate_cost_halves_blocks_only_when_the_tail_is_uncovered():
     # extreme weighting: even the shortest blocks leave the tail uncovered,
     # and the coverage says so
     extreme = Instance((1,), (0.5,), 2.0)
-    est = estimate_cost(extreme, StationaryHandle("f", pol, extreme), cfg)
+    est = estimate_cost(extreme, stationary_chain(pol, extreme), cfg)
     assert est.block_length == 125
     assert est.tail_coverage < 0.5
 
@@ -330,7 +331,7 @@ def test_estimate_cost_tracks_exact_value_single_client():
     inst = Instance((1,), (0.5,), 0.1)
     pol = StationaryPolicy(np.array([1, 1]))
     exact_j = average_cost(pol, inst).average_cost
-    est = estimate_cost(inst, StationaryHandle("f", pol, inst), SimConfig(horizon=100_000, trials=64, seed=3))
+    est = estimate_cost(inst, stationary_chain(pol, inst), SimConfig(horizon=100_000, trials=64, seed=3))
     assert est.j_hat == pytest.approx(exact_j, rel=0.02)
 
 
@@ -347,9 +348,7 @@ def test_perfect_channel_cycles_are_deterministic():
     pol = mlg_stationary_policy(inst)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cyc = simulate_cycles(
-            inst, StationaryHandle("mlg", pol, inst), SimConfig(horizon=500, trials=4, seed=5), start=(1, 0)
-        )
+        cyc = simulate_cycles(inst, stationary_chain(pol, inst, (1, 0)), SimConfig(horizon=500, trials=4, seed=5))
     assert cyc.mean_length == 2.0
     assert cyc.j_cycle == 0.0
 
@@ -358,10 +357,10 @@ def test_cycle_estimate_agrees_with_direct_estimate_in_regime():
     # small per-cycle fluctuations: both estimators target the same value
     inst = Instance((3, 5), (1 - 0.04, 1 - 0.02), 0.01)
     pol = mlg_stationary_policy(inst)
-    handle = StationaryHandle("mlg", pol, inst)
+    chain = stationary_chain(pol, inst, (1, 0))
     cfg = SimConfig(horizon=200_000, trials=32, seed=11)
-    est = estimate_cost(inst, handle, cfg, start=(1, 0))
-    cyc = simulate_cycles(inst, handle, cfg, start=(1, 0))
+    est = estimate_cost(inst, chain, cfg)
+    cyc = simulate_cycles(inst, chain, cfg)
     combined = math.sqrt(est.stderr_j**2 + cyc.stderr_j**2)
     assert abs(est.j_hat - cyc.j_cycle) <= 3 * combined
 
@@ -373,17 +372,52 @@ def test_simulate_cycles_errors_without_regeneration():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(EstimationError):
-            simulate_cycles(
-                inst, StationaryHandle("pin", pol, inst), SimConfig(horizon=300, trials=2, seed=6)
-            )
+            simulate_cycles(inst, stationary_chain(pol, inst), SimConfig(horizon=300, trials=2, seed=6))
 
 
 def test_warmup_shifts_accounting():
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_policy(inst, 7)
-    handle = StationaryHandle("p", pol, inst)
-    plain = run_trial(inst, handle, 100, (31, 0), inst.thresholds)
-    warmed = run_trial(inst, handle, 100, (31, 0), inst.thresholds, warmup=50)
+    policy = sim_oracle.stationary(pol, inst)
+    plain = run_trial(inst, policy, 100, (31, 0), inst.thresholds)
+    warmed = run_trial(inst, policy, 100, (31, 0), inst.thresholds, warmup=50)
     # same stream, different accounting windows
     assert plain.exceedance_total != warmed.exceedance_total or plain.deliveries != warmed.deliveries
     assert sum(warmed.deliveries) <= 100
+
+
+@st.composite
+def _engine_cases(draw):
+    """A policy of each kind on 1 to 3 clients with thresholds up to 4, from a random start."""
+    n = draw(st.integers(1, 3))
+    taus = tuple(draw(st.integers(1, 4)) for _ in range(n))
+    ps = tuple(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
+    inst = Instance(taus, ps, 0.05)
+    start = tuple(draw(st.integers(0, tau)) for tau in taus)
+    kind = draw(st.sampled_from(["stationary", "prr", "ps", "wdd"]))
+    if kind == "stationary":
+        size = inst.total_states
+        pol = StationaryPolicy(draw(st.lists(st.integers(1, n), min_size=size, max_size=size)))
+        policy, chain = sim_oracle.stationary(pol, inst), stationary_chain(pol, inst, start)
+    elif kind == "prr":
+        policy, chain = sim_oracle.prr(n), prr_chain(inst, start)
+    elif kind == "ps":
+        sequence = draw(st.permutations(range(1, n + 1))) + draw(st.lists(st.integers(1, n), max_size=3))
+        sched = PeriodicSchedule(tuple(sequence), n)
+        policy, chain = sim_oracle.ps(sched.sequence), periodic_chain(inst, sched, start)
+    else:
+        policy, chain = sim_oracle.wdd(inst), None
+    return inst, start, policy, chain, draw(st.integers(0, 300)), draw(st.integers(1, 700))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_engine_cases(), st.integers(0, 2**16))
+def test_batch_engines_match_the_oracle_on_generated_cases(case, seed):
+    # the renewal state (0, 1, 2) lies outside the clipped space when a
+    # threshold is below its component, as with thresholds (1, 1, 1)
+    inst, start, policy, chain, warmup, horizon = case
+    if chain is None:
+        run = _batch_wdd([inst], horizon, 2, seed, start, warmup, True)[0]
+    else:
+        run = _batch_chain(inst, [chain], horizon, 2, seed, warmup, True)[0]
+    _assert_points_match_reference([inst], [policy], [run], horizon, seed, [start], warmup)
