@@ -60,7 +60,6 @@ from .sim import (
     CostEstimate,
     CycleEstimate,
     SimConfig,
-    TrialResult,
     estimate_cost,
     estimate_costs,
     log_mean_exp,

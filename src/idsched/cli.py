@@ -66,10 +66,12 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
+    if "instance" not in obj:
+        raise ConfigError("config needs an 'instance' section")
     try:
         instance = instance_from_json(obj["instance"])
     except KeyError as exc:
-        raise ConfigError("config needs an 'instance' section") from exc
+        raise ConfigError(f"the instance needs a {exc.args[0]!r} key") from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad instance: {exc}") from exc
 
@@ -113,10 +115,10 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
         if (
             not isinstance(values, list)
             or not values
-            or any(type(v) not in (int, float) for v in values)
+            or any(type(v) not in (int, float) or not math.isfinite(v) for v in values)
             or any(b <= a for a, b in zip(values, values[1:]))
         ):
-            raise ConfigError("sweep values must be a nonempty, strictly increasing list of numbers")
+            raise ConfigError("sweep values must be a nonempty, strictly increasing list of finite numbers")
     if axis == "epsilon" and not isinstance(instance, AsymptoticInstance):
         raise ConfigError("an epsilon sweep requires the asymptotic instance form (taus/bs/epsilon/theta)")
     if any(spec["name"] == "mlg" for spec in policies) and instance.n_clients != 2:
@@ -315,9 +317,16 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     rows.sort(key=lambda r: (r.sweep_value, r.policy, r.method))
     target = out_path or cfg.output
     if target is not None:
-        text = "\n".join([CSV_HEADER] + [row.csv() for row in rows]) + "\n"
-        Path(target).write_text(text)
+        _write(target, "\n".join([CSV_HEADER] + [row.csv() for row in rows]) + "\n")
     return rows
+
+
+def _write(path: str | Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a configuration error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output: {exc}") from exc
 
 
 def describe(cfg: ExperimentConfig) -> str:
@@ -406,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "emit-policy":
             payload = json.dumps(emit_policy(cfg, args.policy), indent=2)
             if args.out:
-                Path(args.out).write_text(payload + "\n")
+                _write(args.out, payload + "\n")
             else:
                 print(payload)
             return 0

@@ -53,8 +53,8 @@ class Instance:
             raise ValueError("thresholds and reliabilities must have equal length")
         if any(t < 1 for t in self.thresholds):
             raise ValueError("every threshold must be a positive integer")
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         for p in self.reliabilities:
             if self.allow_endpoint_reliabilities:
                 if not 0.0 <= p <= 1.0:
@@ -92,7 +92,7 @@ class Instance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Instance":
-        return cls(tuple(obj["taus"]), tuple(obj["ps"]), obj["theta"])
+        return cls(_integers(obj["taus"], "taus"), _numbers(obj["ps"], "ps"), _number(obj["theta"], "theta"))
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,8 @@ class AsymptoticInstance:
             raise ValueError("failure coefficients must be positive")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         if any(b * self.epsilon >= 1 for b in self.coefficients):
             raise ValueError("b_n * epsilon must stay below 1 so every reliability is positive")
 
@@ -146,7 +148,34 @@ class AsymptoticInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AsymptoticInstance":
-        return cls(tuple(obj["taus"]), tuple(obj["bs"]), obj["epsilon"], obj["theta"])
+        return cls(
+            _integers(obj["taus"], "taus"),
+            _numbers(obj["bs"], "bs"),
+            _number(obj["epsilon"], "epsilon"),
+            _number(obj["theta"], "theta"),
+        )
+
+
+def _number(value, key: str) -> float:
+    """A JSON number; booleans and strings are not numbers."""
+    if type(value) not in (int, float):
+        raise ValueError(f"'{key}' must be a number, not {value!r}")
+    return value
+
+
+def _numbers(values, key: str) -> tuple:
+    """A JSON list of numbers."""
+    if not isinstance(values, list):
+        raise ValueError(f"'{key}' must be a list of numbers, not {values!r}")
+    return tuple(_number(v, key) for v in values)
+
+
+def _integers(values, key: str) -> tuple:
+    """A JSON list of integral numbers: 3 and 3.0 pass, 2.5, true and "2" do not."""
+    numbers = _numbers(values, key)
+    if not all(float(v).is_integer() for v in numbers):
+        raise ValueError(f"'{key}' must be a list of integers, not {values!r}")
+    return numbers
 
 
 def instance_from_json(obj: dict | str) -> Instance | AsymptoticInstance:

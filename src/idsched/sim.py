@@ -42,24 +42,6 @@ class SimConfig:
             raise ValueError("warmup must be nonnegative")
 
 
-@dataclass(eq=False)
-class TrialResult:
-    """Accounting summary of one simulated trial (post-warmup slots only).
-
-    ``block_exceedances`` holds the exceedance totals of the trial's
-    ``block_edges(horizon)`` blocks, in order.
-    """
-
-    block_exceedances: np.ndarray
-    deliveries: tuple[int, ...]
-    cycle_lengths: list[int]
-    cycle_exceedances: list[int]
-
-    @property
-    def exceedance_total(self) -> int:
-        return int(self.block_exceedances.sum())
-
-
 @dataclass(frozen=True)
 class CostEstimate:
     """Risk-sensitive average-cost estimate from pooled trial blocks.
@@ -76,7 +58,6 @@ class CostEstimate:
     log_mean_cost: float
     stderr_log: float
     stderr_j: float
-    trials_used: int
     degenerate: bool
     block_length: float
     tail_coverage: float
@@ -134,57 +115,41 @@ def log_mean_exp(values) -> float:
 # that tests/sim_oracle.py writes against the model)
 
 
-def _uniform_pieces(draw, warmup: int, horizon: int):
-    """The trial's uniforms in slot order, cut at the estimator block edges.
+def _slices(rngs: list[np.random.Generator], warmup: int, horizon: int):
+    """Every row's uniforms, slot-major, in sub-slices of at most ``_SLICE`` slots.
 
-    ``draw(n)`` returns the next ``n`` uniforms along its last axis; it is
-    called with ``_CHUNK`` (the last call with the remainder).  A float64
-    ``Generator.random`` stream is the same whatever sizes it is drawn in, so
-    ``_CHUNK`` only bounds the memory a draw holds.  Yields
-    ``(uniforms, closes_block)`` pieces; a piece closes a block when it ends
-    at one of the ``block_edges(horizon)``, counted after the warmup.
+    Row ``r`` reads ``rngs[r]``, drawn ``_CHUNK`` slots at a time (the last
+    draw takes the remainder).  A float64 ``Generator.random`` stream is the
+    same whatever sizes it is drawn in, so ``_CHUNK`` only bounds the memory a
+    draw holds.  Yields ``(t0, uniforms, block)`` where ``uniforms[j, r]`` is
+    row ``r``'s uniform for slot ``t0 + j`` and ``block`` indexes the
+    estimator block of the slots (``block_edges``, counted after the warmup;
+    0 in the warmup).  A sub-slice ends at the earliest of the next block
+    edge (the warmup's end, inside the warmup), the end of its draw and
+    ``t0 + _SLICE``.
     """
-    total = warmup + horizon
-    edges = {warmup + e for e in block_edges(horizon)}
-    start = 0
-    for stop in sorted(edges.union(range(_CHUNK, total, _CHUNK))):
-        if start % _CHUNK == 0:
-            chunk, offset = draw(min(_CHUNK, total - start)), start
-        yield chunk[..., start - offset : stop - offset], stop in edges
-        start = stop
-
-
-def _slices(trials: int, seed: int, warmup: int, horizon: int):
-    """Every trial's uniforms, slot-major, in sub-slices of the ``_uniform_pieces``.
-
-    Yields ``(t0, uniforms, block)`` where ``uniforms[j, r]`` is trial ``r``'s
-    uniform for slot ``t0 + j`` and ``block`` indexes the estimator block of
-    the slots (``block_edges``).  A sub-slice has at most ``_SLICE`` slots and
-    lies wholly in the warmup or wholly after it.
-    """
-    rngs = [np.random.default_rng((seed, r)) for r in range(trials)]
-
-    def draw(m: int) -> np.ndarray:
-        out = np.empty((trials, m))
-        for rng, row in zip(rngs, out):
-            rng.random(out=row)
-        return out
-
+    edges = [warmup + e for e in block_edges(horizon)]
     t0 = block = 0
-    for piece, closes_block in _uniform_pieces(draw, warmup, horizon):
-        size = piece.shape[1]
-        cuts = set(range(0, size, _SLICE))
-        if 0 < warmup - t0 < size:
-            cuts.add(warmup - t0)
-        cuts = sorted(cuts) + [size]
-        for a, b in zip(cuts, cuts[1:]):
-            yield t0 + a, np.ascontiguousarray(piece[:, a:b].T), block
-        t0 += size
-        block += closes_block
+    while t0 < edges[-1]:
+        offset = t0 % _CHUNK
+        if offset == 0:
+            chunk = np.empty((len(rngs), min(_CHUNK, edges[-1] - t0)))
+            for rng, row in zip(rngs, chunk):
+                rng.random(out=row)
+        block += t0 == edges[block]
+        stop = min(warmup if t0 < warmup else edges[block], t0 - offset + chunk.shape[1], t0 + _SLICE)
+        yield t0, np.ascontiguousarray(chunk[:, offset : offset + stop - t0].T), block
+        t0 = stop
 
 
 class _Tally:
-    """Accounting of a batch engine's rows, fed one accounted sub-slice at a time."""
+    """Accounting of a batch engine's rows (post-warmup slots only), fed one sub-slice at a time.
+
+    ``blocks[row]`` holds the row's exceedance totals over its
+    ``block_edges(horizon)`` blocks, in order, and ``deliveries[row]`` its
+    delivery count per client.  With ``record_cycles``, ``exc`` and ``regen``
+    hold every slot's exceedances and renewal hits, one column per row.
+    """
 
     def __init__(self, rows: int, n_clients: int, horizon: int, warmup: int, record_cycles: bool):
         self.warmup = warmup
@@ -204,26 +169,11 @@ class _Tally:
             self.exc[span] = exc
             self.regen[span] = at_regen
 
-    def results(self, groups: int) -> list[list[TrialResult]]:
-        """Per-trial results, split into ``groups`` runs of consecutive rows."""
-        out = []
-        for r in range(len(self.deliveries)):
-            lengths, exceed = [], []
-            pos = np.flatnonzero(self.regen[:, r]) if self.exc is not None else []
-            if len(pos) >= 2:
-                csum = np.concatenate(([0], np.cumsum(self.exc[:, r], dtype=np.int64)))
-                lengths = np.diff(pos).tolist()
-                exceed = (csum[pos[1:]] - csum[pos[:-1]]).tolist()
-            out.append(
-                TrialResult(
-                    block_exceedances=self.blocks[r],
-                    deliveries=tuple(int(d) for d in self.deliveries[r]),
-                    cycle_lengths=lengths,
-                    cycle_exceedances=exceed,
-                )
-            )
-        size = len(out) // groups
-        return [out[g * size : (g + 1) * size] for g in range(groups)]
+    def cycles(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Lengths and exceedance totals of a row's completed renewal cycles."""
+        pos = np.flatnonzero(self.regen[:, row])
+        csum = np.concatenate(([0], np.cumsum(self.exc[:, row], dtype=np.int64)))
+        return np.diff(pos), np.diff(csum[pos])
 
 
 def _batch_chain(
@@ -234,11 +184,11 @@ def _batch_chain(
     seed: int,
     warmup: int,
     record_cycles: bool,
-) -> list[list[TrialResult]]:
+) -> _Tally:
     """Trials of each chain, from its ``start``, run as one stacked chain.
 
     The chains are concatenated with index offsets, and row ``(chain, trial)``
-    draws trial ``trial``'s uniforms.  The slot loop records the chain state
+    of the returned tally draws trial ``trial``'s uniforms.  The slot loop records the chain state
     of every row; exceedances, deliveries and renewal hits (visits to the
     regeneration state in the ``base`` component, whatever the policy's
     memory) are derived from those records after each sub-slice.
@@ -258,7 +208,7 @@ def _batch_chain(
     sidx = np.repeat([c.start + off for c, off in zip(chains, offsets)], trials).reshape(shape)
     tally = _Tally(shape[0] * trials, n, horizon, warmup, record_cycles)
 
-    for t0, u, block in _slices(trials, seed, warmup, horizon):
+    for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
         states = np.empty((len(u),) + shape, dtype=np.int64)
         for j in range(len(u)):
             states[j] = sidx
@@ -273,7 +223,7 @@ def _batch_chain(
                 np.bincount(served, minlength=tally.deliveries.size).reshape(-1, n),
                 (base.take(states) == regen_idx).reshape(len(u), -1) if record_cycles else None,
             )
-    return tally.results(len(chains))
+    return tally
 
 
 def _batch_wdd(
@@ -284,8 +234,8 @@ def _batch_wdd(
     start: State,
     warmup: int,
     record_cycles: bool,
-) -> list[list[TrialResult]]:
-    """Trials of WDD on each instance (sharing thresholds), stacked as rows ``(instance, trial)``.
+) -> _Tally:
+    """Trials of WDD on each instance (sharing thresholds), stacked as tally rows ``(instance, trial)``.
 
     Each slot makes only the decision, the first client with the largest
     ``t / (p tau) - M / p`` (so ties go to the lowest client), and the
@@ -317,7 +267,7 @@ def _batch_wdd(
     record[:lag] = (np.arange(lag)[:, None] >= lag - 1 - np.asarray(start))[:, :, None] - 1
     tally = _Tally(rows, n, horizon, warmup, record_cycles)
 
-    for t0, u, block in _slices(trials, seed, warmup, horizon):
+    for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
         size = len(u)
         t_debts = np.arange(t0, t0 + size)[:, None, None, None] / ptau
         reach = u[:, None, None, :] < p_rows  # the outcome, had each client been served
@@ -347,15 +297,16 @@ def _batch_wdd(
                     at_regen &= at_tau if r == tau else (d[0] == d[r]) & (d[r] > d[r + 1])
             tally.add(t0, block, exc, (record[lag - 1 + size] - record[lag - 1]).T, at_regen)
         record[:lag] = record[size : size + lag]
-    return tally.results(len(insts))
+    return tally
 
 
 def _run_trials(
     insts: list[Instance], chains: list[Chain | None], cfg: SimConfig, record_cycles: bool
-) -> list[list[TrialResult]]:
+) -> list[tuple[_Tally, slice]]:
     """The trials of every point ``(insts[i], chains[i])``, one call per engine.
 
-    A chain of ``None`` stands for WDD, from the all-threshold state.  The
+    Returns each point's engine tally and its slice of the tally's rows.  A
+    chain of ``None`` stands for WDD, from the all-threshold state.  The
     points must share thresholds.  Points whose engine inputs are equal share
     one set of rows: for WDD the inputs are the reliabilities (theta never
     enters the engine), for a chain every array and the start.
@@ -376,12 +327,13 @@ def _run_trials(
             distinct.setdefault(key, chain)
         keys.append(key)
     args = (cfg.horizon, cfg.trials, cfg.seed)
-    runs = {}
+    tallies = {}
     if wdd:
-        runs.update(zip(wdd, _batch_wdd(list(wdd.values()), *args, taus, cfg.warmup, record_cycles)))
+        tallies["wdd"] = _batch_wdd(list(wdd.values()), *args, taus, cfg.warmup, record_cycles)
     if distinct:
-        runs.update(zip(distinct, _batch_chain(insts[0], list(distinct.values()), *args, cfg.warmup, record_cycles)))
-    return [runs[key] for key in keys]
+        tallies["chain"] = _batch_chain(insts[0], list(distinct.values()), *args, cfg.warmup, record_cycles)
+    group = {key: g for points in (wdd, distinct) for g, key in enumerate(points)}
+    return [(tallies[key[0]], slice(group[key] * cfg.trials, (group[key] + 1) * cfg.trials)) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +375,11 @@ def estimate_costs(insts: list[Instance], chains: list[Chain | None], cfg: SimCo
     points with equal engine inputs share their trials (see ``_run_trials``).
     """
     runs = _run_trials(insts, chains, cfg, record_cycles=False)
-    return [_block_estimate(inst.theta, results, cfg) for inst, results in zip(insts, runs)]
+    return [_block_estimate(inst.theta, tally.blocks[rows], cfg) for inst, (tally, rows) in zip(insts, runs)]
 
 
-def _block_estimate(theta: float, results: list[TrialResult], cfg: SimConfig) -> CostEstimate:
-    """The estimate of ``estimate_cost`` from one point's trials."""
-    fine = np.stack([res.block_exceedances for res in results])
+def _block_estimate(theta: float, fine: np.ndarray, cfg: SimConfig) -> CostEstimate:
+    """The estimate of ``estimate_cost`` from one point's block totals ``(trial, block)``."""
     per_trial = 1
     while True:
         w = theta * fine.reshape(cfg.trials, per_trial, -1).sum(axis=2).ravel()
@@ -450,7 +401,6 @@ def _block_estimate(theta: float, results: list[TrialResult], cfg: SimConfig) ->
         log_mean_cost=lme,
         stderr_log=stderr_log,
         stderr_j=stderr_log / (theta * block_length),
-        trials_used=cfg.trials,
         degenerate=degenerate,
         block_length=block_length,
         tail_coverage=coverage,
@@ -465,27 +415,20 @@ def simulate_cycles(inst: Instance, chain: Chain | None, cfg: SimConfig) -> Cycl
     ``ln(mean cost) / (theta * mean length)``.  Trials that never hit the
     renewal state complete no cycles; a warning is issued for them.
     """
-    results = _run_trials([inst], [chain], cfg, record_cycles=True)[0]
-    lengths: list[int] = []
-    counts: list[int] = []
-    aborted = 0
-    for res in results:
-        if not res.cycle_lengths:
-            aborted += 1
-            continue
-        lengths.extend(res.cycle_lengths)
-        counts.extend(res.cycle_exceedances)
+    tally, rows = _run_trials([inst], [chain], cfg, record_cycles=True)[0]
+    lengths, counts = zip(*(tally.cycles(r) for r in range(rows.start, rows.stop)))
+    aborted = sum(len(row) == 0 for row in lengths)
     if aborted:
         warnings.warn(
             f"{aborted} of {cfg.trials} trials completed no regeneration cycle",
             stacklevel=2,
         )
-    if not lengths:
+    larr = np.concatenate(lengths).astype(float)
+    if not larr.size:
         raise EstimationError("no completed regeneration cycles; longer horizon needed")
 
-    larr = np.asarray(lengths, dtype=float)
-    w = inst.theta * np.asarray(counts, dtype=float)
-    n_cycles = len(lengths)
+    w = inst.theta * np.concatenate(counts).astype(float)
+    n_cycles = larr.size
     lme = log_mean_exp(w)
     mean_len = float(larr.mean())
     j_cycle = lme / (inst.theta * mean_len)

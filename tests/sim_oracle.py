@@ -3,8 +3,8 @@
 A policy is a triple ``(memory, serve, advance)``: the memory it starts with,
 ``serve(x, m)``, the client (1-based) it serves at clipped state ``x`` with
 memory ``m``, and ``advance(m, u, delivered)``, its next memory.  Each slot
-steps through ``model.step_distribution`` and reads the trial's uniforms from
-``sim._uniform_pieces``, as the batch engines do.  Nothing here reads
+steps through ``model.step_distribution`` and reads the trial's uniforms
+through ``sim._slices``, as the batch engines do.  Nothing here reads
 ``exact.Chain``, so testing the batch engines against it is not circular.
 """
 
@@ -57,17 +57,27 @@ def wdd(inst):
 
 @dataclass
 class Trial:
-    """A trial's accounting, in the fields of ``sim.TrialResult``, and each client's delivery slots."""
+    """A trial's accounting (post-warmup slots only) and each client's delivery slots."""
 
     block_exceedances: np.ndarray
     deliveries: tuple
     cycle_lengths: list
     cycle_exceedances: list
-    delivery_slots: list
+    delivery_slots: list = None
 
     @property
     def exceedance_total(self):
         return int(self.block_exceedances.sum())
+
+
+def tally_trials(tally, points):
+    """A batch engine's ``sim._Tally`` as ``Trial`` records (no delivery slots), one list per point."""
+    trials = []
+    for row, deliveries in enumerate(tally.deliveries.tolist()):
+        cycles = tally.cycles(row) if tally.exc is not None else (np.empty(0), np.empty(0))
+        trials.append(Trial(tally.blocks[row], tuple(deliveries), *(c.tolist() for c in cycles)))
+    size = len(trials) // points
+    return [trials[g * size : (g + 1) * size] for g in range(points)]
 
 
 def run_trial(inst, policy, horizon, trial_seed, start, warmup=0):
@@ -75,23 +85,24 @@ def run_trial(inst, policy, horizon, trial_seed, start, warmup=0):
 
     Each slot charges the pre-transition state's exceedance count, serves the
     policy's client, draws the channel outcome and steps.  Visits to the
-    renewal state (pre-transition) delimit the cycles; the running exceedance
-    total is recorded at each ``sim.block_edges(horizon)`` edge.
+    renewal state (pre-transition) delimit the cycles, and each slot's
+    exceedances add to the total of its ``sim.block_edges(horizon)`` block.
     """
     memory, serve, advance = policy
     regen = sim.regeneration_state(inst.thresholds)
-    rng = np.random.default_rng(trial_seed)
     state = tuple(start)
     exceed_total = 0
-    snapshots, hits = [], []
+    blocks = np.zeros(len(sim.block_edges(horizon)), dtype=np.int64)
+    hits = []
     slots = [[] for _ in range(inst.n_clients)]
-    t = 0
-    for piece, closes_block in sim._uniform_pieces(rng.random, warmup, horizon):
-        for draw in piece.tolist():
+    for t0, uniforms, block in sim._slices([np.random.default_rng(trial_seed)], warmup, horizon):
+        for t, draw in enumerate(uniforms[:, 0].tolist(), t0):
             if t >= warmup:
                 if state == regen:
                     hits.append((t, exceed_total))
-                exceed_total += exceedance_count(state, inst.thresholds)
+                exceed = exceedance_count(state, inst.thresholds)
+                exceed_total += exceed
+                blocks[block] += exceed
             u = serve(state, memory)
             step = step_distribution(state, u, inst)
             delivered = draw < step.success_prob
@@ -99,11 +110,8 @@ def run_trial(inst, policy, horizon, trial_seed, start, warmup=0):
                 slots[u - 1].append(t)
             state = step.success_state if delivered else step.failure_state
             memory = advance(memory, u, delivered)
-            t += 1
-        if closes_block:
-            snapshots.append(exceed_total)
     return Trial(
-        block_exceedances=np.diff(np.array(snapshots, dtype=np.int64), prepend=0),
+        block_exceedances=blocks,
         deliveries=tuple(len(s) for s in slots),
         cycle_lengths=[b - a for (a, _), (b, _) in zip(hits, hits[1:])],
         cycle_exceedances=[b - a for (_, a), (_, b) in zip(hits, hits[1:])],

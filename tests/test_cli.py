@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -31,8 +32,10 @@ def _tiny_config(tmp_path, **overrides):
 
 
 def test_load_config_validates(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'instance' section"):
         load_config({"policies": ["mlg"]})
+    with pytest.raises(ConfigError, match="needs a 'ps' key"):
+        load_config({"instance": {"taus": [2], "theta": 0.1}, "policies": ["prr"]})
     with pytest.raises(ConfigError):
         load_config({"instance": {"taus": [2], "ps": [0.5], "theta": 0.1}, "policies": []})
     with pytest.raises(ConfigError):
@@ -179,6 +182,13 @@ def test_main_exit_codes(tmp_path, capsys):
     assert CSV_HEADER in captured.out
 
 
+def _plain_instance(**fields):
+    """Overrides for a plain instance with ``fields`` set (``None`` drops one), swept over theta."""
+    instance = {"taus": [2, 3], "ps": [0.6, 0.7], "theta": 0.05, **fields}
+    instance = {key: value for key, value in instance.items() if value is not None}
+    return {"instance": instance, "sweep": {"axis": "theta", "values": [0.05, 0.1]}}
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -202,6 +212,16 @@ def test_main_exit_codes(tmp_path, capsys):
         {"output": 5},
         {"output": ""},
         {"policies": [{"name": "explicit", "decisions": [True] * 12}]},
+        _plain_instance(theta=math.inf),
+        {"sweep": {"axis": "theta", "values": [0.05, math.inf]}},
+        _plain_instance(taus=[2.5, 3]),
+        _plain_instance(taus=[True, 3]),
+        _plain_instance(taus=["2", 3]),
+        _plain_instance(ps=["0.6", 0.7]),
+        _plain_instance(theta="0.05"),
+        _plain_instance(theta=True),
+        {"instance": {"taus": [2, 3], "bs": [1.0, True], "epsilon": 0.05, "theta": 0.05}},
+        _plain_instance(ps=None),
     ],
     ids=[
         "zero-horizon",
@@ -224,6 +244,16 @@ def test_main_exit_codes(tmp_path, capsys):
         "output-not-a-string",
         "output-empty",
         "explicit-boolean-decisions",
+        "theta-infinite",
+        "sweep-value-infinite",
+        "fractional-threshold",
+        "boolean-threshold",
+        "string-threshold",
+        "string-reliability",
+        "string-theta",
+        "boolean-theta",
+        "boolean-coefficient",
+        "no-reliabilities",
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
@@ -233,6 +263,19 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
         load_config(cfg_path)
     assert main(["sweep", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "sweep-output-key", "emit-policy"])
+@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, target):
+    # a missing directory or a directory, named by --out or by the config's output
+    out = str(tmp_path / target)
+    if command == "sweep-output-key":
+        assert main(["sweep", "--config", str(_tiny_config(tmp_path, output=out))]) == 2
+    else:
+        extra = ["--policy", "mlg"] if command == "emit-policy" else []
+        assert main([command, "--config", str(_tiny_config(tmp_path)), "--out", out, *extra]) == 2
+    assert "config error: cannot write the output" in capsys.readouterr().err
 
 
 def test_simulated_sweep_with_the_renewal_state_outside_the_clipped_space(tmp_path, capsys):

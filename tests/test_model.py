@@ -33,6 +33,12 @@ def test_instance_rejects_bad_data():
         Instance((2,), (0.5,), 0.0)
     with pytest.raises(ValueError):
         Instance((2, 2), (0.5,), 0.1)
+    with pytest.raises(ValueError):
+        Instance((2,), (0.5,), math.inf)
+    with pytest.raises(ValueError):
+        AsymptoticInstance((2,), (1.0,), 0.1, math.inf)
+    # an integral JSON number is a threshold; the malformed JSON fields are CLI test inputs
+    assert instance_from_json({"taus": [2.0], "ps": [0.5], "theta": 1}).thresholds == (2,)
 
 
 def test_endpoint_reliabilities_need_the_flag():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sim_oracle
-from sim_oracle import run_trial
+from sim_oracle import run_trial, tally_trials
 
 from idsched import sim
 from idsched.asymptotic import mlg_stationary_policy
@@ -24,7 +24,7 @@ from idsched.sim import (
     regeneration_state,
     simulate_cycles,
 )
-from idsched.sim import _CHUNK, _batch_chain, _batch_wdd, _uniform_pieces
+from idsched.sim import _CHUNK, _SLICE, _batch_chain, _batch_wdd, _slices
 from idsched.model import successor_on_failure, successor_on_success
 
 
@@ -54,7 +54,7 @@ def test_cycles_tile_the_trajectory():
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_policy(inst, 1)
     horizon = 2000
-    (res,) = _batch_chain(inst, [stationary_chain(pol, inst)], horizon, 1, 5, 0, True)[0]
+    (res,) = tally_trials(_batch_chain(inst, [stationary_chain(pol, inst)], horizon, 1, 5, 0, True), 1)[0]
     assert res.exceedance_total <= inst.n_clients * horizon
     assert sum(res.cycle_lengths) <= horizon
     assert sum(res.cycle_exceedances) <= res.exceedance_total
@@ -86,7 +86,7 @@ def test_batch_engines_match_reference_exactly():
     pol = _random_policy(inst, 2)
     policy = sim_oracle.stationary(pol, inst)
     ref = [run_trial(inst, policy, 400, (123, r), inst.thresholds, warmup=13) for r in range(5)]
-    bat = _batch_chain(inst, [stationary_chain(pol, inst)], 400, 5, 123, 13, True)[0]
+    bat = tally_trials(_batch_chain(inst, [stationary_chain(pol, inst)], 400, 5, 123, 13, True), 1)[0]
     for r, b in zip(ref, bat):
         assert r.exceedance_total == b.exceedance_total
         assert len(r.block_exceedances) > 1
@@ -96,7 +96,7 @@ def test_batch_engines_match_reference_exactly():
         assert r.cycle_exceedances == b.cycle_exceedances
 
     refw = [run_trial(inst, sim_oracle.wdd(inst), 400, (55, r), inst.thresholds, warmup=7) for r in range(5)]
-    batw = _batch_wdd([inst], 400, 5, 55, inst.thresholds, 7, True)[0]
+    batw = tally_trials(_batch_wdd([inst], 400, 5, 55, inst.thresholds, 7, True), 1)[0]
     for r, b in zip(refw, batw):
         assert r.exceedance_total == b.exceedance_total
         assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
@@ -116,7 +116,7 @@ def test_batch_engines_match_reference_exactly():
     ]
     for seed, (case, policy, chain, regenerates) in enumerate(cases):
         ref = [run_trial(case, policy, 600, (seed, r), case.thresholds, warmup=13) for r in range(5)]
-        bat = _batch_chain(case, [chain], 600, 5, seed, 13, True)[0]
+        bat = tally_trials(_batch_chain(case, [chain], 600, 5, seed, 13, True), 1)[0]
         assert any(r.cycle_lengths for r in ref) == regenerates
         for r, b in zip(ref, bat):
             assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
@@ -135,11 +135,12 @@ def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
     def trials_of_each_engine():
         start = inst.thresholds
         policy = sim_oracle.stationary(pol, inst)
+        chain = _batch_chain(inst, [stationary_chain(pol, inst)], horizon, trials, seed, warmup, True)
         return [
             [run_trial(inst, policy, horizon, (seed, r), start, warmup) for r in range(trials)],
-            _batch_chain(inst, [stationary_chain(pol, inst)], horizon, trials, seed, warmup, True)[0],
+            tally_trials(chain, 1)[0],
             [run_trial(inst, sim_oracle.wdd(inst), horizon, (seed, r), start, warmup) for r in range(trials)],
-            _batch_wdd([inst], horizon, trials, seed, start, warmup, True)[0],
+            tally_trials(_batch_wdd([inst], horizon, trials, seed, start, warmup, True), 1)[0],
         ]
 
     def fields(result):
@@ -188,7 +189,7 @@ def _assert_points_match_reference(insts, policies, runs, horizon, seed, starts,
 def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, start, horizon, warmup):
     insts = [Instance(taus, ps, 0.05 * (k + 1)) for k, ps in enumerate(reliabilities)]
     trials = 2 if warmup > horizon else 4
-    runs = _batch_wdd(insts, horizon, trials, 17, start or taus, warmup, True)
+    runs = tally_trials(_batch_wdd(insts, horizon, trials, 17, start or taus, warmup, True), len(insts))
     assert len(runs) == len(insts) and all(len(run) == trials for run in runs)
     policies = [sim_oracle.wdd(inst) for inst in insts]
     _assert_points_match_reference(insts, policies, runs, horizon, 17, [start or taus] * len(insts), warmup)
@@ -212,7 +213,7 @@ def test_stacked_chain_engine_matches_reference_per_point():
     ]
     insts, policies, chains, starts = zip(*cases)
     assert len({len(c.p) for c in chains}) == 3
-    runs = _batch_chain(a, list(chains), 600, 4, 29, 13, True)
+    runs = tally_trials(_batch_chain(a, list(chains), 600, 4, 29, 13, True), len(chains))
     _assert_points_match_reference(insts, policies, runs, 600, 29, starts, 13)
     assert any(res.cycle_lengths for run in runs for res in run)
 
@@ -251,7 +252,7 @@ def test_single_client_threshold_frequency():
     # symmetric two-state chain spends half its accounted slots at threshold
     inst = Instance((1,), (0.5,), 0.1)
     pol = StationaryPolicy(np.array([1, 1]))
-    (res,) = _batch_chain(inst, [stationary_chain(pol, inst, (0,))], 200_000, 1, 9, 0, False)[0]
+    (res,) = tally_trials(_batch_chain(inst, [stationary_chain(pol, inst, (0,))], 200_000, 1, 9, 0, False), 1)[0]
     assert res.exceedance_total / 200_000 == pytest.approx(0.5, abs=0.01)
 
 
@@ -283,17 +284,23 @@ def test_block_edges_nest_down_to_the_floor():
         assert coarse == edges[2 ** (10 - level) - 1 :: 2 ** (10 - level)]
 
 
-def test_uniform_pieces_cut_the_chunked_stream_at_block_edges():
-    warmup, horizon = 5, 2 * _CHUNK + 100
-    pieces = list(_uniform_pieces(np.random.default_rng(7).random, warmup, horizon))
-    rng = np.random.default_rng(7)
-    total = warmup + horizon
-    chunked = np.concatenate([rng.random(min(_CHUNK, total - k)) for k in range(0, total, _CHUNK)])
-    assert np.array_equal(np.concatenate([u for u, _ in pieces]), chunked)
-    ends = np.cumsum([u.size for u, _ in pieces])
-    assert [int(e) - warmup for e, (_, closes) in zip(ends, pieces) if closes] == block_edges(horizon)
-    # no piece straddles a chunk boundary
-    assert all(e // _CHUNK == (e - u.size) // _CHUNK or e % _CHUNK == 0 for e, (u, _) in zip(ends, pieces))
+def test_slices_cut_the_chunked_streams_at_every_edge():
+    # a warmup longer than a sub-slice, and a one-block horizon
+    for warmup, horizon in [(5, 2 * _CHUNK + 100), (_SLICE + 45, 2 * _CHUNK + 100), (_SLICE + 44, 100)]:
+        slices = list(_slices([np.random.default_rng(7), np.random.default_rng(8)], warmup, horizon))
+        total = warmup + horizon
+        for row, seed in enumerate((7, 8)):
+            rng = np.random.default_rng(seed)
+            chunked = np.concatenate([rng.random(min(_CHUNK, total - k)) for k in range(0, total, _CHUNK)])
+            assert np.array_equal(np.concatenate([u[:, row] for _, u, _ in slices]), chunked)
+        edges = [warmup] + [warmup + e for e in block_edges(horizon)]
+        start = 0
+        for t0, u, block in slices:
+            end = t0 + len(u)
+            assert t0 == start and 0 < len(u) <= _SLICE
+            assert not any(t0 < e < end for e in edges + list(range(0, total, _CHUNK)))
+            assert block == sum(e <= t0 for e in edges[1:])
+            start = end
 
 
 def test_estimate_cost_halves_blocks_only_when_the_tail_is_uncovered():
@@ -417,7 +424,7 @@ def test_batch_engines_match_the_oracle_on_generated_cases(case, seed):
     # threshold is below its component, as with thresholds (1, 1, 1)
     inst, start, policy, chain, warmup, horizon = case
     if chain is None:
-        run = _batch_wdd([inst], horizon, 2, seed, start, warmup, True)[0]
+        run = tally_trials(_batch_wdd([inst], horizon, 2, seed, start, warmup, True), 1)[0]
     else:
-        run = _batch_chain(inst, [chain], horizon, 2, seed, warmup, True)[0]
+        run = tally_trials(_batch_chain(inst, [chain], horizon, 2, seed, warmup, True), 1)[0]
     _assert_points_match_reference([inst], [policy], [run], horizon, seed, [start], warmup)
