@@ -281,8 +281,12 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     The finite chains of every (policy, point) pair are evaluated exactly in
     one stacked call, and the simulated pairs go to the simulator in one
     call, so each engine runs once per sweep.  Rows are emitted in sorted
-    order, so reruns of the same config are byte-identical.
+    order, so reruns of the same config are byte-identical.  An output path
+    that cannot be written is reported before any evaluation.
     """
+    target = out_path or cfg.output
+    if target is not None:
+        _check_output(target)
     points = [(value, _Evaluator(cfg, _instance_at(cfg, value))) for value in cfg.sweep_values]
     ref_js = [ev.reference() for _, ev in points]
     rows = []
@@ -315,10 +319,18 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
         for (spec, value, _, ref_j), est in zip(simulated, sim.estimate_costs(insts, sim_chains, sim_cfg)):
             rows.append(ResultRow(value, spec["name"], est.j_hat, est.j_hat / ref_j, est.stderr_j, "simulate", True))
     rows.sort(key=lambda r: (r.sweep_value, r.policy, r.method))
-    target = out_path or cfg.output
     if target is not None:
         _write(target, "\n".join([CSV_HEADER] + [row.csv() for row in rows]) + "\n")
     return rows
+
+
+def _check_output(path: str | Path) -> None:
+    """Raise the error of ``_write`` early where ``path`` is a directory or its directory is missing."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ConfigError(f"cannot write the output: no directory {str(path.parent)!r}")
+    if path.is_dir():
+        raise ConfigError(f"cannot write the output: {str(path)!r} is a directory")
 
 
 def _write(path: str | Path, text: str) -> None:

@@ -380,7 +380,7 @@ def _perron(
     iterate ``w``.
     """
     rows = len(excess)
-    w = np.zeros(excess.shape)
+    w = np.zeros_like(excess)  # in the memory order of excess, which every iterate keeps
     lo, hi = np.full(rows, -np.inf), np.full(rows, np.inf)
     iterations = np.full(rows, max_iter)
     running = np.ones(rows, dtype=bool)
@@ -408,90 +408,108 @@ def _perron(
     return _Brackets(lo, hi, iterations), w
 
 
+def _closed_classes(
+    succ: np.ndarray, fail: np.ndarray, start: Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closed class each start reaches, and the states it reaches, as masks over the states.
+
+    ``succ`` and ``fail`` are the successor arrays of disjoint chains put
+    side by side, with indices offset into one range, and ``start`` holds
+    one state of each chain.  From any state, ``tau_max`` failures in a row
+    reach the all-threshold state, so a chain has one closed class and every
+    start reaches it.  One rule serves every chain: ``x = fail^(2^k)(start)``,
+    with ``2^k`` above the state count, lies on the failure walk's cycle,
+    and the class is what ``x`` reaches, once every state the start reaches
+    is shown to lead back to ``x``; else ``StructuralError``.  From a
+    recurrent start the class is the reached set.
+    """
+    jump = fail
+    for _ in range(len(fail).bit_length()):
+        jump = jump[jump]
+    start = np.asarray(start)
+    x = jump[start]
+
+    def reach(frontier: np.ndarray) -> np.ndarray:
+        reached = np.zeros(len(fail), dtype=bool)
+        claim = np.empty(len(fail), dtype=np.int64)  # the last entry naming a state walks it, once
+        reached[frontier] = True
+        while frontier.size:
+            following = np.concatenate([succ[frontier], fail[frontier]])
+            following = following[~reached[following]]
+            entries = np.arange(len(following))
+            claim[following] = entries
+            frontier = following[claim[following] == entries]
+            reached[frontier] = True
+        return reached
+
+    member, reached = reach(x), reach(start)
+    back = np.zeros(len(fail), dtype=bool)
+    back[x] = True
+    while not np.array_equal(grown := back | (reached & (back[succ] | back[fail])), back):
+        back = grown
+    if (reached & ~back).any():
+        raise StructuralError("start reaches more than one closed class, or one off its failure cycle")
+    return member, reached
+
+
 def _chain_brackets(
-    succ: np.ndarray, fail: np.ndarray, p: np.ndarray, excess: np.ndarray, max_iter: int
-) -> _Brackets:
-    """Brackets of closed chains stacked as rows of (rows, S) arrays."""
-    rows, n = succ.shape
-    offsets = np.arange(0, rows * n, n)[:, None]
-    succ, fail = succ + offsets, fail + offsets
+    succ: Sequence[np.ndarray],
+    fail: Sequence[np.ndarray],
+    p: Sequence[np.ndarray],
+    hits: Sequence[np.ndarray],
+    theta: np.ndarray | float,
+    start: Sequence[int] | np.ndarray,
+    max_iter: int,
+) -> tuple[_Brackets, list[np.ndarray], list[np.ndarray]]:
+    """Brackets of chains given as one array per chain, one row each, with ``_closed_classes`` of their starts.
+
+    ``theta`` is one per chain or shared.  The chains are put side by side,
+    and row ``r`` holds chain ``r``'s closed class, members in index order,
+    padded with copies of its first member to the widest class.  A copy's
+    iterate mirrors that state's and leaves the bracket unchanged, so a
+    row's bracket does not depend on the rows stacked with it.  A stack of
+    more rows than states is held column by column, so the row reductions
+    of ``_perron`` run along memory.  Returns each chain's class and reached
+    states as masks over its own states.
+    """
+    lengths = np.array([len(a) for a in fail])
+    offsets = np.cumsum(lengths) - lengths
+    succ, fail = (np.concatenate(a) + np.repeat(offsets, lengths) for a in (succ, fail))
+    member, reached = _closed_classes(succ, fail, np.asarray(start) + offsets)
+    before = np.concatenate([[0], np.cumsum(member)])  # members below each state: a member's rank
+    first = before[offsets]
+    count = before[offsets + lengths] - first
+    width = count.max()
+    layout = "F" if len(lengths) > width else "C"
+    slot = first[:, None] + np.arange(width)  # rank of each row entry's state among all members
+    slot = np.where(slot < (first + count)[:, None], slot, first[:, None]).copy(order=layout)
+    states = np.flatnonzero(member)[slot]  # in the memory order of slot, as is every array gathered through it
+    position = np.arange(states.size).reshape(states.shape, order=layout)  # in w.ravel(order=layout)
+    succ, fail = (np.take_along_axis(position, before[a[states]] - first[:, None], axis=1) for a in (succ, fail))
+    p = np.concatenate(p)[states]
+    excess = np.expm1(np.reshape(theta, (-1, 1)) * np.concatenate(hits)[states])
+    del before, states, position  # the iteration sets the peak memory: keep only what it reads
 
     def drift(w: np.ndarray) -> np.ndarray:
-        flat = w.ravel()
+        flat = w.ravel(order=layout)
         after_fail = flat[fail]
         return (after_fail - w) + p * (flat[succ] - after_fail)
 
-    return _perron(drift, excess, max_iter)[0]
-
-
-def _reachable(succ: np.ndarray, fail: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The states each row's ``start`` reaches along its successor arrays, shape (rows, S).
-
-    One frontier walk serves the whole stack.  From an all-threshold start
-    the set is the row's closed class: every state fails its way back there.
-    """
-    rows, n = succ.shape
-    offsets = np.arange(0, rows * n, n)
-    succ, fail = (succ + offsets[:, None]).ravel(), (fail + offsets[:, None]).ravel()
-    reached = np.zeros(rows * n, dtype=bool)
-    claim = np.empty(rows * n, dtype=np.int64)  # the last entry naming a state walks it, once
-    frontier = np.asarray(start) + offsets
-    reached[frontier] = True
-    while frontier.size:
-        following = np.concatenate([succ[frontier], fail[frontier]])
-        following = following[~reached[following]]
-        entries = np.arange(len(following))
-        claim[following] = entries
-        frontier = following[claim[following] == entries]
-        reached[frontier] = True
-    return reached.reshape(rows, n)
-
-
-def _leads_back(chain: Chain, reached: np.ndarray, target: int) -> bool:
-    """True iff every state in ``reached`` leads back to ``target``."""
-    back = np.zeros(len(reached), dtype=bool)
-    back[target] = True
-    while True:
-        grown = back | (reached & (back[chain.succ] | back[chain.fail]))
-        if np.array_equal(grown, back):
-            return bool(back[reached].all())
-        back = grown
-
-
-def _closed_class(chain: Chain) -> tuple[np.ndarray, frozenset]:
-    """The closed class the chain's start reaches, as sorted chain indices, and the transient states it reaches.
-
-    From any state, ``tau_max`` failures in a row reach the all-threshold
-    state, so a chain has one closed class and every start reaches it.  When
-    the start is recurrent the class is the reached set.  Else it is what a
-    state ``x`` on the failure walk's cycle reaches, once every reached state
-    is shown to lead back to ``x``.
-    """
-    reached = _reachable(chain.succ[None], chain.fail[None], [chain.start])[0]
-    if _leads_back(chain, reached, chain.start):
-        return np.flatnonzero(reached), frozenset()
-    jump = chain.fail
-    for _ in range(len(jump).bit_length()):
-        jump = jump[jump]
-    x = int(jump[chain.start])
-    if not _leads_back(chain, reached, x):
-        raise StructuralError("start reaches more than one closed class, or one off its failure cycle")
-    member = _reachable(chain.succ[None], chain.fail[None], [x])[0]
-    return np.flatnonzero(member), frozenset(np.flatnonzero(reached & ~member).tolist())
+    return _perron(drift, excess, max_iter)[0], np.split(member, offsets[1:]), np.split(reached, offsets[1:])
 
 
 def _solve_report(
-    brackets: _Brackets, row: int, theta: float, tol: float, members: np.ndarray, transient: frozenset
+    brackets: _Brackets, row: int, theta: float, tol: float, member: np.ndarray, reached: np.ndarray
 ) -> SolveReport:
-    """The report of the chain whose closed class is ``row`` of ``brackets``."""
+    """The report of ``row`` of ``brackets``, whose start reaches the states ``reached`` and the class ``member``."""
     j, j_lo, j_hi = (float(x[row]) for x in brackets.costs(theta))
     return SolveReport(
         spectral_radius=math.exp(theta * j),
         average_cost=j,
         j_lo=j_lo,
         j_hi=j_hi,
-        recurrent_class=frozenset(members.tolist()),
-        transient_states=transient,
+        recurrent_class=frozenset(np.flatnonzero(member).tolist()),
+        transient_states=frozenset(np.flatnonzero(reached & ~member).tolist()),
         iterations=int(brackets.iterations[row]),
         converged=j_hi - j_lo <= tol * j_lo,
     )
@@ -503,29 +521,21 @@ def chain_average_costs(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[SolveReport]:
-    """Average costs of finite chains from their start states, in one stacked ``_perron`` call.
+    """Average costs of finite chains from their start states, in one ``_chain_brackets`` call.
 
-    Each chain is one row: its closed class (``_closed_class``), compacted to
-    its states and padded with copies of its first state, whose iterates
-    mirror that state's and leave the bracket unchanged; so a chain's report
-    does not depend on the chains stacked with it.  A chain's average cost
-    is ``ln(spectral radius) / theta`` of its class.  Reported state sets
-    are chain indices; ``converged`` is true iff ``J_hi - J_lo <= tol * J_lo``.
+    Each chain is one row.  A chain's average cost is
+    ``ln(spectral radius) / theta`` of its closed class, and its report does
+    not depend on the chains stacked with it.  Reported state sets are chain
+    indices; ``converged`` is true iff ``J_hi - J_lo <= tol * J_lo``.
     """
-    found = [_closed_class(chain) for chain in chains]
-    width = max(len(members) for members, _ in found)
-    succ, fail = (np.empty((len(chains), width), dtype=np.int64) for _ in range(2))
-    p, excess = (np.empty((len(chains), width)) for _ in range(2))
-    for row, (chain, theta, (members, _)) in enumerate(zip(chains, thetas, found)):
-        states = np.concatenate([members, np.full(width - len(members), members[0])])
-        succ[row] = np.searchsorted(members, chain.succ[states])
-        fail[row] = np.searchsorted(members, chain.fail[states])
-        p[row] = chain.p[states]
-        excess[row] = np.expm1(theta * chain.hits[states])
-    brackets = _chain_brackets(succ, fail, p, excess, max_iter)
+    brackets, member, reached = _chain_brackets(
+        *([getattr(chain, name) for chain in chains] for name in ("succ", "fail", "p", "hits")),
+        np.asarray(thetas, dtype=float),
+        [chain.start for chain in chains],
+        max_iter,
+    )
     return [
-        _solve_report(brackets, row, thetas[row], tol, members, transient)
-        for row, (members, transient) in enumerate(found)
+        _solve_report(brackets, row, theta, tol, member[row], reached[row]) for row, theta in enumerate(thetas)
     ]
 
 
@@ -630,7 +640,7 @@ def cycle_expectations(
     inst.require_interior_reliabilities()
     chain = stationary_chain(policy, inst, regen)
     s0, ones = chain.start, np.ones(len(chain.fail))
-    if not _leads_back(chain, _reachable(chain.succ[None], chain.fail[None], [s0])[0], s0):
+    if not _closed_classes(chain.succ, chain.fail, [s0])[0][s0]:
         raise StructuralError("renewal state is not recurrent under this policy")
     e_len = np.linalg.solve(_excursion(chain, 1.0)[0], ones)[s0]
     excursion, into = _excursion(chain, np.exp(inst.theta * chain.hits))
@@ -641,29 +651,6 @@ def cycle_expectations(
     if not (z > 0).all():
         raise StructuralError("cycle cost expectation diverges (excursion radius >= 1)")
     return float(m[s0]), float(e_len)
-
-
-def _stationary_brackets(inst: Instance, served: np.ndarray, max_iter: int) -> tuple[_Brackets, np.ndarray]:
-    """Brackets and closed classes of stationary policies, one per row of 0-based clients in ``served``.
-
-    Each row starts at the all-threshold state, so its closed class is what
-    that state reaches.  A state off the class is made a copy of the start:
-    its iterate then mirrors the start's and leaves the bracket unchanged.
-    """
-    tables = transition_tables(inst)
-    start = tables.indexer.index(inst.thresholds)
-    succ = tables.succ[np.arange(len(tables.fail)), served]
-    p = np.asarray(inst.reliabilities)[served]
-    excess = np.expm1(inst.theta * tables.hits)
-    member = _reachable(succ, np.broadcast_to(tables.fail, served.shape), np.full(len(served), start))
-    brackets = _chain_brackets(
-        np.where(member, succ, succ[:, [start]]),
-        np.where(member, tables.fail, tables.fail[start]),
-        np.where(member, p, p[:, [start]]),
-        np.where(member, excess, excess[start]),
-        max_iter,
-    )
-    return brackets, member
 
 
 def policy_count(inst: Instance, ne_only: bool, cap: int) -> int:
@@ -695,9 +682,9 @@ def exhaustive_optimal(
     By default only policies avoiding every exclusion state are enumerated
     (the rest are dominated or pinned); pass ``ne_only=False`` to enumerate
     all decision maps.  Ties favor the lexicographically smallest decision array.
-    The policies are evaluated as rows of stacked chains, up to
-    ``_STACK_BLOCK`` chain states per ``_perron`` call; each row's closed
-    class is what the all-threshold start reaches.
+    The policies are evaluated as rows of stacked chains from the
+    all-threshold start, up to ``_STACK_BLOCK`` chain states per
+    ``_chain_brackets`` call.
     """
     inst.require_interior_reliabilities()
     count = policy_count(inst, ne_only, policy_cap)
@@ -706,8 +693,10 @@ def exhaustive_optimal(
             f"{count}+ policies exceed the enumeration cap of {policy_cap}; "
             "use growth_rate_optimal instead"
         )
-    indexer = inst.indexer()
+    tables = transition_tables(inst)
+    indexer = tables.indexer
     n_states, n = indexer.total_states, inst.n_clients
+    start = indexer.index(inst.thresholds)
     allowed: list[tuple[int, ...]] = [tuple(range(n))] * n_states
     if ne_only and n >= 2:
         for client in range(n):
@@ -717,9 +706,17 @@ def exhaustive_optimal(
     best: tuple | None = None
     while served := list(islice(policies, max(1, _STACK_BLOCK // n_states))):
         served = np.array(served)
-        brackets, member = _stationary_brackets(inst, served, max_iter)
+        brackets, member, reached = _chain_brackets(
+            tables.succ[np.arange(n_states), served],
+            np.broadcast_to(tables.fail, served.shape),
+            np.asarray(inst.reliabilities)[served],
+            np.broadcast_to(tables.hits, served.shape),
+            inst.theta,
+            np.full(len(served), start),
+            max_iter,
+        )
         row = int(np.argmin(brackets.costs(inst.theta)[0]))
-        report = _solve_report(brackets, row, inst.theta, tol, np.flatnonzero(member[row]), frozenset())
+        report = _solve_report(brackets, row, inst.theta, tol, member[row], reached[row])
         if best is None or report.average_cost < best[1].average_cost:
             best = served[row] + 1, report
     assert best is not None

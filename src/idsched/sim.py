@@ -147,8 +147,9 @@ class _Tally:
 
     ``blocks[row]`` holds the row's exceedance totals over its
     ``block_edges(horizon)`` blocks, in order, and ``deliveries[row]`` its
-    delivery count per client.  With ``record_cycles``, ``exc`` and ``regen``
-    hold every slot's exceedances and renewal hits, one column per row.
+    delivery count per client.  With ``record_cycles`` (the chain engine
+    only), ``exc`` and ``regen`` hold every slot's exceedances and renewal
+    hits, one column per row.
     """
 
     def __init__(self, rows: int, n_clients: int, horizon: int, warmup: int, record_cycles: bool):
@@ -226,15 +227,7 @@ def _batch_chain(
     return tally
 
 
-def _batch_wdd(
-    insts: list[Instance],
-    horizon: int,
-    trials: int,
-    seed: int,
-    start: State,
-    warmup: int,
-    record_cycles: bool,
-) -> _Tally:
+def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, start: State, warmup: int) -> _Tally:
     """Trials of WDD on each instance (sharing thresholds), stacked as tally rows ``(instance, trial)``.
 
     Each slot makes only the decision, the first client with the largest
@@ -243,12 +236,10 @@ def _batch_wdd(
     delivery at slot ``-x - 1`` stands for each client's start ``x``.  With
     ``D(t)`` a client's count before slot ``t``, it sits at its threshold
     ``tau`` when ``D(t) == D(t - tau)`` (no delivery in the last ``tau``
-    slots), and at a renewal value ``r < tau`` when also
-    ``D(t - r) > D(t - r - 1)`` (its last delivery was in slot ``t - r - 1``).
-    So the last ``max(tau) + 1`` records carry over between sub-slices.
+    slots).  So the last ``max(tau) + 1`` records carry over between
+    sub-slices.
     """
     taus = insts[0].thresholds
-    regen = regeneration_state(taus)
     n = len(taus)
     rows = len(insts) * trials
     # per-slot arrays are client-major, (client, instance, trial), so that
@@ -265,7 +256,7 @@ def _batch_wdd(
     # before the first slot they are -1, and 0 from the virtual delivery on
     record = np.empty((lag + _SLICE, n, rows), dtype=np.int32)
     record[:lag] = (np.arange(lag)[:, None] >= lag - 1 - np.asarray(start))[:, :, None] - 1
-    tally = _Tally(rows, n, horizon, warmup, record_cycles)
+    tally = _Tally(rows, n, horizon, warmup, False)
 
     for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
         size = len(u)
@@ -285,24 +276,15 @@ def _batch_wdd(
 
         if t0 >= warmup:
             exc = np.zeros((size, rows), dtype=np.int16)
-            at_regen = np.ones((size, rows), dtype=bool) if record_cycles else None
-            for c, (tau, r) in enumerate(zip(taus, regen)):
-                # d[k][j] = D(t0 + j - k), the client's count before slot t0 + j - k
-                d = [record[lag - 1 - k : lag - 1 - k + size, c] for k in range(tau + 1)]
-                at_tau = d[0] == d[tau]
-                exc += at_tau
-                if record_cycles and r > tau:  # a renewal state outside the clipped space
-                    at_regen[:] = False
-                elif record_cycles:
-                    at_regen &= at_tau if r == tau else (d[0] == d[r]) & (d[r] > d[r + 1])
-            tally.add(t0, block, exc, (record[lag - 1 + size] - record[lag - 1]).T, at_regen)
+            for c, tau in enumerate(taus):
+                # D(t0 + j) == D(t0 + j - tau): the client's counts before those slots
+                exc += record[lag - 1 : lag - 1 + size, c] == record[lag - 1 - tau : lag - 1 - tau + size, c]
+            tally.add(t0, block, exc, (record[lag - 1 + size] - record[lag - 1]).T, None)
         record[:lag] = record[size : size + lag]
     return tally
 
 
-def _run_trials(
-    insts: list[Instance], chains: list[Chain | None], cfg: SimConfig, record_cycles: bool
-) -> list[tuple[_Tally, slice]]:
+def _run_trials(insts: list[Instance], chains: list[Chain | None], cfg: SimConfig) -> list[tuple[_Tally, slice]]:
     """The trials of every point ``(insts[i], chains[i])``, one call per engine.
 
     Returns each point's engine tally and its slice of the tally's rows.  A
@@ -329,9 +311,9 @@ def _run_trials(
     args = (cfg.horizon, cfg.trials, cfg.seed)
     tallies = {}
     if wdd:
-        tallies["wdd"] = _batch_wdd(list(wdd.values()), *args, taus, cfg.warmup, record_cycles)
+        tallies["wdd"] = _batch_wdd(list(wdd.values()), *args, taus, cfg.warmup)
     if distinct:
-        tallies["chain"] = _batch_chain(insts[0], list(distinct.values()), *args, cfg.warmup, record_cycles)
+        tallies["chain"] = _batch_chain(insts[0], list(distinct.values()), *args, cfg.warmup, False)
     group = {key: g for points in (wdd, distinct) for g, key in enumerate(points)}
     return [(tallies[key[0]], slice(group[key] * cfg.trials, (group[key] + 1) * cfg.trials)) for key in keys]
 
@@ -374,7 +356,7 @@ def estimate_costs(insts: list[Instance], chains: list[Chain | None], cfg: SimCo
     The points share thresholds, and each engine runs once for all of them;
     points with equal engine inputs share their trials (see ``_run_trials``).
     """
-    runs = _run_trials(insts, chains, cfg, record_cycles=False)
+    runs = _run_trials(insts, chains, cfg)
     return [_block_estimate(inst.theta, tally.blocks[rows], cfg) for inst, (tally, rows) in zip(insts, runs)]
 
 
@@ -407,16 +389,18 @@ def _block_estimate(theta: float, fine: np.ndarray, cfg: SimConfig) -> CostEstim
     )
 
 
-def simulate_cycles(inst: Instance, chain: Chain | None, cfg: SimConfig) -> CycleEstimate:
-    """Renewal-cycle estimates pooled across trials.
+def simulate_cycles(inst: Instance, chain: Chain, cfg: SimConfig) -> CycleEstimate:
+    """Renewal-cycle estimates pooled across the trials of a finite chain.
 
     Estimates the mean cycle length and the mean multiplicative cycle cost
     (log domain), and combines them into the implied average cost
     ``ln(mean cost) / (theta * mean length)``.  Trials that never hit the
     renewal state complete no cycles; a warning is issued for them.
     """
-    tally, rows = _run_trials([inst], [chain], cfg, record_cycles=True)[0]
-    lengths, counts = zip(*(tally.cycles(r) for r in range(rows.start, rows.stop)))
+    if chain is None:
+        raise ValueError("renewal cycles need a finite chain; WDD has none")
+    tally = _batch_chain(inst, [chain], cfg.horizon, cfg.trials, cfg.seed, cfg.warmup, True)
+    lengths, counts = zip(*(tally.cycles(r) for r in range(cfg.trials)))
     aborted = sum(len(row) == 0 for row in lengths)
     if aborted:
         warnings.warn(

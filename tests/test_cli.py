@@ -267,8 +267,13 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
 
 @pytest.mark.parametrize("command", ["sweep", "sweep-output-key", "emit-policy"])
 @pytest.mark.parametrize("target", ["missing/out.csv", "."])
-def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, target):
-    # a missing directory or a directory, named by --out or by the config's output
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, command, target):
+    # a missing directory or a directory, named by --out or by the config's output;
+    # a sweep reports it before its optimum search
+    def no_search(inst):
+        raise AssertionError("the sweep ran before its output was checked")
+
+    monkeypatch.setattr(exact, "growth_rate_optimal", no_search)
     out = str(tmp_path / target)
     if command == "sweep-output-key":
         assert main(["sweep", "--config", str(_tiny_config(tmp_path, output=out))]) == 2

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from dense_oracle import eigvals_cost, recurrent, stationary_dense
+from dense_oracle import dense_chain, eigvals_cost, recurrent, stationary_dense
 
 from idsched import exact
 from idsched.asymptotic import mlg_stationary_policy
@@ -172,6 +172,18 @@ def test_relabeling_conjugates_the_transition_matrix():
     assert np.array_equal(swapped.hits, chain.hits[perm])
 
 
+def _assert_classes_from_every_start(chain, reach):
+    # one walk over n copies of the chain side by side, copy i from state i,
+    # against the dense closure
+    closed = recurrent(reach)
+    n = len(chain.p)
+    offsets = np.arange(0, n * n, n)[:, None]
+    succ, fail = ((a + offsets).ravel() for a in (chain.succ, chain.fail))
+    member, reached = exact._closed_classes(succ, fail, offsets.ravel() + np.arange(n))
+    assert closed.any() and (member.reshape(n, n) == closed).all()
+    assert np.array_equal(reached.reshape(n, n), reach)
+
+
 def test_ne_policies_have_one_closed_class_with_threshold_state():
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     idx_tau = inst.indexer().index(inst.thresholds)
@@ -183,10 +195,23 @@ def test_ne_policies_have_one_closed_class_with_threshold_state():
         # all-threshold is recurrent and every recurrent state is in its class
         assert closed[idx_tau] and np.array_equal(closed, reach[idx_tau])
         assert not np.diag(weighted)[~closed].any()
-        for start in inst.indexer().states():
-            members, transient = exact._closed_class(exact.stationary_chain(pol, inst, start))
-            assert members.tolist() == np.flatnonzero(closed).tolist()
-            assert transient == set(np.flatnonzero(reach[inst.indexer().index(start)] & ~closed).tolist())
+        _assert_classes_from_every_start(exact.stationary_chain(pol, inst), reach)
+        starts = list(inst.indexer().states())
+        chains = [exact.stationary_chain(pol, inst, start) for start in starts]
+        for start, report in zip(starts, exact.chain_average_costs(chains, [inst.theta] * len(chains))):
+            assert report.recurrent_class == set(np.flatnonzero(closed).tolist())
+            assert report.transient_states == set(np.flatnonzero(reach[inst.indexer().index(start)] & ~closed).tolist())
+
+
+@pytest.mark.parametrize("inst", [Instance((2, 3), (0.6, 0.7), 0.05), Instance((1, 2, 2), (0.5, 0.7, 0.9), 0.1)])
+def test_round_robin_and_periodic_chains_have_one_closed_class_from_every_start(inst):
+    # memory above one: the PRR token and the PS phase
+    n = inst.n_clients
+    _, reach = dense_chain(inst, n, lambda x, m: m + 1, lambda m, delivered: (m + 1) % n if delivered else m)
+    _assert_classes_from_every_start(prr_chain(inst), reach)
+    sequence = tuple(range(1, n + 1)) + (1,)
+    _, reach = dense_chain(inst, len(sequence), lambda x, m: sequence[m], lambda m, delivered: (m + 1) % len(sequence))
+    _assert_classes_from_every_start(periodic_chain(inst, PeriodicSchedule(sequence, n)), reach)
 
 
 def test_a_start_that_reaches_two_closed_classes_is_a_structural_error():
@@ -202,6 +227,11 @@ def test_a_start_that_reaches_two_closed_classes_is_a_structural_error():
     )
     with pytest.raises(StructuralError, match="more than one closed class"):
         exact.chain_average_cost(chain, 0.1)
+    # stacked with a good chain of another size, the bad row still raises
+    inst = Instance((2, 3), (0.6, 0.7), 0.05)
+    good = exact.stationary_chain(_random_ne_policy(inst, np.random.default_rng(1)), inst)
+    with pytest.raises(StructuralError, match="more than one closed class"):
+        exact.chain_average_costs([good, chain], [0.1, 0.1])
     assert exact.chain_average_cost(dataclasses.replace(chain, start=1), 0.1).recurrent_class == {1}
 
 
@@ -521,10 +551,11 @@ def test_stacked_rows_match_per_policy_evaluation_where_cycles_lie_off_the_class
         on_cycle = ((weighted > 0) & reach.T).any(axis=1)  # a successor leads back
         (off_class if (on_cycle & ~reach[start]).any() else others).append(policy.decisions)
     assert off_class
-    served = np.array(off_class + others[:8]) - 1
-    brackets, _ = exact._stationary_brackets(inst, served, exact.DEFAULT_MAX_ITER)
-    expected = [average_cost(StationaryPolicy(d + 1), inst).average_cost for d in served]
-    assert brackets.costs(inst.theta)[0].tolist() == expected
+    policies = [StationaryPolicy(d) for d in off_class + others[:8]]
+    chains = [exact.stationary_chain(pol, inst) for pol in policies]
+    stacked = exact.chain_average_costs(chains, [inst.theta] * len(chains))
+    expected = [average_cost(pol, inst).average_cost for pol in policies]
+    assert [report.average_cost for report in stacked] == expected
 
 
 def test_stacked_chains_of_any_size_match_their_own_evaluation():

@@ -96,13 +96,11 @@ def test_batch_engines_match_reference_exactly():
         assert r.cycle_exceedances == b.cycle_exceedances
 
     refw = [run_trial(inst, sim_oracle.wdd(inst), 400, (55, r), inst.thresholds, warmup=7) for r in range(5)]
-    batw = tally_trials(_batch_wdd([inst], 400, 5, 55, inst.thresholds, 7, True), 1)[0]
+    batw = tally_trials(_batch_wdd([inst], 400, 5, 55, inst.thresholds, 7), 1)[0]
     for r, b in zip(refw, batw):
         assert r.exceedance_total == b.exceedance_total
         assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
         assert r.deliveries == b.deliveries
-        assert r.cycle_lengths == b.cycle_lengths
-        assert r.cycle_exceedances == b.cycle_exceedances
 
     # round robin and periodic schedules on their augmented chains, with a
     # warmup that is not a multiple of the period; on three clients the token
@@ -140,11 +138,12 @@ def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
             [run_trial(inst, policy, horizon, (seed, r), start, warmup) for r in range(trials)],
             tally_trials(chain, 1)[0],
             [run_trial(inst, sim_oracle.wdd(inst), horizon, (seed, r), start, warmup) for r in range(trials)],
-            tally_trials(_batch_wdd([inst], horizon, trials, seed, start, warmup, True), 1)[0],
+            tally_trials(_batch_wdd([inst], horizon, trials, seed, start, warmup), 1)[0],
         ]
 
-    def fields(result):
-        return (result.block_exceedances.tolist(), result.deliveries, result.cycle_lengths, result.cycle_exceedances)
+    def fields(result, cycles=True):
+        accounting = (result.block_exceedances.tolist(), result.deliveries)
+        return accounting + (result.cycle_lengths, result.cycle_exceedances) if cycles else accounting
 
     default = trials_of_each_engine()
     monkeypatch.setattr(sim, "_CHUNK", chunk)
@@ -152,17 +151,20 @@ def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
     for engine in range(4):
         assert [fields(r) for r in patched[engine]] == [fields(r) for r in default[engine]]
     assert [fields(r) for r in default[0]] == [fields(r) for r in default[1]]
-    assert [fields(r) for r in default[2]] == [fields(r) for r in default[3]]
+    # the WDD engine records no renewal cycles
+    assert [fields(r, False) for r in default[2]] == [fields(r, False) for r in default[3]]
 
 
-def _assert_points_match_reference(insts, policies, runs, horizon, seed, starts, warmup):
+def _assert_points_match_reference(insts, policies, runs, horizon, seed, starts, warmup, cycles=True):
+    # the WDD engine records no renewal cycles, so its runs pass cycles=False
     for inst, policy, start, run in zip(insts, policies, starts, runs):
         for r, b in enumerate(run):
             ref = run_trial(inst, policy, horizon, (seed, r), start, warmup=warmup)
             assert ref.block_exceedances.tolist() == b.block_exceedances.tolist()
             assert ref.deliveries == b.deliveries
-            assert ref.cycle_lengths == b.cycle_lengths
-            assert ref.cycle_exceedances == b.cycle_exceedances
+            if cycles:
+                assert ref.cycle_lengths == b.cycle_lengths
+                assert ref.cycle_exceedances == b.cycle_exceedances
 
 
 @pytest.mark.parametrize(
@@ -175,7 +177,7 @@ def _assert_points_match_reference(insts, policies, runs, horizon, seed, starts,
         ((2, 3, 4), [(0.6, 0.7, 0.8), (0.7, 0.7, 0.7)], (0, 2, 2), 500, 33),
         # the warmup crosses a chunk of the uniform stream
         ((2, 3), [(0.6, 0.7), (0.3, 0.9)], None, 50, 20_000),
-        # the renewal component of client 1 equals its threshold
+        # client 1 with a threshold of 1
         ((1, 3), [(0.6, 0.7), (0.9, 0.4)], None, 600, 13),
         # a start below the thresholds, with no warmup to hide its encoding
         ((2, 3), [(0.6, 0.7), (0.8, 0.5)], (0, 3), 500, 0),
@@ -189,12 +191,11 @@ def _assert_points_match_reference(insts, policies, runs, horizon, seed, starts,
 def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, start, horizon, warmup):
     insts = [Instance(taus, ps, 0.05 * (k + 1)) for k, ps in enumerate(reliabilities)]
     trials = 2 if warmup > horizon else 4
-    runs = tally_trials(_batch_wdd(insts, horizon, trials, 17, start or taus, warmup, True), len(insts))
+    runs = tally_trials(_batch_wdd(insts, horizon, trials, 17, start or taus, warmup), len(insts))
     assert len(runs) == len(insts) and all(len(run) == trials for run in runs)
     policies = [sim_oracle.wdd(inst) for inst in insts]
-    _assert_points_match_reference(insts, policies, runs, horizon, 17, [start or taus] * len(insts), warmup)
-    if warmup < horizon:
-        assert any(res.cycle_lengths for run in runs for res in run)
+    starts = [start or taus] * len(insts)
+    _assert_points_match_reference(insts, policies, runs, horizon, 17, starts, warmup, cycles=False)
 
 
 def test_stacked_chain_engine_matches_reference_per_point():
@@ -382,6 +383,12 @@ def test_simulate_cycles_errors_without_regeneration():
             simulate_cycles(inst, stationary_chain(pol, inst), SimConfig(horizon=300, trials=2, seed=6))
 
 
+def test_simulate_cycles_needs_a_finite_chain():
+    inst = Instance((2, 3), (0.6, 0.7), 0.05)
+    with pytest.raises(ValueError, match="finite chain"):
+        simulate_cycles(inst, None, SimConfig(horizon=300, trials=2, seed=6))
+
+
 def test_warmup_shifts_accounting():
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_policy(inst, 7)
@@ -424,7 +431,7 @@ def test_batch_engines_match_the_oracle_on_generated_cases(case, seed):
     # threshold is below its component, as with thresholds (1, 1, 1)
     inst, start, policy, chain, warmup, horizon = case
     if chain is None:
-        run = tally_trials(_batch_wdd([inst], horizon, 2, seed, start, warmup, True), 1)[0]
+        run = tally_trials(_batch_wdd([inst], horizon, 2, seed, start, warmup), 1)[0]
     else:
         run = tally_trials(_batch_chain(inst, [chain], horizon, 2, seed, warmup, True), 1)[0]
-    _assert_points_match_reference([inst], [policy], [run], horizon, seed, [start], warmup)
+    _assert_points_match_reference([inst], [policy], [run], horizon, seed, [start], warmup, cycles=chain is not None)
