@@ -26,6 +26,7 @@ _CHUNK = 1024  # slots of uniforms drawn per call; bounds memory only, the strea
 _MIN_BLOCK = 64  # shortest estimator block, in slots
 _MIN_COVERAGE = 0.5  # least effective sample size of the block weights, per block
 _SLICE = 256  # most slots a batch engine records before deriving their accounting
+_TABLE = 2**15  # most entries of the chain engine's K-slot table
 
 
 @dataclass(frozen=True)
@@ -160,21 +161,62 @@ class _Tally:
         self.exc = np.zeros((horizon, rows), dtype=np.int16) if record_cycles else None
         self.regen = np.zeros((horizon, rows), dtype=bool) if record_cycles else None
 
-    def add(self, t0: int, block: int, exc: np.ndarray, deliveries: np.ndarray, at_regen) -> None:
-        """Slots ``t0, t0 + 1, ...`` of one block: per-slot exceedances and
-        renewal hits ``(slots, rows)`` and the deliveries ``(rows, clients)``."""
-        self.blocks[:, block] += exc.sum(axis=0)
+    def add(self, block: int, totals: np.ndarray, deliveries: np.ndarray) -> None:
+        """Slots of one block: the exceedance total per row and the deliveries ``(rows, clients)``."""
+        self.blocks[:, block] += totals
         self.deliveries += deliveries
-        if self.exc is not None:
-            span = slice(t0 - self.warmup, t0 - self.warmup + len(exc))
-            self.exc[span] = exc
-            self.regen[span] = at_regen
+
+    def record(self, t0: int, exc: np.ndarray, at_regen: np.ndarray) -> None:
+        """Slots ``t0, t0 + 1, ...``: per-slot exceedances and renewal hits ``(slots, rows)``."""
+        span = slice(t0 - self.warmup, t0 - self.warmup + len(exc))
+        self.exc[span] = exc
+        self.regen[span] = at_regen
 
     def cycles(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """Lengths and exceedance totals of a row's completed renewal cycles."""
         pos = np.flatnonzero(self.regen[:, row])
         csum = np.concatenate(([0], np.cumsum(self.exc[:, row], dtype=np.int64)))
         return np.diff(pos), np.diff(csum[pos])
+
+
+def _steps(states: int, width: int) -> int:
+    """Slots per table lookup: the largest ``K`` with ``states * width**K <= _TABLE``, at least 1."""
+    steps = 1
+    while states * width ** (steps + 1) <= _TABLE:
+        steps += 1
+    return steps
+
+
+def _step_tables(succ, fail, p, hits, client, n_clients: int, levels: np.ndarray, steps: int):
+    """Moves of ``1 .. steps`` slots from every chain state, by the ranks of their uniforms.
+
+    With ``width = len(levels) + 1`` ranks, the ``k``-slot entry for state
+    ``s`` and ranks ``r_0 .. r_{k-1}`` (first slot most significant) sits at
+    ``offsets[k] + s * width**k + sum_i r_i * width**(k - 1 - i)``.  Returns
+    ``offsets`` and, per entry, the state reached (int32), the exceedances
+    paid (int16) and the deliveries per client (uint8).  A slot at rank
+    ``r`` from ``s`` delivers iff ``r <= searchsorted(levels, p[s])``.
+    """
+    states, width = len(p), len(levels) + 1
+    offsets = np.cumsum([0, 0] + [states * width**k for k in range(1, steps + 1)])
+    nxt = np.empty(offsets[-1], dtype=np.int32)
+    exc = np.empty(offsets[-1], dtype=np.int16)
+    dlv = np.empty((offsets[-1], n_clients), dtype=np.uint8)
+    ok = np.arange(width) <= np.searchsorted(levels, p)[:, None]
+    first = np.where(ok, succ[:, None], fail[:, None]).ravel()
+    one = slice(0, len(first))
+    nxt[one] = first
+    exc[one] = np.repeat(hits, width)
+    dlv[one] = (ok[:, :, None] & (client[:, None, None] == np.arange(n_clients))).reshape(-1, n_clients)
+    for k in range(2, steps + 1):
+        # k slots: one slot, then k - 1 slots from where it led, written in place
+        prev, cur = slice(offsets[k - 1], offsets[k]), slice(offsets[k], offsets[k + 1])
+        for table in (nxt, exc, dlv):
+            out = table[cur].reshape((len(first), -1) + table.shape[1:])
+            np.take(table[prev].reshape((states, -1) + table.shape[1:]), first, axis=0, out=out)
+            if table is not nxt:
+                out += table[one, None]
+    return offsets, nxt, exc, dlv
 
 
 def _batch_chain(
@@ -189,10 +231,19 @@ def _batch_chain(
     """Trials of each chain, from its ``start``, run as one stacked chain.
 
     The chains are concatenated with index offsets, and row ``(chain, trial)``
-    of the returned tally draws trial ``trial``'s uniforms.  The slot loop records the chain state
-    of every row; exceedances, deliveries and renewal hits (visits to the
-    regeneration state in the ``base`` component, whatever the policy's
-    memory) are derived from those records after each sub-slice.
+    of the returned tally draws trial ``trial``'s uniforms.  A slot from
+    state ``s`` succeeds iff its uniform is below ``p[s]``, so it depends on
+    the uniform only through its rank among the distinct reliabilities
+    ``levels``: ``u < p[s]`` iff ``searchsorted(levels, u, "right") <=
+    searchsorted(levels, p[s])``, the same float comparisons.  So ``K``
+    slots from ``s`` depend only on ``s`` and the ranks' base-``width``
+    code, and one lookup in ``_step_tables`` advances every row by ``K``
+    slots.  ``K`` is the largest with ``states * width**K <= _TABLE`` (at
+    least 1), and 1 with ``record_cycles``, which needs every slot's state.
+    The slot loop records each row's table index; exceedances, deliveries
+    and renewal hits (visits to the regeneration state in the ``base``
+    component, whatever the policy's memory) are read from those records
+    after each sub-slice, whose last ``len % K`` slots take one shorter step.
     """
     regen = regeneration_state(inst.thresholds)
     # a renewal state outside the clipped space is never visited
@@ -203,27 +254,34 @@ def _batch_chain(
     p, hits, client, base = (
         np.concatenate([getattr(c, name) for c in chains]) for name in ("p", "hits", "client", "base")
     )
-    shape = (len(chains), trials)
+    levels = np.array(sorted(set(p.tolist())))
+    width = len(levels) + 1
+    steps = 1 if record_cycles else _steps(len(p), width)
     n = inst.n_clients
-    row_base = np.arange(shape[0] * trials).reshape(shape) * n
+    entry, nxt, exc, dlv = _step_tables(succ, fail, p, hits, client, n, levels, steps)
+    place = width ** np.arange(steps)[::-1]  # a slot's weight in its step's code, first slot most significant
+    shape = (len(chains), trials)
     sidx = np.repeat([c.start + off for c, off in zip(chains, offsets)], trials).reshape(shape)
     tally = _Tally(shape[0] * trials, n, horizon, warmup, record_cycles)
 
     for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
-        states = np.empty((len(u),) + shape, dtype=np.int64)
-        for j in range(len(u)):
-            states[j] = sidx
-            sidx = np.where(u[j] < p.take(sidx), succ.take(sidx), fail.take(sidx))
+        rank = np.searchsorted(levels, u, side="right")
+        full, rest = divmod(len(u), steps)
+        codes = (rank[: full * steps].reshape(full, steps, trials) * place[:, None]).sum(axis=1) + entry[steps]
+        sizes = [width**steps] * full
+        if rest:
+            codes = np.concatenate((codes, [(rank[full * steps :] * place[-rest:, None]).sum(axis=0) + entry[rest]]))
+            sizes.append(width**rest)
+        at = np.empty((len(sizes),) + shape, dtype=np.intp)
+        for j, size in enumerate(sizes):
+            np.multiply(sidx, size, out=at[j])
+            np.add(at[j], codes[j], out=at[j])
+            sidx = nxt.take(at[j])
         if t0 >= warmup:
-            delivered = u[:, None, :] < p.take(states)
-            served = (row_base + client.take(states))[delivered]
-            tally.add(
-                t0,
-                block,
-                hits.take(states).reshape(len(u), -1),
-                np.bincount(served, minlength=tally.deliveries.size).reshape(-1, n),
-                (base.take(states) == regen_idx).reshape(len(u), -1) if record_cycles else None,
-            )
+            paid = exc.take(at)
+            tally.add(block, paid.sum(axis=0).ravel(), dlv.take(at, axis=0).sum(axis=0, dtype=np.int64).reshape(-1, n))
+            if record_cycles:
+                tally.record(t0, paid.reshape(len(u), -1), (base.take(at // width) == regen_idx).reshape(len(u), -1))
     return tally
 
 
@@ -279,7 +337,7 @@ def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, star
             for c, tau in enumerate(taus):
                 # D(t0 + j) == D(t0 + j - tau): the client's counts before those slots
                 exc += record[lag - 1 : lag - 1 + size, c] == record[lag - 1 - tau : lag - 1 - tau + size, c]
-            tally.add(t0, block, exc, (record[lag - 1 + size] - record[lag - 1]).T, None)
+            tally.add(block, exc.sum(axis=0), (record[lag - 1 + size] - record[lag - 1]).T)
         record[:lag] = record[size : size + lag]
     return tally
 

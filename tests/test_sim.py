@@ -24,13 +24,23 @@ from idsched.sim import (
     regeneration_state,
     simulate_cycles,
 )
-from idsched.sim import _CHUNK, _SLICE, _batch_chain, _batch_wdd, _slices
+from idsched.sim import _CHUNK, _SLICE, _TABLE, _batch_chain, _batch_wdd, _slices, _steps
 from idsched.model import successor_on_failure, successor_on_success
 
 
 def _random_policy(inst, seed):
     rng = np.random.default_rng(seed)
     return StationaryPolicy(rng.integers(1, inst.n_clients + 1, inst.total_states))
+
+
+def _fields(result, cycles=True):
+    accounting = (result.block_exceedances.tolist(), result.deliveries)
+    return accounting + (result.cycle_lengths, result.cycle_exceedances) if cycles else accounting
+
+
+def _chain_tallies(inst, chains, horizon, trials, seed, warmup):
+    """The chain engine's tally of a stack without and with renewal cycles: multi-slot steps, then one slot per step."""
+    return [_batch_chain(inst, chains, horizon, trials, seed, warmup, cycles) for cycles in (False, True)]
 
 
 def test_regeneration_state_convention():
@@ -86,14 +96,12 @@ def test_batch_engines_match_reference_exactly():
     pol = _random_policy(inst, 2)
     policy = sim_oracle.stationary(pol, inst)
     ref = [run_trial(inst, policy, 400, (123, r), inst.thresholds, warmup=13) for r in range(5)]
-    bat = tally_trials(_batch_chain(inst, [stationary_chain(pol, inst)], 400, 5, 123, 13, True), 1)[0]
-    for r, b in zip(ref, bat):
-        assert r.exceedance_total == b.exceedance_total
-        assert len(r.block_exceedances) > 1
-        assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
-        assert r.deliveries == b.deliveries
-        assert r.cycle_lengths == b.cycle_lengths
-        assert r.cycle_exceedances == b.cycle_exceedances
+    for tally in _chain_tallies(inst, [stationary_chain(pol, inst)], 400, 5, 123, 13):
+        cycles = tally.exc is not None
+        for r, b in zip(ref, tally_trials(tally, 1)[0]):
+            assert r.exceedance_total == b.exceedance_total
+            assert len(r.block_exceedances) > 1
+            assert _fields(r, cycles) == _fields(b, cycles)
 
     refw = [run_trial(inst, sim_oracle.wdd(inst), 400, (55, r), inst.thresholds, warmup=7) for r in range(5)]
     batw = tally_trials(_batch_wdd([inst], 400, 5, 55, inst.thresholds, 7), 1)[0]
@@ -114,13 +122,10 @@ def test_batch_engines_match_reference_exactly():
     ]
     for seed, (case, policy, chain, regenerates) in enumerate(cases):
         ref = [run_trial(case, policy, 600, (seed, r), case.thresholds, warmup=13) for r in range(5)]
-        bat = tally_trials(_batch_chain(case, [chain], 600, 5, seed, 13, True), 1)[0]
         assert any(r.cycle_lengths for r in ref) == regenerates
-        for r, b in zip(ref, bat):
-            assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
-            assert r.deliveries == b.deliveries
-            assert r.cycle_lengths == b.cycle_lengths
-            assert r.cycle_exceedances == b.cycle_exceedances
+        for tally in _chain_tallies(case, [chain], 600, 5, seed, 13):
+            cycles = tally.exc is not None
+            assert [_fields(r, cycles) for r in ref] == [_fields(b, cycles) for b in tally_trials(tally, 1)[0]]
 
 
 @pytest.mark.parametrize("chunk", [300, 16384])
@@ -133,38 +138,34 @@ def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
     def trials_of_each_engine():
         start = inst.thresholds
         policy = sim_oracle.stationary(pol, inst)
-        chain = _batch_chain(inst, [stationary_chain(pol, inst)], horizon, trials, seed, warmup, True)
+        steps, cycles = _chain_tallies(inst, [stationary_chain(pol, inst)], horizon, trials, seed, warmup)
         return [
             [run_trial(inst, policy, horizon, (seed, r), start, warmup) for r in range(trials)],
-            tally_trials(chain, 1)[0],
+            tally_trials(cycles, 1)[0],
+            tally_trials(steps, 1)[0],
             [run_trial(inst, sim_oracle.wdd(inst), horizon, (seed, r), start, warmup) for r in range(trials)],
             tally_trials(_batch_wdd([inst], horizon, trials, seed, start, warmup), 1)[0],
         ]
 
-    def fields(result, cycles=True):
-        accounting = (result.block_exceedances.tolist(), result.deliveries)
-        return accounting + (result.cycle_lengths, result.cycle_exceedances) if cycles else accounting
-
     default = trials_of_each_engine()
     monkeypatch.setattr(sim, "_CHUNK", chunk)
     patched = trials_of_each_engine()
-    for engine in range(4):
-        assert [fields(r) for r in patched[engine]] == [fields(r) for r in default[engine]]
-    assert [fields(r) for r in default[0]] == [fields(r) for r in default[1]]
-    # the WDD engine records no renewal cycles
-    assert [fields(r, False) for r in default[2]] == [fields(r, False) for r in default[3]]
+    for engine in range(5):
+        assert [_fields(r) for r in patched[engine]] == [_fields(r) for r in default[engine]]
+    assert [_fields(r) for r in default[0]] == [_fields(r) for r in default[1]]
+    # the multi-slot steps and the WDD engine record no renewal cycles
+    for ref, engine in ((0, 2), (3, 4)):
+        assert [_fields(r, False) for r in default[ref]] == [_fields(r, False) for r in default[engine]]
 
 
-def _assert_points_match_reference(insts, policies, runs, horizon, seed, starts, warmup, cycles=True):
-    # the WDD engine records no renewal cycles, so its runs pass cycles=False
-    for inst, policy, start, run in zip(insts, policies, starts, runs):
-        for r, b in enumerate(run):
-            ref = run_trial(inst, policy, horizon, (seed, r), start, warmup=warmup)
-            assert ref.block_exceedances.tolist() == b.block_exceedances.tolist()
-            assert ref.deliveries == b.deliveries
-            if cycles:
-                assert ref.cycle_lengths == b.cycle_lengths
-                assert ref.cycle_exceedances == b.cycle_exceedances
+def _assert_points_match_reference(insts, policies, tallies, horizon, seed, starts, warmup):
+    """Every engine tally's rows ``(point, trial)`` against the oracle, cycles where the tally records them."""
+    runs = [tally_trials(tally, len(insts)) for tally in tallies]
+    for point, (inst, policy, start) in enumerate(zip(insts, policies, starts)):
+        ref = [run_trial(inst, policy, horizon, (seed, r), start, warmup=warmup) for r in range(len(runs[0][point]))]
+        for tally, run in zip(tallies, runs):
+            cycles = tally.exc is not None
+            assert [_fields(b, cycles) for b in run[point]] == [_fields(r, cycles) for r in ref]
 
 
 @pytest.mark.parametrize(
@@ -191,16 +192,17 @@ def _assert_points_match_reference(insts, policies, runs, horizon, seed, starts,
 def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, start, horizon, warmup):
     insts = [Instance(taus, ps, 0.05 * (k + 1)) for k, ps in enumerate(reliabilities)]
     trials = 2 if warmup > horizon else 4
-    runs = tally_trials(_batch_wdd(insts, horizon, trials, 17, start or taus, warmup), len(insts))
+    tally = _batch_wdd(insts, horizon, trials, 17, start or taus, warmup)
+    runs = tally_trials(tally, len(insts))
     assert len(runs) == len(insts) and all(len(run) == trials for run in runs)
     policies = [sim_oracle.wdd(inst) for inst in insts]
     starts = [start or taus] * len(insts)
-    _assert_points_match_reference(insts, policies, runs, horizon, 17, starts, warmup, cycles=False)
+    _assert_points_match_reference(insts, policies, [tally], horizon, 17, starts, warmup)
 
 
 def test_stacked_chain_engine_matches_reference_per_point():
     # chains of different sizes and reliabilities over one set of thresholds,
-    # each from its own start
+    # each from its own start, without and with renewal cycles
     taus = (2, 3, 4)
     a = Instance(taus, (0.6, 0.7, 0.8), 0.05)
     b = Instance(taus, (0.9, 0.5, 0.7), 0.05)
@@ -214,9 +216,86 @@ def test_stacked_chain_engine_matches_reference_per_point():
     ]
     insts, policies, chains, starts = zip(*cases)
     assert len({len(c.p) for c in chains}) == 3
-    runs = tally_trials(_batch_chain(a, list(chains), 600, 4, 29, 13, True), len(chains))
-    _assert_points_match_reference(insts, policies, runs, 600, 29, starts, 13)
-    assert any(res.cycle_lengths for run in runs for res in run)
+    tallies = _chain_tallies(a, list(chains), 600, 4, 29, 13)
+    _assert_points_match_reference(insts, policies, tallies, 600, 29, starts, 13)
+    assert any(res.cycle_lengths for run in tally_trials(tallies[1], len(chains)) for res in run)
+
+
+def _two_client_stack():
+    # 36 chain states over two reliabilities (radix 3): six slots per step
+    taus = (2, 3)
+    a, b = Instance(taus, (0.6, 0.7), 0.05), Instance(taus, (0.7, 0.6), 0.05)
+    pol = _random_policy(a, 8)
+    return [
+        (a, sim_oracle.stationary(pol, a), stationary_chain(pol, a), taus),
+        (b, sim_oracle.prr(2), prr_chain(b, (0, 3)), (0, 3)),
+    ]
+
+
+def _high_radix_stack():
+    # three clients at three epsilon points: nine distinct reliabilities (radix 10), two slots per step
+    taus = (2, 3, 4)
+    a, b, c = [Instance(taus, (1 - eps, 1 - 2 * eps, 1 - 3 * eps), 0.05) for eps in (0.01, 0.04, 0.15)]
+    pa, pb = _random_policy(a, 9), _random_policy(b, 10)
+    sched, start = PeriodicSchedule((1, 2, 3), 3), (0, 1, 2)
+    return [
+        (a, sim_oracle.stationary(pa, a), stationary_chain(pa, a), taus),
+        (b, sim_oracle.stationary(pb, b), stationary_chain(pb, b), taus),
+        (c, sim_oracle.ps(sched.sequence), periodic_chain(c, sched, start), start),
+    ]
+
+
+def _stack_above_the_table_limit():
+    # 4,410 chain states over three reliabilities (radix 4): one slot per step
+    taus = (4, 6, 8)
+    inst = Instance(taus, (0.6, 0.7, 0.8), 0.05)
+    sched = PeriodicSchedule((1, 2, 3, 3, 2, 3, 1, 3, 2, 3, 3, 2), 3)
+    return [
+        (inst, sim_oracle.ps(sched.sequence), periodic_chain(inst, sched), taus),
+        (inst, sim_oracle.prr(3), prr_chain(inst, (0, 1, 2)), (0, 1, 2)),
+    ]
+
+
+def _steps_of(chains):
+    """The chain engine's slots per lookup on a stack, and the radix of its uniforms' ranks."""
+    width = len(set(np.concatenate([c.p for c in chains]).tolist())) + 1
+    return _steps(sum(len(c.p) for c in chains), width), width
+
+
+@pytest.mark.parametrize(
+    "stack, steps, width",
+    [(_two_client_stack, 6, 3), (_high_radix_stack, 2, 10), (_stack_above_the_table_limit, 1, 4)],
+)
+def test_multi_slot_steps_match_the_oracle(stack, steps, width):
+    # a 13-slot warmup and 75-slot blocks: most sub-slices end in a step of
+    # fewer than K slots
+    insts, policies, chains, starts = zip(*stack())
+    assert _steps_of(chains) == (steps, width)
+    if steps == 1:
+        assert sum(len(c.p) for c in chains) * width**2 > _TABLE
+    lengths = [len(u) for _, u, _ in _slices([np.random.default_rng(0)], 13, 600)]
+    assert steps == 1 or sum(size % steps > 0 for size in lengths) > 1
+    tallies = _chain_tallies(insts[0], list(chains), 600, 2, 31, 13)
+    _assert_points_match_reference(insts, policies, tallies, 600, 31, starts, 13)
+
+
+def test_chain_engine_ranks_uniforms_equal_to_a_reliability_as_failures(monkeypatch):
+    # u < p delivers: a uniform equal to a reliability fails, the float just
+    # below it delivers, and 0.0 always delivers
+    insts, policies, chains, starts = zip(*_two_client_stack())
+    levels = sorted({p for inst in insts for p in inst.reliabilities})
+    edges = np.array([0.0] + levels + [np.nextafter(p, 0.0) for p in levels])
+    real = sim._slices
+
+    def slices_at_the_edges(rngs, warmup, horizon):
+        for t0, u, block in real(rngs, warmup, horizon):
+            yield t0, np.where(u < 0.5, edges[(2 * len(edges) * u).astype(int) % len(edges)], u), block
+
+    monkeypatch.setattr(sim, "_slices", slices_at_the_edges)
+    drawn = np.concatenate([u.ravel() for _, u, _ in sim._slices([np.random.default_rng((31, 0))], 13, 600)])
+    assert set(edges) <= set(drawn.tolist())
+    tallies = _chain_tallies(insts[0], list(chains), 600, 2, 31, 13)
+    _assert_points_match_reference(insts, policies, tallies, 600, 31, starts, 13)
 
 
 def test_estimate_costs_equals_estimate_cost_per_point():
@@ -431,7 +510,7 @@ def test_batch_engines_match_the_oracle_on_generated_cases(case, seed):
     # threshold is below its component, as with thresholds (1, 1, 1)
     inst, start, policy, chain, warmup, horizon = case
     if chain is None:
-        run = tally_trials(_batch_wdd([inst], horizon, 2, seed, start, warmup), 1)[0]
+        tallies = [_batch_wdd([inst], horizon, 2, seed, start, warmup)]
     else:
-        run = tally_trials(_batch_chain(inst, [chain], horizon, 2, seed, warmup, True), 1)[0]
-    _assert_points_match_reference([inst], [policy], [run], horizon, seed, [start], warmup, cycles=chain is not None)
+        tallies = _chain_tallies(inst, [chain], horizon, 2, seed, warmup)
+    _assert_points_match_reference([inst], [policy], tallies, horizon, seed, [start], warmup)
