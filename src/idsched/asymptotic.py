@@ -73,14 +73,17 @@ def mlg_decide(x: State, cfg: TwoClientConfig) -> int:
 
 
 def mlg_stationary_policy(inst: Instance) -> StationaryPolicy:
-    """Materialize the least-time-to-go rule as a dense two-client policy."""
+    """Materialize the least-time-to-go rule of ``mlg_decide`` as a dense two-client policy."""
     if inst.n_clients != 2:
         raise ValueError("only two-client instances have an MLG policy")
     tau1, tau2 = inst.thresholds
     if tau1 > tau2:
         raise ValueError("clients must be ordered so that tau_1 <= tau_2")
-    cfg = TwoClientConfig(tau1, tau2 - tau1, 1.0, 1.0, inst.theta)
-    return StationaryPolicy.from_callable(inst, lambda s: mlg_decide(s, cfg))
+    x1, x2 = np.indices((tau1 + 1, tau2 + 1))  # state index x1 * (tau2 + 1) + x2
+    decisions = np.where(tau1 - x1 < tau2 - x2, 1, 2)
+    if tau2 > tau1:
+        decisions[0, tau2 - tau1 - 1] = 2  # the override state (0, delta - 1)
+    return StationaryPolicy(decisions.ravel())
 
 
 @dataclass(frozen=True)

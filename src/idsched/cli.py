@@ -257,7 +257,6 @@ class _Evaluator:
                 f"exact evaluation infeasible: {self.inst.total_states} states exceed the cap "
                 f"of {self.cfg.exact_state_cap}"
             )
-        self.inst.require_interior_reliabilities()
         method = {"prr": "exact-augmented", "ps": "exact-periodic"}.get(spec["name"], "exact")
         return self.chain(spec), method
 
@@ -341,10 +340,18 @@ def _write(path: str | Path, text: str) -> None:
         raise ConfigError(f"cannot write the output: {exc}") from exc
 
 
+def _base_instance(cfg: ExperimentConfig) -> Instance:
+    """The config's instance before any sweep, materialized; an invalid one is a configuration error."""
+    base = cfg.instance
+    try:
+        return base.materialize() if isinstance(base, AsymptoticInstance) else base
+    except ValueError as exc:
+        raise ConfigError(f"the config's instance is invalid: {exc}") from exc
+
+
 def describe(cfg: ExperimentConfig) -> str:
     """Human-readable instance diagnostics."""
-    base = cfg.instance
-    inst = base.materialize() if isinstance(base, AsymptoticInstance) else base
+    inst = _base_instance(cfg)
     lines = []
     lines.append(f"clients: {inst.n_clients}")
     lines.append(f"thresholds: {inst.thresholds}")
@@ -382,9 +389,7 @@ def emit_policy(cfg: ExperimentConfig, name: str) -> dict:
         spec = {"name": name}
         if name not in _POLICY_NAMES:
             raise ConfigError(f"unknown policy {name!r}")
-    base = cfg.instance
-    inst = base.materialize() if isinstance(base, AsymptoticInstance) else base
-    ev = _Evaluator(cfg, inst)
+    ev = _Evaluator(cfg, _base_instance(cfg))
     if name == "ps":
         if "max_period" not in spec:
             raise ConfigError("ps policy needs a spec with a 'max_period' in the config")

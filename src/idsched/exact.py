@@ -26,8 +26,10 @@ from .model import (
     transition_tables,
 )
 
-DEFAULT_TOL = 1e-6  # relative accuracy of a certified J: J_hi - J_lo <= tol * J_lo
-DEFAULT_MAX_ITER = 100_000
+TOL = 1e-6  # relative accuracy of a certified J: J_hi - J_lo <= TOL * J_lo
+MAX_ITER = 100_000  # iterations after which a Perron row stops, read at each call
+TIE_RTOL = 1e-9  # relative gap within which lookahead values tie in minimizing_actions
+CELL_CAP = 10**7  # most cells the unbounded DP's table may hold
 _LOOKAHEAD_BLOCK = 16384  # states per lookahead pass
 _STACK_BLOCK = 1 << 16  # chain states per stacked exhaustive evaluation
 _STALL = 8  # iterations without a narrower bracket that mark the floating-point floor
@@ -54,11 +56,6 @@ class StationaryPolicy:
         if self.decisions.min() < 1 or self.decisions.max() > inst.n_clients:
             raise ValueError("policy contains an invalid client index")
 
-    @classmethod
-    def from_callable(cls, inst: Instance, fn: Callable[[State], int]) -> "StationaryPolicy":
-        indexer = inst.indexer()
-        return cls(np.array([fn(s) for s in indexer.states()], dtype=np.int64))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StationaryPolicy):
             return NotImplemented
@@ -67,17 +64,13 @@ class StationaryPolicy:
     def to_json(self) -> dict:
         return {"decisions": [int(u) for u in self.decisions]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "StationaryPolicy":
-        return cls(np.asarray(obj["decisions"], dtype=np.int64))
-
 
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of evaluating one stationary policy.
 
     ``[j_lo, j_hi]`` brackets J; ``average_cost`` is its midpoint, and
-    ``converged`` is true iff ``j_hi - j_lo <= tol * j_lo``.
+    ``converged`` is true iff ``j_hi - j_lo <= TOL * j_lo``.
     """
 
     spectral_radius: float
@@ -196,14 +189,14 @@ class DpTable:
     def value(self, t: int, state: State) -> float:
         return float(self.values[t, self.indexer.index(state)])
 
-    def minimizing_actions(self, inst: Instance, t: int, state: State, rtol: float = 1e-9) -> frozenset:
+    def minimizing_actions(self, inst: Instance, t: int, state: State) -> frozenset:
         """All clients whose one-step lookahead at horizon ``t`` attains the minimum."""
         if not 1 <= t <= self.horizon:
             raise ValueError("t must be in 1..horizon")
         tables = transition_tables(inst)
         qs = _lookahead(tables, inst.reliabilities, self.values[t - 1])[:, self.indexer.index(state)]
         qmin = qs.min()
-        return frozenset(u + 1 for u, q in enumerate(qs) if q <= qmin * (1.0 + rtol))
+        return frozenset(u + 1 for u, q in enumerate(qs) if q <= qmin * (1.0 + TIE_RTOL))
 
 
 def dp_mdp2(inst: Instance, horizon: int) -> DpTable:
@@ -241,7 +234,7 @@ class Mdp1Table:
     for every start state componentwise below ``upper``.
     """
 
-    def __init__(self, inst: Instance, horizon: int, upper: State, cell_cap: int = 10**7):
+    def __init__(self, inst: Instance, horizon: int, upper: State):
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if any(x < 0 for x in upper):
@@ -255,10 +248,8 @@ class Mdp1Table:
         cells = 1
         for d in dims0:
             cells *= d
-        if cells > cell_cap:
-            raise ResourceLimitError(
-                f"unbounded DP needs {cells} cells, above the cap of {cell_cap}"
-            )
+        if cells > CELL_CAP:
+            raise ResourceLimitError(f"unbounded DP needs {cells} cells, above the cap of {CELL_CAP}")
         self.layers: list[np.ndarray] = [np.ones(dims0)]
         theta = inst.theta
         taus = inst.thresholds
@@ -296,7 +287,7 @@ class Mdp1Table:
             raise ValueError("t outside 0..horizon")
         return float(self.layers[t][tuple(state)])
 
-    def minimizing_actions(self, t: int, state: State, rtol: float = 1e-9) -> frozenset:
+    def minimizing_actions(self, t: int, state: State) -> frozenset:
         if not 1 <= t <= self.horizon:
             raise ValueError("t must be in 1..horizon")
         n = self.inst.n_clients
@@ -314,12 +305,12 @@ class Mdp1Table:
             factor = math.exp(theta * max(state[u] + 1 - taus[u], 0))
             qs.append(ps[u] * factor * prev[succ] + (1.0 - ps[u]) * fail)
         qmin = min(qs)
-        return frozenset(u + 1 for u, q in enumerate(qs) if q <= qmin * (1.0 + rtol))
+        return frozenset(u + 1 for u, q in enumerate(qs) if q <= qmin * (1.0 + TIE_RTOL))
 
 
-def dp_mdp1(inst: Instance, horizon: int, start: State, cell_cap: int = 10**7) -> float:
+def dp_mdp1(inst: Instance, horizon: int, start: State) -> float:
     """Optimal finite-horizon cost from an unbounded-space start state."""
-    return Mdp1Table(inst, horizon, start, cell_cap=cell_cap).value(horizon, start)
+    return Mdp1Table(inst, horizon, start).value(horizon, start)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +349,13 @@ class _Brackets:
         j_lo, j_hi = np.log1p(self.lo) / theta, np.log1p(self.hi) / theta
         return (j_lo + j_hi) / 2, j_lo, j_hi
 
+    def certified(self, row: int, theta: float) -> tuple[float, float, float, bool]:
+        """``(J, J_lo, J_hi, converged)`` of ``row``; converged iff ``J_hi - J_lo <= TOL * J_lo``."""
+        j, j_lo, j_hi = (float(x[row]) for x in self.costs(theta))
+        return j, j_lo, j_hi, j_hi - j_lo <= TOL * j_lo
 
-def _perron(
-    drift: Callable[[np.ndarray], np.ndarray], excess: np.ndarray, max_iter: int
-) -> tuple[_Brackets, np.ndarray]:
+
+def _perron(drift: Callable[[np.ndarray], np.ndarray], excess: np.ndarray) -> tuple[_Brackets, np.ndarray]:
     """Collatz-Wielandt brackets on ``rho - 1`` of maps ``W v = exp(theta hits) (v + d(v))``, one per row.
 
     ``drift(w)`` gives ``d = min_u (P_u v - v)`` from ``w = v - 1`` (a chain
@@ -376,23 +370,23 @@ def _perron(
     ``rho - 1`` is lost to the 1 in ``rho``.  A row runs to its
     floating-point floor: the iterations go in windows of ``_STALL``, and a
     row stops after the first window that finds no bracket narrower than its
-    narrowest so far, the one reported.  Returns the brackets and the last
-    iterate ``w``.
+    narrowest so far, the one reported, or at ``MAX_ITER``.  Returns the
+    brackets and the last iterate ``w``.
     """
     rows = len(excess)
     w = np.zeros_like(excess)  # in the memory order of excess, which every iterate keeps
     lo, hi = np.full(rows, -np.inf), np.full(rows, np.inf)
-    iterations = np.full(rows, max_iter)
+    iterations = np.full(rows, MAX_ITER)
     running = np.ones(rows, dtype=bool)
     seen_lo, seen_hi = [], []
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         d = drift(w)
         v = 1.0 + w
         y = excess * (v + d) + d
         ratio = y / v
         seen_lo.append(np.minimum.reduce(ratio, axis=1))
         seen_hi.append(np.maximum.reduce(ratio, axis=1))
-        if len(seen_lo) == _STALL or it == max_iter:
+        if len(seen_lo) == _STALL or it == MAX_ITER:
             window_lo, window_hi = np.array(seen_lo), np.array(seen_hi)
             seen_lo, seen_hi = [], []
             first = (window_hi - window_lo).argmin(axis=0), np.arange(rows)
@@ -459,7 +453,6 @@ def _chain_brackets(
     hits: Sequence[np.ndarray],
     theta: np.ndarray | float,
     start: Sequence[int] | np.ndarray,
-    max_iter: int,
 ) -> tuple[_Brackets, list[np.ndarray], list[np.ndarray]]:
     """Brackets of chains given as one array per chain, one row each, with ``_closed_classes`` of their starts.
 
@@ -495,14 +488,14 @@ def _chain_brackets(
         after_fail = flat[fail]
         return (after_fail - w) + p * (flat[succ] - after_fail)
 
-    return _perron(drift, excess, max_iter)[0], np.split(member, offsets[1:]), np.split(reached, offsets[1:])
+    return _perron(drift, excess)[0], np.split(member, offsets[1:]), np.split(reached, offsets[1:])
 
 
 def _solve_report(
-    brackets: _Brackets, row: int, theta: float, tol: float, member: np.ndarray, reached: np.ndarray
+    brackets: _Brackets, row: int, theta: float, member: np.ndarray, reached: np.ndarray
 ) -> SolveReport:
     """The report of ``row`` of ``brackets``, whose start reaches the states ``reached`` and the class ``member``."""
-    j, j_lo, j_hi = (float(x[row]) for x in brackets.costs(theta))
+    j, j_lo, j_hi, converged = brackets.certified(row, theta)
     return SolveReport(
         spectral_radius=math.exp(theta * j),
         average_cost=j,
@@ -511,55 +504,38 @@ def _solve_report(
         recurrent_class=frozenset(np.flatnonzero(member).tolist()),
         transient_states=frozenset(np.flatnonzero(reached & ~member).tolist()),
         iterations=int(brackets.iterations[row]),
-        converged=j_hi - j_lo <= tol * j_lo,
+        converged=converged,
     )
 
 
-def chain_average_costs(
-    chains: Sequence[Chain],
-    thetas: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[SolveReport]:
+def chain_average_costs(chains: Sequence[Chain], thetas: Sequence[float]) -> list[SolveReport]:
     """Average costs of finite chains from their start states, in one ``_chain_brackets`` call.
 
     Each chain is one row.  A chain's average cost is
     ``ln(spectral radius) / theta`` of its closed class, and its report does
     not depend on the chains stacked with it.  Reported state sets are chain
-    indices; ``converged`` is true iff ``J_hi - J_lo <= tol * J_lo``.
+    indices; ``converged`` is true iff ``J_hi - J_lo <= TOL * J_lo``.
     """
     brackets, member, reached = _chain_brackets(
         *([getattr(chain, name) for chain in chains] for name in ("succ", "fail", "p", "hits")),
         np.asarray(thetas, dtype=float),
         [chain.start for chain in chains],
-        max_iter,
     )
-    return [
-        _solve_report(brackets, row, theta, tol, member[row], reached[row]) for row, theta in enumerate(thetas)
-    ]
+    return [_solve_report(brackets, row, theta, member[row], reached[row]) for row, theta in enumerate(thetas)]
 
 
-def chain_average_cost(
-    chain: Chain, theta: float, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> SolveReport:
+def chain_average_cost(chain: Chain, theta: float) -> SolveReport:
     """Average cost of a finite chain from its start state; ``chain_average_costs`` of one chain."""
-    return chain_average_costs([chain], [theta], tol=tol, max_iter=max_iter)[0]
+    return chain_average_costs([chain], [theta])[0]
 
 
-def average_cost(
-    policy: StationaryPolicy,
-    inst: Instance,
-    start: State | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SolveReport:
+def average_cost(policy: StationaryPolicy, inst: Instance, start: State | None = None) -> SolveReport:
     """Long-run risk-sensitive average cost of a stationary policy.
 
     Defaults to starting at the all-threshold state, which every closed class
     contains, so the report then covers the policy's recurrent behavior.
     """
-    inst.require_interior_reliabilities()
-    return chain_average_cost(stationary_chain(policy, inst, start), inst.theta, tol=tol, max_iter=max_iter)
+    return chain_average_cost(stationary_chain(policy, inst, start), inst.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +592,10 @@ def doeblin_hitting_times(policy: StationaryPolicy, inst: Instance) -> np.ndarra
     The entry at the all-threshold state itself is the expected return time
     (minimum over t > 0), not zero.
     """
-    inst.require_interior_reliabilities()
     chain = stationary_chain(policy, inst)
     try:
         return np.linalg.solve(_excursion(chain, 1.0)[0], np.ones(len(chain.fail)))
-    except np.linalg.LinAlgError as exc:  # unreachable for interior reliabilities
+    except np.linalg.LinAlgError as exc:  # unreachable: every reliability lies inside (0, 1)
         raise StructuralError("all-threshold state is not reachable under this policy") from exc
 
 
@@ -637,7 +612,6 @@ def cycle_expectations(
     matrix K must have spectral radius below one, which holds iff
     ``(I - K) z = 1`` has a strictly positive solution (Collatz-Wielandt).
     """
-    inst.require_interior_reliabilities()
     chain = stationary_chain(policy, inst, regen)
     s0, ones = chain.start, np.ones(len(chain.fail))
     if not _closed_classes(chain.succ, chain.fail, [s0])[0][s0]:
@@ -671,11 +645,7 @@ def policy_count(inst: Instance, ne_only: bool, cap: int) -> int:
 
 
 def exhaustive_optimal(
-    inst: Instance,
-    ne_only: bool = True,
-    policy_cap: int = 2_000_000,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    inst: Instance, ne_only: bool = True, policy_cap: int = 2_000_000
 ) -> tuple[StationaryPolicy, SolveReport]:
     """Best stationary policy by direct enumeration.
 
@@ -686,7 +656,6 @@ def exhaustive_optimal(
     all-threshold start, up to ``_STACK_BLOCK`` chain states per
     ``_chain_brackets`` call.
     """
-    inst.require_interior_reliabilities()
     count = policy_count(inst, ne_only, policy_cap)
     if count > policy_cap:
         raise ResourceLimitError(
@@ -713,10 +682,9 @@ def exhaustive_optimal(
             np.broadcast_to(tables.hits, served.shape),
             inst.theta,
             np.full(len(served), start),
-            max_iter,
         )
         row = int(np.argmin(brackets.costs(inst.theta)[0]))
-        report = _solve_report(brackets, row, inst.theta, tol, member[row], reached[row])
+        report = _solve_report(brackets, row, inst.theta, member[row], reached[row])
         if best is None or report.average_cost < best[1].average_cost:
             best = served[row] + 1, report
     assert best is not None
@@ -734,28 +702,23 @@ class GrowthRateResult:
     converged: bool
 
 
-def growth_rate_optimal(
-    inst: Instance,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> GrowthRateResult:
+def growth_rate_optimal(inst: Instance) -> GrowthRateResult:
     """Optimal average cost by the shifted iteration of the one-step minimization.
 
     The Bellman map ``(Wv)(x) = cost(x) min_u [p_u v(succ(x, u)) + (1 - p_u) v(fail(x))]``
     is monotone and homogeneous, so ``_perron`` brackets its growth rate over
     all states.  J is the bracket's midpoint, ``converged`` is true iff
-    ``J_hi - J_lo <= tol * J_lo``, and the greedy policy of the final iterate
+    ``J_hi - J_lo <= TOL * J_lo``, and the greedy policy of the final iterate
     is returned alongside.
     """
-    inst.require_interior_reliabilities()
     tables = transition_tables(inst)
     ps = np.asarray(inst.reliabilities)
 
     def drift(w: np.ndarray) -> np.ndarray:
         return np.minimum.reduce(_lookahead(tables, ps, w[0], relative=True), axis=0)[None]
 
-    brackets, w = _perron(drift, np.expm1(inst.theta * tables.hits)[None], max_iter)
-    j, j_lo, j_hi = (float(x[0]) for x in brackets.costs(inst.theta))
+    brackets, w = _perron(drift, np.expm1(inst.theta * tables.hits)[None])
+    j, j_lo, j_hi, converged = brackets.certified(0, inst.theta)
     greedy = StationaryPolicy(_lookahead(tables, ps, w[0]).argmin(axis=0) + 1)
     return GrowthRateResult(
         average_cost=j,
@@ -764,5 +727,5 @@ def growth_rate_optimal(
         growth_rate=math.exp(inst.theta * j),
         policy=greedy,
         iterations=int(brackets.iterations[0]),
-        converged=j_hi - j_lo <= tol * j_lo,
+        converged=converged,
     )

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError
-from .exact import DEFAULT_MAX_ITER, DEFAULT_TOL, Chain, SolveReport, chain_average_cost
+from .exact import Chain, SolveReport, chain_average_cost
 from .model import Instance, State, successor_on_success
 
 
@@ -41,10 +41,6 @@ class PeriodicSchedule:
 
     def to_json(self) -> dict:
         return {"sequence": list(self.sequence)}
-
-    @classmethod
-    def from_json(cls, obj: dict, n_clients: int) -> "PeriodicSchedule":
-        return cls(tuple(obj["sequence"]), n_clients)
 
 
 def deterministic_cycle_cost(sequence: tuple[int, ...], thresholds: tuple[int, ...]) -> float:
@@ -123,25 +119,18 @@ def periodic_chain(inst: Instance, sched: PeriodicSchedule, start: State | None 
     return Chain.augmented(inst, sched.period, client, following, following, start)
 
 
-def prr_average_cost(inst: Instance, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
+def prr_average_cost(inst: Instance) -> SolveReport:
     """Exact average cost of packet-level round robin via the token-augmented chain.
 
     Reported state sets use augmented indices ``state_index * N + token - 1``.
     """
-    inst.require_interior_reliabilities()
-    return chain_average_cost(prr_chain(inst), inst.theta, tol=tol, max_iter=max_iter)
+    return chain_average_cost(prr_chain(inst), inst.theta)
 
 
-def periodic_schedule_average_cost(
-    inst: Instance,
-    sched: PeriodicSchedule,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SolveReport:
+def periodic_schedule_average_cost(inst: Instance, sched: PeriodicSchedule) -> SolveReport:
     """Exact average cost of an open-loop periodic schedule via the phase-augmented chain.
 
     Reported state sets use augmented indices ``state_index * period + phase``,
     and the spectral radius is the growth per slot.
     """
-    inst.require_interior_reliabilities()
-    return chain_average_cost(periodic_chain(inst, sched), inst.theta, tol=tol, max_iter=max_iter)
+    return chain_average_cost(periodic_chain(inst, sched), inst.theta)

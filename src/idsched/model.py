@@ -33,15 +33,13 @@ _UINT64_MAX = 2**64 - 1
 class Instance:
     """Problem data: per-client thresholds and reliabilities plus the risk exponent.
 
-    ``allow_endpoint_reliabilities`` admits p in {0, 1} for deterministic
-    simulation sanity checks only; solver entry points reject such instances
-    via :meth:`require_interior_reliabilities`.
+    Every reliability lies strictly inside (0, 1), so every instance is one
+    the exact solvers accept.
     """
 
     thresholds: tuple[int, ...]
     reliabilities: tuple[float, ...]
     theta: float
-    allow_endpoint_reliabilities: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "thresholds", tuple(int(t) for t in self.thresholds))
@@ -56,10 +54,7 @@ class Instance:
         if not 0 < self.theta < math.inf:
             raise ValueError("theta must be positive and finite")
         for p in self.reliabilities:
-            if self.allow_endpoint_reliabilities:
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"reliability {p} outside [0, 1]")
-            elif not 0.0 < p < 1.0:
+            if not 0.0 < p < 1.0:
                 raise ValueError(f"reliability {p} must lie strictly inside (0, 1)")
         total = 1
         for t in self.thresholds:
@@ -78,11 +73,6 @@ class Instance:
         for t in self.thresholds:
             total *= t + 1
         return total
-
-    def require_interior_reliabilities(self) -> None:
-        """Reject endpoint reliabilities; exact solvers need 0 < p < 1."""
-        if any(not 0.0 < p < 1.0 for p in self.reliabilities):
-            raise ValueError("exact solvers require reliabilities strictly inside (0, 1)")
 
     def indexer(self) -> "StateIndexer":
         return StateIndexer(self.thresholds)

@@ -35,6 +35,15 @@ def test_mlg_decide_examples():
     assert mlg_decide((2, 4), cfg) == 2  # tie goes to the larger threshold
 
 
+def test_mlg_policy_decides_as_mlg_decide_in_every_state():
+    for tau1 in range(1, 8):
+        for tau2 in range(tau1, 12):
+            inst = Instance((tau1, tau2), (0.9, 0.9), 0.1)
+            cfg = TwoClientConfig(tau1, tau2 - tau1, 1.0, 1.0, 0.1)
+            want = [mlg_decide(state, cfg) for state in inst.indexer().states()]
+            assert mlg_stationary_policy(inst).decisions.tolist() == want
+
+
 def test_mlg_policy_is_total_and_non_exclusionary():
     for tau in range(1, 7):
         for delta in range(5):

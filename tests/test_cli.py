@@ -125,6 +125,18 @@ def test_sweep_values_that_break_the_instance_are_config_errors(tmp_path):
         run_experiment(load_config(cfg_path))
 
 
+@pytest.mark.parametrize("command", ["describe", "emit-policy"])
+def test_a_base_instance_that_breaks_is_a_config_error(tmp_path, capsys, command):
+    # 1 - b * 1e-17 rounds to a reliability of exactly 1
+    instance = {"taus": [3, 5], "bs": [2, 1], "epsilon": 1e-17, "theta": 0.01}
+    cfg_path = _tiny_config(tmp_path, instance=instance, sweep={"axis": "epsilon", "values": [1e-17]})
+    extra = ["--policy", "mlg"] if command == "emit-policy" else []
+    assert main([command, "--config", str(cfg_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config error: the config's instance is invalid" in err
+    assert "Traceback" not in err
+
+
 def test_describe_mentions_threshold_and_levels(tmp_path):
     cfg = load_config(bundled_config_path("fig3_small"))
     text = describe(cfg)

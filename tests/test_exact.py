@@ -123,9 +123,10 @@ def test_unbounded_dp_threshold_shift_scaling():
 
 
 def test_unbounded_dp_cell_cap():
+    # 5011**2 cells pass the cap; the check comes before any table is allocated
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    with pytest.raises(ResourceLimitError):
-        dp_mdp1(inst, 10, (500, 500), cell_cap=10_000)
+    with pytest.raises(ResourceLimitError, match="above the cap"):
+        dp_mdp1(inst, 10, (5000, 5000))
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +430,25 @@ def test_growth_rate_cross_checks_enumeration_at_small_theta():
     assert abs(enum_report.average_cost - result.average_cost) <= 1e-6
 
 
-def test_unconverged_runs_are_flagged_not_raised():
+def test_unconverged_runs_are_flagged_not_raised(monkeypatch):
+    monkeypatch.setattr(exact, "MAX_ITER", 3)
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    result = growth_rate_optimal(inst, max_iter=3)
+    result = growth_rate_optimal(inst)
+    assert result.iterations == 3
     assert not result.converged
     assert math.isfinite(result.average_cost)
+
+
+def test_converged_is_the_one_certification_rule(monkeypatch):
+    # every solver flags its report by J_hi - J_lo <= TOL * J_lo, also when the cap stops it short
+    monkeypatch.setattr(exact, "MAX_ITER", 3)
+    inst = Instance((2, 3), (0.6, 0.7), 0.05)
+    chains = [prr_chain(inst), exact.stationary_chain(mlg_stationary_policy(inst), inst)]
+    reports = [*exact.chain_average_costs(chains, [0.05, 0.05]), exhaustive_optimal(inst)[1], growth_rate_optimal(inst)]
+    for report in reports:
+        assert report.iterations <= 3
+        assert report.converged == (report.j_hi - report.j_lo <= exact.TOL * report.j_lo)
+    assert not all(report.converged for report in reports)
 
 
 def test_dp_greedy_breaks_ties_toward_the_lowest_client():

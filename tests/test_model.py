@@ -41,13 +41,6 @@ def test_instance_rejects_bad_data():
     assert instance_from_json({"taus": [2.0], "ps": [0.5], "theta": 1}).thresholds == (2,)
 
 
-def test_endpoint_reliabilities_need_the_flag():
-    inst = Instance((2,), (1.0,), 0.1, allow_endpoint_reliabilities=True)
-    assert inst.reliabilities == (1.0,)
-    with pytest.raises(ValueError):
-        inst.require_interior_reliabilities()
-
-
 def test_asymptotic_instance_materializes_reliabilities():
     ai = AsymptoticInstance((3, 5), (2.0, 1.0), 0.01, 0.05)
     inst = ai.materialize()

@@ -337,8 +337,10 @@ def test_single_client_threshold_frequency():
 
 
 def test_estimate_cost_degenerate_and_single_trial():
-    # perfect channels, generous thresholds: zero exceedances, zero cost
-    inst = Instance((3, 3), (1.0, 1.0), 0.1, allow_endpoint_reliabilities=True)
+    # perfect channels, generous thresholds: zero exceedances, zero cost (a
+    # slot fails only on the uniform 1 - 2**-53, which these streams never draw)
+    perfect = math.nextafter(1.0, 0.0)
+    inst = Instance((3, 3), (perfect, perfect), 0.1)
     pol = StationaryPolicy(np.tile([1, 2], inst.total_states)[: inst.total_states])
     est = estimate_cost(inst, stationary_chain(pol, inst, (0, 1)), SimConfig(horizon=100, trials=8, seed=1))
     assert est.j_hat == 0.0
@@ -431,7 +433,8 @@ def test_log_mean_exp_is_overflow_safe():
 
 def test_perfect_channel_cycles_are_deterministic():
     # no failures: the least-time-to-go rule loops through its renewal cycle
-    inst = Instance((3, 5), (1.0, 1.0), 0.01, allow_endpoint_reliabilities=True)
+    perfect = math.nextafter(1.0, 0.0)
+    inst = Instance((3, 5), (perfect, perfect), 0.01)
     pol = mlg_stationary_policy(inst)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
