@@ -31,6 +31,7 @@ from .exact import (
     dp_mdp1,
     dp_mdp2,
     exhaustive_optimal,
+    growth_rate_optima,
     growth_rate_optimal,
     is_ne,
     theta_threshold,

@@ -203,14 +203,29 @@ class _Evaluator:
         self._schedules: dict[int, heuristics.PeriodicSchedule] = {}
         self._optima: dict[str, tuple[exact.StationaryPolicy, tuple[float, str, bool]]] = {}
 
-    def reference(self) -> float:
-        """Optimal-cost reference J: exhaustive when the enumeration fits, else iterative."""
+    def _reference_method(self) -> str:
+        """Exhaustive when the enumeration fits or the sweep asks for it, else the growth-rate iteration."""
         names = [spec["name"] for spec in self.cfg.policies]
         use_exhaustive = "op-exhaustive" in names or (
             "op-iterative" not in names
             and exact.policy_count(self.inst, True, self.cfg.enumeration_cap) <= self.cfg.enumeration_cap
         )
-        return self._optimum("exhaustive" if use_exhaustive else "growth_rate")[1][0]
+        return "exhaustive" if use_exhaustive else "growth_rate"
+
+    def reference(self) -> float:
+        """Optimal-cost reference J: exhaustive when the enumeration fits, else iterative."""
+        return self._optimum(self._reference_method())[1][0]
+
+    def needs_growth_rate(self) -> bool:
+        """Whether the sweep reads this point's growth-rate optimum, as a policy or as the reference."""
+        iterative = any(spec["name"] == "op-iterative" for spec in self.cfg.policies)
+        return iterative or self._reference_method() == "growth_rate"
+
+    @staticmethod
+    def solve_growth_rates(evaluators: list["_Evaluator"]) -> None:
+        """Give each evaluator its growth-rate optimum, all from one stacked ``exact.growth_rate_optima`` call."""
+        for ev, result in zip(evaluators, exact.growth_rate_optima([ev.inst for ev in evaluators])):
+            ev._optima["growth_rate"] = result.policy, (result.average_cost, "growth_rate", result.converged)
 
     def _optimum(self, method: str) -> tuple[exact.StationaryPolicy, tuple[float, str, bool]]:
         """The optimal policy and its ``(J, method, converged)``, computed once per method."""
@@ -219,8 +234,7 @@ class _Evaluator:
                 policy, report = exact.exhaustive_optimal(self.inst, policy_cap=self.cfg.enumeration_cap)
                 self._optima[method] = policy, (report.average_cost, method, report.converged)
             else:
-                result = exact.growth_rate_optimal(self.inst)
-                self._optima[method] = result.policy, (result.average_cost, method, result.converged)
+                self.solve_growth_rates([self])
         return self._optima[method]
 
     def _schedule(self, max_period: int) -> heuristics.PeriodicSchedule:
@@ -277,16 +291,20 @@ class _Evaluator:
 def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> list[ResultRow]:
     """Evaluate every sweep point x policy; write CSV when a path is given.
 
-    The finite chains of every (policy, point) pair are evaluated exactly in
-    one stacked call, and the simulated pairs go to the simulator in one
-    call, so each engine runs once per sweep.  Rows are emitted in sorted
-    order, so reruns of the same config are byte-identical.  An output path
-    that cannot be written is reported before any evaluation.
+    The growth-rate optima of every point that reads one are computed in one
+    stacked call, the finite chains of every (policy, point) pair are
+    evaluated exactly in one stacked call, and the simulated pairs go to the
+    simulator in one call, so each engine runs once per sweep.  Rows are
+    emitted in sorted order, so reruns of the same config are
+    byte-identical.  An output path that cannot be written is reported
+    before any evaluation.
     """
     target = out_path or cfg.output
     if target is not None:
         _check_output(target)
     points = [(value, _Evaluator(cfg, _instance_at(cfg, value))) for value in cfg.sweep_values]
+    if growth := [ev for _, ev in points if ev.needs_growth_rate()]:
+        _Evaluator.solve_growth_rates(growth)
     ref_js = [ev.reference() for _, ev in points]
     rows = []
     chains = []

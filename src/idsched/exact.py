@@ -153,22 +153,19 @@ def stationary_chain(policy: StationaryPolicy, inst: Instance, start: State | No
 # finite-horizon dynamic programs
 
 
-def _lookahead(tables: TransitionTables, ps, v: np.ndarray, relative: bool = False) -> np.ndarray:
+def _lookahead(tables: TransitionTables, ps, v: np.ndarray) -> np.ndarray:
     """One Bellman lookahead ``q[u, x] = p_u v[succ(x, u)] + (1 - p_u) v[fail(x)]``, shape (N, S).
 
-    ``ps`` holds the success probability of each client, or one shared by all.
-    With ``relative`` it is ``(P_u v - v)(x)``, formed from the differences
-    ``v[succ(x, u)] - v[x]`` and ``v[fail(x)] - v[x]``, so small drifts keep
-    their digits.  The states go in blocks of ``_LOOKAHEAD_BLOCK``, so the
-    temporaries stay in cache on large spaces.
+    ``ps`` holds the success probability of each client, or one shared by
+    all.  The states go in blocks of ``_LOOKAHEAD_BLOCK``, so the temporaries
+    stay in cache on large spaces.
     """
     p = np.reshape(ps, (-1, 1))
     succ = tables.succ.T
     q = np.empty(succ.shape)
     for lo in range(0, succ.shape[1], _LOOKAHEAD_BLOCK):
         block = slice(lo, lo + _LOOKAHEAD_BLOCK)
-        here = v[block] if relative else 0.0
-        q[:, block] = p * (v[succ[:, block]] - here) + (1.0 - p) * (v[tables.fail[block]] - here)
+        q[:, block] = p * v[succ[:, block]] + (1.0 - p) * v[tables.fail[block]]
     return q
 
 
@@ -355,13 +352,23 @@ class _Brackets:
         return j, j_lo, j_hi, j_hi - j_lo <= TOL * j_lo
 
 
-def _perron(drift: Callable[[np.ndarray], np.ndarray], excess: np.ndarray) -> tuple[_Brackets, np.ndarray]:
+def _perron(
+    drift: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    excess: np.ndarray,
+    lengths: np.ndarray,
+    succ: np.ndarray,
+    fail: np.ndarray,
+    p: np.ndarray,
+) -> tuple[_Brackets, np.ndarray]:
     """Collatz-Wielandt brackets on ``rho - 1`` of maps ``W v = exp(theta hits) (v + d(v))``, one per row.
 
-    ``drift(w)`` gives ``d = min_u (P_u v - v)`` from ``w = v - 1`` (a chain
-    has one client per state), and ``excess`` (rows, S) is
-    ``expm1(theta * hits)``.  Each row is one closed class.  The map is
-    monotone and homogeneous, so every ``v > 0`` gives
+    The rows lie side by side in one flat stack, row ``r`` a segment of
+    ``lengths[r]`` entries.  ``excess`` is ``expm1(theta * hits)`` per entry,
+    and ``drift(w, succ, fail, p)`` gives ``d = min_u (P_u v - v)`` from
+    ``w = v - 1`` (a chain has one client per state): ``succ`` and ``fail``
+    hold stack positions on their last axis, which no row's entries lead out
+    of, and ``p`` the probabilities that weigh them.  Each row is one closed
+    class.  The map is monotone and homogeneous, so every ``v > 0`` gives
     ``min (W - I)v / v <= rho - 1 <= max (W - I)v / v`` (Gaubert and
     Gunawardena, Trans. AMS 356, 2004), and the bracket never widens along the
     shifted iteration ``v <- v + (W - I)v / 2``.  The iterate is kept as
@@ -370,36 +377,89 @@ def _perron(drift: Callable[[np.ndarray], np.ndarray], excess: np.ndarray) -> tu
     ``rho - 1`` is lost to the 1 in ``rho``.  A row runs to its
     floating-point floor: the iterations go in windows of ``_STALL``, and a
     row stops after the first window that finds no bracket narrower than its
-    narrowest so far, the one reported, or at ``MAX_ITER``.  Returns the
-    brackets and the last iterate ``w``.
+    narrowest so far, the one reported, or at ``MAX_ITER``.  A row reads
+    only its own entries, so its bits do not depend on the rows stacked with
+    it, and a stopped row leaves the stack.  Returns the brackets and each
+    row's last iterate ``w``, at the row's own positions.
     """
-    rows = len(excess)
-    w = np.zeros_like(excess)  # in the memory order of excess, which every iterate keeps
+    rows = len(lengths)
     lo, hi = np.full(rows, -np.inf), np.full(rows, np.inf)
     iterations = np.full(rows, MAX_ITER)
-    running = np.ones(rows, dtype=bool)
+    last = np.empty_like(excess)
+    index, position = np.arange(rows), np.arange(len(excess))  # the running rows and entries, as given
+    starts = np.cumsum(lengths) - lengths
+    w = np.zeros_like(excess)
+    v, y = np.empty_like(w), np.empty_like(w)
     seen_lo, seen_hi = [], []
     for it in range(1, MAX_ITER + 1):
-        d = drift(w)
-        v = 1.0 + w
-        y = excess * (v + d) + d
-        ratio = y / v
-        seen_lo.append(np.minimum.reduce(ratio, axis=1))
-        seen_hi.append(np.maximum.reduce(ratio, axis=1))
+        d = drift(w, succ, fail, p)
+        np.add(1.0, w, out=v)
+        np.add(v, d, out=y)
+        y *= excess
+        y += d
+        ratio = np.divide(y, v, out=d)  # d is spent
+        seen_lo.append(np.minimum.reduceat(ratio, starts))
+        seen_hi.append(np.maximum.reduceat(ratio, starts))
         if len(seen_lo) == _STALL or it == MAX_ITER:
             window_lo, window_hi = np.array(seen_lo), np.array(seen_hi)
             seen_lo, seen_hi = [], []
-            first = (window_hi - window_lo).argmin(axis=0), np.arange(rows)
-            narrower = running & (window_hi[first] - window_lo[first] < hi - lo)
-            lo[narrower], hi[narrower] = window_lo[first][narrower], window_hi[first][narrower]
-            iterations[running & ~narrower] = it
-            running = narrower
-            if not running.any():
-                break
-        w += 0.5 * y
-        top = np.maximum.reduce(w, axis=1, keepdims=True)
-        w = (w - top) / (1.0 + top)
-    return _Brackets(lo, hi, iterations), w
+            first = (window_hi - window_lo).argmin(axis=0), np.arange(len(index))
+            best_lo, best_hi = window_lo[first], window_hi[first]
+            narrower = best_hi - best_lo < hi[index] - lo[index]
+            lo[index[narrower]], hi[index[narrower]] = best_lo[narrower], best_hi[narrower]
+            if not narrower.all():
+                keep = np.repeat(narrower, lengths)
+                iterations[index[~narrower]] = it
+                last[position[~keep]] = w[~keep]
+                if not narrower.any():
+                    return _Brackets(lo, hi, iterations), last
+                remap = np.cumsum(keep) - 1
+                succ, fail = remap[succ[..., keep]], remap[fail[keep]]
+                p, excess, w, y, position = p[..., keep], excess[keep], w[keep], y[keep], position[keep]
+                index, lengths = index[narrower], lengths[narrower]
+                starts = np.cumsum(lengths) - lengths
+                v = v[: w.size]
+        y *= 0.5
+        w += y
+        top = np.repeat(np.maximum.reduceat(w, starts), lengths)
+        w -= top
+        top += 1.0
+        w /= top
+    last[position] = w
+    return _Brackets(lo, hi, iterations), last
+
+
+def _chain_drift(w: np.ndarray, succ: np.ndarray, fail: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``d = P v - v`` of chain states, each with one success and one failure successor."""
+    after_fail = w[fail]
+    d = w[succ]
+    d -= after_fail
+    d *= p
+    after_fail -= w
+    d += after_fail
+    return d
+
+
+def _bellman_drift(w: np.ndarray, succ: np.ndarray, fail: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``d = min_u (P_u v - v)`` of states with one success successor per client.
+
+    ``succ`` is client-major, (N, S), and ``p`` (2, N, S) holds each
+    success probability and its complement ``1 - p``.  ``P_u v - v`` is
+    formed from the differences ``v[succ] - v`` and ``v[fail] - v``, so small
+    drifts keep their digits.  The states go in blocks of
+    ``_LOOKAHEAD_BLOCK``, so the temporaries stay in cache on large spaces.
+    """
+    d = np.empty_like(w)
+    for lo in range(0, len(w), _LOOKAHEAD_BLOCK):
+        block = slice(lo, lo + _LOOKAHEAD_BLOCK)
+        after_fail = w[fail[block]]
+        after_fail -= w[block]
+        q = w[succ[:, block]]
+        q -= w[block]
+        q *= p[0, :, block]
+        q += p[1, :, block] * after_fail
+        np.minimum.reduce(q, axis=0, out=d[block])
+    return d
 
 
 def _closed_classes(
@@ -457,38 +517,24 @@ def _chain_brackets(
     """Brackets of chains given as one array per chain, one row each, with ``_closed_classes`` of their starts.
 
     ``theta`` is one per chain or shared.  The chains are put side by side,
-    and row ``r`` holds chain ``r``'s closed class, members in index order,
-    padded with copies of its first member to the widest class.  A copy's
-    iterate mirrors that state's and leaves the bracket unchanged, so a
-    row's bracket does not depend on the rows stacked with it.  A stack of
-    more rows than states is held column by column, so the row reductions
-    of ``_perron`` run along memory.  Returns each chain's class and reached
-    states as masks over its own states.
+    and row ``r`` is chain ``r``'s closed class, members in index order.  A
+    member's successors are members, so every row reads its own entries
+    only.  Returns each chain's class and reached states as masks over its
+    own states.
     """
     lengths = np.array([len(a) for a in fail])
     offsets = np.cumsum(lengths) - lengths
     succ, fail = (np.concatenate(a) + np.repeat(offsets, lengths) for a in (succ, fail))
     member, reached = _closed_classes(succ, fail, np.asarray(start) + offsets)
-    before = np.concatenate([[0], np.cumsum(member)])  # members below each state: a member's rank
-    first = before[offsets]
-    count = before[offsets + lengths] - first
-    width = count.max()
-    layout = "F" if len(lengths) > width else "C"
-    slot = first[:, None] + np.arange(width)  # rank of each row entry's state among all members
-    slot = np.where(slot < (first + count)[:, None], slot, first[:, None]).copy(order=layout)
-    states = np.flatnonzero(member)[slot]  # in the memory order of slot, as is every array gathered through it
-    position = np.arange(states.size).reshape(states.shape, order=layout)  # in w.ravel(order=layout)
-    succ, fail = (np.take_along_axis(position, before[a[states]] - first[:, None], axis=1) for a in (succ, fail))
+    count = np.add.reduceat(member, offsets, dtype=np.int64)
+    states = np.flatnonzero(member)
+    rank = np.cumsum(member) - 1  # a member's position in the stack
+    succ, fail = rank[succ[states]], rank[fail[states]]
     p = np.concatenate(p)[states]
-    excess = np.expm1(np.reshape(theta, (-1, 1)) * np.concatenate(hits)[states])
-    del before, states, position  # the iteration sets the peak memory: keep only what it reads
-
-    def drift(w: np.ndarray) -> np.ndarray:
-        flat = w.ravel(order=layout)
-        after_fail = flat[fail]
-        return (after_fail - w) + p * (flat[succ] - after_fail)
-
-    return _perron(drift, excess)[0], np.split(member, offsets[1:]), np.split(reached, offsets[1:])
+    excess = np.expm1(np.repeat(np.broadcast_to(theta, count.shape), count) * np.concatenate(hits)[states])
+    del states, rank  # the iteration sets the peak memory: keep only what it reads
+    brackets = _perron(_chain_drift, excess, count, succ, fail, p)[0]
+    return brackets, np.split(member, offsets[1:]), np.split(reached, offsets[1:])
 
 
 def _solve_report(
@@ -702,30 +748,53 @@ class GrowthRateResult:
     converged: bool
 
 
-def growth_rate_optimal(inst: Instance) -> GrowthRateResult:
-    """Optimal average cost by the shifted iteration of the one-step minimization.
+def growth_rate_optima(insts: Sequence[Instance]) -> list[GrowthRateResult]:
+    """Optimal average costs by the shifted iteration of the one-step minimization, one ``_perron`` row per instance.
 
     The Bellman map ``(Wv)(x) = cost(x) min_u [p_u v(succ(x, u)) + (1 - p_u) v(fail(x))]``
     is monotone and homogeneous, so ``_perron`` brackets its growth rate over
-    all states.  J is the bracket's midpoint, ``converged`` is true iff
-    ``J_hi - J_lo <= TOL * J_lo``, and the greedy policy of the final iterate
-    is returned alongside.
+    all states.  The instances share their thresholds, so every row has the
+    same states; each has its own reliabilities and theta.  J is the
+    bracket's midpoint, ``converged`` is true iff ``J_hi - J_lo <= TOL * J_lo``,
+    and the greedy policy of the row's final iterate is returned alongside.
+    Each result is bitwise the one its instance gets alone.
     """
-    tables = transition_tables(inst)
-    ps = np.asarray(inst.reliabilities)
-
-    def drift(w: np.ndarray) -> np.ndarray:
-        return np.minimum.reduce(_lookahead(tables, ps, w[0], relative=True), axis=0)[None]
-
-    brackets, w = _perron(drift, np.expm1(inst.theta * tables.hits)[None])
-    j, j_lo, j_hi, converged = brackets.certified(0, inst.theta)
-    greedy = StationaryPolicy(_lookahead(tables, ps, w[0]).argmin(axis=0) + 1)
-    return GrowthRateResult(
-        average_cost=j,
-        j_lo=j_lo,
-        j_hi=j_hi,
-        growth_rate=math.exp(inst.theta * j),
-        policy=greedy,
-        iterations=int(brackets.iterations[0]),
-        converged=converged,
+    thresholds = {inst.thresholds for inst in insts}
+    if len(thresholds) != 1:
+        raise ValueError("the instances of one stacked optimum must share their thresholds")
+    tables = transition_tables(insts[0])
+    n_states = tables.indexer.total_states
+    offsets = n_states * np.arange(len(insts))
+    ps = np.array([inst.reliabilities for inst in insts])
+    p = np.repeat(ps.T, n_states, axis=1)  # (N, rows * S), like the successors
+    thetas = np.array([inst.theta for inst in insts])
+    brackets, w = _perron(
+        _bellman_drift,
+        np.expm1(thetas[:, None] * tables.hits).ravel(),
+        np.full(len(insts), n_states),
+        np.hstack(tables.succ.T + offsets[:, None, None]),
+        (tables.fail + offsets[:, None]).ravel(),
+        np.stack([p, 1.0 - p]),
     )
+    results = []
+    for row, inst in enumerate(insts):
+        j, j_lo, j_hi, converged = brackets.certified(row, inst.theta)
+        final = w[row * n_states : (row + 1) * n_states]
+        greedy = _lookahead(tables, ps[row], final).argmin(axis=0) + 1
+        results.append(
+            GrowthRateResult(
+                average_cost=j,
+                j_lo=j_lo,
+                j_hi=j_hi,
+                growth_rate=math.exp(inst.theta * j),
+                policy=StationaryPolicy(greedy),
+                iterations=int(brackets.iterations[row]),
+                converged=converged,
+            )
+        )
+    return results
+
+
+def growth_rate_optimal(inst: Instance) -> GrowthRateResult:
+    """Optimal average cost by the shifted iteration of the one-step minimization: ``growth_rate_optima([inst])``."""
+    return growth_rate_optima([inst])[0]

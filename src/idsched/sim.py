@@ -233,9 +233,9 @@ def _batch_chain(
     The chains are concatenated with index offsets, and row ``(chain, trial)``
     of the returned tally draws trial ``trial``'s uniforms.  A slot from
     state ``s`` succeeds iff its uniform is below ``p[s]``, so it depends on
-    the uniform only through its rank among the distinct reliabilities
-    ``levels``: ``u < p[s]`` iff ``searchsorted(levels, u, "right") <=
-    searchsorted(levels, p[s])``, the same float comparisons.  So ``K``
+    the uniform only through its rank, the number of distinct reliabilities
+    ``levels`` at or below it: ``u < p[s]`` iff that rank is at most
+    ``searchsorted(levels, p[s])``, the same float comparisons.  So ``K``
     slots from ``s`` depend only on ``s`` and the ranks' base-``width``
     code, and one lookup in ``_step_tables`` advances every row by ``K``
     slots.  ``K`` is the largest with ``states * width**K <= _TABLE`` (at
@@ -265,7 +265,9 @@ def _batch_chain(
     tally = _Tally(shape[0] * trials, n, horizon, warmup, record_cycles)
 
     for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
-        rank = np.searchsorted(levels, u, side="right")
+        rank = np.zeros(u.shape, dtype=np.intp)
+        for level in levels:  # one comparison per level is cheaper than a binary search over a few
+            rank += u >= level
         full, rest = divmod(len(u), steps)
         codes = (rank[: full * steps].reshape(full, steps, trials) * place[:, None]).sum(axis=1) + entry[steps]
         sizes = [width**steps] * full

@@ -9,10 +9,11 @@ import pytest
 from dense_oracle import dense_chain, eigvals_cost, recurrent, stationary_dense
 
 from idsched import exact
-from idsched.asymptotic import mlg_stationary_policy
+from idsched.asymptotic import mlg_stationary_policy, sn_policy
 from idsched.errors import ResourceLimitError, StructuralError
 from idsched.heuristics import (
     PeriodicSchedule,
+    build_periodic_schedule,
     periodic_chain,
     periodic_schedule_average_cost,
     prr_average_cost,
@@ -27,6 +28,7 @@ from idsched.exact import (
     dp_mdp1,
     dp_mdp2,
     exhaustive_optimal,
+    growth_rate_optima,
     growth_rate_optimal,
     is_ne,
     policy_count,
@@ -574,7 +576,7 @@ def test_stacked_rows_match_per_policy_evaluation_where_cycles_lie_off_the_class
 
 
 def test_stacked_chains_of_any_size_match_their_own_evaluation():
-    # padding a row with copies of its first state must not move its bracket
+    # rows of different lengths share one flat stack; none may move another's bracket
     two = Instance((2, 3), (0.6, 0.7), 0.05)
     three = Instance((2, 3, 4), (0.6, 0.7, 0.8), 0.3)
     policy = _random_ne_policy(two, np.random.default_rng(3))
@@ -588,3 +590,60 @@ def test_stacked_chains_of_any_size_match_their_own_evaluation():
     for stacked, chain, theta in zip(exact.chain_average_costs(chains, thetas), chains, thetas):
         alone = exact.chain_average_cost(chain, theta)
         assert stacked == alone
+
+
+def test_stacked_rows_that_stop_at_different_windows_match_their_own_evaluation():
+    # SN, PRR and PS classes of 960, 528 and 227 states stop between 96 and
+    # 232 iterations; each stopped row leaves the stack, and the rows left
+    # running must go on exactly as they would alone
+    chains, thetas = [], []
+    for epsilon in (0.1, 0.2, 0.3):
+        inst = Instance((7, 10, 13), (1 - epsilon,) * 3, 0.05)
+        chains += [
+            exact.stationary_chain(sn_policy(inst)[0], inst),
+            prr_chain(inst),
+            periodic_chain(inst, build_periodic_schedule(inst, 12)),
+        ]
+        thetas += [inst.theta] * 3
+    stacked = exact.chain_average_costs(chains, thetas)
+    assert sorted({len(report.recurrent_class) for report in stacked}) == [227, 528, 960]
+    assert len({report.iterations for report in stacked}) >= 6
+    for report, chain, theta in zip(stacked, chains, thetas):
+        assert report == exact.chain_average_cost(chain, theta)
+
+
+def _assert_stacked_optima_match_their_own(insts):
+    stacked = growth_rate_optima(insts)
+    for result, inst in zip(stacked, insts):
+        alone = growth_rate_optimal(inst)
+        assert (result.j_lo, result.j_hi, result.iterations) == (alone.j_lo, alone.j_hi, alone.iterations)
+        assert np.array_equal(result.policy.decisions, alone.policy.decisions)
+    return stacked
+
+
+@pytest.mark.parametrize(
+    "insts",
+    [
+        [Instance((3, 5), (1 - 2 * eps, 1 - eps), 0.01) for eps in (1e-4, 0.01, 0.2, 0.3)],
+        [Instance((2, 3), (0.6, 0.7), theta) for theta in (0.005, 0.02, 0.1, 0.5, 2.0)],
+    ],
+    ids=["epsilon", "theta"],
+)
+def test_stacked_optima_match_their_own(insts):
+    stacked = _assert_stacked_optima_match_their_own(insts)
+    assert len({result.iterations for result in stacked}) > 1  # rows leave at different windows
+    assert all(result.converged for result in stacked)
+
+
+def test_stacked_optima_match_their_own_when_the_cap_stops_some_rows(monkeypatch):
+    # the rows stop at 72, 56 and 40 iterations: a cap of 60 stops the first
+    # inside a window, after its last update, and the others by the floor rule
+    monkeypatch.setattr(exact, "MAX_ITER", 60)
+    insts = [Instance((2, 3), (0.6, 0.7), theta) for theta in (0.1, 0.5, 2.0)]
+    stacked = _assert_stacked_optima_match_their_own(insts)
+    assert [result.iterations for result in stacked] == [60, 56, 40]
+
+
+def test_stacked_optima_need_shared_thresholds():
+    with pytest.raises(ValueError):
+        growth_rate_optima([Instance((2, 3), (0.6, 0.7), 0.1), Instance((3, 3), (0.6, 0.7), 0.1)])
