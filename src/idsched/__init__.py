@@ -2,7 +2,6 @@
 
 from .errors import (
     ConfigError,
-    EstimationError,
     ResourceLimitError,
     SchedulingError,
     StructuralError,
@@ -59,13 +58,10 @@ from .heuristics import (
 )
 from .sim import (
     CostEstimate,
-    CycleEstimate,
     SimConfig,
     estimate_cost,
     estimate_costs,
     log_mean_exp,
-    regeneration_state,
-    simulate_cycles,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

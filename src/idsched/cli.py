@@ -454,13 +454,10 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(payload)
             return 0
-        if args.command == "solve":
-            cfg.evaluation = "exact"
-            cfg.sweep_values = [cfg.sweep_values[0]]
-        elif args.command == "simulate":
-            cfg.evaluation = "simulate"
-            cfg.sweep_values = [cfg.sweep_values[0]]
-            if cfg.sim_config is None:
+        if args.command in ("solve", "simulate"):
+            cfg.evaluation = "exact" if args.command == "solve" else "simulate"
+            cfg.sweep_values = [getattr(cfg.instance, cfg.sweep_axis)]  # the base point
+            if cfg.evaluation == "simulate" and cfg.sim_config is None:
                 raise ConfigError("simulate needs a 'sim' section in the config")
         rows = run_experiment(cfg, out_path=args.out)
         print(CSV_HEADER)

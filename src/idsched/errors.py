@@ -15,7 +15,3 @@ class ResourceLimitError(SchedulingError):
 
 class StructuralError(SchedulingError):
     """An internal structural assumption failed (e.g. an undecidable state)."""
-
-
-class EstimationError(SchedulingError):
-    """A Monte Carlo estimate could not be formed (e.g. no completed cycles)."""

@@ -1,31 +1,31 @@
 """Monte Carlo simulation of the slotted system under any policy.
 
-Costs are accumulated as integer exceedance counts and only exponentiated
-inside log-domain reductions, so horizons of 10^7 slots cannot overflow.
-Each trial owns a pseudorandom substream derived from (seed, trial index);
-the batch engines consume it as a per-slot walk of the model would, so
-results are independent of any batching, and repeated runs are bitwise
-identical.  A finite-memory policy enters as its ``exact.Chain``, which
-carries its start; WDD, which has no finite chain, enters as ``None`` and
-starts from the all-threshold state.
+Each batch engine returns one thing, the exceedance total of every row over
+each estimator block (``block_edges``), and the block estimator reads
+nothing else.  Costs are accumulated as integer exceedance counts and only
+exponentiated inside log-domain reductions, so horizons of 10^7 slots cannot
+overflow.  Each trial owns a pseudorandom substream derived from (seed,
+trial index); the batch engines consume it as a per-slot walk of the model
+would, so results are independent of any batching, and repeated runs are
+bitwise identical.  A finite-memory policy enters as its ``exact.Chain``,
+which carries its start; WDD, which has no finite chain, enters as ``None``
+and starts from the all-threshold state.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError
 from .exact import Chain
 from .model import Instance, State
 
 _CHUNK = 1024  # slots of uniforms drawn per call; bounds memory only, the streams do not depend on it
 _MIN_BLOCK = 64  # shortest estimator block, in slots
 _MIN_COVERAGE = 0.5  # least effective sample size of the block weights, per block
-_SLICE = 256  # most slots a batch engine records before deriving their accounting
+_SLICE = 256  # most slots a batch engine records before deriving their exceedances
 _TABLE = 2**15  # most entries of the chain engine's K-slot table
 
 
@@ -62,30 +62,6 @@ class CostEstimate:
     degenerate: bool
     block_length: float
     tail_coverage: float
-
-
-@dataclass(frozen=True)
-class CycleEstimate:
-    """Renewal-cycle estimates: mean length, mean multiplicative cost, implied average cost."""
-
-    mean_length: float
-    mean_cost: float
-    j_cycle: float
-    stderr_j: float
-    n_cycles: int
-    aborted_trials: int
-
-
-def regeneration_state(thresholds: tuple[int, ...]) -> State:
-    """Renewal marker: (1, 0) for two clients, (0, 1, ..., N-1) otherwise.
-
-    For three or more clients the marker lies outside the clipped space when
-    some client's threshold is below its component; it is then never visited.
-    """
-    n = len(thresholds)
-    if n == 2:
-        return (1, 0)
-    return tuple(range(n))
 
 
 def block_edges(horizon: int) -> list[int]:
@@ -143,42 +119,6 @@ def _slices(rngs: list[np.random.Generator], warmup: int, horizon: int):
         t0 = stop
 
 
-class _Tally:
-    """Accounting of a batch engine's rows (post-warmup slots only), fed one sub-slice at a time.
-
-    ``blocks[row]`` holds the row's exceedance totals over its
-    ``block_edges(horizon)`` blocks, in order, and ``deliveries[row]`` its
-    delivery count per client.  With ``record_cycles`` (the chain engine
-    only), ``exc`` and ``regen`` hold every slot's exceedances and renewal
-    hits, one column per row.
-    """
-
-    def __init__(self, rows: int, n_clients: int, horizon: int, warmup: int, record_cycles: bool):
-        self.warmup = warmup
-        # a block is under 128 slots (block_edges), so its total fits 32 bits
-        self.blocks = np.zeros((rows, len(block_edges(horizon))), dtype=np.int32)
-        self.deliveries = np.zeros((rows, n_clients), dtype=np.int64)
-        self.exc = np.zeros((horizon, rows), dtype=np.int16) if record_cycles else None
-        self.regen = np.zeros((horizon, rows), dtype=bool) if record_cycles else None
-
-    def add(self, block: int, totals: np.ndarray, deliveries: np.ndarray) -> None:
-        """Slots of one block: the exceedance total per row and the deliveries ``(rows, clients)``."""
-        self.blocks[:, block] += totals
-        self.deliveries += deliveries
-
-    def record(self, t0: int, exc: np.ndarray, at_regen: np.ndarray) -> None:
-        """Slots ``t0, t0 + 1, ...``: per-slot exceedances and renewal hits ``(slots, rows)``."""
-        span = slice(t0 - self.warmup, t0 - self.warmup + len(exc))
-        self.exc[span] = exc
-        self.regen[span] = at_regen
-
-    def cycles(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lengths and exceedance totals of a row's completed renewal cycles."""
-        pos = np.flatnonzero(self.regen[:, row])
-        csum = np.concatenate(([0], np.cumsum(self.exc[:, row], dtype=np.int64)))
-        return np.diff(pos), np.diff(csum[pos])
-
-
 def _steps(states: int, width: int) -> int:
     """Slots per table lookup: the largest ``K`` with ``states * width**K <= _TABLE``, at least 1."""
     steps = 1
@@ -187,82 +127,64 @@ def _steps(states: int, width: int) -> int:
     return steps
 
 
-def _step_tables(succ, fail, p, hits, client, n_clients: int, levels: np.ndarray, steps: int):
+def _step_tables(succ, fail, p, hits, levels: np.ndarray, steps: int):
     """Moves of ``1 .. steps`` slots from every chain state, by the ranks of their uniforms.
 
     With ``width = len(levels) + 1`` ranks, the ``k``-slot entry for state
     ``s`` and ranks ``r_0 .. r_{k-1}`` (first slot most significant) sits at
     ``offsets[k] + s * width**k + sum_i r_i * width**(k - 1 - i)``.  Returns
-    ``offsets`` and, per entry, the state reached (int32), the exceedances
-    paid (int16) and the deliveries per client (uint8).  A slot at rank
-    ``r`` from ``s`` delivers iff ``r <= searchsorted(levels, p[s])``.
+    ``offsets`` and, per entry, the state reached (int32) and the
+    exceedances paid (int16).  A slot at rank ``r`` from ``s`` delivers iff
+    ``r <= searchsorted(levels, p[s])``.
     """
     states, width = len(p), len(levels) + 1
     offsets = np.cumsum([0, 0] + [states * width**k for k in range(1, steps + 1)])
     nxt = np.empty(offsets[-1], dtype=np.int32)
     exc = np.empty(offsets[-1], dtype=np.int16)
-    dlv = np.empty((offsets[-1], n_clients), dtype=np.uint8)
     ok = np.arange(width) <= np.searchsorted(levels, p)[:, None]
     first = np.where(ok, succ[:, None], fail[:, None]).ravel()
     one = slice(0, len(first))
     nxt[one] = first
     exc[one] = np.repeat(hits, width)
-    dlv[one] = (ok[:, :, None] & (client[:, None, None] == np.arange(n_clients))).reshape(-1, n_clients)
     for k in range(2, steps + 1):
         # k slots: one slot, then k - 1 slots from where it led, written in place
         prev, cur = slice(offsets[k - 1], offsets[k]), slice(offsets[k], offsets[k + 1])
-        for table in (nxt, exc, dlv):
-            out = table[cur].reshape((len(first), -1) + table.shape[1:])
-            np.take(table[prev].reshape((states, -1) + table.shape[1:]), first, axis=0, out=out)
-            if table is not nxt:
-                out += table[one, None]
-    return offsets, nxt, exc, dlv
+        np.take(nxt[prev].reshape(states, -1), first, axis=0, out=nxt[cur].reshape(len(first), -1))
+        paid = exc[cur].reshape(len(first), -1)
+        np.take(exc[prev].reshape(states, -1), first, axis=0, out=paid)
+        paid += exc[one, None]
+    return offsets, nxt, exc
 
 
-def _batch_chain(
-    inst: Instance,
-    chains: list[Chain],
-    horizon: int,
-    trials: int,
-    seed: int,
-    warmup: int,
-    record_cycles: bool,
-) -> _Tally:
-    """Trials of each chain, from its ``start``, run as one stacked chain.
+def _batch_chain(chains: list[Chain], horizon: int, trials: int, seed: int, warmup: int) -> np.ndarray:
+    """Block exceedance totals ``(rows, blocks)`` of each chain's trials, from its ``start``.
 
-    The chains are concatenated with index offsets, and row ``(chain, trial)``
-    of the returned tally draws trial ``trial``'s uniforms.  A slot from
-    state ``s`` succeeds iff its uniform is below ``p[s]``, so it depends on
-    the uniform only through its rank, the number of distinct reliabilities
-    ``levels`` at or below it: ``u < p[s]`` iff that rank is at most
-    ``searchsorted(levels, p[s])``, the same float comparisons.  So ``K``
-    slots from ``s`` depend only on ``s`` and the ranks' base-``width``
+    The chains are concatenated with index offsets and run as one stacked
+    chain, and row ``(chain, trial)`` draws trial ``trial``'s uniforms.  A
+    slot from state ``s`` succeeds iff its uniform is below ``p[s]``, so it
+    depends on the uniform only through its rank, the number of distinct
+    reliabilities ``levels`` at or below it: ``u < p[s]`` iff that rank is
+    at most ``searchsorted(levels, p[s])``, the same float comparisons.  So
+    ``K`` slots from ``s`` depend only on ``s`` and the ranks' base-``width``
     code, and one lookup in ``_step_tables`` advances every row by ``K``
-    slots.  ``K`` is the largest with ``states * width**K <= _TABLE`` (at
-    least 1), and 1 with ``record_cycles``, which needs every slot's state.
-    The slot loop records each row's table index; exceedances, deliveries
-    and renewal hits (visits to the regeneration state in the ``base``
-    component, whatever the policy's memory) are read from those records
-    after each sub-slice, whose last ``len % K`` slots take one shorter step.
+    slots, ``K`` the largest with ``states * width**K <= _TABLE`` (at least
+    1).  The slot loop records each row's table index; the exceedances are
+    read from those records after each sub-slice, whose last ``len % K``
+    slots take one shorter step, and added to the sub-slice's block.
     """
-    regen = regeneration_state(inst.thresholds)
-    # a renewal state outside the clipped space is never visited
-    regen_idx = inst.indexer().index(regen) if all(r <= t for r, t in zip(regen, inst.thresholds)) else -1
     offsets = np.cumsum([0] + [len(c.p) for c in chains[:-1]])
     succ = np.concatenate([c.succ + off for c, off in zip(chains, offsets)])
     fail = np.concatenate([c.fail + off for c, off in zip(chains, offsets)])
-    p, hits, client, base = (
-        np.concatenate([getattr(c, name) for c in chains]) for name in ("p", "hits", "client", "base")
-    )
+    p, hits = (np.concatenate([getattr(c, name) for c in chains]) for name in ("p", "hits"))
     levels = np.array(sorted(set(p.tolist())))
     width = len(levels) + 1
-    steps = 1 if record_cycles else _steps(len(p), width)
-    n = inst.n_clients
-    entry, nxt, exc, dlv = _step_tables(succ, fail, p, hits, client, n, levels, steps)
+    steps = _steps(len(p), width)
+    entry, nxt, exc = _step_tables(succ, fail, p, hits, levels, steps)
     place = width ** np.arange(steps)[::-1]  # a slot's weight in its step's code, first slot most significant
     shape = (len(chains), trials)
     sidx = np.repeat([c.start + off for c, off in zip(chains, offsets)], trials).reshape(shape)
-    tally = _Tally(shape[0] * trials, n, horizon, warmup, record_cycles)
+    # a block is under 128 slots (block_edges), so its total fits 32 bits
+    blocks = np.zeros((shape[0] * trials, len(block_edges(horizon))), dtype=np.int32)
 
     for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
         rank = np.zeros(u.shape, dtype=np.intp)
@@ -280,24 +202,21 @@ def _batch_chain(
             np.add(at[j], codes[j], out=at[j])
             sidx = nxt.take(at[j])
         if t0 >= warmup:
-            paid = exc.take(at)
-            tally.add(block, paid.sum(axis=0).ravel(), dlv.take(at, axis=0).sum(axis=0, dtype=np.int64).reshape(-1, n))
-            if record_cycles:
-                tally.record(t0, paid.reshape(len(u), -1), (base.take(at // width) == regen_idx).reshape(len(u), -1))
-    return tally
+            blocks[:, block] += exc.take(at).sum(axis=0).ravel()
+    return blocks
 
 
-def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, start: State, warmup: int) -> _Tally:
-    """Trials of WDD on each instance (sharing thresholds), stacked as tally rows ``(instance, trial)``.
+def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, start: State, warmup: int) -> np.ndarray:
+    """Block exceedance totals ``(rows, blocks)`` of WDD's trials, rows ``(instance, trial)``.
 
-    Each slot makes only the decision, the first client with the largest
-    ``t / (p tau) - M / p`` (so ties go to the lowest client), and the
-    channel draw, and records the running delivery counts ``M``.  A virtual
-    delivery at slot ``-x - 1`` stands for each client's start ``x``.  With
-    ``D(t)`` a client's count before slot ``t``, it sits at its threshold
-    ``tau`` when ``D(t) == D(t - tau)`` (no delivery in the last ``tau``
-    slots).  So the last ``max(tau) + 1`` records carry over between
-    sub-slices.
+    The instances share thresholds.  Each slot makes only the decision, the
+    first client with the largest ``t / (p tau) - M / p`` (so ties go to the
+    lowest client), and the channel draw, and records the running delivery
+    counts ``M``.  A virtual delivery at slot ``-x - 1`` stands for each
+    client's start ``x``.  With ``D(t)`` a client's count before slot ``t``,
+    it sits at its threshold ``tau`` when ``D(t) == D(t - tau)`` (no
+    delivery in the last ``tau`` slots).  So the last ``max(tau) + 1``
+    records carry over between sub-slices.
     """
     taus = insts[0].thresholds
     n = len(taus)
@@ -316,7 +235,8 @@ def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, star
     # before the first slot they are -1, and 0 from the virtual delivery on
     record = np.empty((lag + _SLICE, n, rows), dtype=np.int32)
     record[:lag] = (np.arange(lag)[:, None] >= lag - 1 - np.asarray(start))[:, :, None] - 1
-    tally = _Tally(rows, n, horizon, warmup, False)
+    # a block is under 128 slots (block_edges), so its total fits 32 bits
+    blocks = np.zeros((rows, len(block_edges(horizon))), dtype=np.int32)
 
     for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
         size = len(u)
@@ -339,19 +259,20 @@ def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, star
             for c, tau in enumerate(taus):
                 # D(t0 + j) == D(t0 + j - tau): the client's counts before those slots
                 exc += record[lag - 1 : lag - 1 + size, c] == record[lag - 1 - tau : lag - 1 - tau + size, c]
-            tally.add(block, exc.sum(axis=0), (record[lag - 1 + size] - record[lag - 1]).T)
+            blocks[:, block] += exc.sum(axis=0)
         record[:lag] = record[size : size + lag]
-    return tally
+    return blocks
 
 
-def _run_trials(insts: list[Instance], chains: list[Chain | None], cfg: SimConfig) -> list[tuple[_Tally, slice]]:
+def _run_trials(insts: list[Instance], chains: list[Chain | None], cfg: SimConfig) -> list[tuple[np.ndarray, slice]]:
     """The trials of every point ``(insts[i], chains[i])``, one call per engine.
 
-    Returns each point's engine tally and its slice of the tally's rows.  A
+    Returns each point's engine block totals and its slice of their rows.  A
     chain of ``None`` stands for WDD, from the all-threshold state.  The
     points must share thresholds.  Points whose engine inputs are equal share
     one set of rows: for WDD the inputs are the reliabilities (theta never
-    enters the engine), for a chain every array and the start.
+    enters the engine), for a chain its start and the arrays the engine
+    reads.
     """
     taus = insts[0].thresholds
     if any(inst.thresholds != taus for inst in insts):
@@ -364,18 +285,18 @@ def _run_trials(insts: list[Instance], chains: list[Chain | None], cfg: SimConfi
             key = ("wdd", inst.reliabilities)
             wdd.setdefault(key, inst)
         else:
-            arrays = (chain.succ, chain.fail, chain.p, chain.hits, chain.client, chain.base)
+            arrays = (chain.succ, chain.fail, chain.p, chain.hits)
             key = ("chain", chain.start, *(a.tobytes() for a in arrays))
             distinct.setdefault(key, chain)
         keys.append(key)
     args = (cfg.horizon, cfg.trials, cfg.seed)
-    tallies = {}
+    blocks = {}
     if wdd:
-        tallies["wdd"] = _batch_wdd(list(wdd.values()), *args, taus, cfg.warmup)
+        blocks["wdd"] = _batch_wdd(list(wdd.values()), *args, taus, cfg.warmup)
     if distinct:
-        tallies["chain"] = _batch_chain(insts[0], list(distinct.values()), *args, cfg.warmup, False)
+        blocks["chain"] = _batch_chain(list(distinct.values()), *args, cfg.warmup)
     group = {key: g for points in (wdd, distinct) for g, key in enumerate(points)}
-    return [(tallies[key[0]], slice(group[key] * cfg.trials, (group[key] + 1) * cfg.trials)) for key in keys]
+    return [(blocks[key[0]], slice(group[key] * cfg.trials, (group[key] + 1) * cfg.trials)) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +338,7 @@ def estimate_costs(insts: list[Instance], chains: list[Chain | None], cfg: SimCo
     points with equal engine inputs share their trials (see ``_run_trials``).
     """
     runs = _run_trials(insts, chains, cfg)
-    return [_block_estimate(inst.theta, tally.blocks[rows], cfg) for inst, (tally, rows) in zip(insts, runs)]
+    return [_block_estimate(inst.theta, blocks[rows], cfg) for inst, (blocks, rows) in zip(insts, runs)]
 
 
 def _block_estimate(theta: float, fine: np.ndarray, cfg: SimConfig) -> CostEstimate:
@@ -446,54 +367,4 @@ def _block_estimate(theta: float, fine: np.ndarray, cfg: SimConfig) -> CostEstim
         degenerate=degenerate,
         block_length=block_length,
         tail_coverage=coverage,
-    )
-
-
-def simulate_cycles(inst: Instance, chain: Chain, cfg: SimConfig) -> CycleEstimate:
-    """Renewal-cycle estimates pooled across the trials of a finite chain.
-
-    Estimates the mean cycle length and the mean multiplicative cycle cost
-    (log domain), and combines them into the implied average cost
-    ``ln(mean cost) / (theta * mean length)``.  Trials that never hit the
-    renewal state complete no cycles; a warning is issued for them.
-    """
-    if chain is None:
-        raise ValueError("renewal cycles need a finite chain; WDD has none")
-    tally = _batch_chain(inst, [chain], cfg.horizon, cfg.trials, cfg.seed, cfg.warmup, True)
-    lengths, counts = zip(*(tally.cycles(r) for r in range(cfg.trials)))
-    aborted = sum(len(row) == 0 for row in lengths)
-    if aborted:
-        warnings.warn(
-            f"{aborted} of {cfg.trials} trials completed no regeneration cycle",
-            stacklevel=2,
-        )
-    larr = np.concatenate(lengths).astype(float)
-    if not larr.size:
-        raise EstimationError("no completed regeneration cycles; longer horizon needed")
-
-    w = inst.theta * np.concatenate(counts).astype(float)
-    n_cycles = larr.size
-    lme = log_mean_exp(w)
-    mean_len = float(larr.mean())
-    j_cycle = lme / (inst.theta * mean_len)
-
-    shifted = np.exp(w - w.max())
-    mean_e = float(shifted.mean())
-    if n_cycles > 1:
-        var_log_v = float(shifted.var(ddof=1)) / (n_cycles * mean_e**2)
-        var_len = float(larr.var(ddof=1)) / n_cycles
-        cov = float(np.cov(shifted, larr, ddof=1)[0, 1]) / (n_cycles * mean_e)
-        d_a = 1.0 / (inst.theta * mean_len)
-        d_b = -lme / (inst.theta * mean_len**2)
-        var_j = var_log_v * d_a**2 + var_len * d_b**2 + 2.0 * cov * d_a * d_b
-        stderr_j = math.sqrt(max(var_j, 0.0))
-    else:
-        stderr_j = 0.0
-    return CycleEstimate(
-        mean_length=mean_len,
-        mean_cost=float(math.exp(lme)),
-        j_cycle=j_cycle,
-        stderr_j=stderr_j,
-        n_cycles=n_cycles,
-        aborted_trials=aborted,
     )

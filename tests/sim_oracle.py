@@ -57,25 +57,23 @@ def wdd(inst):
 
 @dataclass
 class Trial:
-    """A trial's accounting (post-warmup slots only) and each client's delivery slots."""
+    """A trial's block exceedance totals (post-warmup slots only) and, from ``run_trial``, each client's delivery slots."""
 
     block_exceedances: np.ndarray
-    deliveries: tuple
-    cycle_lengths: list
-    cycle_exceedances: list
     delivery_slots: list = None
 
     @property
     def exceedance_total(self):
         return int(self.block_exceedances.sum())
 
+    @property
+    def deliveries(self):
+        return tuple(len(slots) for slots in self.delivery_slots)
 
-def tally_trials(tally, points):
-    """A batch engine's ``sim._Tally`` as ``Trial`` records (no delivery slots), one list per point."""
-    trials = []
-    for row, deliveries in enumerate(tally.deliveries.tolist()):
-        cycles = tally.cycles(row) if tally.exc is not None else (np.empty(0), np.empty(0))
-        trials.append(Trial(tally.blocks[row], tuple(deliveries), *(c.tolist() for c in cycles)))
+
+def tally_trials(blocks, points):
+    """A batch engine's block totals ``(rows, blocks)`` as ``Trial`` records, one list per point."""
+    trials = [Trial(row) for row in blocks]
     size = len(trials) // points
     return [trials[g * size : (g + 1) * size] for g in range(points)]
 
@@ -83,26 +81,18 @@ def tally_trials(tally, points):
 def run_trial(inst, policy, horizon, trial_seed, start, warmup=0):
     """Simulate ``warmup + horizon`` slots from ``start``, accounting only the last ``horizon``.
 
-    Each slot charges the pre-transition state's exceedance count, serves the
-    policy's client, draws the channel outcome and steps.  Visits to the
-    renewal state (pre-transition) delimit the cycles, and each slot's
-    exceedances add to the total of its ``sim.block_edges(horizon)`` block.
+    Each slot charges the pre-transition state's exceedance count to its
+    ``sim.block_edges(horizon)`` block, serves the policy's client, draws
+    the channel outcome and steps.
     """
     memory, serve, advance = policy
-    regen = sim.regeneration_state(inst.thresholds)
     state = tuple(start)
-    exceed_total = 0
     blocks = np.zeros(len(sim.block_edges(horizon)), dtype=np.int64)
-    hits = []
     slots = [[] for _ in range(inst.n_clients)]
     for t0, uniforms, block in sim._slices([np.random.default_rng(trial_seed)], warmup, horizon):
         for t, draw in enumerate(uniforms[:, 0].tolist(), t0):
             if t >= warmup:
-                if state == regen:
-                    hits.append((t, exceed_total))
-                exceed = exceedance_count(state, inst.thresholds)
-                exceed_total += exceed
-                blocks[block] += exceed
+                blocks[block] += exceedance_count(state, inst.thresholds)
             u = serve(state, memory)
             step = step_distribution(state, u, inst)
             delivered = draw < step.success_prob
@@ -110,10 +100,4 @@ def run_trial(inst, policy, horizon, trial_seed, start, warmup=0):
                 slots[u - 1].append(t)
             state = step.success_state if delivered else step.failure_state
             memory = advance(memory, u, delivered)
-    return Trial(
-        block_exceedances=blocks,
-        deliveries=tuple(len(s) for s in slots),
-        cycle_lengths=[b - a for (a, _), (b, _) in zip(hits, hits[1:])],
-        cycle_exceedances=[b - a for (_, a), (_, b) in zip(hits, hits[1:])],
-        delivery_slots=slots,
-    )
+    return Trial(block_exceedances=blocks, delivery_slots=slots)

@@ -194,6 +194,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert CSV_HEADER in captured.out
 
 
+@pytest.mark.parametrize("command, evaluation", [("solve", "exact"), ("simulate", "simulate")])
+@pytest.mark.parametrize("axis", ["epsilon", "theta"])
+def test_single_point_commands_evaluate_the_base_point(tmp_path, capsys, command, evaluation, axis):
+    # the base point (epsilon = theta = 0.05), which describe reports, is not the first sweep value
+    cfg_path = _tiny_config(tmp_path, sweep={"axis": axis, "values": [0.02, 0.05]}, evaluation=evaluation)
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    swept = capsys.readouterr().out.splitlines()
+    assert main([command, "--config", str(cfg_path)]) == 0
+    single = capsys.readouterr().out.splitlines()
+    assert single[0] == CSV_HEADER and len(single) > 1
+    assert single[1:] == [row for row in swept[1:] if row.startswith("0.05,")]
+
+
 def _plain_instance(**fields):
     """Overrides for a plain instance with ``fields`` set (``None`` drops one), swept over theta."""
     instance = {"taus": [2, 3], "ps": [0.6, 0.7], "theta": 0.05, **fields}

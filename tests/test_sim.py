@@ -1,5 +1,5 @@
 import math
-import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ import sim_oracle
 from sim_oracle import run_trial, tally_trials
 
 from idsched import sim
-from idsched.asymptotic import mlg_stationary_policy
-from idsched.errors import EstimationError
 from idsched.exact import StationaryPolicy, average_cost, stationary_chain
 from idsched.heuristics import PeriodicSchedule, periodic_chain, prr_chain
 from idsched.model import Instance
@@ -21,11 +19,8 @@ from idsched.sim import (
     estimate_cost,
     estimate_costs,
     log_mean_exp,
-    regeneration_state,
-    simulate_cycles,
 )
 from idsched.sim import _CHUNK, _SLICE, _TABLE, _batch_chain, _batch_wdd, _slices, _steps
-from idsched.model import successor_on_failure, successor_on_success
 
 
 def _random_policy(inst, seed):
@@ -33,20 +28,17 @@ def _random_policy(inst, seed):
     return StationaryPolicy(rng.integers(1, inst.n_clients + 1, inst.total_states))
 
 
-def _fields(result, cycles=True):
-    accounting = (result.block_exceedances.tolist(), result.deliveries)
-    return accounting + (result.cycle_lengths, result.cycle_exceedances) if cycles else accounting
+def _fields(result):
+    return result.block_exceedances.tolist()
 
 
-def _chain_tallies(inst, chains, horizon, trials, seed, warmup):
-    """The chain engine's tally of a stack without and with renewal cycles: multi-slot steps, then one slot per step."""
-    return [_batch_chain(inst, chains, horizon, trials, seed, warmup, cycles) for cycles in (False, True)]
-
-
-def test_regeneration_state_convention():
-    assert regeneration_state((3, 5)) == (1, 0)
-    assert regeneration_state((4, 6, 8)) == (0, 1, 2)
-    assert regeneration_state((2,)) == (0,)
+def _chain_tallies(chains, horizon, trials, seed, warmup):
+    """The chain engine's block totals on a stack at its default step, then at one slot per step."""
+    default = _batch_chain(chains, horizon, trials, seed, warmup)
+    with mock.patch.object(sim, "_TABLE", 0):
+        assert _steps_of(chains)[0] == 1
+        one_slot = _batch_chain(chains, horizon, trials, seed, warmup)
+    return [default, one_slot]
 
 
 def test_run_trial_is_deterministic():
@@ -56,39 +48,6 @@ def test_run_trial_is_deterministic():
     b = run_trial(inst, sim_oracle.stationary(pol, inst), 500, (11, 3), inst.thresholds)
     assert a.exceedance_total == b.exceedance_total
     assert a.deliveries == b.deliveries
-    assert a.cycle_lengths == b.cycle_lengths
-    assert a.cycle_exceedances == b.cycle_exceedances
-
-
-def test_cycles_tile_the_trajectory():
-    inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    pol = _random_policy(inst, 1)
-    horizon = 2000
-    (res,) = tally_trials(_batch_chain(inst, [stationary_chain(pol, inst)], horizon, 1, 5, 0, True), 1)[0]
-    assert res.exceedance_total <= inst.n_clients * horizon
-    assert sum(res.cycle_lengths) <= horizon
-    assert sum(res.cycle_exceedances) <= res.exceedance_total
-
-    # replay the trial's uniform stream; the recorded cycles must partition
-    # the span between the first and last renewal hits with no gaps
-    rng = np.random.default_rng((5, 0))
-    draws = np.concatenate([rng.random(min(_CHUNK, horizon - k)) for k in range(0, horizon, _CHUNK)])
-    idxr = inst.indexer()
-    state = inst.thresholds
-    regen = regeneration_state(inst.thresholds)
-    hits = []
-    exceed = []
-    for t in range(horizon):
-        if state == regen:
-            hits.append(t)
-        exceed.append(sum(1 for x, tau in zip(state, inst.thresholds) if x == tau))
-        u = int(pol.decisions[idxr.index(state)])
-        if draws[t] < inst.reliabilities[u - 1]:
-            state = successor_on_success(state, u, inst.thresholds)
-        else:
-            state = successor_on_failure(state, inst.thresholds)
-    assert res.cycle_lengths == [b - a for a, b in zip(hits, hits[1:])]
-    assert res.cycle_exceedances == [sum(exceed[a:b]) for a, b in zip(hits, hits[1:])]
 
 
 def test_batch_engines_match_reference_exactly():
@@ -96,36 +55,32 @@ def test_batch_engines_match_reference_exactly():
     pol = _random_policy(inst, 2)
     policy = sim_oracle.stationary(pol, inst)
     ref = [run_trial(inst, policy, 400, (123, r), inst.thresholds, warmup=13) for r in range(5)]
-    for tally in _chain_tallies(inst, [stationary_chain(pol, inst)], 400, 5, 123, 13):
-        cycles = tally.exc is not None
+    for tally in _chain_tallies([stationary_chain(pol, inst)], 400, 5, 123, 13):
         for r, b in zip(ref, tally_trials(tally, 1)[0]):
             assert r.exceedance_total == b.exceedance_total
             assert len(r.block_exceedances) > 1
-            assert _fields(r, cycles) == _fields(b, cycles)
+            assert _fields(r) == _fields(b)
 
     refw = [run_trial(inst, sim_oracle.wdd(inst), 400, (55, r), inst.thresholds, warmup=7) for r in range(5)]
     batw = tally_trials(_batch_wdd([inst], 400, 5, 55, inst.thresholds, 7), 1)[0]
     for r, b in zip(refw, batw):
         assert r.exceedance_total == b.exceedance_total
         assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
-        assert r.deliveries == b.deliveries
 
     # round robin and periodic schedules on their augmented chains, with a
     # warmup that is not a multiple of the period; on three clients the token
-    # wraps, and round robin never visits the regeneration state (0, 1, 2)
+    # wraps
     inst3 = Instance((2, 3, 4), (0.6, 0.7, 0.8), 0.05)
     sched = PeriodicSchedule((3, 2, 1, 2), 3)
     cases = [
-        (inst, sim_oracle.prr(2), prr_chain(inst), True),
-        (inst3, sim_oracle.prr(3), prr_chain(inst3), False),
-        (inst3, sim_oracle.ps(sched.sequence), periodic_chain(inst3, sched), True),
+        (inst, sim_oracle.prr(2), prr_chain(inst)),
+        (inst3, sim_oracle.prr(3), prr_chain(inst3)),
+        (inst3, sim_oracle.ps(sched.sequence), periodic_chain(inst3, sched)),
     ]
-    for seed, (case, policy, chain, regenerates) in enumerate(cases):
+    for seed, (case, policy, chain) in enumerate(cases):
         ref = [run_trial(case, policy, 600, (seed, r), case.thresholds, warmup=13) for r in range(5)]
-        assert any(r.cycle_lengths for r in ref) == regenerates
-        for tally in _chain_tallies(case, [chain], 600, 5, seed, 13):
-            cycles = tally.exc is not None
-            assert [_fields(r, cycles) for r in ref] == [_fields(b, cycles) for b in tally_trials(tally, 1)[0]]
+        for tally in _chain_tallies([chain], 600, 5, seed, 13):
+            assert [_fields(r) for r in ref] == [_fields(b) for b in tally_trials(tally, 1)[0]]
 
 
 @pytest.mark.parametrize("chunk", [300, 16384])
@@ -138,10 +93,10 @@ def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
     def trials_of_each_engine():
         start = inst.thresholds
         policy = sim_oracle.stationary(pol, inst)
-        steps, cycles = _chain_tallies(inst, [stationary_chain(pol, inst)], horizon, trials, seed, warmup)
+        steps, one_slot = _chain_tallies([stationary_chain(pol, inst)], horizon, trials, seed, warmup)
         return [
             [run_trial(inst, policy, horizon, (seed, r), start, warmup) for r in range(trials)],
-            tally_trials(cycles, 1)[0],
+            tally_trials(one_slot, 1)[0],
             tally_trials(steps, 1)[0],
             [run_trial(inst, sim_oracle.wdd(inst), horizon, (seed, r), start, warmup) for r in range(trials)],
             tally_trials(_batch_wdd([inst], horizon, trials, seed, start, warmup), 1)[0],
@@ -152,20 +107,17 @@ def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
     patched = trials_of_each_engine()
     for engine in range(5):
         assert [_fields(r) for r in patched[engine]] == [_fields(r) for r in default[engine]]
-    assert [_fields(r) for r in default[0]] == [_fields(r) for r in default[1]]
-    # the multi-slot steps and the WDD engine record no renewal cycles
-    for ref, engine in ((0, 2), (3, 4)):
-        assert [_fields(r, False) for r in default[ref]] == [_fields(r, False) for r in default[engine]]
+    for ref, engine in ((0, 1), (0, 2), (3, 4)):
+        assert [_fields(r) for r in default[ref]] == [_fields(r) for r in default[engine]]
 
 
 def _assert_points_match_reference(insts, policies, tallies, horizon, seed, starts, warmup):
-    """Every engine tally's rows ``(point, trial)`` against the oracle, cycles where the tally records them."""
+    """Every engine's block totals, rows ``(point, trial)``, against the oracle."""
     runs = [tally_trials(tally, len(insts)) for tally in tallies]
     for point, (inst, policy, start) in enumerate(zip(insts, policies, starts)):
         ref = [run_trial(inst, policy, horizon, (seed, r), start, warmup=warmup) for r in range(len(runs[0][point]))]
-        for tally, run in zip(tallies, runs):
-            cycles = tally.exc is not None
-            assert [_fields(b, cycles) for b in run[point]] == [_fields(r, cycles) for r in ref]
+        for run in runs:
+            assert [_fields(b) for b in run[point]] == [_fields(r) for r in ref]
 
 
 @pytest.mark.parametrize(
@@ -173,7 +125,7 @@ def _assert_points_match_reference(insts, policies, tallies, horizon, seed, star
     [
         # a repeated reliability vector (at another theta), warmup off the block grid
         ((2, 3), [(0.6, 0.7), (0.9, 0.5), (0.6, 0.7)], None, 600, 13),
-        # the renewal state as the start, with no warmup to hide its encoding
+        # the start (1, 0), with no warmup to hide its encoding
         ((2, 3), [(0.6, 0.7), (0.8, 0.8)], (1, 0), 500, 0),
         ((2, 3, 4), [(0.6, 0.7, 0.8), (0.7, 0.7, 0.7)], (0, 2, 2), 500, 33),
         # the warmup crosses a chunk of the uniform stream
@@ -202,7 +154,7 @@ def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, sta
 
 def test_stacked_chain_engine_matches_reference_per_point():
     # chains of different sizes and reliabilities over one set of thresholds,
-    # each from its own start, without and with renewal cycles
+    # each from its own start, at the default step and at one slot per step
     taus = (2, 3, 4)
     a = Instance(taus, (0.6, 0.7, 0.8), 0.05)
     b = Instance(taus, (0.9, 0.5, 0.7), 0.05)
@@ -216,9 +168,8 @@ def test_stacked_chain_engine_matches_reference_per_point():
     ]
     insts, policies, chains, starts = zip(*cases)
     assert len({len(c.p) for c in chains}) == 3
-    tallies = _chain_tallies(a, list(chains), 600, 4, 29, 13)
+    tallies = _chain_tallies(list(chains), 600, 4, 29, 13)
     _assert_points_match_reference(insts, policies, tallies, 600, 29, starts, 13)
-    assert any(res.cycle_lengths for run in tally_trials(tallies[1], len(chains)) for res in run)
 
 
 def _two_client_stack():
@@ -275,7 +226,7 @@ def test_multi_slot_steps_match_the_oracle(stack, steps, width):
         assert sum(len(c.p) for c in chains) * width**2 > _TABLE
     lengths = [len(u) for _, u, _ in _slices([np.random.default_rng(0)], 13, 600)]
     assert steps == 1 or sum(size % steps > 0 for size in lengths) > 1
-    tallies = _chain_tallies(insts[0], list(chains), 600, 2, 31, 13)
+    tallies = _chain_tallies(list(chains), 600, 2, 31, 13)
     _assert_points_match_reference(insts, policies, tallies, 600, 31, starts, 13)
 
 
@@ -294,7 +245,7 @@ def test_chain_engine_ranks_uniforms_equal_to_a_reliability_as_failures(monkeypa
     monkeypatch.setattr(sim, "_slices", slices_at_the_edges)
     drawn = np.concatenate([u.ravel() for _, u, _ in sim._slices([np.random.default_rng((31, 0))], 13, 600)])
     assert set(edges) <= set(drawn.tolist())
-    tallies = _chain_tallies(insts[0], list(chains), 600, 2, 31, 13)
+    tallies = _chain_tallies(list(chains), 600, 2, 31, 13)
     _assert_points_match_reference(insts, policies, tallies, 600, 31, starts, 13)
 
 
@@ -332,7 +283,7 @@ def test_single_client_threshold_frequency():
     # symmetric two-state chain spends half its accounted slots at threshold
     inst = Instance((1,), (0.5,), 0.1)
     pol = StationaryPolicy(np.array([1, 1]))
-    (res,) = tally_trials(_batch_chain(inst, [stationary_chain(pol, inst, (0,))], 200_000, 1, 9, 0, False), 1)[0]
+    (res,) = tally_trials(_batch_chain([stationary_chain(pol, inst, (0,))], 200_000, 1, 9, 0), 1)[0]
     assert res.exceedance_total / 200_000 == pytest.approx(0.5, abs=0.01)
 
 
@@ -431,46 +382,6 @@ def test_log_mean_exp_is_overflow_safe():
     assert out == pytest.approx(1e4 + math.log((1 + math.exp(-3) + math.exp(5 - 1e4)) / 3), rel=1e-12)
 
 
-def test_perfect_channel_cycles_are_deterministic():
-    # no failures: the least-time-to-go rule loops through its renewal cycle
-    perfect = math.nextafter(1.0, 0.0)
-    inst = Instance((3, 5), (perfect, perfect), 0.01)
-    pol = mlg_stationary_policy(inst)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cyc = simulate_cycles(inst, stationary_chain(pol, inst, (1, 0)), SimConfig(horizon=500, trials=4, seed=5))
-    assert cyc.mean_length == 2.0
-    assert cyc.j_cycle == 0.0
-
-
-def test_cycle_estimate_agrees_with_direct_estimate_in_regime():
-    # small per-cycle fluctuations: both estimators target the same value
-    inst = Instance((3, 5), (1 - 0.04, 1 - 0.02), 0.01)
-    pol = mlg_stationary_policy(inst)
-    chain = stationary_chain(pol, inst, (1, 0))
-    cfg = SimConfig(horizon=200_000, trials=32, seed=11)
-    est = estimate_cost(inst, chain, cfg)
-    cyc = simulate_cycles(inst, chain, cfg)
-    combined = math.sqrt(est.stderr_j**2 + cyc.stderr_j**2)
-    assert abs(est.j_hat - cyc.j_cycle) <= 3 * combined
-
-
-def test_simulate_cycles_errors_without_regeneration():
-    # an open-loop schedule that never visits (1, 0): serving client 1 forever
-    inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    pol = StationaryPolicy(np.ones(inst.total_states, dtype=np.int64))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(EstimationError):
-            simulate_cycles(inst, stationary_chain(pol, inst), SimConfig(horizon=300, trials=2, seed=6))
-
-
-def test_simulate_cycles_needs_a_finite_chain():
-    inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    with pytest.raises(ValueError, match="finite chain"):
-        simulate_cycles(inst, None, SimConfig(horizon=300, trials=2, seed=6))
-
-
 def test_warmup_shifts_accounting():
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_policy(inst, 7)
@@ -509,11 +420,9 @@ def _engine_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_engine_cases(), st.integers(0, 2**16))
 def test_batch_engines_match_the_oracle_on_generated_cases(case, seed):
-    # the renewal state (0, 1, 2) lies outside the clipped space when a
-    # threshold is below its component, as with thresholds (1, 1, 1)
     inst, start, policy, chain, warmup, horizon = case
     if chain is None:
         tallies = [_batch_wdd([inst], horizon, 2, seed, start, warmup)]
     else:
-        tallies = _chain_tallies(inst, [chain], horizon, 2, seed, warmup)
+        tallies = _chain_tallies([chain], horizon, 2, seed, warmup)
     _assert_points_match_reference([inst], [policy], tallies, horizon, seed, [start], warmup)
