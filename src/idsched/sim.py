@@ -14,6 +14,7 @@ and starts from the all-threshold state.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -22,10 +23,10 @@ import numpy as np
 from .exact import Chain
 from .model import Instance, State
 
-_CHUNK = 1024  # slots of uniforms drawn per call; bounds memory only, the streams do not depend on it
+_DRAW = 2**14  # most uniforms one draw holds (128 KiB); bounds memory only, the streams do not depend on it
 _MIN_BLOCK = 64  # shortest estimator block, in slots
 _MIN_COVERAGE = 0.5  # least effective sample size of the block weights, per block
-_SLICE = 256  # most slots a batch engine records before deriving their exceedances
+_SLICE = 2 * _MIN_BLOCK  # most slots a batch engine records before deriving their exceedances; no block is longer
 _TABLE = 2**15  # most entries of the chain engine's K-slot table
 
 
@@ -95,28 +96,29 @@ def log_mean_exp(values) -> float:
 def _slices(rngs: list[np.random.Generator], warmup: int, horizon: int):
     """Every row's uniforms, slot-major, in sub-slices of at most ``_SLICE`` slots.
 
-    Row ``r`` reads ``rngs[r]``, drawn ``_CHUNK`` slots at a time (the last
-    draw takes the remainder).  A float64 ``Generator.random`` stream is the
-    same whatever sizes it is drawn in, so ``_CHUNK`` only bounds the memory a
-    draw holds.  Yields ``(t0, uniforms, block)`` where ``uniforms[j, r]`` is
-    row ``r``'s uniform for slot ``t0 + j`` and ``block`` indexes the
-    estimator block of the slots (``block_edges``, counted after the warmup;
-    0 in the warmup).  A sub-slice ends at the earliest of the next block
-    edge (the warmup's end, inside the warmup), the end of its draw and
-    ``t0 + _SLICE``.
+    Yields ``(t0, uniforms, block)`` where ``uniforms[j, r]`` is row ``r``'s
+    uniform for slot ``t0 + j`` (a view into the draw) and ``block`` indexes
+    the estimator block of the slots (``block_edges``, counted after the
+    warmup; 0 in the warmup).  The warmup is cut every ``_SLICE`` slots and
+    at its end; after it each sub-slice is one block, which is never longer
+    than ``_SLICE``.  Row ``r`` reads ``rngs[r]``, and a draw holds the
+    sub-slices from the current one up to the furthest whose end keeps it
+    within ``_DRAW`` uniforms, at least one.  A float64 ``Generator.random``
+    stream is the same whatever sizes it is drawn in, so ``_DRAW`` only
+    bounds the memory a draw holds.
     """
-    edges = [warmup + e for e in block_edges(horizon)]
-    t0 = block = 0
-    while t0 < edges[-1]:
-        offset = t0 % _CHUNK
-        if offset == 0:
-            chunk = np.empty((len(rngs), min(_CHUNK, edges[-1] - t0)))
+    edges = block_edges(horizon)
+    ends = list(range(_SLICE, warmup, _SLICE)) + [warmup] * (warmup > 0) + [warmup + e for e in edges]
+    first = len(ends) - len(edges)  # the first sub-slice after the warmup
+    t0 = drawn = 0
+    for i, end in enumerate(ends):
+        if end > drawn:
+            base, drawn = t0, ends[max(bisect.bisect_right(ends, t0 + _DRAW // len(rngs)) - 1, i)]
+            chunk = np.empty((len(rngs), drawn - base))
             for rng, row in zip(rngs, chunk):
                 rng.random(out=row)
-        block += t0 == edges[block]
-        stop = min(warmup if t0 < warmup else edges[block], t0 - offset + chunk.shape[1], t0 + _SLICE)
-        yield t0, np.ascontiguousarray(chunk[:, offset : offset + stop - t0].T), block
-        t0 = stop
+        yield t0, chunk[:, t0 - base : end - base].T, max(i - first, 0)
+        t0 = end
 
 
 def _steps(states: int, width: int) -> int:
@@ -183,10 +185,12 @@ def _batch_chain(chains: list[Chain], horizon: int, trials: int, seed: int, warm
     place = width ** np.arange(steps)[::-1]  # a slot's weight in its step's code, first slot most significant
     shape = (len(chains), trials)
     sidx = np.repeat([c.start + off for c, off in zip(chains, offsets)], trials).reshape(shape)
-    # a block is under 128 slots (block_edges), so its total fits 32 bits
-    blocks = np.zeros((shape[0] * trials, len(block_edges(horizon))), dtype=np.int32)
+    # a block is at most 128 slots (block_edges) and pays at most n <= 63 per
+    # slot (Instance caps the state space at 2**64 - 1), so its total fits 16 bits
+    blocks = np.zeros((shape[0] * trials, len(block_edges(horizon))), dtype=np.int16)
 
     for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
+        u = np.ascontiguousarray(u)  # the comparisons below read it once per level, faster than the draw's strided view
         rank = np.zeros(u.shape, dtype=np.intp)
         for level in levels:  # one comparison per level is cheaper than a binary search over a few
             rank += u >= level
@@ -211,12 +215,12 @@ def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, star
 
     The instances share thresholds.  Each slot makes only the decision, the
     first client with the largest ``t / (p tau) - M / p`` (so ties go to the
-    lowest client), and the channel draw, and records the running delivery
-    counts ``M``.  A virtual delivery at slot ``-x - 1`` stands for each
-    client's start ``x``.  With ``D(t)`` a client's count before slot ``t``,
-    it sits at its threshold ``tau`` when ``D(t) == D(t - tau)`` (no
-    delivery in the last ``tau`` slots).  So the last ``max(tau) + 1``
-    records carry over between sub-slices.
+    lowest client), written one-hot into ``served``, and the channel draw,
+    and records the running delivery counts ``M``.  A virtual delivery at
+    slot ``-x - 1`` stands for each client's start ``x``.  With ``D(t)`` a
+    client's count before slot ``t``, it sits at its threshold ``tau`` when
+    ``D(t) == D(t - tau)`` (no delivery in the last ``tau`` slots).  So the
+    last ``max(tau) + 1`` records carry over between sub-slices.
     """
     taus = insts[0].thresholds
     n = len(taus)
@@ -226,17 +230,22 @@ def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, star
     p = np.array([inst.reliabilities for inst in insts]).T[:, :, None]
     ptau = p * np.asarray(taus, dtype=np.int64)[:, None, None]
     p_rows = np.ascontiguousarray(np.broadcast_to(p, (n, len(insts), trials)))
-    flat_of = np.arange(n * rows).reshape(p_rows.shape)
     m_counts = np.zeros(p_rows.shape)  # deliveries so far; integers, exact as floats
-    m_flat, m_rows = m_counts.reshape(-1), m_counts.reshape(n, rows)
+    m_rows = m_counts.reshape(n, rows)
     debts = np.empty(p_rows.shape)
+    served = np.ones(p_rows.shape, dtype=bool)  # one-hot in the client; one client is always served
+    got = np.empty(p_rows.shape, dtype=bool)
+    clients = np.arange(n, dtype=np.int8)[:, None, None]
+    index = np.empty(p_rows.shape[1:], dtype=np.int8)  # the served client, from three clients on
+    best, better = np.empty(index.shape), np.empty(index.shape, dtype=bool)
     lag = max(taus) + 1
     # record[i]: the counts after slot t0 - lag + i, for the sub-slice from t0;
     # before the first slot they are -1, and 0 from the virtual delivery on
     record = np.empty((lag + _SLICE, n, rows), dtype=np.int32)
     record[:lag] = (np.arange(lag)[:, None] >= lag - 1 - np.asarray(start))[:, :, None] - 1
-    # a block is under 128 slots (block_edges), so its total fits 32 bits
-    blocks = np.zeros((rows, len(block_edges(horizon))), dtype=np.int32)
+    # a block is at most 128 slots (block_edges) and pays at most n <= 63 per
+    # slot (Instance caps the state space at 2**64 - 1), so its total fits 16 bits
+    blocks = np.zeros((rows, len(block_edges(horizon))), dtype=np.int16)
 
     for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
         size = len(u)
@@ -245,13 +254,20 @@ def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, star
         for j in range(size):
             np.divide(m_counts, p_rows, out=debts)
             np.subtract(t_debts[j], debts, out=debts)
-            flat, best = flat_of[0].copy(), debts[0]
-            for c in range(1, n):
-                better = debts[c] > best
-                np.copyto(flat, flat_of[c], where=better)
-                if c + 1 < n:
-                    best = np.maximum(best, debts[c])
-            m_flat[flat] += reach[j].take(flat)
+            if n == 2:
+                np.greater(debts[1], debts[0], out=served[1])
+                np.logical_not(served[1], out=served[0])
+            elif n > 2:
+                np.greater(debts[1], debts[0], out=index.view(bool))  # 0 or 1, without a cast to int8
+                np.maximum(debts[0], debts[1], out=best)
+                for c in range(2, n):
+                    np.greater(debts[c], best, out=better)
+                    np.copyto(index, c, where=better)
+                    if c + 1 < n:
+                        np.maximum(best, debts[c], out=best)
+                np.equal(clients, index, out=served)
+            np.logical_and(served, reach[j], out=got)
+            m_counts += got
             record[lag + j] = m_rows
 
         if t0 >= warmup:

@@ -20,7 +20,7 @@ from idsched.sim import (
     estimate_costs,
     log_mean_exp,
 )
-from idsched.sim import _CHUNK, _SLICE, _TABLE, _batch_chain, _batch_wdd, _slices, _steps
+from idsched.sim import _DRAW, _MIN_BLOCK, _SLICE, _TABLE, _batch_chain, _batch_wdd, _slices, _steps
 
 
 def _random_policy(inst, seed):
@@ -61,11 +61,16 @@ def test_batch_engines_match_reference_exactly():
             assert len(r.block_exceedances) > 1
             assert _fields(r) == _fields(b)
 
-    refw = [run_trial(inst, sim_oracle.wdd(inst), 400, (55, r), inst.thresholds, warmup=7) for r in range(5)]
-    batw = tally_trials(_batch_wdd([inst], 400, 5, 55, inst.thresholds, 7), 1)[0]
-    for r, b in zip(refw, batw):
-        assert r.exceedance_total == b.exceedance_total
-        assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
+    # WDD on one client (always served), two (one comparison) and four (the
+    # comparison chain into a client index)
+    inst1 = Instance((3,), (0.7,), 0.05)
+    inst4 = Instance((2, 3, 4, 5), (0.6, 0.9, 0.7, 0.8), 0.05)
+    for case in (inst1, inst, inst4):
+        refw = [run_trial(case, sim_oracle.wdd(case), 400, (55, r), case.thresholds, warmup=7) for r in range(5)]
+        batw = tally_trials(_batch_wdd([case], 400, 5, 55, case.thresholds, 7), 1)[0]
+        for r, b in zip(refw, batw):
+            assert r.exceedance_total == b.exceedance_total
+            assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
 
     # round robin and periodic schedules on their augmented chains, with a
     # warmup that is not a multiple of the period; on three clients the token
@@ -83,8 +88,9 @@ def test_batch_engines_match_reference_exactly():
             assert [_fields(r) for r in ref] == [_fields(b) for b in tally_trials(tally, 1)[0]]
 
 
-@pytest.mark.parametrize("chunk", [300, 16384])
-def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
+# one sub-slice per draw, a few, and the whole run in one draw
+@pytest.mark.parametrize("draw", [1, 300, 2**20])
+def test_uniform_chunk_size_changes_no_trial(monkeypatch, draw):
     # Generator.random streams do not depend on the sizes they are drawn in
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_policy(inst, 2)
@@ -103,7 +109,7 @@ def test_uniform_chunk_size_changes_no_trial(monkeypatch, chunk):
         ]
 
     default = trials_of_each_engine()
-    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    monkeypatch.setattr(sim, "_DRAW", draw)
     patched = trials_of_each_engine()
     for engine in range(5):
         assert [_fields(r) for r in patched[engine]] == [_fields(r) for r in default[engine]]
@@ -147,9 +153,12 @@ def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, sta
     tally = _batch_wdd(insts, horizon, trials, 17, start or taus, warmup)
     runs = tally_trials(tally, len(insts))
     assert len(runs) == len(insts) and all(len(run) == trials for run in runs)
+    # and again with every sub-slice drawn on its own
+    with mock.patch.object(sim, "_DRAW", 1):
+        one_slice = _batch_wdd(insts, horizon, trials, 17, start or taus, warmup)
     policies = [sim_oracle.wdd(inst) for inst in insts]
     starts = [start or taus] * len(insts)
-    _assert_points_match_reference(insts, policies, [tally], horizon, 17, starts, warmup)
+    _assert_points_match_reference(insts, policies, [tally, one_slice], horizon, 17, starts, warmup)
 
 
 def test_stacked_chain_engine_matches_reference_per_point():
@@ -317,23 +326,35 @@ def test_block_edges_nest_down_to_the_floor():
         assert coarse == edges[2 ** (10 - level) - 1 :: 2 ** (10 - level)]
 
 
+def test_no_block_is_longer_than_a_sub_slice():
+    # after the warmup each sub-slice is one whole block; 255 gives blocks of
+    # 127 and 128 slots, and 16,383 has a 128-slot block too
+    assert _SLICE == 2 * _MIN_BLOCK
+    for horizon in (255, 16_383):
+        assert max(np.diff(block_edges(horizon), prepend=0)) == 2 * _MIN_BLOCK
+    assert all(max(np.diff(block_edges(h), prepend=0)) <= 2 * _MIN_BLOCK for h in range(1, 20_001))
+
+
 def test_slices_cut_the_chunked_streams_at_every_edge():
-    # a warmup longer than a sub-slice, and a one-block horizon
-    for warmup, horizon in [(5, 2 * _CHUNK + 100), (_SLICE + 45, 2 * _CHUNK + 100), (_SLICE + 44, 100)]:
-        slices = list(_slices([np.random.default_rng(7), np.random.default_rng(8)], warmup, horizon))
-        total = warmup + horizon
-        for row, seed in enumerate((7, 8)):
-            rng = np.random.default_rng(seed)
-            chunked = np.concatenate([rng.random(min(_CHUNK, total - k)) for k in range(0, total, _CHUNK)])
-            assert np.array_equal(np.concatenate([u[:, row] for _, u, _ in slices]), chunked)
-        edges = [warmup] + [warmup + e for e in block_edges(horizon)]
-        start = 0
-        for t0, u, block in slices:
-            end = t0 + len(u)
-            assert t0 == start and 0 < len(u) <= _SLICE
-            assert not any(t0 < e < end for e in edges + list(range(0, total, _CHUNK)))
-            assert block == sum(e <= t0 for e in edges[1:])
-            start = end
+    # a warmup longer than a sub-slice, and a one-block horizon; every
+    # sub-slice drawn on its own, and at the default draw size
+    for draw in (1, _DRAW):
+        with mock.patch.object(sim, "_DRAW", draw):
+            for warmup, horizon in [(5, 2148), (_SLICE + 45, 2148), (_SLICE + 44, 100)]:
+                slices = list(_slices([np.random.default_rng(7), np.random.default_rng(8)], warmup, horizon))
+                total = warmup + horizon
+                for row, seed in enumerate((7, 8)):
+                    whole = np.random.default_rng(seed).random(total)
+                    assert np.array_equal(np.concatenate([u[:, row] for _, u, _ in slices]), whole)
+                edges = [warmup + e for e in block_edges(horizon)]
+                # the sub-slices end at each block edge, the warmup's end and
+                # every _SLICE slots inside the warmup, and nowhere else
+                assert [t0 + len(u) for t0, u, _ in slices] == sorted({*range(_SLICE, warmup, _SLICE), warmup, *edges})
+                start = 0
+                for t0, u, block in slices:
+                    assert t0 == start and 0 < len(u) <= _SLICE
+                    assert block == sum(e <= t0 for e in edges)
+                    start = t0 + len(u)
 
 
 def test_estimate_cost_halves_blocks_only_when_the_tail_is_uncovered():
