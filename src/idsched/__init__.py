@@ -20,19 +20,13 @@ from .model import (
     successor_on_success,
 )
 from .exact import (
-    DpTable,
     GrowthRateResult,
     SolveReport,
     StationaryPolicy,
     ThetaThreshold,
-    average_cost,
-    doeblin_hitting_times,
-    dp_mdp1,
-    dp_mdp2,
     exhaustive_optimal,
     growth_rate_optima,
     growth_rate_optimal,
-    is_ne,
     theta_threshold,
 )
 from .asymptotic import (
@@ -40,11 +34,9 @@ from .asymptotic import (
     CycleAnalytics,
     LevelSets,
     TwoClientConfig,
-    all_success_excess,
     build_level_sets,
     mlg_cost_leading,
     mlg_cycle_analytics,
-    mlg_decide,
     mlg_optimality_check,
     mlg_stationary_policy,
     optimal_cost_lower_bound,
@@ -53,13 +45,10 @@ from .asymptotic import (
 from .heuristics import (
     PeriodicSchedule,
     build_periodic_schedule,
-    periodic_schedule_average_cost,
-    prr_average_cost,
 )
 from .sim import (
     CostEstimate,
     SimConfig,
-    estimate_cost,
     estimate_costs,
     log_mean_exp,
 )

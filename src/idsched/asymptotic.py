@@ -19,7 +19,6 @@ from .errors import StructuralError
 from .model import (
     AsymptoticInstance,
     Instance,
-    State,
     StateIndexer,
     transition_tables,
 )
@@ -57,28 +56,22 @@ class TwoClientConfig:
         return self.asymptotic(epsilon).materialize()
 
 
-def mlg_decide(x: State, cfg: TwoClientConfig) -> int:
-    """Serve the client with the least time to go, with one override state.
-
-    Ties go to the client with the larger threshold (client 2).  In the single
-    override state (0, delta - 1) client 2 is served even though client 1 has
-    strictly less time to go.
-    """
-    if len(x) != 2:
-        raise ValueError("the least-time-to-go rule is defined for two clients")
-    tau1, tau2 = cfg.thresholds
-    if x == (0, cfg.delta - 1):
-        return 2
-    return 1 if tau1 - x[0] < tau2 - x[1] else 2
+def mlg_admits(thresholds: tuple[int, ...]) -> bool:
+    """Whether ``thresholds`` have an MLG policy: two clients with tau_1 <= tau_2."""
+    return len(thresholds) == 2 and thresholds[0] <= thresholds[1]
 
 
 def mlg_stationary_policy(inst: Instance) -> StationaryPolicy:
-    """Materialize the least-time-to-go rule of ``mlg_decide`` as a dense two-client policy."""
-    if inst.n_clients != 2:
-        raise ValueError("only two-client instances have an MLG policy")
+    """The two-client least-time-to-go rule as a dense policy, clients ordered so that tau_1 <= tau_2.
+
+    Serve the client with the least time to go; ties go to the client with
+    the larger threshold (client 2).  In the one override state
+    (0, delta - 1) client 2 is served even though client 1 has strictly less
+    time to go.
+    """
+    if not mlg_admits(inst.thresholds):
+        raise ValueError("an MLG policy needs two clients with tau_1 <= tau_2")
     tau1, tau2 = inst.thresholds
-    if tau1 > tau2:
-        raise ValueError("clients must be ordered so that tau_1 <= tau_2")
     x1, x2 = np.indices((tau1 + 1, tau2 + 1))  # state index x1 * (tau2 + 1) + x2
     decisions = np.where(tau1 - x1 < tau2 - x2, 1, 2)
     if tau2 > tau1:
@@ -175,34 +168,19 @@ def mlg_optimality_check(cfg: TwoClientConfig) -> tuple[bool, str | None]:
 
 
 @lru_cache(maxsize=64)
-def _excess_tables(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """All-success window costs: excess A(x) and the first action attaining it.
+def _excess_tables(inst: Instance) -> np.ndarray:
+    """All-success window cost excess A(x) over state indices.
 
     The window spans N slots starting at x, each slot charged on its
     pre-transition state and every transmission assumed successful; A(x) is
-    the minimal window cost minus one.
+    the minimal window cost minus one, and x is in the zeroth level set
+    exactly when A(x) > 0.
     """
     tables = transition_tables(inst)
     g = np.ones(tables.indexer.total_states)
-    first = None
     for _ in range(inst.n_clients):
-        candidates = _lookahead(tables, 1.0, g)
-        first = candidates.argmin(axis=0) + 1
-        g = tables.cost * candidates.min(axis=0)
-    assert first is not None
-    return g - 1.0, first.astype(np.int64)
-
-
-def all_success_excess(x: State, inst: Instance) -> tuple[float, int]:
-    """Minimal excess cost of an all-success window of N slots starting at ``x``.
-
-    Returns (A, best_first_action); the state belongs to the zeroth level set
-    exactly when A > 0.  The first action of a minimizing schedule breaks ties
-    toward the lowest client index.
-    """
-    excess, first = _excess_tables(inst)
-    idx = inst.indexer().index(tuple(x))
-    return float(excess[idx]), int(first[idx])
+        g = tables.cost * _lookahead(tables, 1.0, g).min(axis=0)
+    return g - 1.0
 
 
 @dataclass(eq=False)
@@ -261,7 +239,7 @@ def build_level_sets(inst: Instance) -> LevelSets:
     success successor has the least excess.
     """
     tables = transition_tables(inst)
-    excess, _ = _excess_tables(inst)
+    excess = _excess_tables(inst)
 
     level = np.where(excess > 0.0, 0, -1)
     for k in range(1, min(inst.thresholds) + 1):

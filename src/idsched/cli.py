@@ -26,6 +26,8 @@ from .model import AsymptoticInstance, Instance, instance_from_json
 CSV_HEADER = "sweep_value,policy,J,J_normalized,stderr,method,converged"
 
 _POLICY_NAMES = ("op-exhaustive", "op-iterative", "mlg", "sn", "prr", "wdd", "ps", "explicit")
+EXACT_STATE_CAP = 2000  # most clipped states of a policy evaluated exactly; optimum searches and WDD are exempt
+ENUMERATION_CAP = 4096  # most NE policies to enumerate; above it the reference is the growth-rate optimum
 
 
 @dataclass
@@ -38,8 +40,6 @@ class ExperimentConfig:
     sim_config: dict | None
     seed: int
     output: str | None
-    exact_state_cap: int = 2000
-    enumeration_cap: int = 4096
 
 
 def _integer(section: dict, key: str, default: int | None, minimum: int) -> int:
@@ -68,6 +68,12 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
         raise ConfigError("config must be a JSON object")
     if "instance" not in obj:
         raise ConfigError("config needs an 'instance' section")
+    retired = sorted(key for key in ("exact_state_cap", "enumeration_cap") if key in obj)
+    if retired:
+        raise ConfigError(
+            f"the {', '.join(retired)} key(s) are retired; the caps are fixed at "
+            f"{EXACT_STATE_CAP} states and {ENUMERATION_CAP} policies"
+        )
     try:
         instance = instance_from_json(obj["instance"])
     except KeyError as exc:
@@ -79,7 +85,6 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
     if not raw_policies:
         raise ConfigError("config needs a nonempty 'policies' list")
     policies = []
-    n_states = math.prod(t + 1 for t in instance.thresholds)
     for spec in raw_policies:
         if isinstance(spec, str):
             spec = {"name": spec}
@@ -89,15 +94,7 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
             raise ConfigError(f"unknown policy {spec['name']!r}; known: {', '.join(_POLICY_NAMES)}")
         if spec["name"] == "ps":
             spec = {**spec, "max_period": _integer(spec, "max_period", None, 1)}
-        decisions = spec.get("decisions")
-        if spec["name"] == "explicit" and not (
-            isinstance(decisions, list)
-            and len(decisions) == n_states
-            and all(type(u) is int and 1 <= u <= instance.n_clients for u in decisions)
-        ):
-            raise ConfigError(
-                f"explicit policy spec needs a 'decisions' array of {n_states} clients in 1..{instance.n_clients}"
-            )
+        _check_spec(spec, instance)
         policies.append(spec)
 
     sweep = obj.get("sweep")
@@ -121,8 +118,6 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
             raise ConfigError("sweep values must be a nonempty, strictly increasing list of finite numbers")
     if axis == "epsilon" and not isinstance(instance, AsymptoticInstance):
         raise ConfigError("an epsilon sweep requires the asymptotic instance form (taus/bs/epsilon/theta)")
-    if any(spec["name"] == "mlg" for spec in policies) and instance.n_clients != 2:
-        raise ConfigError("the mlg policy is defined for exactly two clients")
 
     evaluation = obj.get("evaluation", "exact")
     if evaluation not in ("exact", "simulate", "both"):
@@ -151,9 +146,26 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
         sim_config=sim_config,
         seed=_integer(obj, "seed", 0, 0),
         output=output,
-        exact_state_cap=_integer(obj, "exact_state_cap", 2000, 1),
-        enumeration_cap=_integer(obj, "enumeration_cap", 4096, 1),
     )
+
+
+def _check_spec(spec: dict, instance: Instance | AsymptoticInstance) -> None:
+    """Raise ``ConfigError`` unless ``instance`` admits the policy ``spec`` names.
+
+    MLG needs thresholds that ``asymptotic.mlg_admits``, and an explicit
+    policy needs one client in 1..N per clipped state.
+    """
+    taus = instance.thresholds
+    if spec["name"] == "mlg" and not asymptotic.mlg_admits(taus):
+        raise ConfigError(f"the mlg policy needs two clients with tau_1 <= tau_2, not thresholds {taus}")
+    n_states = math.prod(t + 1 for t in taus)
+    decisions = spec.get("decisions")
+    if spec["name"] == "explicit" and not (
+        isinstance(decisions, list)
+        and len(decisions) == n_states
+        and all(type(u) is int and 1 <= u <= len(taus) for u in decisions)
+    ):
+        raise ConfigError(f"explicit policy spec needs a 'decisions' array of {n_states} clients in 1..{len(taus)}")
 
 
 def bundled_config_path(name: str) -> Path:
@@ -208,7 +220,7 @@ class _Evaluator:
         names = [spec["name"] for spec in self.cfg.policies]
         use_exhaustive = "op-exhaustive" in names or (
             "op-iterative" not in names
-            and exact.policy_count(self.inst, True, self.cfg.enumeration_cap) <= self.cfg.enumeration_cap
+            and exact.policy_count(self.inst, True, ENUMERATION_CAP) <= ENUMERATION_CAP
         )
         return "exhaustive" if use_exhaustive else "growth_rate"
 
@@ -231,7 +243,7 @@ class _Evaluator:
         """The optimal policy and its ``(J, method, converged)``, computed once per method."""
         if method not in self._optima:
             if method == "exhaustive":
-                policy, report = exact.exhaustive_optimal(self.inst, policy_cap=self.cfg.enumeration_cap)
+                policy, report = exact.exhaustive_optimal(self.inst, policy_cap=ENUMERATION_CAP)
                 self._optima[method] = policy, (report.average_cost, method, report.converged)
             else:
                 self.solve_growth_rates([self])
@@ -266,10 +278,9 @@ class _Evaluator:
 
         The state cap applies to these chains, not to the optimum searches.
         """
-        if self.inst.total_states > self.cfg.exact_state_cap:
+        if self.inst.total_states > EXACT_STATE_CAP:
             raise ConfigError(
-                f"exact evaluation infeasible: {self.inst.total_states} states exceed the cap "
-                f"of {self.cfg.exact_state_cap}"
+                f"exact evaluation infeasible: {self.inst.total_states} states exceed the cap of {EXACT_STATE_CAP}"
             )
         method = {"prr": "exact-augmented", "ps": "exact-periodic"}.get(spec["name"], "exact")
         return self.chain(spec), method
@@ -402,18 +413,15 @@ def describe(cfg: ExperimentConfig) -> str:
 
 def emit_policy(cfg: ExperimentConfig, name: str) -> dict:
     """Serialize the named policy constructed on the config's base instance."""
-    spec = next((s for s in cfg.policies if s["name"] == name), None)
-    if spec is None:
-        spec = {"name": name}
-        if name not in _POLICY_NAMES:
-            raise ConfigError(f"unknown policy {name!r}")
+    if name not in _POLICY_NAMES:
+        raise ConfigError(f"unknown policy {name!r}")
+    spec = next((s for s in cfg.policies if s["name"] == name), {"name": name})
+    _check_spec(spec, cfg.instance)
     ev = _Evaluator(cfg, _base_instance(cfg))
     if name == "ps":
         if "max_period" not in spec:
             raise ConfigError("ps policy needs a spec with a 'max_period' in the config")
         return ev._schedule(spec["max_period"]).to_json()
-    if name == "explicit" and "decisions" not in spec:
-        raise ConfigError("explicit policy needs a spec with 'decisions' in the config")
     if name in ("prr", "wdd"):
         raise ConfigError(f"policy {name!r} is stateful; it has no decision-array form")
     policy = ev.stationary_policy(spec)

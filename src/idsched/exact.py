@@ -1,10 +1,14 @@
-"""Exact finite-state machinery: dynamic programs, policy evaluation, search.
+"""Exact finite-state machinery: policy evaluation, optimum search, renewal expectations.
 
 Policy evaluation follows the multiplicative route: every finite-memory
 policy is a stationary ``Chain`` whose states move to one of two successors,
 the per-slot cost scales its transitions, and the long-run risk-sensitive
 average cost is ``ln(spectral radius) / theta`` of the cost-weighted chain
-restricted to the one closed class the start state reaches.
+restricted to the one closed class the start state reaches.  The optimum is
+found by exhaustive search or by the growth-rate iteration of the Bellman
+map.  The paper's finite-horizon dynamic programs, NE test and hitting
+times, which check these results, live with the tests
+(``tests/paper_oracle.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .errors import ResourceLimitError, StructuralError
 from .model import (
     Instance,
     State,
-    StateIndexer,
     TransitionTables,
     exclusion_state,
     transition_tables,
@@ -28,8 +31,6 @@ from .model import (
 
 TOL = 1e-6  # relative accuracy of a certified J: J_hi - J_lo <= TOL * J_lo
 MAX_ITER = 100_000  # iterations after which a Perron row stops, read at each call
-TIE_RTOL = 1e-9  # relative gap within which lookahead values tie in minimizing_actions
-CELL_CAP = 10**7  # most cells the unbounded DP's table may hold
 _LOOKAHEAD_BLOCK = 16384  # states per lookahead pass
 _STACK_BLOCK = 1 << 16  # chain states per stacked exhaustive evaluation
 _STALL = 8  # iterations without a narrower bracket that mark the floating-point floor
@@ -99,18 +100,15 @@ class SolveReport:
 class Chain:
     """A finite-memory policy as a stationary chain on (clipped state, memory).
 
-    From chain state ``i`` the slot pays ``exp(theta * hits[i])``, serves
-    client ``client[i] + 1`` and moves to ``succ[i]`` with probability
-    ``p[i]``, else to ``fail[i]``.  ``base[i]`` is the clipped-state index
-    underneath ``i`` and ``start`` the chain state of the first slot.
+    From chain state ``i`` the slot pays ``exp(theta * hits[i])`` and moves
+    to ``succ[i]`` with probability ``p[i]``, else to ``fail[i]``; ``start``
+    is the chain state of the first slot.
     """
 
     succ: np.ndarray
     fail: np.ndarray
     p: np.ndarray
     hits: np.ndarray
-    client: np.ndarray
-    base: np.ndarray
     start: int
 
     @classmethod
@@ -137,8 +135,6 @@ class Chain:
             fail=tables.fail[base] * memory + on_failure,
             p=np.asarray(inst.reliabilities)[client],
             hits=tables.hits[base],
-            client=client,
-            base=base,
             start=tables.indexer.index(tuple(inst.thresholds if start is None else start)) * memory,
         )
 
@@ -150,7 +146,7 @@ def stationary_chain(policy: StationaryPolicy, inst: Instance, start: State | No
 
 
 # ---------------------------------------------------------------------------
-# finite-horizon dynamic programs
+# the Bellman lookahead
 
 
 def _lookahead(tables: TransitionTables, ps, v: np.ndarray) -> np.ndarray:
@@ -167,166 +163,6 @@ def _lookahead(tables: TransitionTables, ps, v: np.ndarray) -> np.ndarray:
         block = slice(lo, lo + _LOOKAHEAD_BLOCK)
         q[:, block] = p * v[succ[:, block]] + (1.0 - p) * v[tables.fail[block]]
     return q
-
-
-@dataclass(eq=False)
-class DpTable:
-    """Clipped-space finite-horizon table.
-
-    ``values[t]`` holds the optimal t-step costs over state indices
-    (``values[0]`` is identically 1) and ``greedy[t - 1]`` the lowest-index
-    minimizing client used to produce ``values[t]`` from ``values[t - 1]``.
-    """
-
-    horizon: int
-    values: np.ndarray
-    greedy: np.ndarray
-    indexer: StateIndexer
-
-    def value(self, t: int, state: State) -> float:
-        return float(self.values[t, self.indexer.index(state)])
-
-    def minimizing_actions(self, inst: Instance, t: int, state: State) -> frozenset:
-        """All clients whose one-step lookahead at horizon ``t`` attains the minimum."""
-        if not 1 <= t <= self.horizon:
-            raise ValueError("t must be in 1..horizon")
-        tables = transition_tables(inst)
-        qs = _lookahead(tables, inst.reliabilities, self.values[t - 1])[:, self.indexer.index(state)]
-        qmin = qs.min()
-        return frozenset(u + 1 for u, q in enumerate(qs) if q <= qmin * (1.0 + TIE_RTOL))
-
-
-def dp_mdp2(inst: Instance, horizon: int) -> DpTable:
-    """Optimal finite-horizon costs on the clipped space.
-
-    Recursion: ``V_t(x) = cost(x) * min_u [p_u V_{t-1}(succ_u x) + (1-p_u) V_{t-1}(fail x)]``
-    with ``V_0`` identically one.  Ties go to the lowest client index.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    tables = transition_tables(inst)
-    n_states = tables.indexer.total_states
-    ps = np.asarray(inst.reliabilities)
-
-    values = np.empty((horizon + 1, n_states))
-    values[0] = 1.0
-    greedy = np.zeros((horizon, n_states), dtype=np.int64)
-    for t in range(1, horizon + 1):
-        q = _lookahead(tables, ps, values[t - 1])
-        greedy[t - 1] = q.argmin(axis=0) + 1
-        values[t] = tables.cost * q.min(axis=0)
-    return DpTable(horizon=horizon, values=values, greedy=greedy, indexer=tables.indexer)
-
-
-class Mdp1Table:
-    """Finite-horizon costs for the unbounded-space formulation.
-
-    Charges are delivery-triggered: a successful transmission for client u in
-    state x multiplies the cost by ``exp(theta * (x_u + 1 - tau_u)^+)``.  At
-    the final slot every client is treated as delivered, which charges
-    ``exp(theta * sum_n (x_n + 1 - tau_n)^+)`` regardless of the action; this
-    terminal layer is what makes the never-transmit policy costly.
-
-    The table is computed over the box ``[0, upper_n + horizon]`` and is valid
-    for every start state componentwise below ``upper``.
-    """
-
-    def __init__(self, inst: Instance, horizon: int, upper: State):
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-        if any(x < 0 for x in upper):
-            raise ValueError("state components must be nonnegative")
-        if len(upper) != inst.n_clients:
-            raise ValueError("state arity mismatch")
-        self.inst = inst
-        self.horizon = horizon
-        self.upper = tuple(int(x) for x in upper)
-        dims0 = tuple(x + horizon + 1 for x in self.upper)
-        cells = 1
-        for d in dims0:
-            cells *= d
-        if cells > CELL_CAP:
-            raise ResourceLimitError(f"unbounded DP needs {cells} cells, above the cap of {CELL_CAP}")
-        self.layers: list[np.ndarray] = [np.ones(dims0)]
-        theta = inst.theta
-        taus = inst.thresholds
-        n = inst.n_clients
-        ps = inst.reliabilities
-
-        def success_factor(axis: int, length: int) -> np.ndarray:
-            xs = np.arange(length)
-            f = np.exp(theta * np.maximum(xs + 1 - taus[axis], 0))
-            shape = [1] * n
-            shape[axis] = length
-            return f.reshape(shape)
-
-        for t in range(1, horizon + 1):
-            dims_t = tuple(x + (horizon - t) + 1 for x in self.upper)
-            if t == 1:
-                # terminal slot: every client charged as if delivered
-                layer = np.ones(dims_t)
-                for axis in range(n):
-                    layer = layer * success_factor(axis, dims_t[axis])
-            else:
-                prev = self.layers[t - 1]
-                fail_view = prev[tuple(slice(1, d + 1) for d in dims_t)]
-                layer = None
-                for u in range(n):
-                    sl = [slice(1, d + 1) for d in dims_t]
-                    sl[u] = 0  # served component resets
-                    succ_view = np.expand_dims(prev[tuple(sl)], axis=u)
-                    q = ps[u] * success_factor(u, dims_t[u]) * succ_view + (1.0 - ps[u]) * fail_view
-                    layer = q if layer is None else np.minimum(layer, q)
-            self.layers.append(layer)
-
-    def value(self, t: int, state: State) -> float:
-        if not 0 <= t <= self.horizon:
-            raise ValueError("t outside 0..horizon")
-        return float(self.layers[t][tuple(state)])
-
-    def minimizing_actions(self, t: int, state: State) -> frozenset:
-        if not 1 <= t <= self.horizon:
-            raise ValueError("t must be in 1..horizon")
-        n = self.inst.n_clients
-        if t == 1:
-            # terminal charge is action-independent
-            return frozenset(range(1, n + 1))
-        prev = self.layers[t - 1]
-        theta = self.inst.theta
-        taus = self.inst.thresholds
-        ps = self.inst.reliabilities
-        fail = prev[tuple(x + 1 for x in state)]
-        qs = []
-        for u in range(n):
-            succ = tuple(0 if i == u else x + 1 for i, x in enumerate(state))
-            factor = math.exp(theta * max(state[u] + 1 - taus[u], 0))
-            qs.append(ps[u] * factor * prev[succ] + (1.0 - ps[u]) * fail)
-        qmin = min(qs)
-        return frozenset(u + 1 for u, q in enumerate(qs) if q <= qmin * (1.0 + TIE_RTOL))
-
-
-def dp_mdp1(inst: Instance, horizon: int, start: State) -> float:
-    """Optimal finite-horizon cost from an unbounded-space start state."""
-    return Mdp1Table(inst, horizon, start).value(horizon, start)
-
-
-# ---------------------------------------------------------------------------
-# policy structure
-
-
-def is_ne(policy: StationaryPolicy, inst: Instance) -> bool:
-    """True iff no client is served in its own exclusion state.
-
-    The exclusion state for client n has n freshly served and everyone else at
-    threshold.  For a single client the definition is vacuous in the negative:
-    the only action is always excluded, so every one-client policy reports
-    False here (enumeration helpers skip the constraint when N = 1).
-    """
-    indexer = inst.indexer()
-    for n in range(1, inst.n_clients + 1):
-        if int(policy.decisions[indexer.index(exclusion_state(inst.thresholds, n))]) == n:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -570,20 +406,6 @@ def chain_average_costs(chains: Sequence[Chain], thetas: Sequence[float]) -> lis
     return [_solve_report(brackets, row, theta, member[row], reached[row]) for row, theta in enumerate(thetas)]
 
 
-def chain_average_cost(chain: Chain, theta: float) -> SolveReport:
-    """Average cost of a finite chain from its start state; ``chain_average_costs`` of one chain."""
-    return chain_average_costs([chain], [theta])[0]
-
-
-def average_cost(policy: StationaryPolicy, inst: Instance, start: State | None = None) -> SolveReport:
-    """Long-run risk-sensitive average cost of a stationary policy.
-
-    Defaults to starting at the all-threshold state, which every closed class
-    contains, so the report then covers the policy's recurrent behavior.
-    """
-    return chain_average_cost(stationary_chain(policy, inst, start), inst.theta)
-
-
 # ---------------------------------------------------------------------------
 # stationary-optimum machinery
 
@@ -630,19 +452,6 @@ def _excursion(chain: Chain, weight: np.ndarray | float) -> tuple[np.ndarray, np
     into = mat[:, chain.start].copy()
     mat[:, chain.start] = 0.0
     return np.eye(n) - mat, into
-
-
-def doeblin_hitting_times(policy: StationaryPolicy, inst: Instance) -> np.ndarray:
-    """Expected first passage times to the all-threshold state, per start index.
-
-    The entry at the all-threshold state itself is the expected return time
-    (minimum over t > 0), not zero.
-    """
-    chain = stationary_chain(policy, inst)
-    try:
-        return np.linalg.solve(_excursion(chain, 1.0)[0], np.ones(len(chain.fail)))
-    except np.linalg.LinAlgError as exc:  # unreachable: every reliability lies inside (0, 1)
-        raise StructuralError("all-threshold state is not reachable under this policy") from exc
 
 
 def cycle_expectations(
@@ -742,7 +551,6 @@ class GrowthRateResult:
     average_cost: float
     j_lo: float
     j_hi: float
-    growth_rate: float
     policy: StationaryPolicy
     iterations: int
     converged: bool
@@ -786,7 +594,6 @@ def growth_rate_optima(insts: Sequence[Instance]) -> list[GrowthRateResult]:
                 average_cost=j,
                 j_lo=j_lo,
                 j_hi=j_hi,
-                growth_rate=math.exp(inst.theta * j),
                 policy=StationaryPolicy(greedy),
                 iterations=int(brackets.iterations[row]),
                 converged=converged,

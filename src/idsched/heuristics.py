@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError
-from .exact import Chain, SolveReport, chain_average_cost
+from .exact import Chain
 from .model import Instance, State, successor_on_success
 
 
@@ -93,7 +93,7 @@ def build_periodic_schedule(inst: Instance, max_period: int) -> PeriodicSchedule
 
 
 # ---------------------------------------------------------------------------
-# exact evaluation of the finite-memory baselines
+# the finite-memory baselines as chains
 
 
 def prr_chain(inst: Instance, start: State | None = None) -> Chain:
@@ -117,20 +117,3 @@ def periodic_chain(inst: Instance, sched: PeriodicSchedule, start: State | None 
     following = (phase + 1) % sched.period
     client = np.asarray(sched.sequence)[phase] - 1
     return Chain.augmented(inst, sched.period, client, following, following, start)
-
-
-def prr_average_cost(inst: Instance) -> SolveReport:
-    """Exact average cost of packet-level round robin via the token-augmented chain.
-
-    Reported state sets use augmented indices ``state_index * N + token - 1``.
-    """
-    return chain_average_cost(prr_chain(inst), inst.theta)
-
-
-def periodic_schedule_average_cost(inst: Instance, sched: PeriodicSchedule) -> SolveReport:
-    """Exact average cost of an open-loop periodic schedule via the phase-augmented chain.
-
-    Reported state sets use augmented indices ``state_index * period + phase``,
-    and the spectral radius is the growth per slot.
-    """
-    return chain_average_cost(periodic_chain(inst, sched), inst.theta)

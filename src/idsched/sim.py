@@ -49,15 +49,13 @@ class CostEstimate:
     """Risk-sensitive average-cost estimate from pooled trial blocks.
 
     ``block_length`` is the mean length in slots of the blocks the estimate
-    used and ``log_mean_cost`` is ``ln mean_b exp(theta * C_b)`` over them;
-    ``tail_coverage`` is the effective sample size of their weights
+    used; ``tail_coverage`` is the effective sample size of their weights
     ``exp(theta * C_b)`` over the block count.  Coverage below
     ``_MIN_COVERAGE`` means even the shortest blocks left the tail
     under-sampled and the estimate is biased low.
     """
 
     j_hat: float
-    log_mean_cost: float
     stderr_log: float
     stderr_j: float
     degenerate: bool
@@ -319,9 +317,11 @@ def _run_trials(insts: list[Instance], chains: list[Chain | None], cfg: SimConfi
 # estimators
 
 
-def estimate_cost(inst: Instance, chain: Chain | None, cfg: SimConfig) -> CostEstimate:
-    """Risk-sensitive average cost from blocks pooled over independent trials.
+def estimate_costs(insts: list[Instance], chains: list[Chain | None], cfg: SimConfig) -> list[CostEstimate]:
+    """Risk-sensitive average costs at every point ``(insts[i], chains[i])`` of one sweep.
 
+    The points share thresholds, and each engine runs once for all of them;
+    points with equal engine inputs share their trials (see ``_run_trials``).
     Each trial is cut into ``n`` nested blocks of mean length
     ``L = horizon / n`` (see ``block_edges``).  With ``C_b`` the exceedance
     total of block ``b``, pooled over all trials, the batch-means estimate of
@@ -344,21 +344,12 @@ def estimate_cost(inst: Instance, chain: Chain | None, cfg: SimConfig) -> CostEs
     The log-scale standard error comes from the delta method on the block
     weights, treating the blocks as independent.
     """
-    return estimate_costs([inst], [chain], cfg)[0]
-
-
-def estimate_costs(insts: list[Instance], chains: list[Chain | None], cfg: SimConfig) -> list[CostEstimate]:
-    """``estimate_cost`` at every point ``(insts[i], chains[i])`` of one sweep.
-
-    The points share thresholds, and each engine runs once for all of them;
-    points with equal engine inputs share their trials (see ``_run_trials``).
-    """
     runs = _run_trials(insts, chains, cfg)
     return [_block_estimate(inst.theta, blocks[rows], cfg) for inst, (blocks, rows) in zip(insts, runs)]
 
 
 def _block_estimate(theta: float, fine: np.ndarray, cfg: SimConfig) -> CostEstimate:
-    """The estimate of ``estimate_cost`` from one point's block totals ``(trial, block)``."""
+    """The estimate of ``estimate_costs`` from one point's block totals ``(trial, block)``."""
     per_trial = 1
     while True:
         w = theta * fine.reshape(cfg.trials, per_trial, -1).sum(axis=2).ravel()
@@ -368,8 +359,7 @@ def _block_estimate(theta: float, fine: np.ndarray, cfg: SimConfig) -> CostEstim
             break
         per_trial *= 2
     block_length = cfg.horizon / per_trial
-    lme = log_mean_exp(w)
-    j_hat = lme / (theta * block_length)
+    j_hat = log_mean_exp(w) / (theta * block_length)
     degenerate = bool(np.all(w == w[0]))
     if w.size > 1 and not degenerate:
         stderr_log = float(shifted.std(ddof=1) / (math.sqrt(w.size) * shifted.mean()))
@@ -377,7 +367,6 @@ def _block_estimate(theta: float, fine: np.ndarray, cfg: SimConfig) -> CostEstim
         stderr_log = 0.0
     return CostEstimate(
         j_hat=j_hat,
-        log_mean_cost=lme,
         stderr_log=stderr_log,
         stderr_j=stderr_log / (theta * block_length),
         degenerate=degenerate,

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from dense_oracle import recurrent, stationary_dense
+from paper_oracle import Mdp1Table, doeblin_hitting_times, dp_mdp1, dp_mdp2, is_ne
 
 from idsched.asymptotic import (
     TwoClientConfig,
@@ -20,25 +21,16 @@ from idsched.asymptotic import (
     sn_policy,
 )
 from idsched.exact import (
-    Mdp1Table,
     StationaryPolicy,
-    average_cost,
-    doeblin_hitting_times,
-    dp_mdp1,
-    dp_mdp2,
+    chain_average_costs,
     exhaustive_optimal,
     growth_rate_optimal,
-    is_ne,
     stationary_chain,
     theta_threshold,
 )
-from idsched.heuristics import (
-    build_periodic_schedule,
-    periodic_schedule_average_cost,
-    prr_average_cost,
-)
+from idsched.heuristics import build_periodic_schedule, periodic_chain, prr_chain
 from idsched.model import AsymptoticInstance, Instance, exclusion_state, slot_cost
-from idsched.sim import SimConfig, estimate_cost
+from idsched.sim import SimConfig, estimate_costs
 
 SEED = 20240817
 
@@ -124,7 +116,7 @@ def test_acceptance_04_leading_order_cost():
     ratios = []
     for eps in (1e-2, 3e-3, 1e-3):
         inst = cfg.instance(eps)
-        j = average_cost(mlg_stationary_policy(inst), inst).average_cost
+        j = chain_average_costs([stationary_chain(mlg_stationary_policy(inst), inst)], [inst.theta])[0].average_cost
         ratios.append(j / lead.evaluate(eps))
     assert ratios[0] >= ratios[1] >= ratios[2]
     assert 0.95 <= ratios[-1] <= 1.05
@@ -136,7 +128,7 @@ def test_acceptance_05_mlg_near_optimal():
     # boundary of the delta >= 2 optimality condition: 4 = 2 * 2 * 1
     assert cfg.b1 ** (cfg.tau - 1) == cfg.delta * (cfg.tau - 1) * cfg.b2 ** (cfg.tau - 1)
     inst = cfg.instance(1e-3)
-    j_mlg = average_cost(mlg_stationary_policy(inst), inst).average_cost
+    j_mlg = chain_average_costs([stationary_chain(mlg_stationary_policy(inst), inst)], [inst.theta])[0].average_cost
     j_op = growth_rate_optimal(inst).average_cost
     assert j_mlg / j_op <= 1.02
 
@@ -151,10 +143,12 @@ def test_acceptance_06_two_client_trends():
     for eps in (1e-1, 1e-2, 1e-3):
         inst = base.with_epsilon(eps).materialize()
         j_op = growth_rate_optimal(inst).average_cost
-        mlg_norm = average_cost(mlg_stationary_policy(inst), inst).average_cost / j_op
-        prr_norm = prr_average_cost(inst).average_cost / j_op
+        chains = [stationary_chain(mlg_stationary_policy(inst), inst), prr_chain(inst)]
+        mlg, prr = chain_average_costs(chains, [inst.theta] * 2)
+        mlg_norm = mlg.average_cost / j_op
+        prr_norm = prr.average_cost / j_op
         horizon, trials = sim_sizes[eps]
-        wdd = estimate_cost(inst, None, SimConfig(horizon=horizon, trials=trials, seed=SEED, warmup=2000))
+        (wdd,) = estimate_costs([inst], [None], SimConfig(horizon=horizon, trials=trials, seed=SEED, warmup=2000))
         wdd_norm = wdd.j_hat / j_op
         print(f"  eps={eps}: mlg={mlg_norm:.4f} prr={prr_norm:.4f} wdd={wdd_norm:.4f}")
         assert mlg_norm <= wdd_norm
@@ -171,14 +165,13 @@ def test_acceptance_07_three_client_trends():
         inst = base.with_epsilon(eps).materialize()
         j_op = growth_rate_optimal(inst).average_cost
         pol_sn, _ = sn_policy(inst)
-        norms[eps] = {
-            "sn": average_cost(pol_sn, inst).average_cost / j_op,
-            "prr": prr_average_cost(inst).average_cost / j_op,
-        }
+        chains = {"sn": stationary_chain(pol_sn, inst), "prr": prr_chain(inst)}
         if eps == 1e-2:
-            sched = build_periodic_schedule(inst, 12)
-            norms[eps]["ps"] = periodic_schedule_average_cost(inst, sched).average_cost / j_op
-            wdd = estimate_cost(inst, None, SimConfig(horizon=100_000, trials=96, seed=SEED, warmup=2000))
+            chains["ps"] = periodic_chain(inst, build_periodic_schedule(inst, 12))
+        reports = chain_average_costs(list(chains.values()), [inst.theta] * len(chains))
+        norms[eps] = {name: report.average_cost / j_op for name, report in zip(chains, reports)}
+        if eps == 1e-2:
+            (wdd,) = estimate_costs([inst], [None], SimConfig(horizon=100_000, trials=96, seed=SEED, warmup=2000))
             norms[eps]["wdd"] = wdd.j_hat / j_op
         print(f"  eps={eps}: {norms[eps]}")
     at_small = norms[1e-2]
@@ -227,10 +220,10 @@ def test_acceptance_08_simulator_consistency():
     failures = []
     for i in range(5):
         pol = draw()
-        exact_j = average_cost(pol, inst).average_cost
         chain = stationary_chain(pol, inst)
+        exact_j = chain_average_costs([chain], [inst.theta])[0].average_cost
         cfg = SimConfig(horizon=100_000, trials=64, seed=SEED + i)
-        est = estimate_cost(inst, chain, cfg)
+        (est,) = estimate_costs([inst], [chain], cfg)
         rel = abs(est.j_hat - exact_j) / exact_j
         j_target = exact_finite_horizon_j(pol, cfg.horizon)
         print(

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from paper_oracle import is_ne, mlg_decide
+
 from idsched.asymptotic import (
     TwoClientConfig,
-    all_success_excess,
+    _excess_tables,
     build_level_sets,
     mlg_cost_leading,
     mlg_cycle_analytics,
-    mlg_decide,
     mlg_optimality_check,
     mlg_stationary_policy,
     optimal_cost_lower_bound,
@@ -18,10 +19,10 @@ from idsched.asymptotic import (
 )
 from idsched.exact import (
     StationaryPolicy,
-    average_cost,
+    chain_average_costs,
     cycle_expectations,
     growth_rate_optimal,
-    is_ne,
+    stationary_chain,
 )
 from idsched.model import AsymptoticInstance, Instance, exclusion_state, transition_tables
 
@@ -103,20 +104,16 @@ def test_mlg_optimality_check_cases():
     assert mlg_optimality_check(TwoClientConfig(3, 1, 3.0, 1.0, 0.01)) == (False, None)
 
 
+def _window(x, inst):
+    """The all-success window's excess at state ``x``."""
+    return float(_excess_tables(inst)[inst.indexer().index(x)])
+
+
 def test_all_success_excess_examples():
     inst = Instance((6, 7), (0.9, 0.9), 0.1)
-    a, _ = all_success_excess((1, 1), inst)
-    assert a == 0.0  # thresholds unreachable within the window
-
-    inst2 = Instance((2, 2), (0.9, 0.9), 0.1)
-    a, u = all_success_excess((1, 1), inst2)
-    assert a == pytest.approx(math.expm1(0.1), rel=1e-12)
-    assert u == 1  # tie, lowest client
-
-    single = Instance((1,), (0.9,), 0.3)
-    a, u = all_success_excess((1,), single)
-    assert a == pytest.approx(math.expm1(0.3), rel=1e-12)
-    assert u == 1
+    assert _window((1, 1), inst) == 0.0  # thresholds unreachable within the window
+    assert _window((1, 1), Instance((2, 2), (0.9, 0.9), 0.1)) == pytest.approx(math.expm1(0.1), rel=1e-12)
+    assert _window((1,), Instance((1,), (0.9,), 0.3)) == pytest.approx(math.expm1(0.3), rel=1e-12)
 
 
 def test_level_sets_partition_and_membership():
@@ -133,8 +130,7 @@ def test_level_sets_partition_and_membership():
     # and contains every state with a component at threshold
     for x in indexer.states():
         idx = indexer.index(x)
-        a, _ = all_success_excess(x, inst)
-        assert (idx in levels.levels[0]) == (a > 0.0)
+        assert (idx in levels.levels[0]) == (_excess_tables(inst)[idx] > 0.0)
         if any(v == t for v, t in zip(x, inst.thresholds)):
             assert idx in levels.levels[0]
     # seeding rule: an ungraded state whose failure successor sits one level
@@ -201,10 +197,9 @@ def _sn_oracle(inst, coefficients=None, jacobi=False):
     if coefficients is None:
         coefficients = tuple(1.0 - p for p in inst.reliabilities)
     n = inst.n_clients
-    indexer = inst.indexer()
     tables = transition_tables(inst)
     level_of = build_level_sets(inst).level
-    excess = [all_success_excess(x, inst)[0] for x in indexer.states()]
+    excess = _excess_tables(inst).tolist()
 
     def argmin(pairs):
         best_u, best_val = None, math.inf
@@ -381,8 +376,8 @@ def test_sn_policy_symmetric_instances_relabel_cleanly():
     swapped = np.empty_like(pol.decisions)
     for x in indexer.states():
         swapped[indexer.index(x)] = 3 - pol.decisions[indexer.index((x[1], x[0]))]
-    j1 = average_cost(pol, inst).average_cost
-    j2 = average_cost(StationaryPolicy(swapped), inst).average_cost
+    chains = [stationary_chain(pol, inst), stationary_chain(StationaryPolicy(swapped), inst)]
+    j1, j2 = (report.average_cost for report in chain_average_costs(chains, [inst.theta] * 2))
     assert j1 == pytest.approx(j2, rel=1e-9)
 
 
@@ -392,7 +387,7 @@ def test_sn_policy_near_optimal_two_clients():
     cfg = TwoClientConfig(3, 2, 1.0, 1.0, 0.01)
     inst = cfg.instance(1e-3)
     pol, _ = sn_policy(inst, coefficients=(1.0, 1.0))
-    j_sn = average_cost(pol, inst).average_cost
+    j_sn = chain_average_costs([stationary_chain(pol, inst)], [inst.theta])[0].average_cost
     j_op = growth_rate_optimal(inst).average_cost
     assert j_sn / j_op <= 1.01
 
@@ -451,7 +446,7 @@ def test_mlg_cost_approaches_leading_term():
     ratios = []
     for eps in (1e-2, 3e-3, 1e-3):
         inst = cfg.instance(eps)
-        j = average_cost(mlg_stationary_policy(inst), inst).average_cost
+        j = chain_average_costs([stationary_chain(mlg_stationary_policy(inst), inst)], [inst.theta])[0].average_cost
         ratios.append(j / lead.evaluate(eps))
     assert ratios == sorted(ratios, reverse=True)
     assert abs(ratios[-1] - 1.0) <= 0.05

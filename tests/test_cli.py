@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from idsched import exact, sim
+from idsched import cli, exact, sim
 from idsched.cli import (
     CSV_HEADER,
     bundled_config_path,
@@ -103,13 +103,14 @@ def test_run_experiment_exact_falls_back_to_simulation_for_wdd(tmp_path):
     assert methods["op-iterative"] == "growth_rate"
 
 
-def test_run_experiment_state_cap(tmp_path):
-    cfg_path = _tiny_config(tmp_path, exact_state_cap=5)
+def test_run_experiment_state_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "EXACT_STATE_CAP", 5)
+    cfg_path = _tiny_config(tmp_path)
     with pytest.raises(ConfigError):
         run_experiment(load_config(cfg_path))
 
     # the optimum reference and WDD's simulation build no finite chain
-    cfg_path = _tiny_config(tmp_path, policies=["op-iterative", "wdd"], exact_state_cap=5)
+    cfg_path = _tiny_config(tmp_path, policies=["op-iterative", "wdd"])
     rows = run_experiment(load_config(cfg_path))
     assert {(row.policy, row.method) for row in rows} == {("op-iterative", "growth_rate"), ("wdd", "simulate")}
 
@@ -135,6 +136,25 @@ def test_a_base_instance_that_breaks_is_a_config_error(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert "config error: the config's instance is invalid" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve", "emit-policy"])
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"taus": [5, 3], "bs": [1.0, 1.0], "epsilon": 0.05, "theta": 0.05},
+        {"taus": [2, 3, 4], "bs": [1.0, 1.0, 1.0], "epsilon": 0.05, "theta": 0.05},
+    ],
+    ids=["reversed-thresholds", "three-clients"],
+)
+def test_mlg_on_an_instance_without_its_rule_is_a_config_error(tmp_path, capsys, command, instance):
+    # sweep and solve read mlg from the config's policies; emit-policy builds
+    # its spec from the name alone, so there the config lists another policy
+    policies = ["op-iterative"] if command == "emit-policy" else ["mlg"]
+    extra = ["--policy", "mlg"] if command == "emit-policy" else []
+    cfg_path = _tiny_config(tmp_path, instance=instance, policies=policies)
+    assert main([command, "--config", str(cfg_path), *extra]) == 2
+    assert "config error: the mlg policy needs two clients with tau_1 <= tau_2" in capsys.readouterr().err
 
 
 def test_describe_mentions_threshold_and_levels(tmp_path):
@@ -221,8 +241,6 @@ def _plain_instance(**fields):
         {"sim": {"trials": 8}},
         {"sim": {"horizon": 2000, "trials": 8, "warmup": -1}},
         {"sim": [2000, 8]},
-        {"exact_state_cap": "lots"},
-        {"enumeration_cap": None},
         {"seed": -1},
         {"seed": 3.9},
         {"sim": {"horizon": 2000, "trials": 2.7}},
@@ -247,14 +265,14 @@ def _plain_instance(**fields):
         _plain_instance(theta=True),
         {"instance": {"taus": [2, 3], "bs": [1.0, True], "epsilon": 0.05, "theta": 0.05}},
         _plain_instance(ps=None),
+        {"enumeration_cap": 5},
+        {"exact_state_cap": 5},
     ],
     ids=[
         "zero-horizon",
         "no-horizon",
         "negative-warmup",
         "sim-not-an-object",
-        "state-cap-not-a-number",
-        "enumeration-cap-null",
         "negative-seed",
         "fractional-seed",
         "fractional-trials",
@@ -279,6 +297,8 @@ def _plain_instance(**fields):
         "boolean-theta",
         "boolean-coefficient",
         "no-reliabilities",
+        "retired-enumeration-cap",
+        "retired-exact-state-cap",
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
@@ -317,9 +337,10 @@ def test_simulated_sweep_with_the_renewal_state_outside_the_clipped_space(tmp_pa
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * len(policies)
 
 
-def test_resource_limits_exit_with_code_3(tmp_path, capsys):
+def test_resource_limits_exit_with_code_3(tmp_path, capsys, monkeypatch):
     # thresholds (2, 3) have 2**10 NE policies, above an enumeration cap of 5
-    cfg_path = _tiny_config(tmp_path, policies=["op-exhaustive"], enumeration_cap=5)
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 5)
+    cfg_path = _tiny_config(tmp_path, policies=["op-exhaustive"])
     assert main(["sweep", "--config", str(cfg_path)]) == 3
     assert "enumeration cap" in capsys.readouterr().err
 
@@ -393,8 +414,9 @@ def test_each_optimum_is_computed_once_per_point(tmp_path, monkeypatch, evaluati
 def test_reference_is_exhaustive_exactly_when_the_ne_policies_fit_the_cap(tmp_path, monkeypatch, cap, expected):
     # thresholds (2, 3): 12 states, two of them exclusion states, so 2**10 NE policies
     calls = _count_optimum_calls(monkeypatch)
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", cap)
     sweep = {"axis": "epsilon", "values": [0.05]}
-    cfg_path = _tiny_config(tmp_path, policies=["mlg"], sweep=sweep, enumeration_cap=cap)
+    cfg_path = _tiny_config(tmp_path, policies=["mlg"], sweep=sweep)
     (row,) = run_experiment(load_config(cfg_path))
     assert calls == expected
     assert row.j_normalized >= 1.0 - 1e-9  # MLG cannot beat either optimum
@@ -436,14 +458,15 @@ def test_one_simulation_call_per_sweep(tmp_path, monkeypatch, evaluation, polici
         ({"taus": [2, 3], "bs": [1.0, 2.0], "epsilon": 0.1, "theta": 0.05}, {"axis": "epsilon", "values": [0.05, 0.1, 0.2]}),
     ],
 )
-def test_sweep_rows_equal_single_point_rows(tmp_path, instance, sweep):
+def test_sweep_rows_equal_single_point_rows(tmp_path, monkeypatch, instance, sweep):
     # stacking the points and policies of a sweep, and sharing trials between
     # pairs with equal engine inputs, leaves every row as a run of that one
     # point and policy writes it; an enumeration cap below the 2**10 NE
     # policies keeps each run's optimum reference on the growth-rate method
+    monkeypatch.setattr(cli, "ENUMERATION_CAP", 1000)
     policies = ["mlg", "prr", "wdd", {"name": "ps", "max_period": 4}]
     sim_section = {"horizon": 900, "trials": 6, "warmup": 40}
-    common = {"instance": instance, "evaluation": "both", "sim": sim_section, "seed": 3, "enumeration_cap": 1000}
+    common = {"instance": instance, "evaluation": "both", "sim": sim_section, "seed": 3}
     swept = run_experiment(load_config({**common, "policies": policies, "sweep": sweep}))
     single = [
         row

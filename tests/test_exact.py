@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_chain, eigvals_cost, recurrent, stationary_dense
+from paper_oracle import Mdp1Table, doeblin_hitting_times, dp_mdp1, dp_mdp2, is_ne
 
 from idsched import exact
 from idsched.asymptotic import mlg_stationary_policy, sn_policy
@@ -15,26 +16,23 @@ from idsched.heuristics import (
     PeriodicSchedule,
     build_periodic_schedule,
     periodic_chain,
-    periodic_schedule_average_cost,
-    prr_average_cost,
     prr_chain,
 )
 from idsched.exact import (
-    Mdp1Table,
     StationaryPolicy,
-    average_cost,
     cycle_expectations,
-    doeblin_hitting_times,
-    dp_mdp1,
-    dp_mdp2,
     exhaustive_optimal,
     growth_rate_optima,
     growth_rate_optimal,
-    is_ne,
     policy_count,
     theta_threshold,
 )
 from idsched.model import Instance, exclusion_state
+
+
+def _alone(chain, theta):
+    """The report of ``chain`` evaluated alone: one row in its own ``chain_average_costs`` call."""
+    return exact.chain_average_costs([chain], [theta])[0]
 
 
 def _random_ne_policy(inst, rng):
@@ -131,6 +129,29 @@ def test_unbounded_dp_cell_cap():
         dp_mdp1(inst, 10, (5000, 5000))
 
 
+@pytest.mark.parametrize(
+    "inst, horizon",
+    [(Instance((2, 3), (0.6, 0.7), 0.05), 100), (Instance((1, 2, 2), (0.5, 0.7, 0.9), 0.1), 300)],
+)
+def test_finite_horizon_growth_tends_to_the_certified_optimum(inst, horizon):
+    # ln(V_{t+1}(x) / V_t(x)) / theta of the oracle's clipped DP tends to the
+    # program's optimal J from every state.  Measured worst relative gaps over
+    # the states: (2, 3) 4.3e-3 at t = 10, 6.7e-6 at 20 and 7.1e-15 at 100;
+    # (1, 2, 2) 5.0e-3 at t = 10, 6.8e-8 at 100 and 1.6e-15 at 300.  The
+    # optimum's certified bracket is about 2e-15 wide, narrower than the
+    # DP's own rounding, so the tolerance is 1e-12, not the bracket.
+    optimum = growth_rate_optima([inst])[0]
+    assert optimum.converged
+    table = dp_mdp2(inst, horizon + 1)
+
+    def gap(t):
+        growth = np.log(table.values[t + 1] / table.values[t]) / inst.theta
+        return np.abs(growth / optimum.average_cost - 1).max()
+
+    assert gap(10) > 1e-3 > gap(horizon // 5)
+    assert gap(horizon) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # policy structure
 
@@ -224,24 +245,22 @@ def test_a_start_that_reaches_two_closed_classes_is_a_structural_error():
         fail=np.array([2, 1, 2]),
         p=np.full(3, 0.5),
         hits=np.zeros(3),
-        client=np.zeros(3, dtype=np.int64),
-        base=np.arange(3),
         start=0,
     )
     with pytest.raises(StructuralError, match="more than one closed class"):
-        exact.chain_average_cost(chain, 0.1)
+        _alone(chain, 0.1)
     # stacked with a good chain of another size, the bad row still raises
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     good = exact.stationary_chain(_random_ne_policy(inst, np.random.default_rng(1)), inst)
     with pytest.raises(StructuralError, match="more than one closed class"):
         exact.chain_average_costs([good, chain], [0.1, 0.1])
-    assert exact.chain_average_cost(dataclasses.replace(chain, start=1), 0.1).recurrent_class == {1}
+    assert _alone(dataclasses.replace(chain, start=1), 0.1).recurrent_class == {1}
 
 
 def test_average_cost_single_client_matches_analytic_value():
     inst = Instance((1,), (0.5,), 1.0)
     pol = StationaryPolicy(np.array([1, 1]))
-    report = average_cost(pol, inst)
+    report = _alone(exact.stationary_chain(pol, inst), inst.theta)
     assert report.average_cost == pytest.approx(math.log(0.5 + 0.5 * math.e), rel=1e-10)
     assert report.recurrent_class == frozenset({0, 1})
 
@@ -250,8 +269,8 @@ def test_average_cost_invariant_under_client_relabeling():
     inst = Instance((2, 2), (0.5, 0.5), 0.1)
     pol = _random_ne_policy(inst, np.random.default_rng(4))
     swapped = _swap_policy(inst, pol)
-    j1 = average_cost(pol, inst).average_cost
-    j2 = average_cost(swapped, inst).average_cost
+    chains = [exact.stationary_chain(pol, inst), exact.stationary_chain(swapped, inst)]
+    j1, j2 = (report.average_cost for report in exact.chain_average_costs(chains, [inst.theta] * 2))
     assert j1 == pytest.approx(j2, rel=1e-10)
 
 
@@ -259,7 +278,7 @@ def test_average_cost_matches_empirical_growth_rate():
     # long-horizon growth of the weighted power applied to all-ones
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_ne_policy(inst, np.random.default_rng(5))
-    report = average_cost(pol, inst)
+    report = _alone(exact.stationary_chain(pol, inst), inst.theta)
     weighted, _ = stationary_dense(pol, inst)
     start = inst.indexer().index(inst.thresholds)
     v = np.ones(inst.total_states)
@@ -283,8 +302,8 @@ def test_average_cost_from_a_transient_start_brackets_the_closed_class():
     # cycle reaches, not the states the start reaches
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_ne_policy(inst, np.random.default_rng(3))
-    recurrent = average_cost(pol, inst)
-    report = average_cost(pol, inst, start=(0, 0))
+    recurrent = _alone(exact.stationary_chain(pol, inst), inst.theta)
+    report = _alone(exact.stationary_chain(pol, inst, (0, 0)), inst.theta)
     assert report.transient_states and not recurrent.transient_states
     assert report.recurrent_class == recurrent.recurrent_class
     assert report.average_cost == recurrent.average_cost
@@ -296,7 +315,7 @@ def test_pinned_policy_cost_matches_eigenvalue_oracle():
     # client 2 stuck at threshold, whose radius is computed independently here
     inst = Instance((2, 2), (0.5, 0.5), 0.1)
     pol = StationaryPolicy(np.ones(inst.total_states, dtype=np.int64))
-    report = average_cost(pol, inst)
+    report = _alone(exact.stationary_chain(pol, inst), inst.theta)
     indexer = inst.indexer()
     pinned = [indexer.index((a, 2)) for a in range(3)]
     weighted, _ = stationary_dense(pol, inst)
@@ -307,7 +326,7 @@ def test_pinned_policy_cost_matches_eigenvalue_oracle():
 def test_pinned_policy_cost_near_perfect_channel():
     inst = Instance((2, 2), (0.999, 0.5), 0.1)
     pol = StationaryPolicy(np.ones(inst.total_states, dtype=np.int64))
-    report = average_cost(pol, inst)
+    report = _alone(exact.stationary_chain(pol, inst), inst.theta)
     # client 2 pinned at threshold costs about one exceedance per slot
     assert report.average_cost == pytest.approx(1.0, rel=5e-2)
 
@@ -328,7 +347,7 @@ def test_cycle_expectations_single_client():
 def test_solve_report_serialization():
     inst = Instance((1,), (0.5,), 1.0)
     pol = StationaryPolicy(np.array([1, 1]))
-    report = average_cost(pol, inst)
+    report = _alone(exact.stationary_chain(pol, inst), inst.theta)
     payload = report.to_json()
     assert payload["recurrent_class"] == [0, 1]
     assert payload["converged"] is True
@@ -381,7 +400,7 @@ def test_exhaustive_single_client_returns_forced_policy():
     pol, report = exhaustive_optimal(inst)
     assert np.all(pol.decisions == 1)
     assert report.average_cost == pytest.approx(
-        average_cost(pol, inst).average_cost, rel=1e-12
+        _alone(exact.stationary_chain(pol, inst), inst.theta).average_cost, rel=1e-12
     )
 
 
@@ -420,7 +439,7 @@ def test_exhaustive_enumeration_cap():
 def test_growth_rate_single_client_matches_forced_policy():
     inst = Instance((2,), (0.5,), 0.1)
     result = growth_rate_optimal(inst)
-    forced = average_cost(StationaryPolicy(np.ones(3, dtype=np.int64)), inst)
+    forced = _alone(exact.stationary_chain(StationaryPolicy(np.ones(3, dtype=np.int64)), inst), inst.theta)
     assert result.converged
     assert result.average_cost == pytest.approx(forced.average_cost, rel=1e-8)
 
@@ -477,10 +496,10 @@ def _bracket_case(kind, inst, arg):
     if kind == "prr":
         n = inst.n_clients
         advance = lambda m, delivered: (m + 1) % n if delivered else m  # noqa: E731
-        return prr_average_cost(inst), eigvals_cost(inst, n, lambda x, m: m + 1, advance)
+        return _alone(prr_chain(inst), inst.theta), eigvals_cost(inst, n, lambda x, m: m + 1, advance)
     if kind == "ps":
         period = len(arg)
-        report = periodic_schedule_average_cost(inst, PeriodicSchedule(arg, inst.n_clients))
+        report = _alone(periodic_chain(inst, PeriodicSchedule(arg, inst.n_clients)), inst.theta)
         advance = lambda m, delivered: (m + 1) % period  # noqa: E731
         return report, eigvals_cost(inst, period, lambda x, m: arg[m], advance)
     if kind == "mlg":
@@ -489,7 +508,8 @@ def _bracket_case(kind, inst, arg):
         policy = _random_ne_policy(inst, np.random.default_rng(arg))
     indexer = inst.indexer()
     serve = lambda x, m: int(policy.decisions[indexer.index(x)])  # noqa: E731
-    return average_cost(policy, inst), eigvals_cost(inst, 1, serve, lambda m, delivered: 0)
+    report = _alone(exact.stationary_chain(policy, inst), inst.theta)
+    return report, eigvals_cost(inst, 1, serve, lambda m, delivered: 0)
 
 
 @pytest.mark.parametrize(
@@ -521,8 +541,8 @@ def test_epsilon_sweep_is_certified_down_to_the_floating_point_floor():
     for epsilon in (1e-3, 1e-4, 3e-5, 1e-5, 1e-7, 1e-8):
         inst = Instance(taus, tuple(1 - b * epsilon for b in bs), theta)
         optimum = growth_rate_optimal(inst)
-        mlg = average_cost(mlg_stationary_policy(inst), inst)
-        prr = prr_average_cost(inst)
+        chains = [exact.stationary_chain(mlg_stationary_policy(inst), inst), prr_chain(inst)]
+        mlg, prr = exact.chain_average_costs(chains, [theta] * 2)
         converged = [optimum.converged, mlg.converged, prr.converged]
         if epsilon >= 3e-5:
             assert all(converged)
@@ -546,7 +566,8 @@ def test_stacked_exhaustive_search_matches_per_policy_evaluation(monkeypatch, in
         idx = indexer.index(exclusion_state(inst.thresholds, client))
         allowed[idx] = tuple(u for u in allowed[idx] if u != client)
     decisions = list(product(*allowed))
-    costs = [average_cost(StationaryPolicy(np.array(d)), inst).average_cost for d in decisions]
+    chains = [exact.stationary_chain(StationaryPolicy(np.array(d)), inst) for d in decisions]
+    costs = [_alone(chain, inst.theta).average_cost for chain in chains]
     first = int(np.argmin(costs))  # the lexicographically smallest of the tied minima
     policy, report = exhaustive_optimal(inst)
     assert policy.decisions.tolist() == list(decisions[first])
@@ -571,7 +592,7 @@ def test_stacked_rows_match_per_policy_evaluation_where_cycles_lie_off_the_class
     policies = [StationaryPolicy(d) for d in off_class + others[:8]]
     chains = [exact.stationary_chain(pol, inst) for pol in policies]
     stacked = exact.chain_average_costs(chains, [inst.theta] * len(chains))
-    expected = [average_cost(pol, inst).average_cost for pol in policies]
+    expected = [_alone(chain, inst.theta).average_cost for chain in chains]
     assert [report.average_cost for report in stacked] == expected
 
 
@@ -588,8 +609,7 @@ def test_stacked_chains_of_any_size_match_their_own_evaluation():
     ]
     thetas = [two.theta, three.theta, two.theta, three.theta]
     for stacked, chain, theta in zip(exact.chain_average_costs(chains, thetas), chains, thetas):
-        alone = exact.chain_average_cost(chain, theta)
-        assert stacked == alone
+        assert stacked == _alone(chain, theta)
 
 
 def test_stacked_rows_that_stop_at_different_windows_match_their_own_evaluation():
@@ -609,7 +629,7 @@ def test_stacked_rows_that_stop_at_different_windows_match_their_own_evaluation(
     assert sorted({len(report.recurrent_class) for report in stacked}) == [227, 528, 960]
     assert len({report.iterations for report in stacked}) >= 6
     for report, chain, theta in zip(stacked, chains, thetas):
-        assert report == exact.chain_average_cost(chain, theta)
+        assert report == _alone(chain, theta)
 
 
 def _assert_stacked_optima_match_their_own(insts):

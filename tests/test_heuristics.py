@@ -6,17 +6,16 @@ import sim_oracle
 from dense_oracle import eigvals_cost
 
 from idsched.errors import ConfigError
+from idsched.exact import chain_average_costs
 from idsched.heuristics import (
     PeriodicSchedule,
     build_periodic_schedule,
     deterministic_cycle_cost,
     periodic_chain,
-    periodic_schedule_average_cost,
-    prr_average_cost,
     prr_chain,
 )
 from idsched.model import Instance
-from idsched.sim import SimConfig, estimate_cost
+from idsched.sim import SimConfig, estimate_costs
 
 # a stand-in state: round robin, WDD and periodic decisions read only their memory
 ANY = (0, 0, 0)
@@ -118,16 +117,16 @@ def test_round_robin_perfect_channels_cycle():
 
 def test_prr_exact_cost_matches_simulation():
     inst = Instance((3, 4), (0.7, 0.8), 0.05)
-    report = prr_average_cost(inst)
-    est = estimate_cost(inst, prr_chain(inst), SimConfig(horizon=60_000, trials=32, seed=17))
+    (report,) = chain_average_costs([prr_chain(inst)], [inst.theta])
+    (est,) = estimate_costs([inst], [prr_chain(inst)], SimConfig(horizon=60_000, trials=32, seed=17))
     assert est.j_hat == pytest.approx(report.average_cost, rel=0.05)
 
 
 def test_periodic_exact_cost_matches_simulation():
     inst = Instance((3, 4), (0.8, 0.9), 0.05)
     sched = build_periodic_schedule(inst, 6)
-    report = periodic_schedule_average_cost(inst, sched)
-    est = estimate_cost(inst, periodic_chain(inst, sched), SimConfig(horizon=60_000, trials=32, seed=19))
+    (report,) = chain_average_costs([periodic_chain(inst, sched)], [inst.theta])
+    (est,) = estimate_costs([inst], [periodic_chain(inst, sched)], SimConfig(horizon=60_000, trials=32, seed=19))
     assert est.j_hat == pytest.approx(report.average_cost, rel=0.05)
 
 
@@ -143,5 +142,6 @@ def test_prr_and_periodic_exact_costs_match_eigenvalues(inst, sequence):
     prr = eigvals_cost(inst, n, lambda x, m: m + 1, lambda m, delivered: (m + 1) % n if delivered else m)
     ps = eigvals_cost(inst, period, lambda x, m: sequence[m], lambda m, delivered: (m + 1) % period)
     sched = PeriodicSchedule(sequence, n)
-    assert prr_average_cost(inst).average_cost == pytest.approx(prr, rel=1e-9)
-    assert periodic_schedule_average_cost(inst, sched).average_cost == pytest.approx(ps, rel=1e-9)
+    reports = chain_average_costs([prr_chain(inst), periodic_chain(inst, sched)], [inst.theta] * 2)
+    assert reports[0].average_cost == pytest.approx(prr, rel=1e-9)
+    assert reports[1].average_cost == pytest.approx(ps, rel=1e-9)

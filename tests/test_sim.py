@@ -10,13 +10,12 @@ import sim_oracle
 from sim_oracle import run_trial, tally_trials
 
 from idsched import sim
-from idsched.exact import StationaryPolicy, average_cost, stationary_chain
+from idsched.exact import StationaryPolicy, chain_average_costs, stationary_chain
 from idsched.heuristics import PeriodicSchedule, periodic_chain, prr_chain
 from idsched.model import Instance
 from idsched.sim import (
     SimConfig,
     block_edges,
-    estimate_cost,
     estimate_costs,
     log_mean_exp,
 )
@@ -273,17 +272,17 @@ def test_estimate_costs_equals_estimate_cost_per_point():
     for make in makers:
         chains = [make(inst) for inst in insts]
         together = estimate_costs(insts, chains, cfg)
-        assert together == [estimate_cost(inst, c, cfg) for inst, c in zip(insts, chains)]
+        assert together == [estimate_costs([inst], [c], cfg)[0] for inst, c in zip(insts, chains)]
     # every engine in one call, as a sweep with several simulated policies makes it
     points = [(inst, make(inst)) for make in makers for inst in insts]
     mixed = estimate_costs([inst for inst, _ in points], [c for _, c in points], cfg)
-    assert mixed == [estimate_cost(inst, c, cfg) for inst, c in points]
+    assert mixed == [estimate_costs([inst], [c], cfg)[0] for inst, c in points]
     # at equal reliabilities two policies' chains differ only in their successors
     even = Instance(taus, (0.7, 0.7), 0.05)
     chains = [stationary_chain(_random_policy(even, k), even) for k in (6, 7)]
     together = estimate_costs([even, even], chains, cfg)
     assert together[0] != together[1]
-    assert together == [estimate_cost(even, c, cfg) for c in chains]
+    assert together == [estimate_costs([even], [c], cfg)[0] for c in chains]
     with pytest.raises(ValueError):
         estimate_costs([insts[0], Instance((3, 3), (0.6, 0.7), 0.05)], [None] * 2, cfg)
 
@@ -302,7 +301,7 @@ def test_estimate_cost_degenerate_and_single_trial():
     perfect = math.nextafter(1.0, 0.0)
     inst = Instance((3, 3), (perfect, perfect), 0.1)
     pol = StationaryPolicy(np.tile([1, 2], inst.total_states)[: inst.total_states])
-    est = estimate_cost(inst, stationary_chain(pol, inst, (0, 1)), SimConfig(horizon=100, trials=8, seed=1))
+    (est,) = estimate_costs([inst], [stationary_chain(pol, inst, (0, 1))], SimConfig(horizon=100, trials=8, seed=1))
     assert est.j_hat == 0.0
     assert est.degenerate
     assert est.stderr_log == 0.0
@@ -310,7 +309,7 @@ def test_estimate_cost_degenerate_and_single_trial():
     # one trial: the estimate is the raw exceedance rate
     inst2 = Instance((1,), (0.5,), 0.1)
     forced = StationaryPolicy(np.array([1, 1]))
-    est2 = estimate_cost(inst2, stationary_chain(forced, inst2), SimConfig(horizon=1000, trials=1, seed=2))
+    (est2,) = estimate_costs([inst2], [stationary_chain(forced, inst2)], SimConfig(horizon=1000, trials=1, seed=2))
     single = run_trial(inst2, sim_oracle.stationary(forced, inst2), 1000, (2, 0), (1,))
     assert est2.j_hat == pytest.approx(single.exceedance_total / 1000, rel=1e-12)
 
@@ -364,7 +363,7 @@ def test_estimate_cost_halves_blocks_only_when_the_tail_is_uncovered():
     # mild risk weighting: the trial totals cover their tail, so the estimate
     # is the whole-horizon log-mean-exp exactly
     mild = Instance((1,), (0.5,), 0.01)
-    est = estimate_cost(mild, stationary_chain(pol, mild), cfg)
+    (est,) = estimate_costs([mild], [stationary_chain(pol, mild)], cfg)
     policy = sim_oracle.stationary(pol, mild)
     trials = [run_trial(mild, policy, cfg.horizon, (cfg.seed, r), mild.thresholds) for r in range(cfg.trials)]
     totals = np.array([res.exceedance_total for res in trials], dtype=float)
@@ -374,16 +373,17 @@ def test_estimate_cost_halves_blocks_only_when_the_tail_is_uncovered():
 
     # stronger weighting: shorter blocks restore the coverage
     strong = Instance((1,), (0.5,), 0.1)
-    est = estimate_cost(strong, stationary_chain(pol, strong), cfg)
+    (est,) = estimate_costs([strong], [stationary_chain(pol, strong)], cfg)
     assert est.block_length < 1000
     assert est.tail_coverage >= 0.5
     assert 0.0 < est.stderr_j < 0.02 * est.j_hat
-    assert abs(est.j_hat - average_cost(pol, strong).average_cost) <= 4 * est.stderr_j
+    exact_j = chain_average_costs([stationary_chain(pol, strong)], [strong.theta])[0].average_cost
+    assert abs(est.j_hat - exact_j) <= 4 * est.stderr_j
 
     # extreme weighting: even the shortest blocks leave the tail uncovered,
     # and the coverage says so
     extreme = Instance((1,), (0.5,), 2.0)
-    est = estimate_cost(extreme, stationary_chain(pol, extreme), cfg)
+    (est,) = estimate_costs([extreme], [stationary_chain(pol, extreme)], cfg)
     assert est.block_length == 125
     assert est.tail_coverage < 0.5
 
@@ -391,8 +391,9 @@ def test_estimate_cost_halves_blocks_only_when_the_tail_is_uncovered():
 def test_estimate_cost_tracks_exact_value_single_client():
     inst = Instance((1,), (0.5,), 0.1)
     pol = StationaryPolicy(np.array([1, 1]))
-    exact_j = average_cost(pol, inst).average_cost
-    est = estimate_cost(inst, stationary_chain(pol, inst), SimConfig(horizon=100_000, trials=64, seed=3))
+    chain = stationary_chain(pol, inst)
+    exact_j = chain_average_costs([chain], [inst.theta])[0].average_cost
+    (est,) = estimate_costs([inst], [chain], SimConfig(horizon=100_000, trials=64, seed=3))
     assert est.j_hat == pytest.approx(exact_j, rel=0.02)
 
 
