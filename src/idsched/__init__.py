@@ -1,11 +1,6 @@
 """Risk-sensitive inter-delivery scheduling toolkit."""
 
-from .errors import (
-    ConfigError,
-    ResourceLimitError,
-    SchedulingError,
-    StructuralError,
-)
+from .errors import ConfigError, SchedulingError, StructuralError
 from .model import (
     AsymptoticInstance,
     Instance,
@@ -24,7 +19,6 @@ from .exact import (
     SolveReport,
     StationaryPolicy,
     ThetaThreshold,
-    exhaustive_optimal,
     growth_rate_optima,
     growth_rate_optimal,
     theta_threshold,

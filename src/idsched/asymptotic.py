@@ -212,20 +212,6 @@ class LevelSets:
     def unplaced(self) -> frozenset:
         return frozenset(np.flatnonzero(self.level < 0).tolist())
 
-    def to_json(self) -> dict:
-        def value_arrays(values: np.ndarray, present: np.ndarray) -> dict:
-            idxs = np.flatnonzero(present)
-            return {"indices": idxs.tolist(), "values": values[idxs].tolist()}
-
-        return {
-            "levels": [sorted(members) for members in self.levels],
-            "a": value_arrays(self.a, ~np.isnan(self.a)),
-            "b": value_arrays(self.b, ~np.isnan(self.b)),
-            "decisions": value_arrays(self.decision, self.decision > 0),
-            "remain": sorted(self.remain),
-            "unplaced": sorted(self.unplaced),
-        }
-
 
 def build_level_sets(inst: Instance) -> LevelSets:
     """Grade the state space by the epsilon-order of its minimal window excess.

@@ -3,7 +3,7 @@
 Subcommands: ``sweep`` (grid of instances x policies to CSV), ``solve`` and
 ``simulate`` (single-point variants), ``describe`` (instance diagnostics),
 ``emit-policy`` (serialize a constructed policy).  Exit codes: 0 success,
-2 configuration error, 3 resource or convergence error.
+2 configuration error, 3 structural error.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from .model import AsymptoticInstance, Instance, instance_from_json
 
 CSV_HEADER = "sweep_value,policy,J,J_normalized,stderr,method,converged"
 
-_POLICY_NAMES = ("op-exhaustive", "op-iterative", "mlg", "sn", "prr", "wdd", "ps", "explicit")
-EXACT_STATE_CAP = 2000  # most clipped states of a policy evaluated exactly; optimum searches and WDD are exempt
-ENUMERATION_CAP = 4096  # most NE policies to enumerate; above it the reference is the growth-rate optimum
+_POLICY_NAMES = ("op-iterative", "mlg", "sn", "prr", "wdd", "ps", "explicit")
+_CONFIG_KEYS = ("instance", "policies", "sweep", "evaluation", "sim", "seed", "output")
+_SIM_KEYS = ("horizon", "trials", "warmup")
+EXACT_STATE_CAP = 2000  # most clipped states of a policy evaluated exactly; the optimum and WDD are exempt
 
 
 @dataclass
@@ -55,6 +56,13 @@ def _integer(section: dict, key: str, default: int | None, minimum: int) -> int:
     return int(value)
 
 
+def _check_keys(section: dict, known: tuple[str, ...], where: str) -> None:
+    """Raise ``ConfigError`` naming every key of ``section`` outside ``known``."""
+    unknown = [key for key in section if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; known: {', '.join(known)}")
+
+
 def load_config(obj: dict | str | Path) -> ExperimentConfig:
     """Parse and validate an experiment configuration."""
     if isinstance(obj, (str, Path)):
@@ -66,14 +74,9 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
+    _check_keys(obj, _CONFIG_KEYS, "config")
     if "instance" not in obj:
         raise ConfigError("config needs an 'instance' section")
-    retired = sorted(key for key in ("exact_state_cap", "enumeration_cap") if key in obj)
-    if retired:
-        raise ConfigError(
-            f"the {', '.join(retired)} key(s) are retired; the caps are fixed at "
-            f"{EXACT_STATE_CAP} states and {ENUMERATION_CAP} policies"
-        )
     try:
         instance = instance_from_json(obj["instance"])
     except KeyError as exc:
@@ -128,6 +131,7 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
     if sim_config is not None:
         if not isinstance(sim_config, dict):
             raise ConfigError("the 'sim' section must be a JSON object")
+        _check_keys(sim_config, _SIM_KEYS, "'sim'")
         sim_config = {
             "horizon": _integer(sim_config, "horizon", None, 1),
             "trials": _integer(sim_config, "trials", None, 1),
@@ -213,41 +217,19 @@ class _Evaluator:
         self.cfg = cfg
         self.inst = inst
         self._schedules: dict[int, heuristics.PeriodicSchedule] = {}
-        self._optima: dict[str, tuple[exact.StationaryPolicy, tuple[float, str, bool]]] = {}
-
-    def _reference_method(self) -> str:
-        """Exhaustive when the enumeration fits or the sweep asks for it, else the growth-rate iteration."""
-        names = [spec["name"] for spec in self.cfg.policies]
-        use_exhaustive = "op-exhaustive" in names or (
-            "op-iterative" not in names
-            and exact.policy_count(self.inst, True, ENUMERATION_CAP) <= ENUMERATION_CAP
-        )
-        return "exhaustive" if use_exhaustive else "growth_rate"
-
-    def reference(self) -> float:
-        """Optimal-cost reference J: exhaustive when the enumeration fits, else iterative."""
-        return self._optimum(self._reference_method())[1][0]
-
-    def needs_growth_rate(self) -> bool:
-        """Whether the sweep reads this point's growth-rate optimum, as a policy or as the reference."""
-        iterative = any(spec["name"] == "op-iterative" for spec in self.cfg.policies)
-        return iterative or self._reference_method() == "growth_rate"
+        self._optimum: exact.GrowthRateResult | None = None
 
     @staticmethod
-    def solve_growth_rates(evaluators: list["_Evaluator"]) -> None:
-        """Give each evaluator its growth-rate optimum, all from one stacked ``exact.growth_rate_optima`` call."""
+    def solve_optima(evaluators: list["_Evaluator"]) -> None:
+        """Give each evaluator its optimum, all from one stacked ``exact.growth_rate_optima`` call."""
         for ev, result in zip(evaluators, exact.growth_rate_optima([ev.inst for ev in evaluators])):
-            ev._optima["growth_rate"] = result.policy, (result.average_cost, "growth_rate", result.converged)
+            ev._optimum = result
 
-    def _optimum(self, method: str) -> tuple[exact.StationaryPolicy, tuple[float, str, bool]]:
-        """The optimal policy and its ``(J, method, converged)``, computed once per method."""
-        if method not in self._optima:
-            if method == "exhaustive":
-                policy, report = exact.exhaustive_optimal(self.inst, policy_cap=ENUMERATION_CAP)
-                self._optima[method] = policy, (report.average_cost, method, report.converged)
-            else:
-                self.solve_growth_rates([self])
-        return self._optima[method]
+    def optimum(self) -> exact.GrowthRateResult:
+        """The point's certified growth-rate optimum, computed once: the op-iterative row and the reference J."""
+        if self._optimum is None:
+            self.solve_optima([self])
+        return self._optimum
 
     def _schedule(self, max_period: int) -> heuristics.PeriodicSchedule:
         if max_period not in self._schedules:
@@ -256,10 +238,8 @@ class _Evaluator:
 
     def stationary_policy(self, spec: dict) -> exact.StationaryPolicy | None:
         name = spec["name"]
-        if name == "op-exhaustive":
-            return self._optimum("exhaustive")[0]
         if name == "op-iterative":
-            return self._optimum("growth_rate")[0]
+            return self.optimum().policy
         if name == "mlg":
             return asymptotic.mlg_stationary_policy(self.inst)
         if name == "sn":
@@ -268,15 +248,10 @@ class _Evaluator:
             return exact.StationaryPolicy(np.asarray(spec["decisions"], dtype=np.int64))
         return None
 
-    def optimum_result(self, spec: dict) -> tuple[float, str, bool] | None:
-        """``(J, method, converged)`` of an optimum policy, or None for any other policy."""
-        optimum = {"op-exhaustive": "exhaustive", "op-iterative": "growth_rate"}.get(spec["name"])
-        return None if optimum is None else self._optimum(optimum)[1]
-
     def exact_chain(self, spec: dict) -> tuple[exact.Chain, str]:
         """The finite chain of a stationary, PRR or PS policy, to evaluate exactly, and its method.
 
-        The state cap applies to these chains, not to the optimum searches.
+        The state cap applies to these chains, not to the optimum.
         """
         if self.inst.total_states > EXACT_STATE_CAP:
             raise ConfigError(
@@ -302,34 +277,33 @@ class _Evaluator:
 def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> list[ResultRow]:
     """Evaluate every sweep point x policy; write CSV when a path is given.
 
-    The growth-rate optima of every point that reads one are computed in one
-    stacked call, the finite chains of every (policy, point) pair are
-    evaluated exactly in one stacked call, and the simulated pairs go to the
-    simulator in one call, so each engine runs once per sweep.  Rows are
-    emitted in sorted order, so reruns of the same config are
-    byte-identical.  An output path that cannot be written is reported
-    before any evaluation.
+    The growth-rate optima of every point, which give each row's reference
+    J, are computed in one stacked call, the finite chains of every
+    (policy, point) pair are evaluated exactly in one stacked call, and the
+    simulated pairs go to the simulator in one call, so each engine runs
+    once per sweep.  Rows are emitted in sorted order, so reruns of the same
+    config are byte-identical.  An output path that cannot be written is
+    reported before any evaluation.
     """
     target = out_path or cfg.output
     if target is not None:
         _check_output(target)
     points = [(value, _Evaluator(cfg, _instance_at(cfg, value))) for value in cfg.sweep_values]
-    if growth := [ev for _, ev in points if ev.needs_growth_rate()]:
-        _Evaluator.solve_growth_rates(growth)
-    ref_js = [ev.reference() for _, ev in points]
+    _Evaluator.solve_optima([ev for _, ev in points])
+    ref_js = [ev.optimum().average_cost for _, ev in points]
     rows = []
     chains = []
     simulated = []
     for spec in cfg.policies:
         for (value, ev), ref_j in zip(points, ref_js):
             if cfg.evaluation != "simulate" and spec["name"] != "wdd":  # WDD has no exact method
-                optimum = ev.optimum_result(spec)
-                if optimum is None:
+                if spec["name"] == "op-iterative":
+                    optimum = ev.optimum()
+                    j = optimum.average_cost
+                    rows.append(ResultRow(value, spec["name"], j, j / ref_j, None, "growth_rate", optimum.converged))
+                else:
                     chain, method = ev.exact_chain(spec)
                     chains.append((spec["name"], value, ref_j, method, chain, ev.inst.theta))
-                else:
-                    j, method, converged = optimum
-                    rows.append(ResultRow(value, spec["name"], j, j / ref_j, None, method, converged))
             if cfg.evaluation != "exact" or spec["name"] == "wdd":
                 simulated.append((spec, value, ev, ref_j))
     if chains:
@@ -414,7 +388,7 @@ def describe(cfg: ExperimentConfig) -> str:
 def emit_policy(cfg: ExperimentConfig, name: str) -> dict:
     """Serialize the named policy constructed on the config's base instance."""
     if name not in _POLICY_NAMES:
-        raise ConfigError(f"unknown policy {name!r}")
+        raise ConfigError(f"unknown policy {name!r}; known: {', '.join(_POLICY_NAMES)}")
     spec = next((s for s in cfg.policies if s["name"] == name), {"name": name})
     _check_spec(spec, cfg.instance)
     ev = _Evaluator(cfg, _base_instance(cfg))

@@ -9,9 +9,5 @@ class ConfigError(SchedulingError):
     """Invalid experiment or instance configuration."""
 
 
-class ResourceLimitError(SchedulingError):
-    """A computation would exceed a configured size or enumeration cap."""
-
-
 class StructuralError(SchedulingError):
     """An internal structural assumption failed (e.g. an undecidable state)."""

@@ -5,34 +5,26 @@ policy is a stationary ``Chain`` whose states move to one of two successors,
 the per-slot cost scales its transitions, and the long-run risk-sensitive
 average cost is ``ln(spectral radius) / theta`` of the cost-weighted chain
 restricted to the one closed class the start state reaches.  The optimum is
-found by exhaustive search or by the growth-rate iteration of the Bellman
-map.  The paper's finite-horizon dynamic programs, NE test and hitting
-times, which check these results, live with the tests
-(``tests/paper_oracle.py``).
+found by the growth-rate iteration of the Bellman map.  The paper's
+finite-horizon dynamic programs, its enumeration of the no-exclusion
+stationary policies, NE test and hitting times, which check these results,
+live with the tests (``tests/paper_oracle.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError, StructuralError
-from .model import (
-    Instance,
-    State,
-    TransitionTables,
-    exclusion_state,
-    transition_tables,
-)
+from .errors import StructuralError
+from .model import Instance, State, TransitionTables, transition_tables
 
 TOL = 1e-6  # relative accuracy of a certified J: J_hi - J_lo <= TOL * J_lo
 MAX_ITER = 100_000  # iterations after which a Perron row stops, read at each call
 _LOOKAHEAD_BLOCK = 16384  # states per lookahead pass
-_STACK_BLOCK = 1 << 16  # chain states per stacked exhaustive evaluation
 _STALL = 8  # iterations without a narrower bracket that mark the floating-point floor
 
 
@@ -82,18 +74,6 @@ class SolveReport:
     transient_states: frozenset
     iterations: int
     converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "spectral_radius": self.spectral_radius,
-            "average_cost": self.average_cost,
-            "j_lo": self.j_lo,
-            "j_hi": self.j_hi,
-            "recurrent_class": sorted(self.recurrent_class),
-            "transient_states": sorted(self.transient_states),
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,68 +322,51 @@ def _closed_classes(
     return member, reached
 
 
-def _chain_brackets(
-    succ: Sequence[np.ndarray],
-    fail: Sequence[np.ndarray],
-    p: Sequence[np.ndarray],
-    hits: Sequence[np.ndarray],
-    theta: np.ndarray | float,
-    start: Sequence[int] | np.ndarray,
-) -> tuple[_Brackets, list[np.ndarray], list[np.ndarray]]:
-    """Brackets of chains given as one array per chain, one row each, with ``_closed_classes`` of their starts.
+def chain_average_costs(chains: Sequence[Chain], thetas: Sequence[float]) -> list[SolveReport]:
+    """Average costs of finite chains from their start states, one ``_perron`` row each.
 
-    ``theta`` is one per chain or shared.  The chains are put side by side,
-    and row ``r`` is chain ``r``'s closed class, members in index order.  A
-    member's successors are members, so every row reads its own entries
-    only.  Returns each chain's class and reached states as masks over its
-    own states.
+    A chain's average cost is ``ln(spectral radius) / theta`` of the closed
+    class its start reaches (``_closed_classes``).  The chains are put side
+    by side, and row ``r`` is chain ``r``'s closed class, members in index
+    order.  A member's successors are members, so every row reads its own
+    entries only, and a report does not depend on the chains stacked with
+    it.  Reported state sets are chain indices; ``converged`` is true iff
+    ``J_hi - J_lo <= TOL * J_lo``.
     """
-    lengths = np.array([len(a) for a in fail])
+    lengths = np.array([len(chain.fail) for chain in chains])
     offsets = np.cumsum(lengths) - lengths
-    succ, fail = (np.concatenate(a) + np.repeat(offsets, lengths) for a in (succ, fail))
-    member, reached = _closed_classes(succ, fail, np.asarray(start) + offsets)
+    succ, fail = (
+        np.concatenate([getattr(chain, name) for chain in chains]) + np.repeat(offsets, lengths)
+        for name in ("succ", "fail")
+    )
+    member, reached = _closed_classes(succ, fail, np.array([chain.start for chain in chains]) + offsets)
     count = np.add.reduceat(member, offsets, dtype=np.int64)
     states = np.flatnonzero(member)
     rank = np.cumsum(member) - 1  # a member's position in the stack
     succ, fail = rank[succ[states]], rank[fail[states]]
-    p = np.concatenate(p)[states]
-    excess = np.expm1(np.repeat(np.broadcast_to(theta, count.shape), count) * np.concatenate(hits)[states])
+    p = np.concatenate([chain.p for chain in chains])[states]
+    excess = np.expm1(
+        np.repeat(np.asarray(thetas, dtype=float), count) * np.concatenate([chain.hits for chain in chains])[states]
+    )
     del states, rank  # the iteration sets the peak memory: keep only what it reads
     brackets = _perron(_chain_drift, excess, count, succ, fail, p)[0]
-    return brackets, np.split(member, offsets[1:]), np.split(reached, offsets[1:])
-
-
-def _solve_report(
-    brackets: _Brackets, row: int, theta: float, member: np.ndarray, reached: np.ndarray
-) -> SolveReport:
-    """The report of ``row`` of ``brackets``, whose start reaches the states ``reached`` and the class ``member``."""
-    j, j_lo, j_hi, converged = brackets.certified(row, theta)
-    return SolveReport(
-        spectral_radius=math.exp(theta * j),
-        average_cost=j,
-        j_lo=j_lo,
-        j_hi=j_hi,
-        recurrent_class=frozenset(np.flatnonzero(member).tolist()),
-        transient_states=frozenset(np.flatnonzero(reached & ~member).tolist()),
-        iterations=int(brackets.iterations[row]),
-        converged=converged,
-    )
-
-
-def chain_average_costs(chains: Sequence[Chain], thetas: Sequence[float]) -> list[SolveReport]:
-    """Average costs of finite chains from their start states, in one ``_chain_brackets`` call.
-
-    Each chain is one row.  A chain's average cost is
-    ``ln(spectral radius) / theta`` of its closed class, and its report does
-    not depend on the chains stacked with it.  Reported state sets are chain
-    indices; ``converged`` is true iff ``J_hi - J_lo <= TOL * J_lo``.
-    """
-    brackets, member, reached = _chain_brackets(
-        *([getattr(chain, name) for chain in chains] for name in ("succ", "fail", "p", "hits")),
-        np.asarray(thetas, dtype=float),
-        [chain.start for chain in chains],
-    )
-    return [_solve_report(brackets, row, theta, member[row], reached[row]) for row, theta in enumerate(thetas)]
+    del succ, fail, p, excess  # free the stack before the reports' state sets are built
+    reports = []
+    for row, (theta, lo, hi) in enumerate(zip(thetas, offsets, offsets + lengths)):
+        j, j_lo, j_hi, converged = brackets.certified(row, theta)
+        reports.append(
+            SolveReport(
+                spectral_radius=math.exp(theta * j),
+                average_cost=j,
+                j_lo=j_lo,
+                j_hi=j_hi,
+                recurrent_class=frozenset(np.flatnonzero(member[lo:hi]).tolist()),
+                transient_states=frozenset(np.flatnonzero(reached[lo:hi] & ~member[lo:hi]).tolist()),
+                iterations=int(brackets.iterations[row]),
+                converged=converged,
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +424,7 @@ def cycle_expectations(
 
     A cycle runs from one pre-transition visit of ``regen`` to the next; the
     multiplicative cycle cost is the product of the per-slot cost factors over
-    the cycle's slots.  Serves as the population counterpart of the Monte
-    Carlo cycle estimator.  Raises if the renewal state is not recurrent
+    the cycle's slots.  Raises if the renewal state is not recurrent
     under the policy, or if the cost expectation diverges: the excursion
     matrix K must have spectral radius below one, which holds iff
     ``(I - K) z = 1`` has a strictly positive solution (Collatz-Wielandt).
@@ -480,70 +442,6 @@ def cycle_expectations(
     if not (z > 0).all():
         raise StructuralError("cycle cost expectation diverges (excursion radius >= 1)")
     return float(m[s0]), float(e_len)
-
-
-def policy_count(inst: Instance, ne_only: bool, cap: int) -> int:
-    """How many decision maps ``exhaustive_optimal`` enumerates, counted until the count passes ``cap``.
-
-    With ``ne_only`` and two or more clients, no client may be served in its
-    own exclusion state.  The count is exact up to ``cap``; above it, the
-    first partial product past ``cap`` is returned.
-    """
-    n = inst.n_clients
-    excluded = n if ne_only and n >= 2 else 0
-    count = (n - 1) ** excluded
-    for _ in range(inst.total_states - excluded):
-        if count > cap:
-            break
-        count *= n
-    return count
-
-
-def exhaustive_optimal(
-    inst: Instance, ne_only: bool = True, policy_cap: int = 2_000_000
-) -> tuple[StationaryPolicy, SolveReport]:
-    """Best stationary policy by direct enumeration.
-
-    By default only policies avoiding every exclusion state are enumerated
-    (the rest are dominated or pinned); pass ``ne_only=False`` to enumerate
-    all decision maps.  Ties favor the lexicographically smallest decision array.
-    The policies are evaluated as rows of stacked chains from the
-    all-threshold start, up to ``_STACK_BLOCK`` chain states per
-    ``_chain_brackets`` call.
-    """
-    count = policy_count(inst, ne_only, policy_cap)
-    if count > policy_cap:
-        raise ResourceLimitError(
-            f"{count}+ policies exceed the enumeration cap of {policy_cap}; "
-            "use growth_rate_optimal instead"
-        )
-    tables = transition_tables(inst)
-    indexer = tables.indexer
-    n_states, n = indexer.total_states, inst.n_clients
-    start = indexer.index(inst.thresholds)
-    allowed: list[tuple[int, ...]] = [tuple(range(n))] * n_states
-    if ne_only and n >= 2:
-        for client in range(n):
-            idx = indexer.index(exclusion_state(inst.thresholds, client + 1))
-            allowed[idx] = tuple(u for u in allowed[idx] if u != client)
-    policies = product(*allowed)  # lexicographic, so the first minimum wins ties
-    best: tuple | None = None
-    while served := list(islice(policies, max(1, _STACK_BLOCK // n_states))):
-        served = np.array(served)
-        brackets, member, reached = _chain_brackets(
-            tables.succ[np.arange(n_states), served],
-            np.broadcast_to(tables.fail, served.shape),
-            np.asarray(inst.reliabilities)[served],
-            np.broadcast_to(tables.hits, served.shape),
-            inst.theta,
-            np.full(len(served), start),
-        )
-        row = int(np.argmin(brackets.costs(inst.theta)[0]))
-        report = _solve_report(brackets, row, inst.theta, member[row], reached[row])
-        if best is None or report.average_cost < best[1].average_cost:
-            best = served[row] + 1, report
-    assert best is not None
-    return StationaryPolicy(best[0]), best[1]
 
 
 @dataclass(frozen=True)

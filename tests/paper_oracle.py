@@ -4,22 +4,28 @@ The program computes one number, a policy's long-run average cost.  These
 are the finite-state results behind it, as checks: the finite-horizon
 dynamic programs of the clipped (MDP2) and unbounded (MDP1) formulations,
 whose equality on shared states and threshold-shift law the tests assert;
-the no-exclusion (NE) property of a policy; the Doeblin hitting times; and
-the two-client least-time-to-go rule, state by state.  Nothing here reads
-``exact``, so a test that compares the program with these is not circular.
-Tables are dense over the state space: desk scale only.
+the enumeration of the stationary decision maps, whose best no-exclusion
+(NE) map attains the optimum; the NE property of a policy; the Doeblin
+hitting times; and the two-client least-time-to-go rule, state by state.
+Nothing here reads ``exact``, so a test that compares the program with these
+is not circular.  Tables are dense over the state space: desk scale only.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from idsched.errors import ResourceLimitError
+from dense_oracle import eigvals_cost
 from idsched.model import StateIndexer, exclusion_state, step_distribution, transition_tables
 
 TIE_RTOL = 1e-9  # relative gap within which lookahead values tie in minimizing_actions
 CELL_CAP = 10**7  # most cells the unbounded DP's table may hold
+
+
+class CellCapError(Exception):
+    """The unbounded DP's table would hold more than ``CELL_CAP`` cells."""
 
 
 def _lookahead(tables, ps, v):
@@ -98,7 +104,7 @@ class Mdp1Table:
         self.upper = tuple(int(x) for x in upper)
         cells = math.prod(x + horizon + 1 for x in self.upper)
         if cells > CELL_CAP:
-            raise ResourceLimitError(f"unbounded DP needs {cells} cells, above the cap of {CELL_CAP}")
+            raise CellCapError(f"unbounded DP needs {cells} cells, above the cap of {CELL_CAP}")
         self.layers = [np.ones(tuple(x + horizon + 1 for x in self.upper))]
         theta, taus, ps, n = inst.theta, inst.thresholds, inst.reliabilities, inst.n_clients
 
@@ -154,6 +160,29 @@ class Mdp1Table:
 def dp_mdp1(inst, horizon, start):
     """Optimal finite-horizon cost from an unbounded-space start state."""
     return Mdp1Table(inst, horizon, start).value(horizon, start)
+
+
+def enumerated_optimum(inst, ne_only=True):
+    """The stationary decision map of least J and that J, each map evaluated by ``eigvals_cost``.
+
+    The paper shows that a stationary optimal policy exists and that, with
+    two or more clients, one serves no client in its own exclusion state
+    (NE).  With ``ne_only`` only those maps are enumerated, else every map.
+    Maps go in lexicographic order of their decision tuples, and the first
+    minimum wins ties.
+    """
+    indexer = inst.indexer()
+    allowed = [range(1, inst.n_clients + 1)] * inst.total_states
+    if ne_only and inst.n_clients >= 2:
+        for client in range(1, inst.n_clients + 1):
+            idx = indexer.index(exclusion_state(inst.thresholds, client))
+            allowed[idx] = [u for u in allowed[idx] if u != client]
+    best = None
+    for decisions in product(*allowed):
+        j = eigvals_cost(inst, 1, lambda x, m: decisions[indexer.index(x)], lambda m, delivered: 0)
+        if best is None or j < best[1]:
+            best = decisions, j
+    return best
 
 
 def is_ne(policy, inst):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from dense_oracle import recurrent, stationary_dense
-from paper_oracle import Mdp1Table, doeblin_hitting_times, dp_mdp1, dp_mdp2, is_ne
+from paper_oracle import Mdp1Table, doeblin_hitting_times, dp_mdp1, dp_mdp2, enumerated_optimum, is_ne
 
 from idsched.asymptotic import (
     TwoClientConfig,
@@ -23,7 +23,6 @@ from idsched.asymptotic import (
 from idsched.exact import (
     StationaryPolicy,
     chain_average_costs,
-    exhaustive_optimal,
     growth_rate_optimal,
     stationary_chain,
     theta_threshold,
@@ -103,10 +102,12 @@ def test_acceptance_03_optimum_cross_check():
     for taus in ((2, 2), (2, 3)):
         for ps in ((0.5, 0.5), (0.6, 0.7)):
             inst = Instance(taus, ps, 0.01)
-            _, enum_report = exhaustive_optimal(inst)
+            _, enum_j = enumerated_optimum(inst)
             iter_result = growth_rate_optimal(inst)
             assert iter_result.converged
-            assert abs(enum_report.average_cost - iter_result.average_cost) <= 1e-6
+            assert abs(enum_j - iter_result.average_cost) <= 1e-6
+            # the bracket is about 1e-14 wide, and eigvals' rounding puts its J up to 2e-14 outside it
+            assert iter_result.j_lo * (1 - 1e-12) <= enum_j <= iter_result.j_hi * (1 + 1e-12)
 
 
 @gate("A4 two-client leading-order cost", 5)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -173,15 +172,13 @@ def test_level_sets_are_seeded_and_closed_on_many_clients(taus):
                 assert not all(graded_by(t, j) for t in succs)
 
 
-def test_level_sets_serialize_with_parallel_arrays():
+def test_level_sets_are_parallel_arrays_over_every_state():
     inst = Instance((2, 2), (0.9, 0.9), 0.1)
     _, levels = sn_policy(inst)
-    payload = levels.to_json()
-    assert sorted(i for members in payload["levels"] for i in members) == list(range(9))
-    assert payload["a"]["indices"] == sorted(payload["a"]["indices"])
-    assert len(payload["a"]["indices"]) == len(payload["a"]["values"])
-    assert len(payload["decisions"]["indices"]) == 9
-    assert payload["unplaced"] == []
+    assert {getattr(levels, name).shape for name in ("level", "a", "b", "decision")} == {(9,)}
+    assert sorted(i for members in levels.levels for i in members) == list(range(9))
+    assert (levels.decision > 0).all()
+    assert levels.unplaced == frozenset()
 
 
 def _sn_oracle(inst, coefficients=None, jacobi=False):
@@ -301,8 +298,7 @@ _ORACLE_CASES = (
 @pytest.mark.parametrize("inst", _ORACLE_CASES, ids=lambda inst: f"{inst.thresholds}-{inst.reliabilities[0]:.4g}")
 def test_sn_policy_matches_the_per_state_oracle_bitwise(inst):
     policy, levels = sn_policy(inst)
-    oracle = _sn_oracle(inst)
-    expected = _oracle_arrays(inst, oracle)
+    expected = _oracle_arrays(inst, _sn_oracle(inst))
     assert np.array_equal(policy.decisions, expected["decision"])
     assert np.array_equal(levels.decision, expected["decision"])
     for name in ("a", "b"):
@@ -310,23 +306,9 @@ def test_sn_policy_matches_the_per_state_oracle_bitwise(inst):
         assert np.array_equal(np.isnan(got), np.isnan(expected[name]))
         assert got.tobytes() == expected[name].tobytes()
     assert levels.remain == expected["remain"]
-
-    decisions, a_values, b_values, remain = oracle
-
-    def value_arrays(mapping):
-        idxs = sorted(mapping)
-        return {"indices": idxs, "values": [mapping[i] for i in idxs]}
-
-    payload = levels.to_json()
-    assert payload == {
-        "levels": [sorted(members) for members in levels.levels],
-        "a": value_arrays(a_values),
-        "b": value_arrays(b_values),
-        "decisions": value_arrays(decisions),
-        "remain": sorted(remain),
-        "unplaced": [],
-    }
-    assert json.loads(json.dumps(payload)) == payload
+    # the oracle grades by build_level_sets, which places every state
+    assert np.array_equal(levels.level, build_level_sets(inst).level)
+    assert levels.unplaced == frozenset()
 
 
 def test_sn_oracle_cases_include_one_where_jacobi_sweeps_differ():

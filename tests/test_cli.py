@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from idsched.cli import (
     main,
     run_experiment,
 )
-from idsched.errors import ConfigError
+from idsched.errors import ConfigError, StructuralError
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -69,12 +70,26 @@ def test_load_config_validates(tmp_path):
                 "evaluation": "simulate",  # no sim section
             }
         )
+    with pytest.raises(ConfigError, match="unknown config key.*'evaluaton'"):
+        load_config({"instance": {"taus": [2], "ps": [0.5], "theta": 0.1}, "policies": ["prr"], "evaluaton": "both"})
+    with pytest.raises(ConfigError, match="unknown 'sim' key.*'warmpu'"):
+        load_config(
+            {
+                "instance": {"taus": [2], "ps": [0.5], "theta": 0.1},
+                "policies": ["prr"],
+                "sim": {"horizon": 100, "trials": 2, "warmpu": 10},
+            }
+        )
 
 
 def test_bundled_configs_parse():
     for name in ("fig3_small", "fig4", "fig5"):
         cfg = load_config(bundled_config_path(name))
         assert cfg.sweep_values
+    benchmark = sorted((Path(__file__).parents[1] / "benchmark" / "configs").glob("*/*.json"))
+    assert len(benchmark) == 6
+    for path in benchmark:
+        assert load_config(path).sweep_values
 
 
 def test_run_experiment_writes_stable_sorted_csv(tmp_path):
@@ -267,6 +282,8 @@ def _plain_instance(**fields):
         _plain_instance(ps=None),
         {"enumeration_cap": 5},
         {"exact_state_cap": 5},
+        {"evaluaton": "exact"},
+        {"sim": {"horizon": 2000, "trials": 8, "warmpu": 100}},
     ],
     ids=[
         "zero-horizon",
@@ -299,6 +316,8 @@ def _plain_instance(**fields):
         "no-reliabilities",
         "retired-enumeration-cap",
         "retired-exact-state-cap",
+        "misspelt-key",
+        "misspelt-sim-key",
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
@@ -337,12 +356,23 @@ def test_simulated_sweep_with_the_renewal_state_outside_the_clipped_space(tmp_pa
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * len(policies)
 
 
-def test_resource_limits_exit_with_code_3(tmp_path, capsys, monkeypatch):
-    # thresholds (2, 3) have 2**10 NE policies, above an enumeration cap of 5
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", 5)
-    cfg_path = _tiny_config(tmp_path, policies=["op-exhaustive"])
-    assert main(["sweep", "--config", str(cfg_path)]) == 3
-    assert "enumeration cap" in capsys.readouterr().err
+def test_structural_errors_exit_with_code_3(tmp_path, capsys, monkeypatch):
+    def broken(insts):
+        raise StructuralError("no closed class")
+
+    monkeypatch.setattr(exact, "growth_rate_optima", broken)
+    assert main(["sweep", "--config", str(_tiny_config(tmp_path))]) == 3
+    assert capsys.readouterr().err == "error: no closed class\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "emit-policy"])
+def test_a_retired_policy_name_lists_the_known_ones(tmp_path, capsys, command):
+    if command == "sweep":
+        argv = ["sweep", "--config", str(_tiny_config(tmp_path, policies=["op-exhaustive", "mlg"]))]
+    else:
+        argv = ["emit-policy", "--config", str(_tiny_config(tmp_path)), "--policy", "op-exhaustive"]
+    assert main(argv) == 2
+    assert "unknown policy 'op-exhaustive'; known: op-iterative" in capsys.readouterr().err
 
 
 def test_integral_numbers_are_integers(tmp_path):
@@ -381,45 +411,50 @@ def test_seed_override_changes_only_simulated_rows(tmp_path):
     assert rows_a["wdd"].j != rows_b["wdd"].j
 
 
-def _count_optimum_calls(monkeypatch) -> dict:
-    calls = {"growth_rate_optima": 0, "exhaustive_optimal": 0}
-    for name in calls:
-        original = getattr(exact, name)
+def _count_optimum_calls(monkeypatch) -> list[list]:
+    """The results of each ``exact.growth_rate_optima`` call, in call order."""
+    calls = []
+    original = exact.growth_rate_optima
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(insts):
+        calls.append(original(insts))
+        return calls[-1]
 
-        monkeypatch.setattr(exact, name, counted)
+    monkeypatch.setattr(exact, "growth_rate_optima", counted)
     return calls
 
 
 @pytest.mark.parametrize("evaluation", ["simulate", "both"])
 def test_each_optimum_is_computed_once_per_point(tmp_path, monkeypatch, evaluation):
     calls = _count_optimum_calls(monkeypatch)
-    cfg_path = _tiny_config(tmp_path, policies=["op-iterative", "op-exhaustive", "mlg"], evaluation=evaluation)
+    cfg_path = _tiny_config(tmp_path, policies=["op-iterative", "mlg"], evaluation=evaluation)
     rows = run_experiment(load_config(cfg_path))
-    assert len(rows) == 2 * 3 * (2 if evaluation == "both" else 1)
-    # the growth-rate optima of both points come from one stacked call
-    assert calls == {"growth_rate_optima": 1, "exhaustive_optimal": 2}
+    assert len(rows) == 2 * 2 * (2 if evaluation == "both" else 1)
+    # the optima of both points come from one stacked call
+    assert [len(results) for results in calls] == [2]
 
 
 @pytest.mark.parametrize(
-    "cap, expected",
+    "overrides",
     [
-        (1024, {"growth_rate_optima": 0, "exhaustive_optimal": 1}),
-        (1023, {"growth_rate_optima": 1, "exhaustive_optimal": 0}),
+        {"policies": ["mlg"]},  # thresholds (2, 3)
+        {  # one client: a single decision map
+            "instance": {"taus": [3], "ps": [0.7], "theta": 0.05},
+            "policies": ["prr"],
+            "sweep": {"axis": "theta", "values": [0.05, 0.1]},
+        },
     ],
+    ids=["thresholds-2-3", "one-client"],
 )
-def test_reference_is_exhaustive_exactly_when_the_ne_policies_fit_the_cap(tmp_path, monkeypatch, cap, expected):
-    # thresholds (2, 3): 12 states, two of them exclusion states, so 2**10 NE policies
+def test_reference_is_the_stacked_growth_rate_optimum(tmp_path, monkeypatch, overrides):
+    # a sweep without op-iterative still reads each point's growth-rate optimum as its reference
     calls = _count_optimum_calls(monkeypatch)
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", cap)
-    sweep = {"axis": "epsilon", "values": [0.05]}
-    cfg_path = _tiny_config(tmp_path, policies=["mlg"], sweep=sweep)
-    (row,) = run_experiment(load_config(cfg_path))
-    assert calls == expected
-    assert row.j_normalized >= 1.0 - 1e-9  # MLG cannot beat either optimum
+    rows = run_experiment(load_config(_tiny_config(tmp_path, **overrides)))
+    (optima,) = calls
+    assert len(rows) == len(optima) == 2
+    for row, optimum in zip(rows, optima):
+        assert row.j_normalized == row.j / optimum.average_cost
+        assert row.j_normalized >= 1.0 - 1e-9  # no policy beats the optimum
 
 
 def _count_simulation_calls(monkeypatch) -> list[int]:
@@ -458,12 +493,10 @@ def test_one_simulation_call_per_sweep(tmp_path, monkeypatch, evaluation, polici
         ({"taus": [2, 3], "bs": [1.0, 2.0], "epsilon": 0.1, "theta": 0.05}, {"axis": "epsilon", "values": [0.05, 0.1, 0.2]}),
     ],
 )
-def test_sweep_rows_equal_single_point_rows(tmp_path, monkeypatch, instance, sweep):
+def test_sweep_rows_equal_single_point_rows(instance, sweep):
     # stacking the points and policies of a sweep, and sharing trials between
     # pairs with equal engine inputs, leaves every row as a run of that one
-    # point and policy writes it; an enumeration cap below the 2**10 NE
-    # policies keeps each run's optimum reference on the growth-rate method
-    monkeypatch.setattr(cli, "ENUMERATION_CAP", 1000)
+    # point and policy writes it
     policies = ["mlg", "prr", "wdd", {"name": "ps", "max_period": 4}]
     sim_section = {"horizon": 900, "trials": 6, "warmup": 40}
     common = {"instance": instance, "evaluation": "both", "sim": sim_section, "seed": 3}

@@ -1,17 +1,24 @@
 import dataclasses
 import math
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 import pytest
 
 from dense_oracle import dense_chain, eigvals_cost, recurrent, stationary_dense
-from paper_oracle import Mdp1Table, doeblin_hitting_times, dp_mdp1, dp_mdp2, is_ne
+from paper_oracle import (
+    CellCapError,
+    Mdp1Table,
+    doeblin_hitting_times,
+    dp_mdp1,
+    dp_mdp2,
+    enumerated_optimum,
+    is_ne,
+)
 
 from idsched import exact
 from idsched.asymptotic import mlg_stationary_policy, sn_policy
-from idsched.errors import ResourceLimitError, StructuralError
+from idsched.errors import StructuralError
 from idsched.heuristics import (
     PeriodicSchedule,
     build_periodic_schedule,
@@ -21,10 +28,8 @@ from idsched.heuristics import (
 from idsched.exact import (
     StationaryPolicy,
     cycle_expectations,
-    exhaustive_optimal,
     growth_rate_optima,
     growth_rate_optimal,
-    policy_count,
     theta_threshold,
 )
 from idsched.model import Instance, exclusion_state
@@ -125,7 +130,7 @@ def test_unbounded_dp_threshold_shift_scaling():
 def test_unbounded_dp_cell_cap():
     # 5011**2 cells pass the cap; the check comes before any table is allocated
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    with pytest.raises(ResourceLimitError, match="above the cap"):
+    with pytest.raises(CellCapError, match="above the cap"):
         dp_mdp1(inst, 10, (5000, 5000))
 
 
@@ -263,6 +268,7 @@ def test_average_cost_single_client_matches_analytic_value():
     report = _alone(exact.stationary_chain(pol, inst), inst.theta)
     assert report.average_cost == pytest.approx(math.log(0.5 + 0.5 * math.e), rel=1e-10)
     assert report.recurrent_class == frozenset({0, 1})
+    assert report.converged
 
 
 def test_average_cost_invariant_under_client_relabeling():
@@ -344,15 +350,6 @@ def test_cycle_expectations_single_client():
 # threshold, hitting times, optimality
 
 
-def test_solve_report_serialization():
-    inst = Instance((1,), (0.5,), 1.0)
-    pol = StationaryPolicy(np.array([1, 1]))
-    report = _alone(exact.stationary_chain(pol, inst), inst.theta)
-    payload = report.to_json()
-    assert payload["recurrent_class"] == [0, 1]
-    assert payload["converged"] is True
-
-
 def test_theta_threshold_examples():
     inst = Instance((2, 2), (0.5, 0.5), 0.01)
     th = theta_threshold(inst)
@@ -396,44 +393,30 @@ def test_hitting_times_bounded_for_random_ne_policies():
 
 
 def test_exhaustive_single_client_returns_forced_policy():
+    # one client has one decision map, which the oracle enumerates even with ne_only
     inst = Instance((2,), (0.5,), 0.1)
-    pol, report = exhaustive_optimal(inst)
-    assert np.all(pol.decisions == 1)
-    assert report.average_cost == pytest.approx(
-        _alone(exact.stationary_chain(pol, inst), inst.theta).average_cost, rel=1e-12
-    )
+    decisions, j = enumerated_optimum(inst)
+    assert decisions == (1, 1, 1)
+    forced = _alone(exact.stationary_chain(StationaryPolicy(np.array(decisions)), inst), inst.theta)
+    assert j == pytest.approx(forced.average_cost, rel=1e-12)
 
 
 def test_exhaustive_cost_invariant_under_relabeling():
-    inst = Instance((2, 2), (0.5, 0.5), 0.01)
-    _, report = exhaustive_optimal(inst)
-    # relabeled instance is identical here; the optimum must match the swapped search
-    swapped = Instance((2, 2), (0.5, 0.5), 0.01)
-    _, report2 = exhaustive_optimal(swapped)
-    assert report.average_cost == pytest.approx(report2.average_cost, rel=1e-12)
+    # swapping the clients' labels swaps the state axes, and leaves the optimum
+    inst = Instance((2, 3), (0.6, 0.7), 0.05)
+    swapped = Instance((3, 2), (0.7, 0.6), 0.05)
+    assert enumerated_optimum(swapped)[1] == pytest.approx(enumerated_optimum(inst)[1], rel=1e-12)
+    j, j_swapped = (growth_rate_optimal(labeled).average_cost for labeled in (inst, swapped))
+    assert j_swapped == pytest.approx(j, rel=1e-12)
 
 
 def test_exhaustive_full_enumeration_agrees_with_ne_only():
+    # the best of all 2**9 decision maps avoids both exclusion states
     inst = Instance((2, 2), (0.5, 0.5), 0.01)
-    _, ne_report = exhaustive_optimal(inst, ne_only=True)
-    _, full_report = exhaustive_optimal(inst, ne_only=False)
-    assert full_report.average_cost == pytest.approx(ne_report.average_cost, rel=1e-10)
-
-
-def test_exhaustive_enumeration_cap():
-    inst = Instance((2, 3), (0.6, 0.7), 0.05)
-    with pytest.raises(ResourceLimitError):
-        exhaustive_optimal(inst, policy_cap=100)
-    # 12 states, two of them exclusion states: the count is exact up to the
-    # cap and passes the cap exactly when the full count does
-    assert policy_count(inst, True, 4096) == 2**10
-    assert policy_count(inst, False, 4096) == 2**12
-    for cap in (511, 512, 1023, 1024):
-        assert (policy_count(inst, True, cap) <= cap) == (2**10 <= cap)
-    three = Instance((1, 1, 1), (0.6, 0.7, 0.8), 0.05)  # 8 states, three exclusion states
-    assert policy_count(three, True, 10**6) == 2**3 * 3**5
-    big = Instance((6, 8, 10, 12, 14), (0.9,) * 5, 0.05)
-    assert 4096 < policy_count(big, True, 4096) <= 5 * 4096
+    _, ne_j = enumerated_optimum(inst, ne_only=True)
+    full_decisions, full_j = enumerated_optimum(inst, ne_only=False)
+    assert full_j == pytest.approx(ne_j, rel=1e-10)
+    assert is_ne(StationaryPolicy(np.array(full_decisions)), inst)
 
 
 def test_growth_rate_single_client_matches_forced_policy():
@@ -445,10 +428,13 @@ def test_growth_rate_single_client_matches_forced_policy():
 
 
 def test_growth_rate_cross_checks_enumeration_at_small_theta():
+    # the bracket is about 2e-15 wide here, and the eigvals J of the best NE
+    # map lies up to 4e-14 outside it, relative: eigvals' rounding
     inst = Instance((2, 3), (0.6, 0.7), 0.005)
-    _, enum_report = exhaustive_optimal(inst)
+    _, enum_j = enumerated_optimum(inst)
     result = growth_rate_optimal(inst)
-    assert abs(enum_report.average_cost - result.average_cost) <= 1e-6
+    assert result.converged
+    assert result.j_lo * (1 - 1e-12) <= enum_j <= result.j_hi * (1 + 1e-12)
 
 
 def test_unconverged_runs_are_flagged_not_raised(monkeypatch):
@@ -465,7 +451,7 @@ def test_converged_is_the_one_certification_rule(monkeypatch):
     monkeypatch.setattr(exact, "MAX_ITER", 3)
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     chains = [prr_chain(inst), exact.stationary_chain(mlg_stationary_policy(inst), inst)]
-    reports = [*exact.chain_average_costs(chains, [0.05, 0.05]), exhaustive_optimal(inst)[1], growth_rate_optimal(inst)]
+    reports = [*exact.chain_average_costs(chains, [0.05, 0.05]), growth_rate_optimal(inst)]
     for report in reports:
         assert report.iterations <= 3
         assert report.converged == (report.j_hi - report.j_lo <= exact.TOL * report.j_lo)
@@ -553,28 +539,6 @@ def test_epsilon_sweep_is_certified_down_to_the_floating_point_floor():
             assert mlg.average_cost / leading == pytest.approx(1.00005, abs=2e-6)
         if epsilon <= 1e-7:
             assert not any(converged)
-
-
-@pytest.mark.parametrize("inst", [Instance((2, 2), (0.5, 0.5), 0.1), Instance((1, 3), (0.6, 0.9), 0.3)])
-@pytest.mark.parametrize("rows_per_call", [None, 5])
-def test_stacked_exhaustive_search_matches_per_policy_evaluation(monkeypatch, inst, rows_per_call):
-    if rows_per_call is not None:
-        monkeypatch.setattr(exact, "_STACK_BLOCK", rows_per_call * inst.total_states)
-    indexer = inst.indexer()
-    allowed = [(1, 2)] * inst.total_states
-    for client in (1, 2):
-        idx = indexer.index(exclusion_state(inst.thresholds, client))
-        allowed[idx] = tuple(u for u in allowed[idx] if u != client)
-    decisions = list(product(*allowed))
-    chains = [exact.stationary_chain(StationaryPolicy(np.array(d)), inst) for d in decisions]
-    costs = [_alone(chain, inst.theta).average_cost for chain in chains]
-    first = int(np.argmin(costs))  # the lexicographically smallest of the tied minima
-    policy, report = exhaustive_optimal(inst)
-    assert policy.decisions.tolist() == list(decisions[first])
-    assert report.average_cost == costs[first]
-    assert report.converged
-    if inst.thresholds == (2, 2):
-        assert costs.count(costs[first]) > 1  # the symmetric instance ties
 
 
 def test_stacked_rows_match_per_policy_evaluation_where_cycles_lie_off_the_class():
