@@ -22,7 +22,7 @@ from .model import (
     StateIndexer,
     transition_tables,
 )
-from .exact import StationaryPolicy, _lookahead
+from .exact import StationaryPolicy
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def _excess_tables(inst: Instance) -> np.ndarray:
     tables = transition_tables(inst)
     g = np.ones(tables.indexer.total_states)
     for _ in range(inst.n_clients):
-        g = tables.cost * _lookahead(tables, 1.0, g).min(axis=0)
+        g = tables.cost * g[tables.succ].min(axis=1)
     return g - 1.0
 
 

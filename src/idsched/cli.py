@@ -95,6 +95,8 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
             raise ConfigError(f"bad policy spec: {spec!r}")
         if spec["name"] not in _POLICY_NAMES:
             raise ConfigError(f"unknown policy {spec['name']!r}; known: {', '.join(_POLICY_NAMES)}")
+        if any(spec["name"] == seen["name"] for seen in policies):
+            raise ConfigError(f"policy {spec['name']!r} is named more than once; its rows could not be told apart")
         if spec["name"] == "ps":
             spec = {**spec, "max_period": _integer(spec, "max_period", None, 1)}
         _check_spec(spec, instance)

@@ -1,30 +1,31 @@
 """Exact finite-state machinery: policy evaluation, optimum search, renewal expectations.
 
-Policy evaluation follows the multiplicative route: every finite-memory
-policy is a stationary ``Chain`` whose states move to one of two successors,
-the per-slot cost scales its transitions, and the long-run risk-sensitive
-average cost is ``ln(spectral radius) / theta`` of the cost-weighted chain
-restricted to the one closed class the start state reaches.  The optimum is
-found by the growth-rate iteration of the Bellman map.  The paper's
-finite-horizon dynamic programs, its enumeration of the no-exclusion
-stationary policies, NE test and hitting times, which check these results,
-live with the tests (``tests/paper_oracle.py``).
+A policy's cost and the optimal cost are one number: the growth rate of a
+monotone, homogeneous risk-sensitive map, ``J = ln(growth rate) / theta``.
+The optimum's map is the Bellman map, which takes the minimum over the
+clients served; a finite-memory policy is a stationary ``Chain`` whose
+states move to one of two successors, and its map is the one-client case,
+restricted to the one closed class the start state reaches.  One kernel,
+``_perron``, brackets both, and one ``SolveReport`` carries each result.
+The paper's finite-horizon dynamic programs, its enumeration of the
+no-exclusion stationary policies, NE test and hitting times, which check
+these results, live with the tests (``tests/paper_oracle.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import StructuralError
-from .model import Instance, State, TransitionTables, transition_tables
+from .model import Instance, State, transition_tables
 
 TOL = 1e-6  # relative accuracy of a certified J: J_hi - J_lo <= TOL * J_lo
 MAX_ITER = 100_000  # iterations after which a Perron row stops, read at each call
-_LOOKAHEAD_BLOCK = 16384  # states per lookahead pass
+_DRIFT_BLOCK = 16384  # entries per pass of the drift, so its temporaries stay in cache
 _STALL = 8  # iterations without a narrower bracket that mark the floating-point floor
 
 
@@ -60,18 +61,15 @@ class StationaryPolicy:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of evaluating one stationary policy.
+    """A certified average cost: of one policy, or the optimum's.
 
     ``[j_lo, j_hi]`` brackets J; ``average_cost`` is its midpoint, and
     ``converged`` is true iff ``j_hi - j_lo <= TOL * j_lo``.
     """
 
-    spectral_radius: float
     average_cost: float
     j_lo: float
     j_hi: float
-    recurrent_class: frozenset
-    transient_states: frozenset
     iterations: int
     converged: bool
 
@@ -126,64 +124,49 @@ def stationary_chain(policy: StationaryPolicy, inst: Instance, start: State | No
 
 
 # ---------------------------------------------------------------------------
-# the Bellman lookahead
-
-
-def _lookahead(tables: TransitionTables, ps, v: np.ndarray) -> np.ndarray:
-    """One Bellman lookahead ``q[u, x] = p_u v[succ(x, u)] + (1 - p_u) v[fail(x)]``, shape (N, S).
-
-    ``ps`` holds the success probability of each client, or one shared by
-    all.  The states go in blocks of ``_LOOKAHEAD_BLOCK``, so the temporaries
-    stay in cache on large spaces.
-    """
-    p = np.reshape(ps, (-1, 1))
-    succ = tables.succ.T
-    q = np.empty(succ.shape)
-    for lo in range(0, succ.shape[1], _LOOKAHEAD_BLOCK):
-        block = slice(lo, lo + _LOOKAHEAD_BLOCK)
-        q[:, block] = p * v[succ[:, block]] + (1.0 - p) * v[tables.fail[block]]
-    return q
-
-
-# ---------------------------------------------------------------------------
 # certified Perron brackets
 
 
-@dataclass(frozen=True)
-class _Brackets:
-    """Per row: ``lo <= rho - 1 <= hi`` and the iteration the row stopped at."""
+def _drift(w: np.ndarray, succ: np.ndarray, fail: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``d = min_u (P_u v - v) = (w[fail] - w) + min_u p_u (w[succ_u] - w[fail])`` from ``w = v - 1``.
 
-    lo: np.ndarray
-    hi: np.ndarray
-    iterations: np.ndarray
-
-    def costs(self, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(J, J_lo, J_hi)`` per row; J is the midpoint of the bracket."""
-        j_lo, j_hi = np.log1p(self.lo) / theta, np.log1p(self.hi) / theta
-        return (j_lo + j_hi) / 2, j_lo, j_hi
-
-    def certified(self, row: int, theta: float) -> tuple[float, float, float, bool]:
-        """``(J, J_lo, J_hi, converged)`` of ``row``; converged iff ``J_hi - J_lo <= TOL * J_lo``."""
-        j, j_lo, j_hi = (float(x[row]) for x in self.costs(theta))
-        return j, j_lo, j_hi, j_hi - j_lo <= TOL * j_lo
+    ``succ`` and ``p`` are (N, entries), one row per client, and ``fail``
+    holds each entry's one failure successor; a chain's entry has one
+    client, N = 1.  The drift is formed from differences of ``w``, so small
+    drifts keep their digits, and ``w[fail] - w`` comes out of the minimum,
+    which changes no bit: rounding is monotone.  The entries go in blocks of
+    ``_DRIFT_BLOCK``, so the temporaries stay in cache on large spaces.
+    """
+    d = np.empty_like(w)
+    for lo in range(0, len(w), _DRIFT_BLOCK):
+        block = slice(lo, lo + _DRIFT_BLOCK)
+        after_fail = w[fail[block]]
+        q = w[succ[:, block]]
+        q -= after_fail
+        q *= p[:, block]
+        np.minimum.reduce(q, axis=0, out=d[block])
+        after_fail -= w[block]
+        d[block] += after_fail
+    return d
 
 
 def _perron(
-    drift: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     excess: np.ndarray,
     lengths: np.ndarray,
     succ: np.ndarray,
     fail: np.ndarray,
     p: np.ndarray,
-) -> tuple[_Brackets, np.ndarray]:
-    """Collatz-Wielandt brackets on ``rho - 1`` of maps ``W v = exp(theta hits) (v + d(v))``, one per row.
+    thetas: Sequence[float],
+) -> tuple[list[SolveReport], np.ndarray]:
+    """Certified J of maps ``W v = exp(theta hits) (v + d(v))``, one per row, from Collatz-Wielandt brackets on ``rho - 1``.
 
     The rows lie side by side in one flat stack, row ``r`` a segment of
-    ``lengths[r]`` entries.  ``excess`` is ``expm1(theta * hits)`` per entry,
-    and ``drift(w, succ, fail, p)`` gives ``d = min_u (P_u v - v)`` from
-    ``w = v - 1`` (a chain has one client per state): ``succ`` and ``fail``
-    hold stack positions on their last axis, which no row's entries lead out
-    of, and ``p`` the probabilities that weigh them.  Each row is one closed
+    ``lengths[r]`` entries with risk exponent ``thetas[r]``.  ``excess`` is
+    ``expm1(theta * hits)`` per entry, and ``d = min_u (P_u v - v)`` is the
+    ``_drift`` of the (N, entries) successors ``succ`` and probabilities
+    ``p`` and the failure successors ``fail``: stack positions, which no
+    row's entries lead out of.  The Bellman map takes the minimum over N
+    clients; a chain's map is the one-client case.  Each row is one closed
     class.  The map is monotone and homogeneous, so every ``v > 0`` gives
     ``min (W - I)v / v <= rho - 1 <= max (W - I)v / v`` (Gaubert and
     Gunawardena, Trans. AMS 356, 2004), and the bracket never widens along the
@@ -195,8 +178,9 @@ def _perron(
     row stops after the first window that finds no bracket narrower than its
     narrowest so far, the one reported, or at ``MAX_ITER``.  A row reads
     only its own entries, so its bits do not depend on the rows stacked with
-    it, and a stopped row leaves the stack.  Returns the brackets and each
-    row's last iterate ``w``, at the row's own positions.
+    it, and a stopped row leaves the stack.  Returns one report per row, J
+    the midpoint of its bracket ``ln(1 + [lo, hi]) / theta``, and each row's
+    last iterate ``w``, at the row's own positions.
     """
     rows = len(lengths)
     lo, hi = np.full(rows, -np.inf), np.full(rows, np.inf)
@@ -208,7 +192,7 @@ def _perron(
     v, y = np.empty_like(w), np.empty_like(w)
     seen_lo, seen_hi = [], []
     for it in range(1, MAX_ITER + 1):
-        d = drift(w, succ, fail, p)
+        d = _drift(w, succ, fail, p)
         np.add(1.0, w, out=v)
         np.add(v, d, out=y)
         y *= excess
@@ -226,12 +210,12 @@ def _perron(
             if not narrower.all():
                 keep = np.repeat(narrower, lengths)
                 iterations[index[~narrower]] = it
-                last[position[~keep]] = w[~keep]
                 if not narrower.any():
-                    return _Brackets(lo, hi, iterations), last
+                    break
+                last[position[~keep]] = w[~keep]
                 remap = np.cumsum(keep) - 1
-                succ, fail = remap[succ[..., keep]], remap[fail[keep]]
-                p, excess, w, y, position = p[..., keep], excess[keep], w[keep], y[keep], position[keep]
+                succ, fail = remap[succ[:, keep]], remap[fail[keep]]
+                p, excess, w, y, position = p[:, keep], excess[keep], w[keep], y[keep], position[keep]
                 index, lengths = index[narrower], lengths[narrower]
                 starts = np.cumsum(lengths) - lengths
                 v = v[: w.size]
@@ -242,40 +226,12 @@ def _perron(
         top += 1.0
         w /= top
     last[position] = w
-    return _Brackets(lo, hi, iterations), last
-
-
-def _chain_drift(w: np.ndarray, succ: np.ndarray, fail: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``d = P v - v`` of chain states, each with one success and one failure successor."""
-    after_fail = w[fail]
-    d = w[succ]
-    d -= after_fail
-    d *= p
-    after_fail -= w
-    d += after_fail
-    return d
-
-
-def _bellman_drift(w: np.ndarray, succ: np.ndarray, fail: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``d = min_u (P_u v - v)`` of states with one success successor per client.
-
-    ``succ`` is client-major, (N, S), and ``p`` (2, N, S) holds each
-    success probability and its complement ``1 - p``.  ``P_u v - v`` is
-    formed from the differences ``v[succ] - v`` and ``v[fail] - v``, so small
-    drifts keep their digits.  The states go in blocks of
-    ``_LOOKAHEAD_BLOCK``, so the temporaries stay in cache on large spaces.
-    """
-    d = np.empty_like(w)
-    for lo in range(0, len(w), _LOOKAHEAD_BLOCK):
-        block = slice(lo, lo + _LOOKAHEAD_BLOCK)
-        after_fail = w[fail[block]]
-        after_fail -= w[block]
-        q = w[succ[:, block]]
-        q -= w[block]
-        q *= p[0, :, block]
-        q += p[1, :, block] * after_fail
-        np.minimum.reduce(q, axis=0, out=d[block])
-    return d
+    j_lo, j_hi = np.log1p(lo) / thetas, np.log1p(hi) / thetas
+    reports = [
+        SolveReport(float((a + b) / 2), float(a), float(b), int(k), bool(b - a <= TOL * a))
+        for a, b, k in zip(j_lo, j_hi, iterations)
+    ]
+    return reports, last
 
 
 def _closed_classes(
@@ -330,8 +286,7 @@ def chain_average_costs(chains: Sequence[Chain], thetas: Sequence[float]) -> lis
     by side, and row ``r`` is chain ``r``'s closed class, members in index
     order.  A member's successors are members, so every row reads its own
     entries only, and a report does not depend on the chains stacked with
-    it.  Reported state sets are chain indices; ``converged`` is true iff
-    ``J_hi - J_lo <= TOL * J_lo``.
+    it.
     """
     lengths = np.array([len(chain.fail) for chain in chains])
     offsets = np.cumsum(lengths) - lengths
@@ -339,7 +294,7 @@ def chain_average_costs(chains: Sequence[Chain], thetas: Sequence[float]) -> lis
         np.concatenate([getattr(chain, name) for chain in chains]) + np.repeat(offsets, lengths)
         for name in ("succ", "fail")
     )
-    member, reached = _closed_classes(succ, fail, np.array([chain.start for chain in chains]) + offsets)
+    member = _closed_classes(succ, fail, np.array([chain.start for chain in chains]) + offsets)[0]
     count = np.add.reduceat(member, offsets, dtype=np.int64)
     states = np.flatnonzero(member)
     rank = np.cumsum(member) - 1  # a member's position in the stack
@@ -348,25 +303,8 @@ def chain_average_costs(chains: Sequence[Chain], thetas: Sequence[float]) -> lis
     excess = np.expm1(
         np.repeat(np.asarray(thetas, dtype=float), count) * np.concatenate([chain.hits for chain in chains])[states]
     )
-    del states, rank  # the iteration sets the peak memory: keep only what it reads
-    brackets = _perron(_chain_drift, excess, count, succ, fail, p)[0]
-    del succ, fail, p, excess  # free the stack before the reports' state sets are built
-    reports = []
-    for row, (theta, lo, hi) in enumerate(zip(thetas, offsets, offsets + lengths)):
-        j, j_lo, j_hi, converged = brackets.certified(row, theta)
-        reports.append(
-            SolveReport(
-                spectral_radius=math.exp(theta * j),
-                average_cost=j,
-                j_lo=j_lo,
-                j_hi=j_hi,
-                recurrent_class=frozenset(np.flatnonzero(member[lo:hi]).tolist()),
-                transient_states=frozenset(np.flatnonzero(reached[lo:hi] & ~member[lo:hi]).tolist()),
-                iterations=int(brackets.iterations[row]),
-                converged=converged,
-            )
-        )
-    return reports
+    del states, rank, member  # the iteration sets the peak memory: keep only what it reads
+    return _perron(excess, count, succ[None], fail, p[None], thetas)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +383,10 @@ def cycle_expectations(
 
 
 @dataclass(frozen=True)
-class GrowthRateResult:
-    average_cost: float
-    j_lo: float
-    j_hi: float
+class GrowthRateResult(SolveReport):
+    """The optimum's certified average cost, and the greedy policy of its final iterate."""
+
     policy: StationaryPolicy
-    iterations: int
-    converged: bool
 
 
 def growth_rate_optima(insts: Sequence[Instance]) -> list[GrowthRateResult]:
@@ -460,10 +395,10 @@ def growth_rate_optima(insts: Sequence[Instance]) -> list[GrowthRateResult]:
     The Bellman map ``(Wv)(x) = cost(x) min_u [p_u v(succ(x, u)) + (1 - p_u) v(fail(x))]``
     is monotone and homogeneous, so ``_perron`` brackets its growth rate over
     all states.  The instances share their thresholds, so every row has the
-    same states; each has its own reliabilities and theta.  J is the
-    bracket's midpoint, ``converged`` is true iff ``J_hi - J_lo <= TOL * J_lo``,
-    and the greedy policy of the row's final iterate is returned alongside.
-    Each result is bitwise the one its instance gets alone.
+    same states; each has its own reliabilities and theta.  The policy
+    serves, in each state, the client that minimizes the drift's term
+    ``p_u (w[succ_u] - w[fail])`` on the row's final iterate, the lowest on
+    a tie.  Each result is bitwise the one its instance gets alone.
     """
     thresholds = {inst.thresholds for inst in insts}
     if len(thresholds) != 1:
@@ -472,31 +407,20 @@ def growth_rate_optima(insts: Sequence[Instance]) -> list[GrowthRateResult]:
     n_states = tables.indexer.total_states
     offsets = n_states * np.arange(len(insts))
     ps = np.array([inst.reliabilities for inst in insts])
-    p = np.repeat(ps.T, n_states, axis=1)  # (N, rows * S), like the successors
-    thetas = np.array([inst.theta for inst in insts])
-    brackets, w = _perron(
-        _bellman_drift,
-        np.expm1(thetas[:, None] * tables.hits).ravel(),
+    thetas = [inst.theta for inst in insts]
+    reports, w = _perron(
+        np.expm1(np.array(thetas)[:, None] * tables.hits).ravel(),
         np.full(len(insts), n_states),
         np.hstack(tables.succ.T + offsets[:, None, None]),
         (tables.fail + offsets[:, None]).ravel(),
-        np.stack([p, 1.0 - p]),
+        np.repeat(ps.T, n_states, axis=1),  # (N, rows * S), like the successors
+        thetas,
     )
     results = []
-    for row, inst in enumerate(insts):
-        j, j_lo, j_hi, converged = brackets.certified(row, inst.theta)
+    for row, report in enumerate(reports):
         final = w[row * n_states : (row + 1) * n_states]
-        greedy = _lookahead(tables, ps[row], final).argmin(axis=0) + 1
-        results.append(
-            GrowthRateResult(
-                average_cost=j,
-                j_lo=j_lo,
-                j_hi=j_hi,
-                policy=StationaryPolicy(greedy),
-                iterations=int(brackets.iterations[row]),
-                converged=converged,
-            )
-        )
+        greedy = (ps[row, :, None] * (final[tables.succ.T] - final[tables.fail])).argmin(axis=0) + 1
+        results.append(GrowthRateResult(**vars(report), policy=StationaryPolicy(greedy)))
     return results
 
 

@@ -306,7 +306,7 @@ class TransitionTables:
     ``succ[s, u-1]`` is the index of the success successor when serving u,
     ``fail[s]`` the failure successor, ``hits[s]`` the threshold-exceedance
     count, and ``cost[s]`` the per-slot cost factor.  ``succ`` is stored
-    client-major (``succ.T`` is contiguous), so the Bellman lookahead gathers
+    client-major (``succ.T`` is contiguous), so the optimum's drift gathers
     each client's successors in one pass.
     """
 

@@ -39,6 +39,8 @@ def test_load_config_validates(tmp_path):
         load_config({"instance": {"taus": [2], "theta": 0.1}, "policies": ["prr"]})
     with pytest.raises(ConfigError):
         load_config({"instance": {"taus": [2], "ps": [0.5], "theta": 0.1}, "policies": []})
+    with pytest.raises(ConfigError, match="policy 'prr' is named more than once"):
+        load_config({"instance": {"taus": [2], "ps": [0.5], "theta": 0.1}, "policies": ["prr", "wdd", "prr"]})
     with pytest.raises(ConfigError):
         load_config(
             {
@@ -90,6 +92,23 @@ def test_bundled_configs_parse():
     assert len(benchmark) == 6
     for path in benchmark:
         assert load_config(path).sweep_values
+
+
+def test_the_optimum_policy_costs_the_optimum_at_every_certified_point():
+    # the greedy policy read off the optimum's final iterate, evaluated as a chain, has a bracket that meets the optimum's
+    paths = [bundled_config_path(name) for name in ("fig3_small", "fig4", "fig5")]
+    paths += sorted((Path(__file__).parents[1] / "benchmark" / "configs").glob("*/*.json"))
+    checked = 0
+    for path in paths:
+        cfg = load_config(path)
+        insts = [cli._instance_at(cfg, value) for value in cfg.sweep_values]
+        certified = [(inst, optimum) for inst, optimum in zip(insts, exact.growth_rate_optima(insts)) if optimum.converged]
+        chains = [exact.stationary_chain(optimum.policy, inst) for inst, optimum in certified]
+        reports = exact.chain_average_costs(chains, [inst.theta for inst, _ in certified])
+        for (inst, optimum), report in zip(certified, reports):
+            assert report.j_lo <= optimum.j_hi and optimum.j_lo <= report.j_hi, (path.name, inst)
+        checked += len(certified)
+    assert checked == 32  # every point but b_fig4_small_epsilon's epsilon 1e-5, whose floor leaves it uncertified
 
 
 def test_run_experiment_writes_stable_sorted_csv(tmp_path):
@@ -284,6 +303,7 @@ def _plain_instance(**fields):
         {"exact_state_cap": 5},
         {"evaluaton": "exact"},
         {"sim": {"horizon": 2000, "trials": 8, "warmpu": 100}},
+        {"policies": ["mlg", {"name": "ps", "max_period": 3}, {"name": "ps", "max_period": 6}, "mlg"]},
     ],
     ids=[
         "zero-horizon",
@@ -318,6 +338,7 @@ def _plain_instance(**fields):
         "retired-exact-state-cap",
         "misspelt-key",
         "misspelt-sim-key",
+        "repeated-policy",
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):

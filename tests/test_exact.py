@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from functools import lru_cache
 
@@ -225,11 +226,10 @@ def test_ne_policies_have_one_closed_class_with_threshold_state():
         assert closed[idx_tau] and np.array_equal(closed, reach[idx_tau])
         assert not np.diag(weighted)[~closed].any()
         _assert_classes_from_every_start(exact.stationary_chain(pol, inst), reach)
-        starts = list(inst.indexer().states())
-        chains = [exact.stationary_chain(pol, inst, start) for start in starts]
-        for start, report in zip(starts, exact.chain_average_costs(chains, [inst.theta] * len(chains))):
-            assert report.recurrent_class == set(np.flatnonzero(closed).tolist())
-            assert report.transient_states == set(np.flatnonzero(reach[inst.indexer().index(start)] & ~closed).tolist())
+        # every start's row is that one class, members in index order: the same report, bit for bit
+        chains = [exact.stationary_chain(pol, inst, start) for start in inst.indexer().states()]
+        reports = exact.chain_average_costs(chains, [inst.theta] * len(chains))
+        assert all(report == reports[idx_tau] for report in reports)
 
 
 @pytest.mark.parametrize("inst", [Instance((2, 3), (0.6, 0.7), 0.05), Instance((1, 2, 2), (0.5, 0.7, 0.9), 0.1)])
@@ -259,15 +259,17 @@ def test_a_start_that_reaches_two_closed_classes_is_a_structural_error():
     good = exact.stationary_chain(_random_ne_policy(inst, np.random.default_rng(1)), inst)
     with pytest.raises(StructuralError, match="more than one closed class"):
         exact.chain_average_costs([good, chain], [0.1, 0.1])
-    assert _alone(dataclasses.replace(chain, start=1), 0.1).recurrent_class == {1}
+    assert exact._closed_classes(chain.succ, chain.fail, [1])[0].tolist() == [False, True, False]
+    assert _alone(dataclasses.replace(chain, start=1), 0.1).average_cost == 0.0
 
 
 def test_average_cost_single_client_matches_analytic_value():
     inst = Instance((1,), (0.5,), 1.0)
     pol = StationaryPolicy(np.array([1, 1]))
-    report = _alone(exact.stationary_chain(pol, inst), inst.theta)
+    chain = exact.stationary_chain(pol, inst)
+    report = _alone(chain, inst.theta)
     assert report.average_cost == pytest.approx(math.log(0.5 + 0.5 * math.e), rel=1e-10)
-    assert report.recurrent_class == frozenset({0, 1})
+    assert exact._closed_classes(chain.succ, chain.fail, [chain.start])[0].all()
     assert report.converged
 
 
@@ -308,10 +310,13 @@ def test_average_cost_from_a_transient_start_brackets_the_closed_class():
     # cycle reaches, not the states the start reaches
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_ne_policy(inst, np.random.default_rng(3))
-    recurrent = _alone(exact.stationary_chain(pol, inst), inst.theta)
-    report = _alone(exact.stationary_chain(pol, inst, (0, 0)), inst.theta)
-    assert report.transient_states and not recurrent.transient_states
-    assert report.recurrent_class == recurrent.recurrent_class
+    chains = [exact.stationary_chain(pol, inst), exact.stationary_chain(pol, inst, (0, 0))]
+    (member, reached), (start_member, start_reached) = (
+        exact._closed_classes(chain.succ, chain.fail, [chain.start]) for chain in chains
+    )
+    assert (start_reached & ~start_member).any() and not (reached & ~member).any()
+    assert np.array_equal(start_member, member)
+    recurrent, report = (_alone(chain, inst.theta) for chain in chains)
     assert report.average_cost == recurrent.average_cost
     assert report.converged
 
@@ -326,7 +331,7 @@ def test_pinned_policy_cost_matches_eigenvalue_oracle():
     pinned = [indexer.index((a, 2)) for a in range(3)]
     weighted, _ = stationary_dense(pol, inst)
     rho = max(abs(np.linalg.eigvals(weighted[np.ix_(pinned, pinned)])))
-    assert report.spectral_radius == pytest.approx(rho, rel=1e-9)
+    assert math.exp(inst.theta * report.average_cost) == pytest.approx(rho, rel=1e-9)
 
 
 def test_pinned_policy_cost_near_perfect_channel():
@@ -420,11 +425,15 @@ def test_exhaustive_full_enumeration_agrees_with_ne_only():
 
 
 def test_growth_rate_single_client_matches_forced_policy():
-    inst = Instance((2,), (0.5,), 0.1)
-    result = growth_rate_optimal(inst)
-    forced = _alone(exact.stationary_chain(StationaryPolicy(np.ones(3, dtype=np.int64)), inst), inst.theta)
-    assert result.converged
-    assert result.average_cost == pytest.approx(forced.average_cost, rel=1e-8)
+    # with one client the Bellman map is the forced chain's map, and PRR's
+    # chain is that chain: one row, bit for bit
+    for tau, p, theta in itertools.product((1, 2, 3, 5, 8), (0.3, 0.7, 0.99, 0.99999), (0.01, 0.1, 1.0)):
+        inst = Instance((tau,), (p,), theta)
+        result = growth_rate_optimal(inst)
+        forced = exact.stationary_chain(StationaryPolicy(np.ones(tau + 1, dtype=np.int64)), inst)
+        for report in exact.chain_average_costs([forced, prr_chain(inst)], [theta] * 2):
+            assert (report.j_lo, report.j_hi, report.iterations) == (result.j_lo, result.j_hi, result.iterations)
+    assert growth_rate_optimal(Instance((2,), (0.5,), 0.1)).converged
 
 
 def test_growth_rate_cross_checks_enumeration_at_small_theta():
@@ -590,7 +599,8 @@ def test_stacked_rows_that_stop_at_different_windows_match_their_own_evaluation(
         ]
         thetas += [inst.theta] * 3
     stacked = exact.chain_average_costs(chains, thetas)
-    assert sorted({len(report.recurrent_class) for report in stacked}) == [227, 528, 960]
+    sizes = {int(exact._closed_classes(chain.succ, chain.fail, [chain.start])[0].sum()) for chain in chains}
+    assert sorted(sizes) == [227, 528, 960]
     assert len({report.iterations for report in stacked}) >= 6
     for report, chain, theta in zip(stacked, chains, thetas):
         assert report == _alone(chain, theta)
@@ -626,6 +636,21 @@ def test_stacked_optima_match_their_own_when_the_cap_stops_some_rows(monkeypatch
     insts = [Instance((2, 3), (0.6, 0.7), theta) for theta in (0.1, 0.5, 2.0)]
     stacked = _assert_stacked_optima_match_their_own(insts)
     assert [result.iterations for result in stacked] == [60, 56, 40]
+
+
+def test_blocking_the_drift_changes_no_bit(monkeypatch):
+    # blocks of 7 entries cut the rows, and the stack compacted as rows stop, at odd places
+    insts = [Instance((2, 3, 4), (0.6, 0.7, 0.8), theta) for theta in (0.05, 0.5)]
+    two = Instance((3, 5), (0.8, 0.9), 0.1)
+    chains = [
+        prr_chain(insts[0]),
+        exact.stationary_chain(mlg_stationary_policy(two), two),
+        periodic_chain(insts[1], PeriodicSchedule((1, 2, 1, 3), 3)),
+    ]
+    thetas = [insts[0].theta, two.theta, insts[1].theta]
+    default = growth_rate_optima(insts), exact.chain_average_costs(chains, thetas)
+    monkeypatch.setattr(exact, "_DRIFT_BLOCK", 7)
+    assert (growth_rate_optima(insts), exact.chain_average_costs(chains, thetas)) == default
 
 
 def test_stacked_optima_need_shared_thresholds():
