@@ -4,7 +4,9 @@ The round-robin baseline is packet-level: the token holder keeps the slot
 until a delivery succeeds, then the token rotates.  The periodic baseline is
 open loop: a fixed cyclic sequence indexed by the wall clock, never by state.
 The delivery-debt baseline (WDD), which serves the client with the largest
-weighted delivery debt, has no finite chain; ``sim`` simulates it.
+weighted delivery debt, has no finite chain in general; ``sim`` simulates
+it, at equal reliabilities as a chain on (clipped state, key differences)
+clipped to a box.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ overflow.  Each trial owns a pseudorandom substream derived from (seed,
 trial index); the batch engines consume it as a per-slot walk of the model
 would, so results are independent of any batching, and repeated runs are
 bitwise identical.  A finite-memory policy enters as its ``exact.Chain``,
-which carries its start; WDD, which has no finite chain, enters as ``None``
-and starts from the all-threshold state.
+which carries its start; WDD enters as ``None`` and starts from the
+all-threshold state.  At equal reliabilities WDD's decision lives on a finite
+lattice and it runs as a chain too (``_wdd_chains``); otherwise it runs slot
+by slot (``_batch_wdd``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .exact import Chain
 from .model import Instance, State
 
@@ -28,6 +31,8 @@ _MIN_BLOCK = 64  # shortest estimator block, in slots
 _MIN_COVERAGE = 0.5  # least effective sample size of the block weights, per block
 _SLICE = 2 * _MIN_BLOCK  # most slots a batch engine records before deriving their exceedances; no block is longer
 _TABLE = 2**15  # most entries of the chain engine's K-slot table
+_BOX = 2  # WDD's first box of key differences, in periods lcm(tau); doubled until no row reaches its edge
+_WDD_STATES = 2**18  # most states of a WDD chain; past them WDD runs slot by slot
 
 
 @dataclass(frozen=True)
@@ -127,21 +132,21 @@ def _steps(states: int, width: int) -> int:
     return steps
 
 
-def _step_tables(succ, fail, p, hits, levels: np.ndarray, steps: int):
+def _step_tables(succ, fail, ok, hits, steps: int):
     """Moves of ``1 .. steps`` slots from every chain state, by the ranks of their uniforms.
 
-    With ``width = len(levels) + 1`` ranks, the ``k``-slot entry for state
-    ``s`` and ranks ``r_0 .. r_{k-1}`` (first slot most significant) sits at
-    ``offsets[k] + s * width**k + sum_i r_i * width**(k - 1 - i)``.  Returns
-    ``offsets`` and, per entry, the state reached (int32) and the
-    exceedances paid (int16).  A slot at rank ``r`` from ``s`` delivers iff
-    ``r <= searchsorted(levels, p[s])``.
+    A slot from state ``s`` whose uniform has rank ``r`` delivers iff
+    ``ok[s, r]``.  With ``width = ok.shape[1]`` ranks, the ``k``-slot entry
+    for state ``s`` and ranks ``r_0 .. r_{k-1}`` (first slot most
+    significant) sits at ``offsets[k] + s * width**k + sum_i r_i *
+    width**(k - 1 - i)``.  Returns ``offsets`` and, per entry, the state
+    reached, scaled to the offset of its ``steps``-slot entries
+    (``state * width**steps``), and the exceedances paid (int16).
     """
-    states, width = len(p), len(levels) + 1
+    states, width = ok.shape
     offsets = np.cumsum([0, 0] + [states * width**k for k in range(1, steps + 1)])
-    nxt = np.empty(offsets[-1], dtype=np.int32)
+    nxt = np.empty(offsets[-1], dtype=np.intp)
     exc = np.empty(offsets[-1], dtype=np.int16)
-    ok = np.arange(width) <= np.searchsorted(levels, p)[:, None]
     first = np.where(ok, succ[:, None], fail[:, None]).ravel()
     one = slice(0, len(first))
     nxt[one] = first
@@ -153,72 +158,191 @@ def _step_tables(succ, fail, p, hits, levels: np.ndarray, steps: int):
         paid = exc[cur].reshape(len(first), -1)
         np.take(exc[prev].reshape(states, -1), first, axis=0, out=paid)
         paid += exc[one, None]
+    nxt *= width**steps
     return offsets, nxt, exc
 
 
-def _batch_chain(chains: list[Chain], horizon: int, trials: int, seed: int, warmup: int) -> np.ndarray:
-    """Block exceedance totals ``(rows, blocks)`` of each chain's trials, from its ``start``.
+def _table_rows(chains: list[Chain], levels: list[np.ndarray], width: int):
+    """The chain engine's table rows: one set per distinct (succ, fail, hits, rank of p), stacked with index offsets.
 
-    The chains are concatenated with index offsets and run as one stacked
-    chain, and row ``(chain, trial)`` draws trial ``trial``'s uniforms.  A
-    slot from state ``s`` succeeds iff its uniform is below ``p[s]``, so it
-    depends on the uniform only through its rank, the number of distinct
-    reliabilities ``levels`` at or below it: ``u < p[s]`` iff that rank is
-    at most ``searchsorted(levels, p[s])``, the same float comparisons.  So
-    ``K`` slots from ``s`` depend only on ``s`` and the ranks' base-``width``
-    code, and one lookup in ``_step_tables`` advances every row by ``K``
-    slots, ``K`` the largest with ``states * width**K <= _TABLE`` (at least
-    1).  The slot loop records each row's table index; the exceedances are
-    read from those records after each sub-slice, whose last ``len % K``
-    slots take one shorter step, and added to the sub-slice's block.
+    Returns the stacked ``succ``, ``fail`` and ``hits``, ``ok[s, r]``
+    (whether a uniform of rank ``r`` delivers from stacked state ``s``) and
+    each chain's offset.
     """
-    offsets = np.cumsum([0] + [len(c.p) for c in chains[:-1]])
-    succ = np.concatenate([c.succ + off for c, off in zip(chains, offsets)])
-    fail = np.concatenate([c.fail + off for c, off in zip(chains, offsets)])
-    p, hits = (np.concatenate([getattr(c, name) for c in chains]) for name in ("p", "hits"))
-    levels = np.array(sorted(set(p.tolist())))
-    width = len(levels) + 1
-    steps = _steps(len(p), width)
-    entry, nxt, exc = _step_tables(succ, fail, p, hits, levels, steps)
-    place = width ** np.arange(steps)[::-1]  # a slot's weight in its step's code, first slot most significant
+    parts, base = [], []
+    for c, lev in zip(chains, levels):
+        arrays = (c.succ, c.fail, c.hits, np.searchsorted(lev, c.p))
+        offset = 0
+        for part in parts:
+            if all(np.array_equal(a, b) for a, b in zip(arrays, part)):
+                break
+            offset += len(part[0])
+        else:
+            parts.append(arrays)
+        base.append(offset)
+    offsets = np.cumsum([0] + [len(part[0]) for part in parts[:-1]])
+    succ, fail = (np.concatenate([part[i] + off for part, off in zip(parts, offsets)]) for i in (0, 1))
+    hits, q = (np.concatenate([part[i] for part in parts]) for i in (2, 3))
+    return succ, fail, hits, np.arange(width) <= q[:, None], np.array(base)
+
+
+def _batch_chain(
+    chains: list[Chain], horizon: int, trials: int, seed: int, warmup: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block exceedance totals ``(rows, blocks)`` of each chain's trials, from its ``start``, and each row's last state.
+
+    Row ``(chain, trial)`` draws trial ``trial``'s uniforms.  A slot from
+    state ``s`` succeeds iff its uniform is below ``p[s]``, so it depends on
+    the uniform only through its rank among the chain's own distinct
+    reliabilities ``levels``, the number of them at or below it: ``u <
+    p[s]`` iff that rank is at most ``searchsorted(levels, p[s])``, the same
+    float comparisons.  So ``K`` slots from ``s`` depend only on ``s`` and
+    the ranks' base-``width`` code, ``width`` one more than the most levels
+    of any chain, and chains that differ only in their start or in the
+    values of their levels share their table rows (equal-reliability WDD at
+    every point of a sweep has one set).  The distinct rows are concatenated
+    with index offsets, and one lookup in ``_step_tables`` advances every
+    row by ``K`` slots, ``K`` the largest with ``states * width**K <=
+    _TABLE`` (at least 1): an add of the code to the row's state, which the
+    tables hold scaled to its entries, and a take.  The slot loop records
+    each row's table index; the exceedances are read from those records
+    after each sub-slice, whose last ``len % K`` slots take one shorter
+    step, and added to the sub-slice's block.  A row's last state is its
+    index in its own chain.
+    """
+    levels = [np.array(sorted(set(c.p.tolist()))) for c in chains]
+    width = max(map(len, levels)) + 1
+    succ, fail, hits, ok, base = _table_rows(chains, levels, width)
+    steps = _steps(len(ok), width)
+    entry, nxt, exc = _step_tables(succ, fail, ok, hits, steps)
+    # chains with the same levels rank a uniform once; missing levels are
+    # infinite, never at or below a uniform
+    ranked = {lev.tobytes(): lev for lev in levels}
+    group = [list(ranked).index(lev.tobytes()) for lev in levels]
+    if len(ranked) in (1, len(chains)):  # one group broadcasts, and one per chain is in order
+        group = slice(None)
+    bounds = np.full((width - 1, len(ranked), 1), np.inf)
+    for g, lev in enumerate(ranked.values()):
+        bounds[: len(lev), g, 0] = lev
     shape = (len(chains), trials)
-    sidx = np.repeat([c.start + off for c, off in zip(chains, offsets)], trials).reshape(shape)
+    sidx = np.repeat([(b + c.start) * width**steps for b, c in zip(base, chains)], trials).reshape(shape)
     # a block is at most 128 slots (block_edges) and pays at most n <= 63 per
     # slot (Instance caps the state space at 2**64 - 1), so its total fits 16 bits
     blocks = np.zeros((shape[0] * trials, len(block_edges(horizon))), dtype=np.int16)
 
     for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
-        u = np.ascontiguousarray(u)  # the comparisons below read it once per level, faster than the draw's strided view
-        rank = np.zeros(u.shape, dtype=np.intp)
-        for level in levels:  # one comparison per level is cheaper than a binary search over a few
-            rank += u >= level
+        # the comparisons below read u once per level, faster contiguous than as the draw's strided view
+        u = np.ascontiguousarray(u)[:, None]
+        rank = (u >= bounds[0]).view(np.int8)  # a chain has at most 63 levels, one per client
+        for bound in bounds[1:]:  # one comparison per level is cheaper than a binary search over a few
+            rank += u >= bound
         full, rest = divmod(len(u), steps)
-        codes = (rank[: full * steps].reshape(full, steps, trials) * place[:, None]).sum(axis=1) + entry[steps]
-        sizes = [width**steps] * full
-        if rest:
-            codes = np.concatenate((codes, [(rank[full * steps :] * place[-rest:, None]).sum(axis=0) + entry[rest]]))
-            sizes.append(width**rest)
-        at = np.empty((len(sizes),) + shape, dtype=np.intp)
-        for j, size in enumerate(sizes):
-            np.multiply(sidx, size, out=at[j])
-            np.add(at[j], codes[j], out=at[j])
-            sidx = nxt.take(at[j])
+        # each step's code, by Horner's rule over its slots (the last, shorter
+        # step has fewer), plus its entries' offset; each step adds the row's
+        # state to it in place and looks the sum up
+        at = np.empty((full + (rest > 0),) + shape, dtype=np.intp)
+        at[:] = rank[::steps, group]
+        for i in range(1, steps):
+            digits = rank[i::steps, group]
+            at[: len(digits)] *= width
+            at[: len(digits)] += digits
+        at[:full] += entry[steps]
+        at[full:] += entry[rest]
+        for j, step in enumerate(at):
+            if j == full:  # the shorter step reads entries of rest slots
+                sidx //= width ** (steps - rest)
+            step += sidx
+            nxt.take(step, out=sidx, mode="clip")  # in range; "raise" would buffer the output
         if t0 >= warmup:
-            blocks[:, block] += exc.take(at).sum(axis=0).ravel()
-    return blocks
+            blocks[:, block] += exc.take(at).sum(axis=0, dtype=np.int16).ravel()
+    return blocks, (sidx // width**steps - base[:, None]).ravel()
+
+
+def _wdd_chains(taus: tuple[int, ...], ps: list[float], start: State, box: int) -> list[Chain] | None:
+    """Equal-reliability WDD at each reliability of ``ps``, as chains that share one structure.
+
+    With equal reliabilities WDD serves the first client with the largest
+    integer key ``e_c (L / tau_c)``, ``e_c = t - tau_c M_c`` and ``L =
+    lcm(tau)``, so its decision reads only the key differences ``K_c =
+    key_c - key_0`` (``c >= 1``).  A slot adds ``L / tau_c - L / tau_0`` to
+    every ``K_c``; a delivery to client 0 adds ``L`` to each of them, and one
+    to client ``c`` takes ``L`` from ``K_c``.  So WDD is a chain on (clipped
+    state, ``K``) from ``(start, 0)``, and neither its moves nor its
+    exceedances depend on the reliability.  ``K`` is clipped to the
+    box ``|K_c| <= box``: a move out of it goes to the last state, the edge,
+    which absorbs.  The states reached are found breadth first on sorted
+    int64 codes of ``(x, K + box)``, each level's moves computed once with
+    array operations, and a state's number is its code's rank.  Returns None
+    past ``_WDD_STATES`` states on two clients or more, or where the codes
+    would not fit.
+    """
+    n = len(taus)
+    tau = np.asarray(taus, dtype=np.int64)[:, None]
+    period = math.lcm(*taus)
+    dims = [t + 1 for t in taus] + [2 * box + 1] * (n - 1)
+    if math.prod(dims) >= 2**63:
+        return None
+    limit = _WDD_STATES if n > 1 else dims[0]  # one client has no key differences: its chain is its clipped states
+    radix = np.array(dims, dtype=np.int64)[:, None]
+    stride = np.array([math.prod(dims[i + 1 :]) for i in range(len(dims))], dtype=np.int64)[:, None]
+    drift = period // tau[1:] - period // tau[0]
+    clients = np.arange(n)[:, None]
+
+    def code(x, k):
+        """The codes of states ``(x, K)``, and -1 outside the box."""
+        inside = (abs(k) <= box).all(axis=0)
+        return np.where(inside, (x * stride[:n]).sum(axis=0) + ((k + box) * stride[n:]).sum(axis=0), -1)
+
+    def moves(codes):
+        """The codes after a delivery and after a failure from each code, and its exceedances."""
+        digits = codes // stride % radix
+        x, k = digits[:n], digits[n:] - box
+        served = np.vstack((np.zeros_like(codes), k)).argmax(axis=0)  # the first largest key
+        fail_x, fail_k = np.minimum(x + 1, tau), k + drift
+        succ_x = np.where(clients == served, 0, fail_x)
+        succ_k = fail_k + period * (served == 0) - period * (clients[1:] == served)
+        return (code(succ_x, succ_k), code(fail_x, fail_k)), (x == tau).sum(axis=0)
+
+    first = code(np.array(start, dtype=np.int64)[:, None], np.zeros((n - 1, 1), dtype=np.int64))
+    seen = frontier = first  # seen is sorted
+    found = []  # per breadth-first level: its codes, their successors' codes and exceedances
+    while frontier.size:
+        (succ, fail), hits = moves(frontier)
+        found.append((frontier, succ, fail, hits))
+        new = np.sort(np.concatenate((succ, fail)))
+        new = new[np.diff(new, prepend=-1) > 0]  # each code once, and no -1
+        at = np.searchsorted(seen, new)
+        frontier = new[seen.take(at, mode="clip") != new]
+        seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
+        if len(seen) > limit:
+            return None
+    edge = len(seen)
+    codes, succ, fail, hits = (np.concatenate(part) for part in zip(*found))
+    number = np.searchsorted(seen, codes)
+    moved = np.full((2, edge + 1), edge)
+    for row, ends in zip(moved, (succ, fail)):
+        row[number] = np.where(ends >= 0, np.searchsorted(seen, ends), edge)
+    paid = np.zeros(edge + 1, dtype=np.int64)  # the edge's rows are rerun, so what it pays never counts
+    paid[number] = hits
+    succ, fail = moved
+    return [Chain(succ=succ, fail=fail, p=np.full(edge + 1, p), hits=paid, start=int(number[0])) for p in ps]
 
 
 def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, start: State, warmup: int) -> np.ndarray:
-    """Block exceedance totals ``(rows, blocks)`` of WDD's trials, rows ``(instance, trial)``.
+    """Block exceedance totals ``(rows, blocks)`` of WDD's trials, rows ``(instance, trial)``, slot by slot.
 
-    The instances share thresholds.  Each slot makes only the decision, the
-    first client with the largest ``t / (p tau) - M / p`` (so ties go to the
+    The instances share thresholds and have two clients or more, and their
+    reliabilities are all unequal or all equal.  Each slot makes only the
+    decision, the first client with the largest debt (so ties go to the
     lowest client), written one-hot into ``served``, and the channel draw,
-    and records the running delivery counts ``M``.  A virtual delivery at
-    slot ``-x - 1`` stands for each client's start ``x``.  With ``D(t)`` a
-    client's count before slot ``t``, it sits at its threshold ``tau`` when
-    ``D(t) == D(t - tau)`` (no delivery in the last ``tau`` slots).  So the
-    last ``max(tau) + 1`` records carry over between sub-slices.
+    and records the running delivery counts ``M``.  At unequal reliabilities
+    the debt is the float ``t / (p tau) - M / p``; at equal ones it is the
+    integer key ``t (L / tau) - M L``, ``L = lcm(tau)``, exact as a float
+    below ``2**53``.  A virtual delivery at slot ``-x - 1`` stands for each
+    client's start ``x``.  With ``D(t)`` a client's count before slot ``t``,
+    it sits at its threshold ``tau`` when ``D(t) == D(t - tau)`` (no
+    delivery in the last ``tau`` slots).  So the last ``max(tau) + 1``
+    records carry over between sub-slices.
     """
     taus = insts[0].thresholds
     n = len(taus)
@@ -228,10 +352,22 @@ def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, star
     p = np.array([inst.reliabilities for inst in insts]).T[:, :, None]
     ptau = p * np.asarray(taus, dtype=np.int64)[:, None, None]
     p_rows = np.ascontiguousarray(np.broadcast_to(p, (n, len(insts), trials)))
+    equal = {len(set(inst.reliabilities)) == 1 for inst in insts}
+    if len(equal) > 1:
+        raise ValueError("WDD's points of one call must all have equal reliabilities, or none")
+    keyed = equal.pop()
+    if keyed:
+        period = math.lcm(*taus)
+        if (warmup + horizon) * period >= 2**53:
+            raise ConfigError("WDD's exact keys need (warmup + horizon) * lcm(thresholds) below 2**53")
+        weight = np.array([period // tau for tau in taus], dtype=float)[:, None, None]
+        owed, scale = np.multiply, float(period)
+    else:
+        owed, scale = np.divide, p_rows
     m_counts = np.zeros(p_rows.shape)  # deliveries so far; integers, exact as floats
     m_rows = m_counts.reshape(n, rows)
     debts = np.empty(p_rows.shape)
-    served = np.ones(p_rows.shape, dtype=bool)  # one-hot in the client; one client is always served
+    served = np.empty(p_rows.shape, dtype=bool)  # one-hot in the client
     got = np.empty(p_rows.shape, dtype=bool)
     clients = np.arange(n, dtype=np.int8)[:, None, None]
     index = np.empty(p_rows.shape[1:], dtype=np.int8)  # the served client, from three clients on
@@ -247,15 +383,16 @@ def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, star
 
     for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
         size = len(u)
-        t_debts = np.arange(t0, t0 + size)[:, None, None, None] / ptau
+        times = np.arange(t0, t0 + size)[:, None, None, None]
+        t_debts = times * weight if keyed else times / ptau
         reach = u[:, None, None, :] < p_rows  # the outcome, had each client been served
         for j in range(size):
-            np.divide(m_counts, p_rows, out=debts)
+            owed(m_counts, scale, out=debts)
             np.subtract(t_debts[j], debts, out=debts)
             if n == 2:
                 np.greater(debts[1], debts[0], out=served[1])
                 np.logical_not(served[1], out=served[0])
-            elif n > 2:
+            else:
                 np.greater(debts[1], debts[0], out=index.view(bool))  # 0 or 1, without a cast to int8
                 np.maximum(debts[0], debts[1], out=best)
                 for c in range(2, n):
@@ -278,38 +415,59 @@ def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, star
     return blocks
 
 
-def _run_trials(insts: list[Instance], chains: list[Chain | None], cfg: SimConfig) -> list[tuple[np.ndarray, slice]]:
+def _run_trials(
+    insts: list[Instance], chains: list[Chain | None], cfg: SimConfig, start: State | None = None
+) -> list[tuple[np.ndarray, slice]]:
     """The trials of every point ``(insts[i], chains[i])``, one call per engine.
 
     Returns each point's engine block totals and its slice of their rows.  A
-    chain of ``None`` stands for WDD, from the all-threshold state.  The
-    points must share thresholds.  Points whose engine inputs are equal share
-    one set of rows: for WDD the inputs are the reliabilities (theta never
-    enters the engine), for a chain its start and the arrays the engine
-    reads.
+    chain of ``None`` stands for WDD, from ``start`` (the all-threshold state
+    by default).  The points must share thresholds.  Points whose engine
+    inputs are equal share one set of rows: for WDD the inputs are the
+    reliabilities (theta never enters the engine), for a chain its start and
+    the arrays the engine reads.  WDD at equal reliabilities runs as chains
+    (``_wdd_chains``) in the chain engine's call, first in a box of
+    ``_BOX * lcm(tau)``; if a row ends on the box's edge, the call reruns
+    with the box doubled, so the box never changes a row.  Past the chain's
+    state cap, and at unequal reliabilities, WDD runs slot by slot
+    (``_batch_wdd``).
     """
     taus = insts[0].thresholds
     if any(inst.thresholds != taus for inst in insts):
         raise ValueError("the points of one simulation must share thresholds")
-    wdd: dict = {}
-    distinct: dict = {}
+    start = taus if start is None else start
+    points: dict = {"wdd": {}, "keyed": {}, "chain": {}}  # keyed: WDD at equal reliabilities
     keys = []
     for inst, chain in zip(insts, chains):
         if chain is None:
-            key = ("wdd", inst.reliabilities)
-            wdd.setdefault(key, inst)
+            key = ("keyed" if len(set(inst.reliabilities)) == 1 else "wdd", inst.reliabilities)
+            points[key[0]].setdefault(key, inst)
         else:
             arrays = (chain.succ, chain.fail, chain.p, chain.hits)
             key = ("chain", chain.start, *(a.tobytes() for a in arrays))
-            distinct.setdefault(key, chain)
+            points[key[0]].setdefault(key, chain)
         keys.append(key)
     args = (cfg.horizon, cfg.trials, cfg.seed)
     blocks = {}
-    if wdd:
-        blocks["wdd"] = _batch_wdd(list(wdd.values()), *args, taus, cfg.warmup)
-    if distinct:
-        blocks["chain"] = _batch_chain(list(distinct.values()), *args, cfg.warmup)
-    group = {key: g for points in (wdd, distinct) for g, key in enumerate(points)}
+    if points["wdd"]:
+        blocks["wdd"] = _batch_wdd(list(points["wdd"].values()), *args, start, cfg.warmup)
+    keyed = list(points["keyed"].values())
+    box = _BOX * math.lcm(*taus)
+    while True:
+        wdd = _wdd_chains(taus, [inst.reliabilities[0] for inst in keyed], start, box) if keyed else []
+        if wdd is None:  # past the state cap: the same keys, slot by slot
+            blocks["keyed"], wdd = _batch_wdd(keyed, *args, start, cfg.warmup), []
+        stack = list(points["chain"].values()) + wdd
+        if not stack:
+            break
+        totals, ends = _batch_chain(stack, *args, cfg.warmup)
+        split = len(points["chain"]) * cfg.trials
+        if not wdd or not (ends[split:] == len(wdd[0].p) - 1).any():  # no row ended on the box's edge
+            blocks["chain"] = totals[:split]
+            blocks.setdefault("keyed", totals[split:])
+            break
+        box *= 2
+    group = {key: g for kind in points.values() for g, key in enumerate(kind)}
     return [(blocks[key[0]], slice(group[key] * cfg.trials, (group[key] + 1) * cfg.trials)) for key in keys]
 
 

@@ -36,14 +36,18 @@ def ps(sequence):
 def wdd(inst):
     """Weighted delivery debt on the ledger ``(t, M)`` of elapsed slots and delivery counts.
 
-    It serves the largest ``t / (p tau) - M / p``; ties go to the lowest client.
+    It serves the largest debt ``t / (p tau) - M / p``; ties go to the lowest
+    client.  At equal reliabilities the debt is the integer key
+    ``(t - tau M) (L / tau)``, ``L = lcm(tau)``, so ties are exact.
     """
+    period = math.lcm(*inst.thresholds)
+    keyed = len(set(inst.reliabilities)) == 1
 
     def serve(x, ledger):
         t, counts = ledger
         best_u, best_debt = 1, -math.inf
         for n, (p, tau, m) in enumerate(zip(inst.reliabilities, inst.thresholds, counts)):
-            debt = t / (p * tau) - m / p
+            debt = (t - tau * m) * (period // tau) if keyed else t / (p * tau) - m / p
             if debt > best_debt:
                 best_u, best_debt = n + 1, debt
         return best_u

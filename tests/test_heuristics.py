@@ -1,6 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sim_oracle
 from dense_oracle import eigvals_cost
@@ -41,11 +44,42 @@ def test_wdd_decide_examples():
 
 
 def test_wdd_argmax_invariances():
-    # common scaling of equal reliabilities never changes the winner
-    lo = sim_oracle.wdd(Instance((2, 4, 3), (0.4, 0.4, 0.4), 0.05))[1]
-    hi = sim_oracle.wdd(Instance((2, 4, 3), (0.8, 0.8, 0.8), 0.05))[1]
-    for t, ms in [(5, (1, 0, 1)), (9, (2, 2, 1)), (12, (3, 1, 2))]:
+    # common scaling of equal reliabilities never changes the winner, nor
+    # does a shift of the ledger by whole periods (t, M) -> (t + k L, M + k L / tau)
+    taus = (2, 4, 3)
+    period = math.lcm(*taus)
+    lo = sim_oracle.wdd(Instance(taus, (0.4, 0.4, 0.4), 0.05))[1]
+    hi = sim_oracle.wdd(Instance(taus, (0.8, 0.8, 0.8), 0.05))[1]
+    for t, ms in [(5, (1, 0, 1)), (9, (2, 2, 1)), (12, (3, 1, 2)), (12, (6, 3, 4)), (24, (11, 6, 8))]:
         assert lo(ANY, (t, ms)) == hi(ANY, (t, ms))
+        for k in (1, 7, 10**6 // period):
+            shifted = (t + k * period, tuple(m + k * period // tau for m, tau in zip(ms, taus)))
+            assert lo(ANY, shifted) == hi(ANY, shifted) == lo(ANY, (t, ms))
+
+
+@st.composite
+def _equal_reliability_ledgers(draw):
+    """An equal-reliability instance of 1 to 4 clients, thresholds up to 10, and a ledger ``(t, M)`` with t up to 10**7.
+
+    Each count sits within a few of ``t / tau``; at a multiple of ``lcm(tau)``
+    that makes exact ties common.
+    """
+    n = draw(st.integers(1, 4))
+    taus = tuple(draw(st.integers(1, 10)) for _ in range(n))
+    period = math.lcm(*taus)
+    t = draw(st.one_of(st.integers(0, 10**7 // period).map(lambda j: j * period), st.integers(0, 10**7)))
+    counts = tuple(max(0, t // tau - draw(st.integers(-3, 3))) for tau in taus)
+    return Instance(taus, (draw(st.floats(0.01, 0.99)),) * n, 0.05), t, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_equal_reliability_ledgers())
+def test_equal_reliability_wdd_serves_the_largest_exact_debt(case):
+    # the first client with the largest rational debt (t - tau M) / (tau p)
+    inst, t, counts = case
+    p = Fraction(inst.reliabilities[0])
+    debts = [(t - tau * m) / (tau * p) for tau, m in zip(inst.thresholds, counts)]
+    assert sim_oracle.wdd(inst)[1](ANY, (t, counts)) == debts.index(max(debts)) + 1
 
 
 def test_ledger_updates():

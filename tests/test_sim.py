@@ -10,6 +10,7 @@ import sim_oracle
 from sim_oracle import run_trial, tally_trials
 
 from idsched import sim
+from idsched.errors import ConfigError
 from idsched.exact import StationaryPolicy, chain_average_costs, stationary_chain
 from idsched.heuristics import PeriodicSchedule, periodic_chain, prr_chain
 from idsched.model import Instance
@@ -33,11 +34,20 @@ def _fields(result):
 
 def _chain_tallies(chains, horizon, trials, seed, warmup):
     """The chain engine's block totals on a stack at its default step, then at one slot per step."""
-    default = _batch_chain(chains, horizon, trials, seed, warmup)
+    default = _batch_chain(chains, horizon, trials, seed, warmup)[0]
     with mock.patch.object(sim, "_TABLE", 0):
         assert _steps_of(chains)[0] == 1
-        one_slot = _batch_chain(chains, horizon, trials, seed, warmup)
+        one_slot = _batch_chain(chains, horizon, trials, seed, warmup)[0]
     return [default, one_slot]
+
+
+def _wdd_tally(insts, horizon, trials, seed, start, warmup):
+    """WDD's block totals, rows ``(point, trial)``, as a sweep runs them.
+
+    That is as chains at equal reliabilities, and slot by slot otherwise.
+    """
+    runs = sim._run_trials(insts, [None] * len(insts), SimConfig(horizon, trials, seed, warmup), start)
+    return np.concatenate([blocks[rows] for blocks, rows in runs])
 
 
 def test_run_trial_is_deterministic():
@@ -60,13 +70,13 @@ def test_batch_engines_match_reference_exactly():
             assert len(r.block_exceedances) > 1
             assert _fields(r) == _fields(b)
 
-    # WDD on one client (always served), two (one comparison) and four (the
-    # comparison chain into a client index)
+    # WDD on one client (a chain on the clipped states), two (one
+    # comparison) and four (the comparison chain into a client index)
     inst1 = Instance((3,), (0.7,), 0.05)
     inst4 = Instance((2, 3, 4, 5), (0.6, 0.9, 0.7, 0.8), 0.05)
     for case in (inst1, inst, inst4):
         refw = [run_trial(case, sim_oracle.wdd(case), 400, (55, r), case.thresholds, warmup=7) for r in range(5)]
-        batw = tally_trials(_batch_wdd([case], 400, 5, 55, case.thresholds, 7), 1)[0]
+        batw = tally_trials(_wdd_tally([case], 400, 5, 55, None, 7), 1)[0]
         for r, b in zip(refw, batw):
             assert r.exceedance_total == b.exceedance_total
             assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
@@ -104,7 +114,7 @@ def test_uniform_chunk_size_changes_no_trial(monkeypatch, draw):
             tally_trials(one_slot, 1)[0],
             tally_trials(steps, 1)[0],
             [run_trial(inst, sim_oracle.wdd(inst), horizon, (seed, r), start, warmup) for r in range(trials)],
-            tally_trials(_batch_wdd([inst], horizon, trials, seed, start, warmup), 1)[0],
+            tally_trials(_wdd_tally([inst], horizon, trials, seed, start, warmup), 1)[0],
         ]
 
     default = trials_of_each_engine()
@@ -147,17 +157,79 @@ def _assert_points_match_reference(insts, policies, tallies, horizon, seed, star
     ],
 )
 def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, start, horizon, warmup):
+    # equal reliabilities run as chains, unequal ones slot by slot, each
+    # stacked over its points; then the equal ones slot by slot too, past a
+    # state cap of 0
     insts = [Instance(taus, ps, 0.05 * (k + 1)) for k, ps in enumerate(reliabilities)]
     trials = 2 if warmup > horizon else 4
-    tally = _batch_wdd(insts, horizon, trials, 17, start or taus, warmup)
+    tally = _wdd_tally(insts, horizon, trials, 17, start, warmup)
     runs = tally_trials(tally, len(insts))
     assert len(runs) == len(insts) and all(len(run) == trials for run in runs)
     # and again with every sub-slice drawn on its own
     with mock.patch.object(sim, "_DRAW", 1):
-        one_slice = _batch_wdd(insts, horizon, trials, 17, start or taus, warmup)
+        one_slice = _wdd_tally(insts, horizon, trials, 17, start, warmup)
+    with mock.patch.object(sim, "_WDD_STATES", 0):
+        assert sim._wdd_chains(taus, [0.5], start or taus, sim._BOX * math.lcm(*taus)) is None
+        slot_by_slot = _wdd_tally(insts, horizon, trials, 17, start, warmup)
     policies = [sim_oracle.wdd(inst) for inst in insts]
     starts = [start or taus] * len(insts)
-    _assert_points_match_reference(insts, policies, [tally, one_slice], horizon, 17, starts, warmup)
+    _assert_points_match_reference(insts, policies, [tally, one_slice, slot_by_slot], horizon, 17, starts, warmup)
+
+
+def test_wdd_chains_rerun_in_a_doubled_box_until_no_row_reaches_its_edge(monkeypatch):
+    # a first box of one period, at reliabilities low enough that failure
+    # runs carry the key differences out of it: the call, which also runs a
+    # stationary chain, reruns in twice the box until no row ends on the
+    # edge, and every row equals the oracle's
+    taus = (2, 3, 4)
+    insts = [Instance(taus, (p,) * 3, 0.05) for p in (0.3, 0.5)] + [Instance(taus, (0.6, 0.7, 0.8), 0.05)]
+    pol = _random_policy(insts[2], 11)
+    boxes = []
+    build = sim._wdd_chains
+
+    def recorded(*args):
+        boxes.append(args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(sim, "_BOX", 1)
+    monkeypatch.setattr(sim, "_wdd_chains", recorded)
+    runs = sim._run_trials(insts, [None, None, stationary_chain(pol, insts[2])], SimConfig(600, 4, 23, 13))
+    assert len(boxes) >= 3 and boxes == [12 * 2**k for k in range(len(boxes))]
+    tallies = [np.concatenate([blocks[rows] for blocks, rows in runs])]
+    policies = [sim_oracle.wdd(insts[0]), sim_oracle.wdd(insts[1]), sim_oracle.stationary(pol, insts[2])]
+    _assert_points_match_reference(insts, policies, tallies, 600, 23, [taus] * 3, 13)
+    # the box's edge absorbs, and in the last box no row reaches it
+    chains = build(taus, [0.3, 0.5], taus, boxes[-1])
+    edge = len(chains[0].p) - 1
+    assert chains[0].succ[edge] == chains[0].fail[edge] == edge
+    assert not (sim._batch_chain(chains, 600, 4, 23, 13)[1] == edge).any()
+    smaller = build(taus, [0.3, 0.5], taus, boxes[-2])
+    assert (sim._batch_chain(smaller, 600, 4, 23, 13)[1] == len(smaller[0].p) - 1).any()
+
+
+def test_wdd_chains_share_one_set_of_table_rows():
+    # the points' chains differ only in their reliability, so the engine
+    # builds one table for all of them, at radix 2
+    chains = sim._wdd_chains((4, 6, 8), [0.99, 0.97, 0.9], (4, 6, 8), 48)
+    assert all(c.succ is chains[0].succ and len(set(c.p.tolist())) == 1 for c in chains)
+    levels = [np.array([c.p[0]]) for c in chains]
+    *_, ok, base = sim._table_rows(chains, levels, 2)
+    assert ok.shape == (len(chains[0].p), 2) and base.tolist() == [0, 0, 0]
+    assert _steps_of(chains) == (_steps(len(chains[0].p), 2), 2)
+
+
+def test_wdd_engine_inputs_outside_its_rules_are_errors():
+    # one call of the slot loop takes one rule
+    equal, unequal = Instance((2, 3), (0.6, 0.6), 0.05), Instance((2, 3), (0.6, 0.7), 0.05)
+    with pytest.raises(ValueError):
+        _batch_wdd([equal, unequal], 100, 2, 1, (2, 3), 0)
+    # exact keys need t * lcm(tau) below 2**53: here lcm(tau) is about 1.2e11,
+    # too many key differences for a chain, and 10**5 slots too many for floats
+    taus = (37, 41, 43, 47, 53, 59, 61)
+    inst = Instance(taus, (0.9,) * len(taus), 0.05)
+    assert sim._wdd_chains(taus, [0.9], taus, 2 * math.lcm(*taus)) is None
+    with pytest.raises(ConfigError):
+        estimate_costs([inst], [None], SimConfig(horizon=10**5, trials=1, seed=0))
 
 
 def test_stacked_chain_engine_matches_reference_per_point():
@@ -191,15 +263,17 @@ def _two_client_stack():
     ]
 
 
-def _high_radix_stack():
-    # three clients at three epsilon points: nine distinct reliabilities (radix 10), two slots per step
+def _level_groups_stack():
+    # three clients, two chains at one epsilon and one at another: two sets of
+    # three reliabilities, ranked once each for three chains of 660 states
+    # (radix 4), two slots per step
     taus = (2, 3, 4)
-    a, b, c = [Instance(taus, (1 - eps, 1 - 2 * eps, 1 - 3 * eps), 0.05) for eps in (0.01, 0.04, 0.15)]
-    pa, pb = _random_policy(a, 9), _random_policy(b, 10)
-    sched, start = PeriodicSchedule((1, 2, 3), 3), (0, 1, 2)
+    a, c = [Instance(taus, (1 - eps, 1 - 2 * eps, 1 - 3 * eps), 0.05) for eps in (0.01, 0.15)]
+    pa, pb = _random_policy(a, 9), _random_policy(a, 10)
+    sched, start = PeriodicSchedule((1, 2, 3, 3, 2, 1, 2, 3, 1), 3), (0, 1, 2)
     return [
         (a, sim_oracle.stationary(pa, a), stationary_chain(pa, a), taus),
-        (b, sim_oracle.stationary(pb, b), stationary_chain(pb, b), taus),
+        (a, sim_oracle.stationary(pb, a), stationary_chain(pb, a), taus),
         (c, sim_oracle.ps(sched.sequence), periodic_chain(c, sched, start), start),
     ]
 
@@ -216,14 +290,24 @@ def _stack_above_the_table_limit():
 
 
 def _steps_of(chains):
-    """The chain engine's slots per lookup on a stack, and the radix of its uniforms' ranks."""
-    width = len(set(np.concatenate([c.p for c in chains]).tolist())) + 1
-    return _steps(sum(len(c.p) for c in chains), width), width
+    """The chain engine's slots per lookup on a stack, and the radix of its uniforms' ranks.
+
+    The radix is one more than the most distinct reliabilities of one chain,
+    and chains equal but for their start and the values of their
+    reliabilities share their table rows.
+    """
+    levels = [sorted(set(c.p.tolist())) for c in chains]
+    shared = {
+        (c.succ.tobytes(), c.fail.tobytes(), c.hits.tobytes(), np.searchsorted(lev, c.p).tobytes()): len(c.p)
+        for c, lev in zip(chains, levels)
+    }
+    width = max(map(len, levels)) + 1
+    return _steps(sum(shared.values()), width), width
 
 
 @pytest.mark.parametrize(
     "stack, steps, width",
-    [(_two_client_stack, 6, 3), (_high_radix_stack, 2, 10), (_stack_above_the_table_limit, 1, 4)],
+    [(_two_client_stack, 6, 3), (_level_groups_stack, 2, 4), (_stack_above_the_table_limit, 1, 4)],
 )
 def test_multi_slot_steps_match_the_oracle(stack, steps, width):
     # a 13-slot warmup and 75-slot blocks: most sub-slices end in a step of
@@ -258,9 +342,11 @@ def test_chain_engine_ranks_uniforms_equal_to_a_reliability_as_failures(monkeypa
 
 
 def test_estimate_costs_equals_estimate_cost_per_point():
-    # equal engine inputs share their trials, which must not change any point
+    # equal engine inputs share their trials, which must not change any point;
+    # at equal reliabilities WDD runs in the chain engine's call
     taus = (2, 3)
     insts = [Instance(taus, (0.6, 0.7), 0.05), Instance(taus, (0.6, 0.7), 0.2), Instance(taus, (0.9, 0.5), 0.1)]
+    insts.append(Instance(taus, (0.8, 0.8), 0.1))
     cfg = SimConfig(horizon=800, trials=6, seed=13, warmup=21)
     pol = _random_policy(insts[0], 5)
     makers = (
@@ -291,7 +377,7 @@ def test_single_client_threshold_frequency():
     # symmetric two-state chain spends half its accounted slots at threshold
     inst = Instance((1,), (0.5,), 0.1)
     pol = StationaryPolicy(np.array([1, 1]))
-    (res,) = tally_trials(_batch_chain([stationary_chain(pol, inst, (0,))], 200_000, 1, 9, 0), 1)[0]
+    (res,) = tally_trials(_batch_chain([stationary_chain(pol, inst, (0,))], 200_000, 1, 9, 0)[0], 1)[0]
     assert res.exceedance_total / 200_000 == pytest.approx(0.5, abs=0.01)
 
 
@@ -417,13 +503,19 @@ def test_warmup_shifts_accounting():
 
 @st.composite
 def _engine_cases(draw):
-    """A policy of each kind on 1 to 3 clients with thresholds up to 4, from a random start."""
+    """A policy of each kind on 1 to 3 clients with thresholds up to 4, from a random start.
+
+    WDD comes twice: at equal reliabilities (a chain) and at random ones.
+    """
     n = draw(st.integers(1, 3))
     taus = tuple(draw(st.integers(1, 4)) for _ in range(n))
-    ps = tuple(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["stationary", "prr", "ps", "wdd", "equal wdd"]))
+    if kind == "equal wdd":
+        ps = (draw(st.floats(0.05, 0.95)),) * n
+    else:
+        ps = tuple(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
     inst = Instance(taus, ps, 0.05)
     start = tuple(draw(st.integers(0, tau)) for tau in taus)
-    kind = draw(st.sampled_from(["stationary", "prr", "ps", "wdd"]))
     if kind == "stationary":
         size = inst.total_states
         pol = StationaryPolicy(draw(st.lists(st.integers(1, n), min_size=size, max_size=size)))
@@ -444,7 +536,7 @@ def _engine_cases(draw):
 def test_batch_engines_match_the_oracle_on_generated_cases(case, seed):
     inst, start, policy, chain, warmup, horizon = case
     if chain is None:
-        tallies = [_batch_wdd([inst], horizon, 2, seed, start, warmup)]
+        tallies = [_wdd_tally([inst], horizon, 2, seed, start, warmup)]
     else:
         tallies = _chain_tallies([chain], horizon, 2, seed, warmup)
     _assert_points_match_reference([inst], [policy], tallies, horizon, seed, [start], warmup)
