@@ -5,8 +5,7 @@ until a delivery succeeds, then the token rotates.  The periodic baseline is
 open loop: a fixed cyclic sequence indexed by the wall clock, never by state.
 The delivery-debt baseline (WDD), which serves the client with the largest
 weighted delivery debt, has no finite chain in general; ``sim`` simulates
-it, at equal reliabilities as a chain on (clipped state, key differences)
-clipped to a box.
+it as a chain on its exact integer key differences, clipped to a box.
 """
 
 from __future__ import annotations

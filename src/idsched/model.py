@@ -77,9 +77,6 @@ class Instance:
     def indexer(self) -> "StateIndexer":
         return StateIndexer(self.thresholds)
 
-    def to_json(self) -> dict:
-        return {"taus": list(self.thresholds), "ps": list(self.reliabilities), "theta": self.theta}
-
     @classmethod
     def from_json(cls, obj: dict) -> "Instance":
         return cls(_integers(obj["taus"], "taus"), _numbers(obj["ps"], "ps"), _number(obj["theta"], "theta"))
@@ -127,14 +124,6 @@ class AsymptoticInstance:
 
     def with_theta(self, theta: float) -> "AsymptoticInstance":
         return AsymptoticInstance(self.thresholds, self.coefficients, self.epsilon, theta)
-
-    def to_json(self) -> dict:
-        return {
-            "taus": list(self.thresholds),
-            "bs": list(self.coefficients),
-            "epsilon": self.epsilon,
-            "theta": self.theta,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "AsymptoticInstance":

@@ -9,15 +9,18 @@ trial index); the batch engines consume it as a per-slot walk of the model
 would, so results are independent of any batching, and repeated runs are
 bitwise identical.  A finite-memory policy enters as its ``exact.Chain``,
 which carries its start; WDD enters as ``None`` and starts from the
-all-threshold state.  At equal reliabilities WDD's decision lives on a finite
-lattice and it runs as a chain too (``_wdd_chains``); otherwise it runs slot
-by slot (``_batch_wdd``).
+all-threshold state.  WDD decides on exact integer keys (``_wdd_weights``), so
+its decision lives on a lattice of key differences, and it runs on that
+lattice in the chain engine too (``_wdd_chains``), paying from its deliveries;
+past the lattice's state cap it runs slot by slot on the same keys
+(``_batch_wdd``).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +34,7 @@ _MIN_BLOCK = 64  # shortest estimator block, in slots
 _MIN_COVERAGE = 0.5  # least effective sample size of the block weights, per block
 _SLICE = 2 * _MIN_BLOCK  # most slots a batch engine records before deriving their exceedances; no block is longer
 _TABLE = 2**15  # most entries of the chain engine's K-slot table
-_BOX = 2  # WDD's first box of key differences, in periods lcm(tau); doubled until no row reaches its edge
-_WDD_STATES = 2**18  # most states of a WDD chain; past them WDD runs slot by slot
+_WDD_STATES = 2**18  # most states of a WDD key lattice; past them WDD runs slot by slot
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def _steps(states: int, width: int) -> int:
     return steps
 
 
-def _step_tables(succ, fail, ok, hits, steps: int):
+def _step_tables(succ, fail, ok, hits, steps: int, deliveries: bool = False):
     """Moves of ``1 .. steps`` slots from every chain state, by the ranks of their uniforms.
 
     A slot from state ``s`` whose uniform has rank ``r`` delivers iff
@@ -141,16 +143,22 @@ def _step_tables(succ, fail, ok, hits, steps: int):
     significant) sits at ``offsets[k] + s * width**k + sum_i r_i *
     width**(k - 1 - i)``.  Returns ``offsets`` and, per entry, the state
     reached, scaled to the offset of its ``steps``-slot entries
-    (``state * width**steps``), and the exceedances paid (int16).
+    (``state * width**steps``), the exceedances paid (int16) and, with
+    ``deliveries``, ``to[j]``, the client that the entry's slot ``j``
+    delivers to: ``hits[s] + 1`` where the slot delivers from state ``s``,
+    else 0 (int8; ``hits`` then holds the client each state serves).
     """
     states, width = ok.shape
     offsets = np.cumsum([0, 0] + [states * width**k for k in range(1, steps + 1)])
     nxt = np.empty(offsets[-1], dtype=np.intp)
     exc = np.empty(offsets[-1], dtype=np.int16)
+    to = np.empty((steps if deliveries else 0, offsets[-1]), dtype=np.int8)
     first = np.where(ok, succ[:, None], fail[:, None]).ravel()
     one = slice(0, len(first))
     nxt[one] = first
     exc[one] = np.repeat(hits, width)
+    if deliveries:
+        to[0, one] = np.where(ok, hits[:, None] + 1, 0).ravel()
     for k in range(2, steps + 1):
         # k slots: one slot, then k - 1 slots from where it led, written in place
         prev, cur = slice(offsets[k - 1], offsets[k]), slice(offsets[k], offsets[k + 1])
@@ -158,8 +166,12 @@ def _step_tables(succ, fail, ok, hits, steps: int):
         paid = exc[cur].reshape(len(first), -1)
         np.take(exc[prev].reshape(states, -1), first, axis=0, out=paid)
         paid += exc[one, None]
+        if deliveries:
+            to[0, cur].reshape(len(first), -1)[:] = to[0, one, None]
+            for j in range(1, k):
+                np.take(to[j - 1, prev].reshape(states, -1), first, axis=0, out=to[j, cur].reshape(len(first), -1))
     nxt *= width**steps
-    return offsets, nxt, exc
+    return offsets, nxt, exc, to
 
 
 def _table_rows(chains: list[Chain], levels: list[np.ndarray], width: int):
@@ -186,57 +198,109 @@ def _table_rows(chains: list[Chain], levels: list[np.ndarray], width: int):
     return succ, fail, hits, np.arange(width) <= q[:, None], np.array(base)
 
 
+def _virtual_deliveries(start: State, lag: int) -> np.ndarray:
+    """Deliveries ``(client, slot)`` in the ``lag`` slots before the first: one at slot ``-x - 1`` for each client's start ``x``."""
+    return np.arange(lag) == lag - 1 - np.asarray(start)[:, None]
+
+
+def _exceedances(got: np.ndarray, taus: tuple[int, ...]) -> np.ndarray:
+    """Each row's exceedance total over a sub-slice, from its deliveries.
+
+    ``got[c, i, r]`` says whether row ``r`` delivered to client ``c`` in
+    slot ``i`` of the ``lag = max(taus)`` slots before the sub-slice and
+    then its own.  Client ``c`` pays in a slot where it had no delivery in
+    the ``tau_c`` slots before: the OR over that window, built from ORs of
+    doubling widths, is false.
+    """
+    lag = max(taus)
+    size = got.shape[1] - lag
+    covered = np.zeros(got.shape[2], dtype=np.int16)  # client-slots with a delivery in their window
+    for g, tau in zip(got, taus):
+        window, width = g[lag - tau : lag + size - 1], 1  # window[i]: a delivery in slots i .. i + width - 1 of g[lag - tau:]
+        while 2 * width <= tau:
+            window, width = window[:-width] | window[width:], 2 * width
+        if width < tau:
+            window = window[:size] | window[tau - width :]
+        covered += window.sum(axis=0, dtype=np.int16)
+    return len(taus) * size - covered
+
+
 def _batch_chain(
-    chains: list[Chain], horizon: int, trials: int, seed: int, warmup: int
+    chains: list[Chain],
+    horizon: int,
+    trials: int | Sequence[int],
+    seed: int,
+    warmup: int,
+    wdd: list[Chain] = (),
+    taus: tuple[int, ...] = (),
+    start: State = (),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block exceedance totals ``(rows, blocks)`` of each chain's trials, from its ``start``, and each row's last state.
 
-    Row ``(chain, trial)`` draws trial ``trial``'s uniforms.  A slot from
-    state ``s`` succeeds iff its uniform is below ``p[s]``, so it depends on
-    the uniform only through its rank among the chain's own distinct
-    reliabilities ``levels``, the number of them at or below it: ``u <
-    p[s]`` iff that rank is at most ``searchsorted(levels, p[s])``, the same
-    float comparisons.  So ``K`` slots from ``s`` depend only on ``s`` and
-    the ranks' base-``width`` code, ``width`` one more than the most levels
-    of any chain, and chains that differ only in their start or in the
-    values of their levels share their table rows (equal-reliability WDD at
-    every point of a sweep has one set).  The distinct rows are concatenated
-    with index offsets, and one lookup in ``_step_tables`` advances every
-    row by ``K`` slots, ``K`` the largest with ``states * width**K <=
-    _TABLE`` (at least 1): an add of the code to the row's state, which the
-    tables hold scaled to its entries, and a take.  The slot loop records
-    each row's table index; the exceedances are read from those records
-    after each sub-slice, whose last ``len % K`` slots take one shorter
-    step, and added to the sub-slice's block.  A row's last state is its
-    index in its own chain.
+    ``trials`` is a count or the indices of the trials to run, and row
+    ``(chain, trial)`` draws trial ``trial``'s uniforms.  ``wdd`` are WDD's
+    chains on key differences (``_wdd_chains``), stacked after ``chains``;
+    their rows start from clipped state ``start`` under thresholds ``taus``.
+    A slot from state ``s`` succeeds iff its uniform is below ``p[s]``, so
+    it depends on the uniform only through its rank among the chain's own
+    distinct reliabilities ``levels``, the number of them at or below it:
+    ``u < p[s]`` iff that rank is at most ``searchsorted(levels, p[s])``,
+    the same float comparisons.  So ``K`` slots from ``s`` depend only on
+    ``s`` and the ranks' base-``width`` code, ``width`` one more than the
+    most levels of any chain, and chains that differ only in their start or
+    in the values of their levels share their table rows (WDD's points of
+    one lattice have one set).  The distinct rows are concatenated with
+    index offsets, and one lookup in ``_step_tables`` advances every row by
+    ``K`` slots, ``K`` the largest with ``states * width**K <= _TABLE`` (at
+    least 1): an add of the code to the row's state, which the tables hold
+    scaled to its entries, and a take.  The slot loop records each row's
+    table index, and the records are read after each sub-slice, whose last
+    ``len % K`` slots take one shorter step.  A finite chain's entry records
+    what its slots pay, which is added to the sub-slice's block.  A WDD
+    row's entry records which client each of its slots delivers to; the row
+    pays from those deliveries and the last ``max(taus)`` slots' before them
+    (``_exceedances``).  A row's last state is its index in its own chain.
     """
-    levels = [np.array(sorted(set(c.p.tolist()))) for c in chains]
+    trials = range(trials) if isinstance(trials, int) else trials
+    stack = [*chains, *wdd]
+    levels = [np.array(sorted(set(c.p.tolist()))) for c in stack]
     width = max(map(len, levels)) + 1
-    succ, fail, hits, ok, base = _table_rows(chains, levels, width)
+    succ, fail, hits, ok, base = _table_rows(stack, levels, width)
     steps = _steps(len(ok), width)
-    entry, nxt, exc = _step_tables(succ, fail, ok, hits, steps)
+    entry, nxt, exc, to = _step_tables(succ, fail, ok, hits, steps, deliveries=bool(wdd))
+    del succ, fail, hits, ok  # the slot loop reads only the tables
     # chains with the same levels rank a uniform once; missing levels are
     # infinite, never at or below a uniform
     ranked = {lev.tobytes(): lev for lev in levels}
     group = [list(ranked).index(lev.tobytes()) for lev in levels]
-    if len(ranked) in (1, len(chains)):  # one group broadcasts, and one per chain is in order
+    if len(ranked) in (1, len(stack)):  # one group broadcasts, and one per chain is in order
         group = slice(None)
     bounds = np.full((width - 1, len(ranked), 1), np.inf)
     for g, lev in enumerate(ranked.values()):
         bounds[: len(lev), g, 0] = lev
-    shape = (len(chains), trials)
-    sidx = np.repeat([(b + c.start) * width**steps for b, c in zip(base, chains)], trials).reshape(shape)
+    shape = (len(stack), len(trials))
+    sidx = np.repeat([(b + c.start) * width**steps for b, c in zip(base, stack)], len(trials)).reshape(shape)
     # a block is at most 128 slots (block_edges) and pays at most n <= 63 per
     # slot (Instance caps the state space at 2**64 - 1), so its total fits 16 bits
-    blocks = np.zeros((shape[0] * trials, len(block_edges(horizon))), dtype=np.int16)
+    blocks = np.zeros((shape[0] * shape[1], len(block_edges(horizon))), dtype=np.int16)
+    split = len(chains) * len(trials)  # the first WDD row
+    if wdd:
+        # got[c, i]: the deliveries to client c in the lag slots before the
+        # sub-slice, then in its slots
+        lag = max(taus)
+        got = np.zeros((len(taus), lag + _SLICE, len(blocks) - split), dtype=bool)
+        got[:, :lag] = _virtual_deliveries(start, lag)[:, :, None]
+        dest = np.empty((_SLICE, got.shape[2]), dtype=np.int8)  # the client each slot delivers to, 1-based, or 0
+        clients = np.arange(1, len(taus) + 1, dtype=np.int8)[:, None, None]
 
-    for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
+    for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in trials], warmup, horizon):
         # the comparisons below read u once per level, faster contiguous than as the draw's strided view
         u = np.ascontiguousarray(u)[:, None]
         rank = (u >= bounds[0]).view(np.int8)  # a chain has at most 63 levels, one per client
         for bound in bounds[1:]:  # one comparison per level is cheaper than a binary search over a few
             rank += u >= bound
-        full, rest = divmod(len(u), steps)
+        size = len(u)
+        full, rest = divmod(size, steps)
         # each step's code, by Horner's rule over its slots (the last, shorter
         # step has fewer), plus its entries' offset; each step adds the row's
         # state to it in place and looks the sum up
@@ -253,222 +317,320 @@ def _batch_chain(
                 sidx //= width ** (steps - rest)
             step += sidx
             nxt.take(step, out=sidx, mode="clip")  # in range; "raise" would buffer the output
-        if t0 >= warmup:
-            blocks[:, block] += exc.take(at).sum(axis=0, dtype=np.int16).ravel()
+        if chains and t0 >= warmup:
+            blocks[:split, block] += exc.take(at[:, : len(chains)]).sum(axis=0, dtype=np.int16).ravel()
+        if wdd:
+            mine = at[:, len(chains) :].reshape(len(at), -1)
+            for j in range(steps):  # slot j of every step
+                dest[j:size:steps] = to[j].take(mine[: full + (j < rest)])
+            np.equal(dest[:size], clients, out=got[:, lag : lag + size])
+            if t0 >= warmup:
+                blocks[split:, block] += _exceedances(got[:, : lag + size], taus)
+            got[:, :lag] = got[:, size : size + lag]
     return blocks, (sidx // width**steps - base[:, None]).ravel()
 
 
-def _wdd_chains(taus: tuple[int, ...], ps: list[float], start: State, box: int) -> list[Chain] | None:
-    """Equal-reliability WDD at each reliability of ``ps``, as chains that share one structure.
+def _nearest_fraction(p: float) -> tuple[int, int]:
+    """``(P, Q)``, the fraction nearest to ``p`` with a denominator of at most 10**6.
 
-    With equal reliabilities WDD serves the first client with the largest
-    integer key ``e_c (L / tau_c)``, ``e_c = t - tau_c M_c`` and ``L =
-    lcm(tau)``, so its decision reads only the key differences ``K_c =
-    key_c - key_0`` (``c >= 1``).  A slot adds ``L / tau_c - L / tau_0`` to
-    every ``K_c``; a delivery to client 0 adds ``L`` to each of them, and one
-    to client ``c`` takes ``L`` from ``K_c``.  So WDD is a chain on (clipped
-    state, ``K``) from ``(start, 0)``, and neither its moves nor its
-    exceedances depend on the reliability.  ``K`` is clipped to the
-    box ``|K_c| <= box``: a move out of it goes to the last state, the edge,
-    which absorbs.  The states reached are found breadth first on sorted
-    int64 codes of ``(x, K + box)``, each level's moves computed once with
-    array operations, and a state's number is its code's rank.  Returns None
-    past ``_WDD_STATES`` states on two clients or more, or where the codes
-    would not fit.
+    The result of ``fractions.Fraction(p).limit_denominator(10**6)``, found
+    the same way: the last convergent of ``p``'s continued fraction within
+    the bound, or the semiconvergent after it if that is nearer.  (Importing
+    ``fractions`` imports ``decimal``, which raised the ``figures``
+    benchmark's peak resident memory by 0.3 MB.)
+    """
+    n, d = p.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while den and q0 + num // den * q1 <= 10**6:
+        a = num // den
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        num, den = den, num - a * den
+    if not den:  # p itself has a denominator within the bound
+        return p1, q1
+    k = (10**6 - q0) // q1
+    return (p1, q1) if 2 * den * (q0 + k * q1) <= d else (p0 + k * p1, q0 + k * q1)
+
+
+def _wdd_weights(taus: tuple[int, ...], ps: tuple[float, ...]) -> tuple[int, ...]:
+    """WDD's integer key weights ``w_c = L' / (tau_c P_c)``.
+
+    ``P_c / Q`` is reliability ``p_c`` as the nearest fraction with a
+    denominator of at most 10**6 (``_nearest_fraction``; ``Q`` the least
+    common denominator), and ``L' = lcm(tau_c P_c)``.  So the key ``(t -
+    tau_c M_c) w_c`` is the debt ``t / (p_c tau_c) - M_c / p_c`` at those
+    fractions times ``L' / Q``, and an integer: it orders the clients as
+    the debt does, ties included.  At equal reliabilities ``w_c = lcm(tau)
+    / tau_c``.
+    """
+    fracs = [_nearest_fraction(p) for p in ps]
+    if not all(num for num, _ in fracs):
+        raise ConfigError("WDD needs every reliability to be at least 5e-7, a positive fraction of denominator 10**6")
+    q = math.lcm(*(den for _, den in fracs))
+    scaled = [tau * num * (q // den) for tau, (num, den) in zip(taus, fracs)]
+    period = math.lcm(*scaled)
+    return tuple(period // x for x in scaled)
+
+
+def _first_box(taus: tuple[int, ...], w: tuple[int, ...], worst: float, trial_slots: int) -> int:
+    """WDD's first box of key differences, sized from the input so that rows seldom reach its edge.
+
+    Deliveries keep the keys within about one largest step ``s = max_c
+    tau_c w_c`` of each other, and WDD's rows stay inside ``2 s`` unless the
+    channels fail for long.  A failure run of ``f`` slots moves the key
+    differences by up to ``f (max w - min w)``.  The runs that count are the
+    least reliable client's (reliability ``worst``): the call's
+    ``trial_slots`` hold one of ``ln(trial_slots) / -ln(1 - worst)`` slots
+    about once, and one twice as long with a chance of about
+    ``1 / trial_slots``.  Runs broken by a delivery or two reach further
+    than one run alone, so the box allows the longer run: it is the larger
+    of ``2 s`` and ``s`` plus that run's move.
+    """
+    step = max(t * x for t, x in zip(taus, w))
+    run = math.ceil(2 * math.log(max(trial_slots, 2)) / -math.log1p(-worst))
+    return max(2 * step, step + run * (max(w) - min(w)))
+
+
+def _key_lattice(taus: tuple[int, ...], w: tuple[int, ...], box: int):
+    """WDD's decision as a chain on its key differences ``K_c = key_c - key_0`` (``c >= 1``), clipped to ``|K_c| <= box``.
+
+    WDD serves the first client with the largest key ``(t - tau_c M_c)
+    w_c`` (``_wdd_weights``): from ``K``, the first largest of ``(0, K)``.
+    A slot adds ``w_c - w_0`` to every ``K_c``; a delivery to client 0 adds
+    ``tau_0 w_0`` to each of them, and one to client ``c`` takes ``tau_c
+    w_c`` from ``K_c``.  Every row starts at ``K = 0``, whatever its clipped
+    state, so ``K_c`` stays a multiple of ``g_c``, the gcd of its three
+    moves.  A move out of the box goes to the last state, the edge, which
+    absorbs.  The box's points are coded by their digits ``K_c / g_c``, and
+    the states are the codes reached from 0, each numbered by its rank.
+    Where the box has at most ``_WDD_STATES`` points, every point's moves
+    are computed at once and the points reached are marked breadth first;
+    otherwise the search runs on sorted codes, each level's moves computed
+    with array operations.  Returns ``(succ, fail, served, start)``,
+    ``served`` the client each state serves, or None past ``_WDD_STATES``
+    states (on two clients, past as many points in the box, which bound the
+    states closely there), or where the keys or codes would not fit int64.
     """
     n = len(taus)
-    tau = np.asarray(taus, dtype=np.int64)[:, None]
-    period = math.lcm(*taus)
-    dims = [t + 1 for t in taus] + [2 * box + 1] * (n - 1)
-    if math.prod(dims) >= 2**63:
+    step = max(t * x for t, x in zip(taus, w))
+    moved = [(w[c] - w[0], taus[0] * w[0], taus[c] * w[c]) for c in range(1, n)]
+    unit = [math.gcd(*m) for m in moved]
+    half = [box // g for g in unit]  # the box, in multiples of g_c
+    volume = math.prod(2 * h + 1 for h in half)
+    if 4 * max(box, step, volume) >= 2**63 or (n == 2 and volume > _WDD_STATES):
         return None
-    limit = _WDD_STATES if n > 1 else dims[0]  # one client has no key differences: its chain is its clipped states
-    radix = np.array(dims, dtype=np.int64)[:, None]
-    stride = np.array([math.prod(dims[i + 1 :]) for i in range(len(dims))], dtype=np.int64)[:, None]
-    drift = period // tau[1:] - period // tau[0]
-    clients = np.arange(n)[:, None]
+    radix = np.array([2 * h + 1 for h in half], dtype=np.int64)[:, None]
+    stride = np.array([math.prod(2 * h + 1 for h in half[c + 1 :]) for c in range(n - 1)], dtype=np.int64)[:, None]
+    unit, half = (np.array(a, dtype=np.int64)[:, None] for a in (unit, half))
+    drift, gain, loss = np.array(moved, dtype=np.int64).reshape(n - 1, 3).T[:, :, None] // unit
+    clients = np.arange(1, n)[:, None]
 
-    def code(x, k):
-        """The codes of states ``(x, K)``, and -1 outside the box."""
-        inside = (abs(k) <= box).all(axis=0)
-        return np.where(inside, (x * stride[:n]).sum(axis=0) + ((k + box) * stride[n:]).sum(axis=0), -1)
+    def code(k):
+        """The codes of digits ``k``, and -1 outside the box."""
+        return np.where((abs(k) <= half).all(axis=0), ((k + half) * stride).sum(axis=0), -1)
 
     def moves(codes):
-        """The codes after a delivery and after a failure from each code, and its exceedances."""
-        digits = codes // stride % radix
-        x, k = digits[:n], digits[n:] - box
-        served = np.vstack((np.zeros_like(codes), k)).argmax(axis=0)  # the first largest key
-        fail_x, fail_k = np.minimum(x + 1, tau), k + drift
-        succ_x = np.where(clients == served, 0, fail_x)
-        succ_k = fail_k + period * (served == 0) - period * (clients[1:] == served)
-        return (code(succ_x, succ_k), code(fail_x, fail_k)), (x == tau).sum(axis=0)
+        """The codes after a delivery and after a failure from each code, and the client it serves."""
+        k = codes // stride % radix - half
+        served = np.vstack((np.zeros_like(codes), k * unit)).argmax(axis=0)  # the first largest key
+        fail = k + drift
+        return code(fail + gain * (served == 0) - loss * (clients == served)), code(fail), served
 
-    first = code(np.array(start, dtype=np.int64)[:, None], np.zeros((n - 1, 1), dtype=np.int64))
-    seen = frontier = first  # seen is sorted
-    found = []  # per breadth-first level: its codes, their successors' codes and exceedances
-    while frontier.size:
-        (succ, fail), hits = moves(frontier)
-        found.append((frontier, succ, fail, hits))
-        new = np.sort(np.concatenate((succ, fail)))
-        new = new[np.diff(new, prepend=-1) > 0]  # each code once, and no -1
-        at = np.searchsorted(seen, new)
-        frontier = new[seen.take(at, mode="clip") != new]
-        seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
-        if len(seen) > limit:
-            return None
-    edge = len(seen)
-    codes, succ, fail, hits = (np.concatenate(part) for part in zip(*found))
-    number = np.searchsorted(seen, codes)
-    moved = np.full((2, edge + 1), edge)
-    for row, ends in zip(moved, (succ, fail)):
-        row[number] = np.where(ends >= 0, np.searchsorted(seen, ends), edge)
-    paid = np.zeros(edge + 1, dtype=np.int64)  # the edge's rows are rerun, so what it pays never counts
-    paid[number] = hits
-    succ, fail = moved
-    return [Chain(succ=succ, fail=fail, p=np.full(edge + 1, p), hits=paid, start=int(number[0])) for p in ps]
-
-
-def _batch_wdd(insts: list[Instance], horizon: int, trials: int, seed: int, start: State, warmup: int) -> np.ndarray:
-    """Block exceedance totals ``(rows, blocks)`` of WDD's trials, rows ``(instance, trial)``, slot by slot.
-
-    The instances share thresholds and have two clients or more, and their
-    reliabilities are all unequal or all equal.  Each slot makes only the
-    decision, the first client with the largest debt (so ties go to the
-    lowest client), written one-hot into ``served``, and the channel draw,
-    and records the running delivery counts ``M``.  At unequal reliabilities
-    the debt is the float ``t / (p tau) - M / p``; at equal ones it is the
-    integer key ``t (L / tau) - M L``, ``L = lcm(tau)``, exact as a float
-    below ``2**53``.  A virtual delivery at slot ``-x - 1`` stands for each
-    client's start ``x``.  With ``D(t)`` a client's count before slot ``t``,
-    it sits at its threshold ``tau`` when ``D(t) == D(t - tau)`` (no
-    delivery in the last ``tau`` slots).  So the last ``max(tau) + 1``
-    records carry over between sub-slices.
-    """
-    taus = insts[0].thresholds
-    n = len(taus)
-    rows = len(insts) * trials
-    # per-slot arrays are client-major, (client, instance, trial), so that
-    # each operation runs along the trials
-    p = np.array([inst.reliabilities for inst in insts]).T[:, :, None]
-    ptau = p * np.asarray(taus, dtype=np.int64)[:, None, None]
-    p_rows = np.ascontiguousarray(np.broadcast_to(p, (n, len(insts), trials)))
-    equal = {len(set(inst.reliabilities)) == 1 for inst in insts}
-    if len(equal) > 1:
-        raise ValueError("WDD's points of one call must all have equal reliabilities, or none")
-    keyed = equal.pop()
-    if keyed:
-        period = math.lcm(*taus)
-        if (warmup + horizon) * period >= 2**53:
-            raise ConfigError("WDD's exact keys need (warmup + horizon) * lcm(thresholds) below 2**53")
-        weight = np.array([period // tau for tau in taus], dtype=float)[:, None, None]
-        owed, scale = np.multiply, float(period)
+    first = code(np.zeros((n - 1, 1), dtype=np.int64))
+    if volume <= _WDD_STATES:
+        every = moves(np.arange(volume))
+        reached = np.zeros(volume, dtype=bool)
+        reached[first] = True
+        frontier = first
+        while frontier.size:
+            new = np.sort(np.concatenate((every[0][frontier], every[1][frontier])))
+            new = new[np.diff(new, prepend=-1) > 0]  # each code once, and no -1
+            frontier = new[~reached[new]]
+            reached[frontier] = True
+        seen = np.flatnonzero(reached)
+        succ, fail, served = (a[seen] for a in every)
     else:
-        owed, scale = np.divide, p_rows
-    m_counts = np.zeros(p_rows.shape)  # deliveries so far; integers, exact as floats
-    m_rows = m_counts.reshape(n, rows)
-    debts = np.empty(p_rows.shape)
-    served = np.empty(p_rows.shape, dtype=bool)  # one-hot in the client
-    got = np.empty(p_rows.shape, dtype=bool)
-    clients = np.arange(n, dtype=np.int8)[:, None, None]
-    index = np.empty(p_rows.shape[1:], dtype=np.int8)  # the served client, from three clients on
-    best, better = np.empty(index.shape), np.empty(index.shape, dtype=bool)
-    lag = max(taus) + 1
-    # record[i]: the counts after slot t0 - lag + i, for the sub-slice from t0;
-    # before the first slot they are -1, and 0 from the virtual delivery on
-    record = np.empty((lag + _SLICE, n, rows), dtype=np.int32)
-    record[:lag] = (np.arange(lag)[:, None] >= lag - 1 - np.asarray(start))[:, :, None] - 1
-    # a block is at most 128 slots (block_edges) and pays at most n <= 63 per
-    # slot (Instance caps the state space at 2**64 - 1), so its total fits 16 bits
-    blocks = np.zeros((rows, len(block_edges(horizon))), dtype=np.int16)
+        seen = frontier = first  # seen is sorted
+        found = []  # per breadth-first level: its codes, their successors' codes and served clients
+        while frontier.size:
+            found.append((frontier, *moves(frontier)))
+            new = np.sort(np.concatenate(found[-1][1:3]))
+            new = new[np.diff(new, prepend=-1) > 0]
+            frontier = new[seen.take(np.searchsorted(seen, new), mode="clip") != new]
+            seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
+            if len(seen) > _WDD_STATES:
+                return None
+        codes, succ, fail, served = (np.concatenate(part) for part in zip(*found))
+        order = np.argsort(codes)
+        succ, fail, served = succ[order], fail[order], served[order]
+    edge = len(seen)
+    ends = np.full((2, edge + 1), edge, dtype=np.int32)  # the edge absorbs
+    for row, to in zip(ends, (succ, fail)):
+        row[:edge] = np.where(to >= 0, np.searchsorted(seen, to), edge)
+    client = np.zeros(edge + 1, dtype=np.int8)  # the edge's rows are rerun, so what it serves never counts
+    client[:edge] = served
+    return ends[0], ends[1], client, int(np.searchsorted(seen, first)[0])
 
-    for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in range(trials)], warmup, horizon):
+
+def _wdd_chains(taus: tuple[int, ...], points: list[tuple[float, ...]], boxes: list[int]) -> list[Chain | None]:
+    """WDD at each point (its reliabilities) as a chain on its key lattice in its box (``_key_lattice``).
+
+    A state's ``p`` is the reliability of the client it serves, so every
+    slot compares its uniform with the same float as the per-slot rule, and
+    its ``hits`` is that client (0-based), which the chain engine's WDD rows
+    read instead of what a state pays.  Points with equal weights and boxes
+    share one lattice, and their chains its arrays.  None where the lattice
+    is None.
+    """
+    lattices, chains = {}, []
+    for ps, box in zip(points, boxes):
+        key = (_wdd_weights(taus, ps), box)
+        if key not in lattices:
+            lattices[key] = _key_lattice(taus, *key)
+        if lattices[key] is None:
+            chains.append(None)
+            continue
+        succ, fail, served, start = lattices[key]
+        chains.append(Chain(succ=succ, fail=fail, p=np.array(ps)[served], hits=served, start=start))
+    return chains
+
+
+def _batch_wdd(
+    taus: tuple[int, ...],
+    points: list[tuple[float, ...]],
+    horizon: int,
+    trials: int | Sequence[int],
+    seed: int,
+    start: State,
+    warmup: int,
+) -> np.ndarray:
+    """Block exceedance totals ``(rows, blocks)`` of WDD's trials, rows ``(point, trial)``, slot by slot.
+
+    The points (their reliabilities) have two clients or more, and
+    ``trials`` is a count or the indices of the trials to run.  Each slot
+    serves the first largest of ``(0, K)``, ``K`` the key differences of
+    ``_key_lattice``, writes whether each client got a delivery into ``got``
+    and moves ``K`` as the lattice does.  ``K`` is int64 where no run of
+    ``warmup + horizon`` slots can overflow it, and Python ints otherwise.
+    Rows pay from their deliveries (``_exceedances``).
+    """
+    trials = range(trials) if isinstance(trials, int) else trials
+    n, lag = len(taus), max(taus)
+    weights = [_wdd_weights(taus, ps) for ps in points]
+    # a slot moves each K_c by at most 2 max_c tau_c w_c
+    largest = 2 * (warmup + horizon) * max(t * x for w in weights for t, x in zip(taus, w))
+    dtype = np.int64 if largest < 2**63 else object
+    # per-slot arrays are client-major, (client, point, trial), so that each
+    # operation runs along the trials
+    shape = (len(points), len(trials))
+    w = np.array(weights, dtype=dtype).T[:, :, None]
+    drift = w[1:] - w[0]
+    gain, loss = taus[0] * w[0], np.array(taus[1:], dtype=dtype)[:, None, None] * w[1:]
+    p_rows = np.ascontiguousarray(np.broadcast_to(np.array(points).T[:, :, None], (n, *shape)))
+    keys = np.zeros((n - 1, *shape), dtype=dtype)
+    served = np.empty((n, *shape), dtype=bool)  # one-hot in the client
+    clients = np.arange(n, dtype=np.int8)[:, None, None]
+    index = np.empty(shape, dtype=np.int8)  # the served client, from three clients on
+    best, better = np.empty(shape, dtype=dtype), np.empty(shape, dtype=bool)
+    got = np.zeros((n, lag + _SLICE, *shape), dtype=bool)  # as in _batch_chain
+    got[:, :lag] = _virtual_deliveries(start, lag)[:, :, None, None]
+    blocks = np.zeros((math.prod(shape), len(block_edges(horizon))), dtype=np.int16)
+
+    for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in trials], warmup, horizon):
         size = len(u)
-        times = np.arange(t0, t0 + size)[:, None, None, None]
-        t_debts = times * weight if keyed else times / ptau
         reach = u[:, None, None, :] < p_rows  # the outcome, had each client been served
         for j in range(size):
-            owed(m_counts, scale, out=debts)
-            np.subtract(t_debts[j], debts, out=debts)
             if n == 2:
-                np.greater(debts[1], debts[0], out=served[1])
+                np.greater(keys[0], 0, out=served[1])
                 np.logical_not(served[1], out=served[0])
             else:
-                np.greater(debts[1], debts[0], out=index.view(bool))  # 0 or 1, without a cast to int8
-                np.maximum(debts[0], debts[1], out=best)
+                np.greater(keys[0], 0, out=index.view(bool))  # 0 or 1, without a cast to int8
+                np.maximum(keys[0], 0, out=best)
                 for c in range(2, n):
-                    np.greater(debts[c], best, out=better)
+                    np.greater(keys[c - 1], best, out=better)
                     np.copyto(index, c, where=better)
                     if c + 1 < n:
-                        np.maximum(best, debts[c], out=best)
+                        np.maximum(best, keys[c - 1], out=best)
                 np.equal(clients, index, out=served)
-            np.logical_and(served, reach[j], out=got)
-            m_counts += got
-            record[lag + j] = m_rows
-
+            now = got[:, lag + j]
+            np.logical_and(served, reach[j], out=now)
+            keys += drift
+            np.add(keys, gain, out=keys, where=now[0])
+            np.subtract(keys, loss, out=keys, where=now[1:])
         if t0 >= warmup:
-            exc = np.zeros((size, rows), dtype=np.int16)
-            for c, tau in enumerate(taus):
-                # D(t0 + j) == D(t0 + j - tau): the client's counts before those slots
-                exc += record[lag - 1 : lag - 1 + size, c] == record[lag - 1 - tau : lag - 1 - tau + size, c]
-            blocks[:, block] += exc.sum(axis=0)
-        record[:lag] = record[size : size + lag]
+            blocks[:, block] += _exceedances(got[:, : lag + size].reshape(n, lag + size, -1), taus)
+        got[:, :lag] = got[:, size : size + lag]
     return blocks
 
 
 def _run_trials(
     insts: list[Instance], chains: list[Chain | None], cfg: SimConfig, start: State | None = None
 ) -> list[tuple[np.ndarray, slice]]:
-    """The trials of every point ``(insts[i], chains[i])``, one call per engine.
+    """The trials of every point ``(insts[i], chains[i])``, in one call of the chain engine but for WDD's reruns and slot loop.
 
     Returns each point's engine block totals and its slice of their rows.  A
     chain of ``None`` stands for WDD, from ``start`` (the all-threshold state
     by default).  The points must share thresholds.  Points whose engine
     inputs are equal share one set of rows: for WDD the inputs are the
     reliabilities (theta never enters the engine), for a chain its start and
-    the arrays the engine reads.  WDD at equal reliabilities runs as chains
-    (``_wdd_chains``) in the chain engine's call, first in a box of
-    ``_BOX * lcm(tau)``; if a row ends on the box's edge, the call reruns
-    with the box doubled, so the box never changes a row.  Past the chain's
-    state cap, and at unequal reliabilities, WDD runs slot by slot
-    (``_batch_wdd``).
+    the arrays the engine reads.  WDD runs as chains on its key lattices
+    (``_wdd_chains``) in the chain engine's call, each in a first box sized
+    from the input (``_first_box``).  A row that ends on its box's edge
+    reruns alone, on its own stream, in twice the box, until none does, so
+    the box never changes a row; no other row reruns.  Past the lattice's
+    state cap WDD runs slot by slot (``_batch_wdd``).
     """
     taus = insts[0].thresholds
     if any(inst.thresholds != taus for inst in insts):
         raise ValueError("the points of one simulation must share thresholds")
     start = taus if start is None else start
-    points: dict = {"wdd": {}, "keyed": {}, "chain": {}}  # keyed: WDD at equal reliabilities
+    points: dict = {"wdd": {}, "chain": {}}
     keys = []
     for inst, chain in zip(insts, chains):
         if chain is None:
-            key = ("keyed" if len(set(inst.reliabilities)) == 1 else "wdd", inst.reliabilities)
-            points[key[0]].setdefault(key, inst)
+            key = ("wdd", inst.reliabilities)
+            points["wdd"].setdefault(key, inst.reliabilities)
         else:
             arrays = (chain.succ, chain.fail, chain.p, chain.hits)
             key = ("chain", chain.start, *(a.tobytes() for a in arrays))
-            points[key[0]].setdefault(key, chain)
+            points["chain"].setdefault(key, chain)
         keys.append(key)
-    args = (cfg.horizon, cfg.trials, cfg.seed)
-    blocks = {}
-    if points["wdd"]:
-        blocks["wdd"] = _batch_wdd(list(points["wdd"].values()), *args, start, cfg.warmup)
-    keyed = list(points["keyed"].values())
-    box = _BOX * math.lcm(*taus)
-    while True:
-        wdd = _wdd_chains(taus, [inst.reliabilities[0] for inst in keyed], start, box) if keyed else []
-        if wdd is None:  # past the state cap: the same keys, slot by slot
-            blocks["keyed"], wdd = _batch_wdd(keyed, *args, start, cfg.warmup), []
-        stack = list(points["chain"].values()) + wdd
-        if not stack:
-            break
-        totals, ends = _batch_chain(stack, *args, cfg.warmup)
-        split = len(points["chain"]) * cfg.trials
-        if not wdd or not (ends[split:] == len(wdd[0].p) - 1).any():  # no row ended on the box's edge
-            blocks["chain"] = totals[:split]
-            blocks.setdefault("keyed", totals[split:])
-            break
-        box *= 2
+    finite, wdd = list(points["chain"].values()), list(points["wdd"].values())
+    horizon, trials, seed, warmup = cfg.horizon, cfg.trials, cfg.seed, cfg.warmup
+    weights = [_wdd_weights(taus, ps) for ps in wdd]
+    worst = {w: min(min(ps) for ps, v in zip(wdd, weights) if v == w) for w in weights}  # per lattice
+    boxes = [_first_box(taus, w, worst[w], len(wdd) * trials * (warmup + horizon)) for w in weights]
+    built = _wdd_chains(taus, wdd, boxes)
+    rows = {}  # per (kind, group): the engine's block totals and the group's first row in them
+    rerun = []  # (WDD's point, its trials that ended on their box's edge)
+    lattice = [i for i, chain in enumerate(built) if chain is not None]
+    if finite or lattice:
+        totals, ends = _batch_chain(finite, horizon, trials, seed, warmup, [built[i] for i in lattice], taus, start)
+        rows.update({("chain", g): (totals, g * trials) for g in range(len(finite))})
+        for k, i in enumerate(lattice, len(finite)):
+            rows["wdd", i] = (totals, k * trials)
+            rerun.append((i, np.flatnonzero(ends[k * trials : (k + 1) * trials] == len(built[i].p) - 1)))
+    slow = [i for i, chain in enumerate(built) if chain is None]
+    if slow:
+        totals = _batch_wdd(taus, [wdd[i] for i in slow], horizon, trials, seed, start, warmup)
+        rows.update({("wdd", i): (totals, k * trials) for k, i in enumerate(slow)})
+    rerun = [(i, edge) for i, edge in rerun if edge.size]
+    while rerun:
+        for i, _ in rerun:
+            boxes[i] *= 2
+        built = _wdd_chains(taus, [wdd[i] for i, _ in rerun], [boxes[i] for i, _ in rerun])
+        again = []
+        for (i, edge), chain in zip(rerun, built):
+            totals, first = rows["wdd", i]
+            if chain is None:  # past the state cap: the same keys, slot by slot
+                totals[first + edge] = _batch_wdd(taus, [wdd[i]], horizon, edge, seed, start, warmup)
+                continue
+            totals[first + edge], ends = _batch_chain([], horizon, edge, seed, warmup, [chain], taus, start)
+            again.append((i, edge[ends == len(chain.p) - 1]))
+        rerun = [(i, edge) for i, edge in again if edge.size]
     group = {key: g for kind in points.values() for g, key in enumerate(kind)}
-    return [(blocks[key[0]], slice(group[key] * cfg.trials, (group[key] + 1) * cfg.trials)) for key in keys]
+    found = [rows[key[0], group[key]] for key in keys]
+    return [(totals, slice(first, first + trials)) for totals, first in found]
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +640,11 @@ def _run_trials(
 def estimate_costs(insts: list[Instance], chains: list[Chain | None], cfg: SimConfig) -> list[CostEstimate]:
     """Risk-sensitive average costs at every point ``(insts[i], chains[i])`` of one sweep.
 
-    The points share thresholds, and each engine runs once for all of them;
-    points with equal engine inputs share their trials (see ``_run_trials``).
+    The points share thresholds, and a chain of None stands for WDD.  One
+    call of the chain engine runs every point, WDD's on its key lattices;
+    only WDD's rows that end on their box's edge rerun, and only lattices
+    past their state cap run in WDD's slot loop.  Points with equal engine
+    inputs share their trials (see ``_run_trials``).
     Each trial is cut into ``n`` nested blocks of mean length
     ``L = horizon / n`` (see ``block_edges``).  With ``C_b`` the exceedance
     total of block ``b``, pooled over all trials, the batch-means estimate of

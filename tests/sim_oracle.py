@@ -10,6 +10,7 @@ through ``sim._slices``, as the batch engines do.  Nothing here reads
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,21 +37,22 @@ def ps(sequence):
 def wdd(inst):
     """Weighted delivery debt on the ledger ``(t, M)`` of elapsed slots and delivery counts.
 
-    It serves the largest debt ``t / (p tau) - M / p``; ties go to the lowest
-    client.  At equal reliabilities the debt is the integer key
-    ``(t - tau M) (L / tau)``, ``L = lcm(tau)``, so ties are exact.
+    It serves the first client with the largest debt ``(t - tau M) / (tau p)``
+    (``t / (p tau) - M / p``), with each reliability ``p`` taken as the
+    nearest fraction with a denominator of at most 10**6.  Over those
+    fractions ``P / Q`` the debts are the integer keys ``(t - tau M) w`` up to
+    a common factor, ``w = L' / (tau P)`` and ``L' = lcm(tau P)``, so ties
+    go to the lowest client exactly.
     """
-    period = math.lcm(*inst.thresholds)
-    keyed = len(set(inst.reliabilities)) == 1
+    fracs = [Fraction(p).limit_denominator(10**6) for p in inst.reliabilities]
+    q = math.lcm(*(f.denominator for f in fracs))
+    scaled = [tau * int(f * q) for tau, f in zip(inst.thresholds, fracs)]
+    weights = [math.lcm(*scaled) // x for x in scaled]
 
     def serve(x, ledger):
         t, counts = ledger
-        best_u, best_debt = 1, -math.inf
-        for n, (p, tau, m) in enumerate(zip(inst.reliabilities, inst.thresholds, counts)):
-            debt = (t - tau * m) * (period // tau) if keyed else t / (p * tau) - m / p
-            if debt > best_debt:
-                best_u, best_debt = n + 1, debt
-        return best_u
+        keys = [(t - tau * m) * w for tau, m, w in zip(inst.thresholds, counts, weights)]
+        return keys.index(max(keys)) + 1
 
     def advance(ledger, u, delivered):
         t, counts = ledger

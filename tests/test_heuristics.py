@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sim_oracle
@@ -44,17 +44,22 @@ def test_wdd_decide_examples():
 
 
 def test_wdd_argmax_invariances():
-    # common scaling of equal reliabilities never changes the winner, nor
-    # does a shift of the ledger by whole periods (t, M) -> (t + k L, M + k L / tau)
+    # common scaling of the reliabilities, equal or not, never changes the
+    # winner, nor does a shift of the ledger by whole periods
+    # (t, M) -> (t + k L, M + k L / tau), L = lcm(tau)
     taus = (2, 4, 3)
     period = math.lcm(*taus)
-    lo = sim_oracle.wdd(Instance(taus, (0.4, 0.4, 0.4), 0.05))[1]
-    hi = sim_oracle.wdd(Instance(taus, (0.8, 0.8, 0.8), 0.05))[1]
-    for t, ms in [(5, (1, 0, 1)), (9, (2, 2, 1)), (12, (3, 1, 2)), (12, (6, 3, 4)), (24, (11, 6, 8))]:
-        assert lo(ANY, (t, ms)) == hi(ANY, (t, ms))
-        for k in (1, 7, 10**6 // period):
-            shifted = (t + k * period, tuple(m + k * period // tau for m, tau in zip(ms, taus)))
-            assert lo(ANY, shifted) == hi(ANY, shifted) == lo(ANY, (t, ms))
+    for lo_ps, hi_ps in [((0.4, 0.4, 0.4), (0.8, 0.8, 0.8)), ((0.3, 0.45, 0.2), (0.6, 0.9, 0.4))]:
+        lo = sim_oracle.wdd(Instance(taus, lo_ps, 0.05))[1]
+        hi = sim_oracle.wdd(Instance(taus, hi_ps, 0.05))[1]
+        for t, ms in [(5, (1, 0, 1)), (9, (2, 2, 1)), (12, (3, 1, 2)), (12, (6, 3, 4)), (24, (11, 6, 8))]:
+            assert lo(ANY, (t, ms)) == hi(ANY, (t, ms))
+            for k in (1, 7, 10**6 // period):
+                shifted = (t + k * period, tuple(m + k * period // tau for m, tau in zip(ms, taus)))
+                assert lo(ANY, shifted) == hi(ANY, shifted) == lo(ANY, (t, ms))
+    # at unequal reliabilities the debts weigh e = t - tau M by 1 / (tau p):
+    # e = (2, 4, 3) owes 10/3, 20/9 and 5
+    assert sim_oracle.wdd(Instance(taus, (0.3, 0.45, 0.2), 0.05))[1](ANY, (12, (5, 2, 3))) == 3
 
 
 @st.composite
@@ -79,6 +84,46 @@ def test_equal_reliability_wdd_serves_the_largest_exact_debt(case):
     inst, t, counts = case
     p = Fraction(inst.reliabilities[0])
     debts = [(t - tau * m) / (tau * p) for tau, m in zip(inst.thresholds, counts)]
+    assert sim_oracle.wdd(inst)[1](ANY, (t, counts)) == debts.index(max(debts)) + 1
+
+
+def _decimal(draw):
+    """A reliability written with a few decimals, or as ``1 - b eps``, which floats hold inexactly (1 - 3 * 0.2 is 0.3999999999999999)."""
+    if draw(st.booleans()):
+        digits = draw(st.integers(1, 4))
+        return draw(st.integers(1, 10**digits - 1)) / 10**digits
+    eps = draw(st.sampled_from([0.2, 0.1, 0.03, 0.01, 0.003, 0.001]))
+    return 1 - draw(st.integers(1, 3)) * eps
+
+
+@st.composite
+def _unequal_reliability_ledgers(draw):
+    """An instance of 1 to 4 clients at decimal reliabilities, thresholds up to 10, and a ledger ``(t, M)`` with t up to 10**7.
+
+    As in ``_equal_reliability_ledgers``, each count sits within a few of
+    ``t / tau``; two clients often share a reliability, and their
+    keys then tie exactly.
+    """
+    n = draw(st.integers(1, 4))
+    taus = tuple(draw(st.integers(1, 10)) for _ in range(n))
+    period = math.lcm(*taus)
+    t = draw(st.one_of(st.integers(0, 10**7 // period).map(lambda j: j * period), st.integers(0, 10**7)))
+    counts = tuple(max(0, t // tau - draw(st.integers(-3, 3))) for tau in taus)
+    pool = [_decimal(draw) for _ in range(draw(st.integers(1, n)))]
+    return Instance(taus, tuple(draw(st.sampled_from(pool)) for _ in range(n)), 0.05), t, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unequal_reliability_ledgers())
+@example((Instance((1, 2, 1), (0.9, 0.9, 0.1), 0.05), 38, (39, 20, 39)))
+def test_unequal_reliability_wdd_serves_the_largest_exact_debt(case):
+    # the first client with the largest rational debt (t - tau M) / (tau p),
+    # p the fraction nearest to the reliability with a denominator of at most
+    # 10**6; in the example clients 1 and 2 both owe -10/9, and the float
+    # debts t / (p tau) - M / p give the tie to client 2
+    inst, t, counts = case
+    ps = [Fraction(p).limit_denominator(10**6) for p in inst.reliabilities]
+    debts = [(t - tau * m) / (tau * p) for tau, m, p in zip(inst.thresholds, counts, ps)]
     assert sim_oracle.wdd(inst)[1](ANY, (t, counts)) == debts.index(max(debts)) + 1
 
 

@@ -131,16 +131,14 @@ def test_exclusion_state():
     assert exclusion_state((4,), 1) == (0,)
 
 
-def test_json_round_trips_with_fixed_field_names():
-    inst = Instance((3, 5), (0.4, 0.1), 0.01)
-    blob = json.dumps(inst.to_json())
-    assert json.loads(blob) == {"taus": [3, 5], "ps": [0.4, 0.1], "theta": 0.01}
-    assert instance_from_json(blob) == inst
+def test_instances_read_from_json_with_fixed_field_names():
+    # a JSON string or its dict; the asymptotic form has "bs"
+    fixed = {"taus": [3, 5], "ps": [0.4, 0.1], "theta": 0.01}
+    assert instance_from_json(json.dumps(fixed)) == instance_from_json(fixed) == Instance((3, 5), (0.4, 0.1), 0.01)
 
-    ai = AsymptoticInstance((3, 5), (2.0, 1.0), 0.001, 0.01)
-    blob = json.dumps(ai.to_json())
-    assert json.loads(blob) == {"taus": [3, 5], "bs": [2.0, 1.0], "epsilon": 0.001, "theta": 0.01}
-    assert instance_from_json(blob) == ai
+    asymptotic = {"taus": [3, 5], "bs": [2.0, 1.0], "epsilon": 0.001, "theta": 0.01}
+    expected = AsymptoticInstance((3, 5), (2.0, 1.0), 0.001, 0.01)
+    assert instance_from_json(json.dumps(asymptotic)) == instance_from_json(asymptotic) == expected
 
 
 def test_transition_tables_agree_with_tuple_operations():

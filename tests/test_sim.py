@@ -20,7 +20,7 @@ from idsched.sim import (
     estimate_costs,
     log_mean_exp,
 )
-from idsched.sim import _DRAW, _MIN_BLOCK, _SLICE, _TABLE, _batch_chain, _batch_wdd, _slices, _steps
+from idsched.sim import _DRAW, _MIN_BLOCK, _SLICE, _TABLE, _batch_chain, _slices, _steps
 
 
 def _random_policy(inst, seed):
@@ -44,7 +44,7 @@ def _chain_tallies(chains, horizon, trials, seed, warmup):
 def _wdd_tally(insts, horizon, trials, seed, start, warmup):
     """WDD's block totals, rows ``(point, trial)``, as a sweep runs them.
 
-    That is as chains at equal reliabilities, and slot by slot otherwise.
+    That is as chains on key lattices, and slot by slot past their state cap.
     """
     runs = sim._run_trials(insts, [None] * len(insts), SimConfig(horizon, trials, seed, warmup), start)
     return np.concatenate([blocks[rows] for blocks, rows in runs])
@@ -70,8 +70,7 @@ def test_batch_engines_match_reference_exactly():
             assert len(r.block_exceedances) > 1
             assert _fields(r) == _fields(b)
 
-    # WDD on one client (a chain on the clipped states), two (one
-    # comparison) and four (the comparison chain into a client index)
+    # WDD on one client (a key lattice of one state), two and four clients
     inst1 = Instance((3,), (0.7,), 0.05)
     inst4 = Instance((2, 3, 4, 5), (0.6, 0.9, 0.7, 0.8), 0.05)
     for case in (inst1, inst, inst4):
@@ -150,16 +149,20 @@ def _assert_points_match_reference(insts, policies, tallies, horizon, seed, star
         # a start below the thresholds, with no warmup to hide its encoding
         ((2, 3), [(0.6, 0.7), (0.8, 0.5)], (0, 3), 500, 0),
         # equal reliabilities, where the decision ties exactly; a 3-slot warmup
-        # makes a sub-slice shorter than the carried records
+        # makes a sub-slice shorter than the carried deliveries
         ((2, 4), [(0.9, 0.9), (0.6, 0.6)], None, 1000, 3),
         # a full 256-slot sub-slice in the warmup, and a horizon off the 256 grid
         ((2, 3), [(0.6, 0.7)], None, 777, 300),
+        # unequal decimal reliabilities from starts below the thresholds: two
+        # clients near fig4's, whose weights are (165, 98), three, and four
+        ((3, 5), [(0.98, 0.99), (0.8, 0.9)], (0, 4), 700, 9),
+        ((2, 3, 4), [(0.95, 0.9, 0.85), (0.5, 0.6, 0.55)], (1, 3, 0), 600, 17),
+        ((2, 3, 4, 5), [(0.9, 0.95, 0.85, 0.8), (0.7, 0.6, 0.7, 0.9)], (2, 0, 3, 1), 500, 21),
     ],
 )
 def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, start, horizon, warmup):
-    # equal reliabilities run as chains, unequal ones slot by slot, each
-    # stacked over its points; then the equal ones slot by slot too, past a
-    # state cap of 0
+    # every point runs on its key lattice, stacked in one call of the chain
+    # engine; then slot by slot, past a state cap of 0
     insts = [Instance(taus, ps, 0.05 * (k + 1)) for k, ps in enumerate(reliabilities)]
     trials = 2 if warmup > horizon else 4
     tally = _wdd_tally(insts, horizon, trials, 17, start, warmup)
@@ -169,7 +172,7 @@ def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, sta
     with mock.patch.object(sim, "_DRAW", 1):
         one_slice = _wdd_tally(insts, horizon, trials, 17, start, warmup)
     with mock.patch.object(sim, "_WDD_STATES", 0):
-        assert sim._wdd_chains(taus, [0.5], start or taus, sim._BOX * math.lcm(*taus)) is None
+        assert sim._wdd_chains(taus, reliabilities, [10**3] * len(insts)) == [None] * len(insts)
         slot_by_slot = _wdd_tally(insts, horizon, trials, 17, start, warmup)
     policies = [sim_oracle.wdd(inst) for inst in insts]
     starts = [start or taus] * len(insts)
@@ -177,40 +180,69 @@ def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, sta
 
 
 def test_wdd_chains_rerun_in_a_doubled_box_until_no_row_reaches_its_edge(monkeypatch):
-    # a first box of one period, at reliabilities low enough that failure
-    # runs carry the key differences out of it: the call, which also runs a
-    # stationary chain, reruns in twice the box until no row ends on the
-    # edge, and every row equals the oracle's
+    # a first box of one largest step tau_c w_c, at reliabilities low enough
+    # that failure runs carry the key differences out of it: the rows that
+    # end on the edge, and only they, rerun alone in twice the box until none
+    # does; the stationary chain in the first call never reruns, and every
+    # row equals the oracle's
     taus = (2, 3, 4)
-    insts = [Instance(taus, (p,) * 3, 0.05) for p in (0.3, 0.5)] + [Instance(taus, (0.6, 0.7, 0.8), 0.05)]
-    pol = _random_policy(insts[2], 11)
-    boxes = []
-    build = sim._wdd_chains
+    insts = [Instance(taus, ps, 0.05) for ps in ((0.3,) * 3, (0.99,) * 3, (0.4, 0.3, 0.5), (0.6, 0.7, 0.8))]
+    pol = _random_policy(insts[3], 11)
+    calls = []  # per engine call: finite chains, WDD's points, trials, and which of WDD's rows ended on the edge
+    boxes = []  # per build of WDD's chains: each point's box
+    build, chain_engine, slot_loop = sim._wdd_chains, sim._batch_chain, sim._batch_wdd
 
-    def recorded(*args):
-        boxes.append(args[-1])
-        return build(*args)
+    def recorded_build(taus, points, sizes):
+        boxes.append(dict(zip(points, sizes)))
+        return build(taus, points, sizes)
 
-    monkeypatch.setattr(sim, "_BOX", 1)
-    monkeypatch.setattr(sim, "_wdd_chains", recorded)
-    runs = sim._run_trials(insts, [None, None, stationary_chain(pol, insts[2])], SimConfig(600, 4, 23, 13))
-    assert len(boxes) >= 3 and boxes == [12 * 2**k for k in range(len(boxes))]
+    def recorded_chains(chains, horizon, trials, seed, warmup, wdd, *args):
+        totals, ends = chain_engine(chains, horizon, trials, seed, warmup, wdd, *args)
+        trials = range(trials) if isinstance(trials, int) else trials
+        edge = [ends[len(chains) * len(trials) :].reshape(len(wdd), -1)[k] == len(c.p) - 1 for k, c in enumerate(wdd)]
+        calls.append((len(chains), [frozenset(c.p.tolist()) for c in wdd], list(trials), edge))
+        return totals, ends
+
+    def recorded_slots(taus, points, horizon, trials, *args):
+        # a rerun whose doubled box has too many points runs slot by slot, with no edge
+        calls.append((0, [frozenset(ps) for ps in points], list(trials), [np.zeros(len(trials), dtype=bool)]))
+        return slot_loop(taus, points, horizon, trials, *args)
+
+    monkeypatch.setattr(sim, "_first_box", lambda taus, w, worst, trial_slots: max(t * x for t, x in zip(taus, w)))
+    monkeypatch.setattr(sim, "_wdd_chains", recorded_build)
+    monkeypatch.setattr(sim, "_batch_chain", recorded_chains)
+    monkeypatch.setattr(sim, "_batch_wdd", recorded_slots)
+    runs = sim._run_trials(insts, [None, None, None, stationary_chain(pol, insts[3])], SimConfig(600, 6, 23, 13))
+    # the first call runs the stationary chain's 6 rows and WDD's 18; some of
+    # WDD's rows end on the edge, and not all
+    (finite, points, trials, edge), *reruns = calls
+    assert finite == 1 and len(points) == 3 and trials == list(range(6))
+    pending = {(p, r) for p, hit in zip(points, edge) for r in np.flatnonzero(hit)}
+    assert 0 < len(pending) < 18 and len(reruns) >= 2
+    # each rerun runs one WDD point, no finite chain, and exactly the trials
+    # of that point that ended on the edge before
+    while reruns:
+        done, reruns = reruns[: len({p for p, _ in pending})], reruns[len({p for p, _ in pending}) :]
+        assert {(p, r) for _, (p,), trials, _ in done for r in trials} == pending
+        assert all(finite == 0 for finite, *_ in done)
+        pending = {(p, trials[r]) for _, (p,), trials, (hit,) in done for r in np.flatnonzero(hit)}
+    assert not pending
+    # each rerun builds its points in twice their last box
+    for before, after in zip(boxes, boxes[1:]):
+        assert after and all(size == 2 * before[point] for point, size in after.items())
     tallies = [np.concatenate([blocks[rows] for blocks, rows in runs])]
-    policies = [sim_oracle.wdd(insts[0]), sim_oracle.wdd(insts[1]), sim_oracle.stationary(pol, insts[2])]
-    _assert_points_match_reference(insts, policies, tallies, 600, 23, [taus] * 3, 13)
-    # the box's edge absorbs, and in the last box no row reaches it
-    chains = build(taus, [0.3, 0.5], taus, boxes[-1])
-    edge = len(chains[0].p) - 1
-    assert chains[0].succ[edge] == chains[0].fail[edge] == edge
-    assert not (sim._batch_chain(chains, 600, 4, 23, 13)[1] == edge).any()
-    smaller = build(taus, [0.3, 0.5], taus, boxes[-2])
-    assert (sim._batch_chain(smaller, 600, 4, 23, 13)[1] == len(smaller[0].p) - 1).any()
+    policies = [sim_oracle.wdd(inst) for inst in insts[:3]] + [sim_oracle.stationary(pol, insts[3])]
+    _assert_points_match_reference(insts, policies, tallies, 600, 23, [taus] * 4, 13)
+    # the box's edge absorbs
+    (chain,) = sim._wdd_chains(taus, [insts[0].reliabilities], [12])
+    last = len(chain.p) - 1
+    assert chain.succ[last] == chain.fail[last] == last
 
 
 def test_wdd_chains_share_one_set_of_table_rows():
-    # the points' chains differ only in their reliability, so the engine
-    # builds one table for all of them, at radix 2
-    chains = sim._wdd_chains((4, 6, 8), [0.99, 0.97, 0.9], (4, 6, 8), 48)
+    # at equal reliabilities the points' chains differ only in their
+    # reliability, so the engine builds one table for all of them, at radix 2
+    chains = sim._wdd_chains((4, 6, 8), [(0.99,) * 3, (0.97,) * 3, (0.9,) * 3], [48] * 3)
     assert all(c.succ is chains[0].succ and len(set(c.p.tolist())) == 1 for c in chains)
     levels = [np.array([c.p[0]]) for c in chains]
     *_, ok, base = sim._table_rows(chains, levels, 2)
@@ -218,18 +250,24 @@ def test_wdd_chains_share_one_set_of_table_rows():
     assert _steps_of(chains) == (_steps(len(chains[0].p), 2), 2)
 
 
-def test_wdd_engine_inputs_outside_its_rules_are_errors():
-    # one call of the slot loop takes one rule
-    equal, unequal = Instance((2, 3), (0.6, 0.6), 0.05), Instance((2, 3), (0.6, 0.7), 0.05)
-    with pytest.raises(ValueError):
-        _batch_wdd([equal, unequal], 100, 2, 1, (2, 3), 0)
-    # exact keys need t * lcm(tau) below 2**53: here lcm(tau) is about 1.2e11,
-    # too many key differences for a chain, and 10**5 slots too many for floats
-    taus = (37, 41, 43, 47, 53, 59, 61)
-    inst = Instance(taus, (0.9,) * len(taus), 0.05)
-    assert sim._wdd_chains(taus, [0.9], taus, 2 * math.lcm(*taus)) is None
+def test_wdd_slot_loop_takes_any_reliabilities_and_keys_past_int64():
+    # one call of the slot loop takes points at equal and unequal
+    # reliabilities; reliabilities with large denominators give weights whose
+    # key differences overflow int64 codes and keys, so they run slot by slot
+    # on Python ints, and still equal the oracle
+    taus = (2, 3, 4)
+    ragged = (0.6180339887, 0.4142135623, 0.7320508075)
+    step = max(t * x for t, x in zip(taus, sim._wdd_weights(taus, ragged)))
+    assert 2 * 311 * step >= 2**63 and sim._wdd_chains(taus, [ragged], [2 * step]) == [None]
+    insts = [Instance(taus, ps, 0.05) for ps in ((0.6, 0.6, 0.6), (0.6, 0.7, 0.8), ragged)]
+    tally = _wdd_tally(insts, 300, 3, 5, (1, 0, 2), 11)
+    with mock.patch.object(sim, "_WDD_STATES", 0):
+        assert np.array_equal(_wdd_tally(insts, 300, 3, 5, (1, 0, 2), 11), tally)
+    policies = [sim_oracle.wdd(inst) for inst in insts]
+    _assert_points_match_reference(insts, policies, [tally], 300, 5, [(1, 0, 2)] * 3, 11)
+    # a reliability whose nearest fraction of denominator 10**6 is 0 has no key
     with pytest.raises(ConfigError):
-        estimate_costs([inst], [None], SimConfig(horizon=10**5, trials=1, seed=0))
+        estimate_costs([Instance((2, 3), (0.9, 1e-7), 0.05)], [None], SimConfig(horizon=100, trials=1, seed=0))
 
 
 def test_stacked_chain_engine_matches_reference_per_point():
@@ -343,7 +381,7 @@ def test_chain_engine_ranks_uniforms_equal_to_a_reliability_as_failures(monkeypa
 
 def test_estimate_costs_equals_estimate_cost_per_point():
     # equal engine inputs share their trials, which must not change any point;
-    # at equal reliabilities WDD runs in the chain engine's call
+    # WDD runs in the chain engine's call
     taus = (2, 3)
     insts = [Instance(taus, (0.6, 0.7), 0.05), Instance(taus, (0.6, 0.7), 0.2), Instance(taus, (0.9, 0.5), 0.1)]
     insts.append(Instance(taus, (0.8, 0.8), 0.1))
@@ -505,7 +543,8 @@ def test_warmup_shifts_accounting():
 def _engine_cases(draw):
     """A policy of each kind on 1 to 3 clients with thresholds up to 4, from a random start.
 
-    WDD comes twice: at equal reliabilities (a chain) and at random ones.
+    WDD comes twice: at equal reliabilities and at random ones, whose
+    fractions' large denominators mostly send it to the slot loop.
     """
     n = draw(st.integers(1, 3))
     taus = tuple(draw(st.integers(1, 4)) for _ in range(n))
