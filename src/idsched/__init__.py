@@ -25,12 +25,9 @@ from .exact import (
 )
 from .asymptotic import (
     AsymptoticCost,
-    CycleAnalytics,
     LevelSets,
-    TwoClientConfig,
     build_level_sets,
     mlg_cost_leading,
-    mlg_cycle_analytics,
     mlg_optimality_check,
     mlg_stationary_policy,
     optimal_cost_lower_bound,

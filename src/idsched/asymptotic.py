@@ -1,10 +1,11 @@
 """High-reliability regime machinery.
 
 Covers the two-client modified least-time-to-go (MLG) policy with its
-leading-order cost expansions and optimality conditions, the level-set
-construction that grades states by the order (in the failure rate epsilon) of
-their near-term cost, the resulting multi-client stationary policy, and
-cycle-level analytics used to cross-check the closed forms.
+leading-order cost expansions and optimality conditions, stated on an
+``AsymptoticInstance`` (``p_n = 1 - b_n epsilon``, thresholds
+``(tau, tau + delta)``, risk exponent theta), and the level-set construction
+that grades states by the order (in the failure rate epsilon) of their
+near-term cost, with the resulting multi-client stationary policy.
 """
 
 from __future__ import annotations
@@ -23,37 +24,6 @@ from .model import (
     transition_tables,
 )
 from .exact import StationaryPolicy
-
-
-@dataclass(frozen=True)
-class TwoClientConfig:
-    """Two clients with thresholds (tau, tau + delta) and failure rates (b1, b2) * epsilon."""
-
-    tau: int
-    delta: int
-    b1: float
-    b2: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.tau < 1:
-            raise ValueError("tau must be at least 1")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative (clients sorted by threshold)")
-        if self.b1 <= 0 or self.b2 <= 0:
-            raise ValueError("failure coefficients must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-
-    @property
-    def thresholds(self) -> tuple[int, int]:
-        return (self.tau, self.tau + self.delta)
-
-    def asymptotic(self, epsilon: float) -> AsymptoticInstance:
-        return AsymptoticInstance(self.thresholds, (self.b1, self.b2), epsilon, self.theta)
-
-    def instance(self, epsilon: float) -> Instance:
-        return self.asymptotic(epsilon).materialize()
 
 
 def mlg_admits(thresholds: tuple[int, ...]) -> bool:
@@ -103,21 +73,29 @@ def _case_tag(delta: int) -> str:
     return "delta>=2"
 
 
-def _a0_coefficient(cfg: TwoClientConfig) -> float:
-    tau, b1, b2, theta = cfg.tau, cfg.b1, cfg.b2, cfg.theta
+def _two_clients(inst: AsymptoticInstance) -> tuple[int, int, float, float, float]:
+    """``(tau, delta, b1, b2, theta)`` of an instance with thresholds ``(tau, tau + delta)`` and an MLG policy."""
+    if not mlg_admits(inst.thresholds):
+        raise ValueError("the closed forms need two clients with tau_1 <= tau_2")
+    tau, tau2 = inst.thresholds
+    if tau < 2:
+        raise ValueError("the leading-order expansions require tau >= 2")
+    b1, b2 = inst.coefficients
+    return tau, tau2 - tau, b1, b2, inst.theta
+
+
+def _a0_coefficient(tau: int, b1: float, b2: float, theta: float) -> float:
     mid = sum(b1**j * b2 ** (tau - 1 - j) for j in range(1, tau - 1))
     return (math.expm1(theta) / theta) * mid + (b1 ** (tau - 1) + b2 ** (tau - 1)) / (
         2.0 * theta
     ) * (math.e**2 - 1.0)
 
 
-def mlg_cost_leading(cfg: TwoClientConfig) -> AsymptoticCost:
+def mlg_cost_leading(inst: AsymptoticInstance) -> AsymptoticCost:
     """Leading-order average cost of the least-time-to-go policy."""
-    if cfg.tau < 2:
-        raise ValueError("the leading-order expansions require tau >= 2")
-    tau, delta, b1, b2, theta = cfg.tau, cfg.delta, cfg.b1, cfg.b2, cfg.theta
+    tau, delta, b1, b2, theta = _two_clients(inst)
     if delta == 0:
-        coeff = _a0_coefficient(cfg)
+        coeff = _a0_coefficient(tau, b1, b2, theta)
     elif delta == 1:
         coeff = math.expm1(theta) / (2.0 * theta) * sum(
             b1**j * b2 ** (tau - 1 - j) for j in range(tau)
@@ -127,14 +105,12 @@ def mlg_cost_leading(cfg: TwoClientConfig) -> AsymptoticCost:
     return AsymptoticCost(coefficient=coeff, order=tau - 1, case_tag=_case_tag(delta))
 
 
-def optimal_cost_lower_bound(cfg: TwoClientConfig) -> AsymptoticCost:
+def optimal_cost_lower_bound(inst: AsymptoticInstance) -> AsymptoticCost:
     """Leading-order lower bound on the cost of any stationary policy."""
-    if cfg.tau < 2:
-        raise ValueError("the leading-order expansions require tau >= 2")
-    tau, delta, b1, b2, theta = cfg.tau, cfg.delta, cfg.b1, cfg.b2, cfg.theta
+    tau, delta, b1, b2, theta = _two_clients(inst)
     b_min = min(b1, b2)
     if delta == 0:
-        coeff = _a0_coefficient(cfg)
+        coeff = _a0_coefficient(tau, b1, b2, theta)
     elif delta == 1:
         a1 = b1 ** (tau - 1) + (tau - 1) * b_min ** (tau - 1)
         coeff = math.expm1(theta) / (2.0 * theta) * a1
@@ -147,19 +123,20 @@ def optimal_cost_lower_bound(cfg: TwoClientConfig) -> AsymptoticCost:
     return AsymptoticCost(coefficient=coeff, order=tau - 1, case_tag=_case_tag(delta))
 
 
-def mlg_optimality_check(cfg: TwoClientConfig) -> tuple[bool, str | None]:
+def mlg_optimality_check(inst: AsymptoticInstance) -> tuple[bool, str | None]:
     """Sufficient conditions for the least-time-to-go policy to be asymptotically optimal.
 
     Returns (True, tag) when one of the three case conditions holds, where the
     tag names the matched case ("i": delta = 0; "ii": delta = 1 with b1 <= b2;
     "iii": delta >= 2 with b1^(tau-1) <= delta (tau-1) b2^(tau-1)).
     """
-    if cfg.delta == 0:
+    tau, delta, b1, b2, _ = _two_clients(inst)
+    if delta == 0:
         return True, "i"
-    if cfg.delta == 1:
-        return (True, "ii") if cfg.b1 <= cfg.b2 else (False, None)
-    lhs = cfg.b1 ** (cfg.tau - 1)
-    rhs = cfg.delta * (cfg.tau - 1) * cfg.b2 ** (cfg.tau - 1)
+    if delta == 1:
+        return (True, "ii") if b1 <= b2 else (False, None)
+    lhs = b1 ** (tau - 1)
+    rhs = delta * (tau - 1) * b2 ** (tau - 1)
     return (True, "iii") if lhs <= rhs else (False, None)
 
 
@@ -251,14 +228,13 @@ def _settle(ls: LevelSets, states: np.ndarray, values: np.ndarray) -> None:
     ls.decision[states] = best + 1
 
 
-def sn_policy(
-    inst: Instance, coefficients: tuple[float, ...] | None = None
-) -> tuple[StationaryPolicy, LevelSets]:
+def sn_policy(inst: Instance) -> tuple[StationaryPolicy, LevelSets]:
     """Stationary policy from the graded level sets.
 
     Sweeps levels in increasing order.  Each state may serve only the
     clients whose success successor sits at the deepest level, and takes the
-    one of least combined coefficient, the first on ties:
+    one of least combined coefficient, the first on ties, with
+    ``coef[u] = 1 - p_u`` client u's failure rate:
     ``coef[u] * a[fail]`` when that level lies below its own, otherwise the
     successor's coefficient (0 where unset) plus ``coef[u]`` times the
     failure successor's coefficient (when that sits one level up, else 0).
@@ -268,21 +244,12 @@ def sn_policy(
     sweeps of auxiliary coefficients ``b`` over the level, each run as the
     fixed point of ``x(s) = min_u [(t < s ? x(t) : old(t)) + c(s, u)]``, so
     it reproduces the sequential sweep from the same operands.
-    ``coefficients`` defaults to the per-client failure rates 1 - p_n; only
-    their ratios matter.
 
     Raises :class:`StructuralError` if any state ends up without a decision.
     """
-    if coefficients is None:
-        coefficients = tuple(1.0 - p for p in inst.reliabilities)
-    if len(coefficients) != inst.n_clients:
-        raise ValueError("one failure coefficient per client is required")
-    if any(b <= 0 for b in coefficients):
-        raise ValueError("failure coefficients must be positive")
-
     ls = build_level_sets(inst)
     tables = transition_tables(inst)
-    coef = np.asarray(coefficients, dtype=float)
+    coef = 1.0 - np.asarray(inst.reliabilities)
     level, a = ls.level, ls.a
     remain = np.zeros(level.shape, dtype=bool)
     for k in range(1, int(level.max()) + 1):
@@ -339,39 +306,3 @@ def sn_policy(
         )
     ls.remain = frozenset(np.flatnonzero(remain).tolist())
     return StationaryPolicy(ls.decision.copy()), ls
-
-
-# ---------------------------------------------------------------------------
-# cycle analytics
-
-
-@dataclass(frozen=True)
-class CycleAnalytics:
-    """Leading-order description of the renewal cycle under the two-client rule."""
-
-    xss_states: tuple
-    expected_cycle_length: float
-    excess_coefficient: float
-    excess_order: int
-
-    def leading_cost_coefficient(self, theta: float) -> float:
-        """Average-cost coefficient implied by the cycle view (excess over theta * length)."""
-        return self.excess_coefficient / (theta * self.expected_cycle_length)
-
-
-def mlg_cycle_analytics(cfg: TwoClientConfig) -> CycleAnalytics:
-    """Renewal-cycle leading terms for the least-time-to-go policy, delta >= 2 only.
-
-    The all-success cycle state set, the leading expected cycle length (delta)
-    and the leading cycle cost excess b1^(tau-1) (e^theta - 1) epsilon^(tau-1).
-    Smaller gaps use the direct cost expansion instead.
-    """
-    if cfg.delta < 2:
-        raise ValueError("cycle analytics are stated for delta >= 2; use mlg_cost_leading")
-    xss = ((1, 0),) + tuple((0, x2) for x2 in range(cfg.delta))
-    return CycleAnalytics(
-        xss_states=xss,
-        expected_cycle_length=float(cfg.delta),
-        excess_coefficient=cfg.b1 ** (cfg.tau - 1) * math.expm1(cfg.theta),
-        excess_order=cfg.tau - 1,
-    )

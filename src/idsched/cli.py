@@ -321,7 +321,9 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
         insts = [ev.inst for _, _, ev, _ in simulated]
         sim_chains = [ev.chain(spec) for spec, _, ev, _ in simulated]
         for (spec, value, _, ref_j), est in zip(simulated, sim.estimate_costs(insts, sim_chains, sim_cfg)):
-            rows.append(ResultRow(value, spec["name"], est.j_hat, est.j_hat / ref_j, est.stderr_j, "simulate", True))
+            rows.append(
+                ResultRow(value, spec["name"], est.j_hat, est.j_hat / ref_j, est.stderr_j, "simulate", not est.degenerate)
+            )
     rows.sort(key=lambda r: (r.sweep_value, r.policy, r.method))
     if target is not None:
         _write(target, "\n".join([CSV_HEADER] + [row.csv() for row in rows]) + "\n")

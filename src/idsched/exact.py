@@ -1,4 +1,4 @@
-"""Exact finite-state machinery: policy evaluation, optimum search, renewal expectations.
+"""Exact finite-state machinery: policy evaluation and the optimum.
 
 A policy's cost and the optimal cost are one number: the growth rate of a
 monotone, homogeneous risk-sensitive map, ``J = ln(growth rate) / theta``.
@@ -8,8 +8,10 @@ states move to one of two successors, and its map is the one-client case,
 restricted to the one closed class the start state reaches.  One kernel,
 ``_perron``, brackets both, and one ``SolveReport`` carries each result.
 The paper's finite-horizon dynamic programs, its enumeration of the
-no-exclusion stationary policies, NE test and hitting times, which check
-these results, live with the tests (``tests/paper_oracle.py``).
+no-exclusion stationary policies, NE test and hitting times, and the dense
+renewal-cycle expectations, which check these results, live with the tests
+(``tests/paper_oracle.py``, ``tests/dense_oracle.py``).  Nothing here
+builds a dense matrix or solves a linear system.
 """
 
 from __future__ import annotations
@@ -317,8 +319,6 @@ class ThetaThreshold:
 
     value: float
     k: float
-    p_max: float
-    tau_max: int
     underflow: bool
 
 
@@ -332,54 +332,10 @@ def theta_threshold(inst: Instance) -> ThetaThreshold:
     tau_max = max(inst.thresholds)
     log_k = math.log(tau_max) - tau_max * math.log1p(-p_max)
     if log_k > 700:  # exp would overflow float64
-        return ThetaThreshold(value=0.0, k=math.inf, p_max=p_max, tau_max=tau_max, underflow=True)
+        return ThetaThreshold(value=0.0, k=math.inf, underflow=True)
     k = math.ceil(tau_max * (1.0 - p_max) ** (-tau_max))
     value = math.log1p(1.0 / k) / (2 * inst.n_clients * (k + 1))
-    return ThetaThreshold(value=value, k=k, p_max=p_max, tau_max=tau_max, underflow=value == 0.0)
-
-
-def _excursion(chain: Chain, weight: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """``(I - K, k)``: K is the chain's transition matrix, rows scaled by ``weight``, less its start's column ``k``.
-
-    ``(I - K) h = 1`` gives the expected passage times to the start, and the
-    expected return time at the start itself.  The renewal analytics serve
-    desk-scale chains, and this is the one dense matrix they build.
-    """
-    n = len(chain.fail)
-    rows = np.arange(n)
-    mat = np.zeros((n, n))
-    np.add.at(mat, (rows, chain.succ), weight * chain.p)
-    np.add.at(mat, (rows, chain.fail), weight * (1.0 - chain.p))
-    into = mat[:, chain.start].copy()
-    mat[:, chain.start] = 0.0
-    return np.eye(n) - mat, into
-
-
-def cycle_expectations(
-    policy: StationaryPolicy, inst: Instance, regen: State
-) -> tuple[float, float]:
-    """Exact renewal-cycle expectations (E[cycle cost], E[cycle length]).
-
-    A cycle runs from one pre-transition visit of ``regen`` to the next; the
-    multiplicative cycle cost is the product of the per-slot cost factors over
-    the cycle's slots.  Raises if the renewal state is not recurrent
-    under the policy, or if the cost expectation diverges: the excursion
-    matrix K must have spectral radius below one, which holds iff
-    ``(I - K) z = 1`` has a strictly positive solution (Collatz-Wielandt).
-    """
-    chain = stationary_chain(policy, inst, regen)
-    s0, ones = chain.start, np.ones(len(chain.fail))
-    if not _closed_classes(chain.succ, chain.fail, [s0])[0][s0]:
-        raise StructuralError("renewal state is not recurrent under this policy")
-    e_len = np.linalg.solve(_excursion(chain, 1.0)[0], ones)[s0]
-    excursion, into = _excursion(chain, np.exp(inst.theta * chain.hits))
-    try:
-        m, z = np.linalg.solve(excursion, np.stack([into, ones], axis=1)).T
-    except np.linalg.LinAlgError as exc:
-        raise StructuralError("cycle cost expectation diverges (singular excursion matrix)") from exc
-    if not (z > 0).all():
-        raise StructuralError("cycle cost expectation diverges (excursion radius >= 1)")
-    return float(m[s0]), float(e_len)
+    return ThetaThreshold(value=value, k=k, underflow=value == 0.0)
 
 
 @dataclass(frozen=True)

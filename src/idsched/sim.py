@@ -59,7 +59,8 @@ class CostEstimate:
     used; ``tail_coverage`` is the effective sample size of their weights
     ``exp(theta * C_b)`` over the block count.  Coverage below
     ``_MIN_COVERAGE`` means even the shortest blocks left the tail
-    under-sampled and the estimate is biased low.
+    under-sampled and the estimate is biased low.  ``degenerate`` means one
+    block, or equal block totals: the estimate has no error bar.
     """
 
     j_hat: float

@@ -3,6 +3,8 @@
 The matrices come from ``model.step_distribution`` and ``model.slot_cost``
 alone, so they are independent of ``exact.Chain`` and of the array tables
 the program evaluates.  They are cubic in the state count: desk scale only.
+Besides J, the matrices give the renewal-cycle expectations at a recurrent
+state, which check the closed forms' renewal reading.
 """
 
 import math
@@ -60,3 +62,35 @@ def eigvals_cost(inst, memory, serve, advance):
     keep = reach[inst.indexer().index(inst.thresholds) * memory]
     excess = weighted[np.ix_(keep, keep)] - np.eye(keep.sum())
     return math.log1p(np.linalg.eigvals(excess).real.max()) / inst.theta
+
+
+def cycle_expectations(policy, inst, regen):
+    """Renewal-cycle expectations ``(E[cycle cost], E[cycle length])`` of a stationary policy at state ``regen``.
+
+    A cycle runs from one pre-transition visit of ``regen`` to the next, and
+    its cost is the product of the slot costs over its slots.  With ``K`` a
+    matrix less ``regen``'s column, ``(I - K) x = b`` gives each state's
+    expectation up to the first visit of ``regen``, and ``regen``'s own
+    entry is the return quantity: ``K`` the transition matrix and ``b = 1``
+    give the lengths, ``K`` the cost-weighted ``W`` and ``b`` its column
+    into ``regen`` the costs.  A second right-hand side of ones certifies
+    that the cost is finite: the weighted ``K`` has spectral radius below one
+    iff that solution is strictly positive (Collatz-Wielandt).
+    """
+    weighted, reach = stationary_dense(policy, inst)
+    s0, n = inst.indexer().index(regen), len(weighted)
+    if not recurrent(reach)[s0]:
+        raise ValueError("the renewal state is not recurrent under this policy")
+
+    def excursion(mat):
+        less = mat.copy()
+        less[:, s0] = 0.0
+        return np.eye(n) - less, mat[:, s0]
+
+    ones = np.ones(n)
+    e_len = np.linalg.solve(excursion(weighted / weighted.sum(axis=1, keepdims=True))[0], ones)[s0]
+    kernel, into = excursion(weighted)
+    m, z = np.linalg.solve(kernel, np.stack([into, ones], axis=1)).T
+    if not (z > 0).all():
+        raise ValueError("the cycle cost expectation diverges (excursion radius >= 1)")
+    return float(m[s0]), float(e_len)

@@ -218,17 +218,17 @@ def doeblin_hitting_times(policy, inst):
     return np.linalg.solve(np.eye(inst.total_states) - kernel, np.ones(inst.total_states))
 
 
-def mlg_decide(x, cfg):
+def mlg_decide(x, thresholds):
     """Serve the client with the least time to go, with one override state.
 
-    ``cfg`` gives the thresholds ``(tau, tau + delta)`` and ``delta``.  Ties
-    go to the client with the larger threshold (client 2).  In the single
-    override state (0, delta - 1) client 2 is served even though client 1
-    has strictly less time to go.
+    ``thresholds`` are ``(tau, tau + delta)``.  Ties go to the client with
+    the larger threshold (client 2).  In the single override state
+    (0, delta - 1) client 2 is served even though client 1 has strictly less
+    time to go.
     """
     if len(x) != 2:
         raise ValueError("the least-time-to-go rule is defined for two clients")
-    tau1, tau2 = cfg.thresholds
-    if x == (0, cfg.delta - 1):
+    tau1, tau2 = thresholds
+    if x == (0, tau2 - tau1 - 1):
         return 2
     return 1 if tau1 - x[0] < tau2 - x[1] else 2

@@ -15,7 +15,6 @@ from dense_oracle import recurrent, stationary_dense
 from paper_oracle import Mdp1Table, doeblin_hitting_times, dp_mdp1, dp_mdp2, enumerated_optimum, is_ne
 
 from idsched.asymptotic import (
-    TwoClientConfig,
     mlg_cost_leading,
     mlg_stationary_policy,
     sn_policy,
@@ -112,11 +111,11 @@ def test_acceptance_03_optimum_cross_check():
 
 @gate("A4 two-client leading-order cost", 5)
 def test_acceptance_04_leading_order_cost():
-    cfg = TwoClientConfig(3, 2, 2.0, 1.0, 0.01)
-    lead = mlg_cost_leading(cfg)
+    base = AsymptoticInstance((3, 5), (2.0, 1.0), 1e-3, 0.01)
+    lead = mlg_cost_leading(base)
     ratios = []
     for eps in (1e-2, 3e-3, 1e-3):
-        inst = cfg.instance(eps)
+        inst = base.with_epsilon(eps).materialize()
         j = chain_average_costs([stationary_chain(mlg_stationary_policy(inst), inst)], [inst.theta])[0].average_cost
         ratios.append(j / lead.evaluate(eps))
     assert ratios[0] >= ratios[1] >= ratios[2]
@@ -125,10 +124,11 @@ def test_acceptance_04_leading_order_cost():
 
 @gate("A5 two-client asymptotic optimality", 10)
 def test_acceptance_05_mlg_near_optimal():
-    cfg = TwoClientConfig(3, 2, 2.0, 1.0, 0.01)
-    # boundary of the delta >= 2 optimality condition: 4 = 2 * 2 * 1
-    assert cfg.b1 ** (cfg.tau - 1) == cfg.delta * (cfg.tau - 1) * cfg.b2 ** (cfg.tau - 1)
-    inst = cfg.instance(1e-3)
+    base = AsymptoticInstance((3, 5), (2.0, 1.0), 1e-3, 0.01)
+    # boundary of the delta >= 2 optimality condition b1^(tau-1) <= delta (tau-1) b2^(tau-1): 4 = 2 * 2 * 1
+    b1, b2 = base.coefficients
+    assert b1**2 == 2 * 2 * b2**2
+    inst = base.materialize()
     j_mlg = chain_average_costs([stationary_chain(mlg_stationary_policy(inst), inst)], [inst.theta])[0].average_cost
     j_op = growth_rate_optimal(inst).average_cost
     assert j_mlg / j_op <= 1.02

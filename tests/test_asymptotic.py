@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracle import cycle_expectations
 from paper_oracle import is_ne, mlg_decide
 
 from idsched.asymptotic import (
-    TwoClientConfig,
     _excess_tables,
     build_level_sets,
     mlg_cost_leading,
-    mlg_cycle_analytics,
     mlg_optimality_check,
     mlg_stationary_policy,
     optimal_cost_lower_bound,
@@ -19,7 +18,6 @@ from idsched.asymptotic import (
 from idsched.exact import (
     StationaryPolicy,
     chain_average_costs,
-    cycle_expectations,
     growth_rate_optimal,
     stationary_chain,
 )
@@ -27,80 +25,80 @@ from idsched.model import AsymptoticInstance, Instance, exclusion_state, transit
 
 
 def test_mlg_decide_examples():
-    cfg = TwoClientConfig(3, 2, 1.0, 1.0, 0.01)
-    assert mlg_decide((0, 1), cfg) == 2  # override state
-    assert mlg_decide((1, 0), cfg) == 1  # 2 slots to go vs 5
-    assert mlg_decide((2, 4), cfg) == 2  # tie goes to the larger threshold
+    assert mlg_decide((0, 1), (3, 5)) == 2  # override state
+    assert mlg_decide((1, 0), (3, 5)) == 1  # 2 slots to go vs 5
+    assert mlg_decide((2, 4), (3, 5)) == 2  # tie goes to the larger threshold
 
 
 def test_mlg_policy_decides_as_mlg_decide_in_every_state():
     for tau1 in range(1, 8):
         for tau2 in range(tau1, 12):
             inst = Instance((tau1, tau2), (0.9, 0.9), 0.1)
-            cfg = TwoClientConfig(tau1, tau2 - tau1, 1.0, 1.0, 0.1)
-            want = [mlg_decide(state, cfg) for state in inst.indexer().states()]
+            want = [mlg_decide(state, inst.thresholds) for state in inst.indexer().states()]
             assert mlg_stationary_policy(inst).decisions.tolist() == want
 
 
 def test_mlg_policy_is_total_and_non_exclusionary():
     for tau in range(1, 7):
         for delta in range(5):
-            cfg = TwoClientConfig(tau, delta, 1.0, 2.0, 0.05)
-            inst = Instance(cfg.thresholds, (0.9, 0.9), 0.05)
+            inst = Instance((tau, tau + delta), (0.9, 0.9), 0.05)
             pol = mlg_stationary_policy(inst)
             pol.validate(inst)
             assert is_ne(pol, inst)
 
 
 def test_mlg_cost_leading_cases():
-    cfg = TwoClientConfig(3, 2, 2.0, 1.0, 0.01)
-    lead = mlg_cost_leading(cfg)
+    lead = mlg_cost_leading(AsymptoticInstance((3, 5), (2.0, 1.0), 1e-3, 0.01))
     assert lead.order == 2
     assert lead.case_tag == "delta>=2"
     assert lead.coefficient == pytest.approx(math.expm1(0.01) / 0.02 * 4, rel=1e-12)
     assert lead.evaluate(0.01) == pytest.approx(2.010e-4, rel=1e-3)
 
     # equal coefficients collapse the one-gap sum to tau equal terms
-    cfg1 = TwoClientConfig(4, 1, 1.5, 1.5, 0.05)
-    lead1 = mlg_cost_leading(cfg1)
+    lead1 = mlg_cost_leading(AsymptoticInstance((4, 5), (1.5, 1.5), 1e-3, 0.05))
     assert lead1.coefficient == pytest.approx(
         math.expm1(0.05) / 0.1 * 4 * 1.5**3, rel=1e-12
     )
 
     # no gap, tau=2: the middle sum is empty
-    cfg0 = TwoClientConfig(2, 0, 2.0, 3.0, 0.05)
-    lead0 = mlg_cost_leading(cfg0)
+    lead0 = mlg_cost_leading(AsymptoticInstance((2, 2), (2.0, 3.0), 1e-3, 0.05))
     assert lead0.coefficient == pytest.approx((2.0 + 3.0) / 0.1 * (math.e**2 - 1), rel=1e-12)
 
 
 def test_lower_bound_cases():
-    cfg = TwoClientConfig(3, 2, 2.0, 1.0, 0.01)
-    bound = optimal_cost_lower_bound(cfg)
+    bound = optimal_cost_lower_bound(AsymptoticInstance((3, 5), (2.0, 1.0), 1e-3, 0.01))
     # min of 4/2, (4+2)/3, (4+2+3)/4
     assert bound.coefficient == pytest.approx(math.expm1(0.01) / 0.01 * 2.0, rel=1e-12)
 
-    cfg1 = TwoClientConfig(4, 1, 1.5, 1.5, 0.05)
-    bound1 = optimal_cost_lower_bound(cfg1)
-    assert bound1.coefficient == pytest.approx(mlg_cost_leading(cfg1).coefficient, rel=1e-12)
+    inst1 = AsymptoticInstance((4, 5), (1.5, 1.5), 1e-3, 0.05)
+    bound1 = optimal_cost_lower_bound(inst1)
+    assert bound1.coefficient == pytest.approx(mlg_cost_leading(inst1).coefficient, rel=1e-12)
 
 
 def test_lower_bound_never_exceeds_mlg_cost():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        cfg = TwoClientConfig(
-            tau=int(rng.integers(2, 6)),
-            delta=int(rng.integers(0, 5)),
-            b1=float(rng.uniform(0.2, 4.0)),
-            b2=float(rng.uniform(0.2, 4.0)),
-            theta=float(rng.uniform(0.005, 0.2)),
-        )
-        assert optimal_cost_lower_bound(cfg).coefficient <= mlg_cost_leading(cfg).coefficient * (1 + 1e-12)
+        tau, delta = int(rng.integers(2, 6)), int(rng.integers(0, 5))
+        bs = float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.2, 4.0))
+        inst = AsymptoticInstance((tau, tau + delta), bs, 1e-3, float(rng.uniform(0.005, 0.2)))
+        assert optimal_cost_lower_bound(inst).coefficient <= mlg_cost_leading(inst).coefficient * (1 + 1e-12)
 
 
 def test_mlg_optimality_check_cases():
-    assert mlg_optimality_check(TwoClientConfig(3, 0, 5.0, 1.0, 0.01)) == (True, "i")
-    assert mlg_optimality_check(TwoClientConfig(3, 2, 2.0, 1.0, 0.01)) == (True, "iii")  # boundary
-    assert mlg_optimality_check(TwoClientConfig(3, 1, 3.0, 1.0, 0.01)) == (False, None)
+    assert mlg_optimality_check(AsymptoticInstance((3, 3), (5.0, 1.0), 1e-3, 0.01)) == (True, "i")
+    assert mlg_optimality_check(AsymptoticInstance((3, 5), (2.0, 1.0), 1e-3, 0.01)) == (True, "iii")  # boundary
+    assert mlg_optimality_check(AsymptoticInstance((3, 4), (3.0, 1.0), 1e-3, 0.01)) == (False, None)
+
+
+@pytest.mark.parametrize(
+    "thresholds, bs",
+    [((3, 4, 5), (1.0, 1.0, 1.0)), ((5, 3), (1.0, 1.0)), ((1, 3), (1.0, 1.0))],
+    ids=["three-clients", "reversed-thresholds", "tau1-below-2"],
+)
+@pytest.mark.parametrize("closed_form", [mlg_cost_leading, optimal_cost_lower_bound, mlg_optimality_check])
+def test_closed_forms_need_two_clients_in_threshold_order_and_tau1_at_least_2(thresholds, bs, closed_form):
+    with pytest.raises(ValueError):
+        closed_form(AsymptoticInstance(thresholds, bs, 1e-3, 0.01))
 
 
 def _window(x, inst):
@@ -181,7 +179,7 @@ def test_level_sets_are_parallel_arrays_over_every_state():
     assert levels.unplaced == frozenset()
 
 
-def _sn_oracle(inst, coefficients=None, jacobi=False):
+def _sn_oracle(inst, jacobi=False):
     """SN built one state at a time from the model: ``(decisions, a, b, remain)``, with dicts keyed by state.
 
     Level 0 takes its excess and the action whose success successor has the
@@ -189,10 +187,9 @@ def _sn_oracle(inst, coefficients=None, jacobi=False):
     deep states (deepest success successor below the level) first; states
     left on within-level cycles go to ``n - 1`` in-order relaxation sweeps,
     or, with ``jacobi``, simultaneous ones.  Ties go to the first client by
-    a strict ``<`` scan.
+    a strict ``<`` scan.  The coefficients are the failure rates 1 - p_n.
     """
-    if coefficients is None:
-        coefficients = tuple(1.0 - p for p in inst.reliabilities)
+    coefficients = tuple(1.0 - p for p in inst.reliabilities)
     n = inst.n_clients
     tables = transition_tables(inst)
     level_of = build_level_sets(inst).level
@@ -338,16 +335,14 @@ def test_sn_policy_agrees_with_mlg_on_the_success_cycle():
     # strict two-client optimality condition: the level-set policy reproduces
     # the least-time-to-go decisions on the all-success cycle states
     for b in [(1.0, 1.0), (2.0, 2.0), (1.0, 3.0)]:
-        cfg = TwoClientConfig(3, 2, b[0], b[1], 0.01)
-        optimal, _ = mlg_optimality_check(cfg)
+        base = AsymptoticInstance((3, 5), b, 1e-3, 0.01)
+        optimal, _ = mlg_optimality_check(base)
         assert optimal
-        inst = cfg.instance(1e-3)
-        pol, _ = sn_policy(inst, coefficients=b)
+        inst = base.materialize()
+        pol, _ = sn_policy(inst)
         mlg = mlg_stationary_policy(inst)
         indexer = inst.indexer()
-        for x in mlg_cycle_analytics(cfg).xss_states:
-            if x == (0, 0):
-                continue  # initial-only state, never revisited by the cycle
+        for x in [(1, 0), (0, 1)]:  # the cycle; (0, 0) precedes it from the start only
             assert pol.decisions[indexer.index(x)] == mlg.decisions[indexer.index(x)]
 
 
@@ -366,39 +361,44 @@ def test_sn_policy_symmetric_instances_relabel_cleanly():
 def test_sn_policy_near_optimal_two_clients():
     # strictly inside the optimality region; on the boundary the one-step
     # level-set sweep can be indifferent and settle on a longer cycle
-    cfg = TwoClientConfig(3, 2, 1.0, 1.0, 0.01)
-    inst = cfg.instance(1e-3)
-    pol, _ = sn_policy(inst, coefficients=(1.0, 1.0))
+    inst = AsymptoticInstance((3, 5), (1.0, 1.0), 1e-3, 0.01).materialize()
+    pol, _ = sn_policy(inst)
     j_sn = chain_average_costs([stationary_chain(pol, inst)], [inst.theta])[0].average_cost
     j_op = growth_rate_optimal(inst).average_cost
     assert j_sn / j_op <= 1.01
 
 
+def _success_walk(inst):
+    """The states MLG visits from (0, 0) while every delivery succeeds, up to the first repeat."""
+    policy, tables, indexer = mlg_stationary_policy(inst), transition_tables(inst), inst.indexer()
+    walk, s = [], indexer.index((0, 0))
+    while s not in walk:
+        walk.append(s)
+        s = int(tables.succ[s, policy.decisions[s] - 1])
+    return [indexer.deindex(t) for t in walk], indexer.deindex(s)
+
+
 def test_cycle_analytics_states_and_assembly():
-    cfg = TwoClientConfig(3, 2, 2.0, 1.0, 0.01)
-    analytics = mlg_cycle_analytics(cfg)
-    assert set(analytics.xss_states) == {(1, 0), (0, 0), (0, 1)}
-    assert analytics.expected_cycle_length == 2.0
-    assert analytics.excess_coefficient == pytest.approx(4 * math.expm1(0.01), rel=1e-12)
-    # cycle view reassembles the direct leading-order cost
-    assert analytics.leading_cost_coefficient(cfg.theta) == pytest.approx(
-        mlg_cost_leading(cfg).coefficient, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        mlg_cycle_analytics(TwoClientConfig(3, 1, 2.0, 1.0, 0.01))
+    # for delta >= 2 the failure-free walk from (0, 0) enters the cycle
+    # (1, 0), (0, 1), ..., (0, delta - 1) of length delta
+    for tau, delta in [(3, 2), (2, 3), (4, 5)]:
+        walk, repeat = _success_walk(Instance((tau, tau + delta), (0.9, 0.9), 0.01))
+        assert walk == [(0, x2) for x2 in range(delta)] + [(1, 0)]
+        assert repeat == (0, 1)
+    # the cycle view, excess b1^(tau-1) (e^theta - 1) over theta * delta, reassembles the direct cost
+    lead = mlg_cost_leading(AsymptoticInstance((3, 5), (2.0, 1.0), 1e-3, 0.01))
+    assert lead.case_tag == "delta>=2"
+    assert 4 * math.expm1(0.01) / (0.01 * 2) == pytest.approx(lead.coefficient, rel=1e-12)
 
 
 def test_cycle_analytics_match_exact_cycle_expectations():
-    cfg = TwoClientConfig(3, 2, 2.0, 1.0, 0.01)
-    analytics = mlg_cycle_analytics(cfg)
-    eps = 0.02
-    inst = cfg.instance(eps)
-    pol = mlg_stationary_policy(inst)
-    lead_excess = analytics.excess_coefficient * eps**analytics.excess_order
+    base = AsymptoticInstance((3, 5), (2.0, 1.0), 0.02, 0.01)
+    inst = base.materialize()
+    lead_length, lead_excess = 2.0, 4 * math.expm1(0.01) * 0.02**2  # delta, b1^(tau-1) (e^theta - 1) eps^(tau-1)
 
     # population values sit within the stated slack of the leading terms
-    e_v, e_l = cycle_expectations(pol, inst, (1, 0))
-    assert abs(e_l - analytics.expected_cycle_length) <= 0.05 * analytics.expected_cycle_length
+    e_v, e_l = cycle_expectations(mlg_stationary_policy(inst), inst, (1, 0))
+    assert abs(e_l - lead_length) <= 0.05 * lead_length
     assert abs((e_v - 1.0) - lead_excess) <= 0.15 * lead_excess
 
 
@@ -410,24 +410,23 @@ def test_lower_bound_holds_against_the_exact_optimum():
     # as printed it exceeds the exact optimum by orders of magnitude at small
     # theta; it is implemented as printed and checked only by its own formula
     # tests.
-    eps = 1e-3
-    for cfg in (
-        TwoClientConfig(3, 1, 1.0, 2.0, 0.01),
-        TwoClientConfig(3, 2, 2.0, 1.0, 0.01),
-        TwoClientConfig(2, 3, 0.5, 1.5, 0.05),
-        TwoClientConfig(4, 1, 1.5, 1.5, 0.05),
+    for inst in (
+        AsymptoticInstance((3, 4), (1.0, 2.0), 1e-3, 0.01),
+        AsymptoticInstance((3, 5), (2.0, 1.0), 1e-3, 0.01),
+        AsymptoticInstance((2, 5), (0.5, 1.5), 1e-3, 0.05),
+        AsymptoticInstance((4, 5), (1.5, 1.5), 1e-3, 0.05),
     ):
-        bound = optimal_cost_lower_bound(cfg).evaluate(eps)
-        j_op = growth_rate_optimal(cfg.instance(eps)).average_cost
+        bound = optimal_cost_lower_bound(inst).evaluate(inst.epsilon)
+        j_op = growth_rate_optimal(inst.materialize()).average_cost
         assert bound <= j_op * 1.10
 
 
 def test_mlg_cost_approaches_leading_term():
-    cfg = TwoClientConfig(3, 2, 2.0, 1.0, 0.01)
-    lead = mlg_cost_leading(cfg)
+    base = AsymptoticInstance((3, 5), (2.0, 1.0), 1e-3, 0.01)
+    lead = mlg_cost_leading(base)
     ratios = []
     for eps in (1e-2, 3e-3, 1e-3):
-        inst = cfg.instance(eps)
+        inst = base.with_epsilon(eps).materialize()
         j = chain_average_costs([stationary_chain(mlg_stationary_policy(inst), inst)], [inst.theta])[0].average_cost
         ratios.append(j / lead.evaluate(eps))
     assert ratios == sorted(ratios, reverse=True)

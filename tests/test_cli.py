@@ -137,6 +137,22 @@ def test_run_experiment_exact_falls_back_to_simulation_for_wdd(tmp_path):
     assert methods["op-iterative"] == "growth_rate"
 
 
+@pytest.mark.parametrize("trials, horizon, converged", [(1, 64, False), (8, 2000, True)])
+def test_a_simulated_row_without_an_error_bar_is_not_converged(tmp_path, trials, horizon, converged):
+    # one trial of 64 slots is one estimator block, so the row has no error bar
+    cfg = {
+        "instance": {"taus": [2, 3], "ps": [0.9, 0.8], "theta": 0.05},
+        "policies": ["wdd"],
+        "evaluation": "simulate",
+        "sim": {"horizon": horizon, "trials": trials, "warmup": 0},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    (row,) = run_experiment(load_config(path), out_path=tmp_path / "out.csv")
+    assert (row.stderr == 0.0) is not converged
+    assert (tmp_path / "out.csv").read_text().splitlines()[1].endswith(",simulate," + str(converged).lower())
+
+
 def test_run_experiment_state_cap(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "EXACT_STATE_CAP", 5)
     cfg_path = _tiny_config(tmp_path)

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from dense_oracle import dense_chain, eigvals_cost, recurrent, stationary_dense
+from dense_oracle import cycle_expectations, dense_chain, eigvals_cost, recurrent, stationary_dense
 from paper_oracle import (
     CellCapError,
     Mdp1Table,
@@ -28,7 +28,6 @@ from idsched.heuristics import (
 )
 from idsched.exact import (
     StationaryPolicy,
-    cycle_expectations,
     growth_rate_optima,
     growth_rate_optimal,
     theta_threshold,
