@@ -56,6 +56,14 @@ def _integer(section: dict, key: str, default: int | None, minimum: int) -> int:
     return int(value)
 
 
+def _seed(section: dict, default: int | None) -> int:
+    """``section["seed"]`` as a simulation key: an integer in ``[0, 2**64)``, never folded."""
+    seed = _integer(section, "seed", default, 0)
+    if seed >= 2**64:
+        raise ConfigError(f"'seed' must be below 2**64 (the simulator's keys are 64-bit), not {seed}")
+    return seed
+
+
 def _check_keys(section: dict, known: tuple[str, ...], where: str) -> None:
     """Raise ``ConfigError`` naming every key of ``section`` outside ``known``."""
     unknown = [key for key in section if key not in known]
@@ -150,7 +158,7 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
         sweep_values=values,
         evaluation=evaluation,
         sim_config=sim_config,
-        seed=_integer(obj, "seed", 0, 0),
+        seed=_seed(obj, 0),
         output=output,
     )
 
@@ -429,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = _integer(vars(args), "seed", None, 0)
+            cfg.seed = _seed(vars(args), None)
         if args.command == "describe":
             print(describe(cfg))
             return 0

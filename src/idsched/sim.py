@@ -4,10 +4,11 @@ Each batch engine returns one thing, the exceedance total of every row over
 each estimator block (``block_edges``), and the block estimator reads
 nothing else.  Costs are accumulated as integer exceedance counts and only
 exponentiated inside log-domain reductions, so horizons of 10^7 slots cannot
-overflow.  Each trial owns a pseudorandom substream derived from (seed,
-trial index); the batch engines consume it as a per-slot walk of the model
-would, so results are independent of any batching, and repeated runs are
-bitwise identical.  A finite-memory policy enters as its ``exact.Chain``,
+overflow.  Each slot of each trial has one uniform, a counter-based
+function of (seed, trial index, slot) (``_slices``); the batch engines
+consume them as a per-slot walk of the model would, so results are
+independent of any batching and of the other trials run, and repeated runs
+are bitwise identical.  A finite-memory policy enters as its ``exact.Chain``,
 which carries its start; WDD enters as ``None`` and starts from the
 all-threshold state.  WDD decides on exact integer keys (``_wdd_weights``), so
 its decision lives on a lattice of key differences, and it runs on that
@@ -18,7 +19,6 @@ past the lattice's state cap it runs slot by slot on the same keys
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -29,7 +29,6 @@ from .errors import ConfigError
 from .exact import Chain
 from .model import Instance, State
 
-_DRAW = 2**14  # most uniforms one draw holds (128 KiB); bounds memory only, the streams do not depend on it
 _MIN_BLOCK = 64  # shortest estimator block, in slots
 _MIN_COVERAGE = 0.5  # least effective sample size of the block weights, per block
 _SLICE = 2 * _MIN_BLOCK  # most slots a batch engine records before deriving their exceedances; no block is longer
@@ -49,6 +48,8 @@ class SimConfig:
             raise ValueError("horizon and trials must be positive")
         if self.warmup < 0:
             raise ValueError("warmup must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64): the uniforms' keys are 64-bit")
 
 
 @dataclass(frozen=True)
@@ -99,31 +100,45 @@ def log_mean_exp(values) -> float:
 # that tests/sim_oracle.py writes against the model)
 
 
-def _slices(rngs: list[np.random.Generator], warmup: int, horizon: int):
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on a uint64 array: a bijection of 64-bit words."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _slices(seed: int, trials: Sequence[int], warmup: int, horizon: int):
     """Every row's uniforms, slot-major, in sub-slices of at most ``_SLICE`` slots.
 
-    Yields ``(t0, uniforms, block)`` where ``uniforms[j, r]`` is row ``r``'s
-    uniform for slot ``t0 + j`` (a view into the draw) and ``block`` indexes
-    the estimator block of the slots (``block_edges``, counted after the
-    warmup; 0 in the warmup).  The warmup is cut every ``_SLICE`` slots and
-    at its end; after it each sub-slice is one block, which is never longer
-    than ``_SLICE``.  Row ``r`` reads ``rngs[r]``, and a draw holds the
-    sub-slices from the current one up to the furthest whose end keeps it
-    within ``_DRAW`` uniforms, at least one.  A float64 ``Generator.random``
-    stream is the same whatever sizes it is drawn in, so ``_DRAW`` only
-    bounds the memory a draw holds.
+    Row ``r`` runs trial ``trials[r]``.  Yields ``(t0, uniforms, block)``
+    where ``uniforms[j, r]`` is row ``r``'s uniform for slot ``t0 + j``
+    and ``block`` indexes the estimator block of the slots (``block_edges``,
+    counted after the warmup; 0 in the warmup).  The warmup is cut every
+    ``_SLICE`` slots and at its end; after it each sub-slice is one block,
+    which is never longer than ``_SLICE``.  The uniforms are computed, not
+    drawn: SplitMix64 (Steele, Lea and Flood, 2014) on a counter.  Trial
+    ``k`` has the key ``mix(mix(seed) + k * gamma)``, and its uniform at
+    slot ``t`` is the top 53 bits of ``mix(key + (t + 1) * gamma)`` times
+    ``2**-53``, in [0, 1), all mod ``2**64``, ``gamma`` the golden-ratio
+    increment.  So a uniform is a function of ``(seed, trial, slot)`` alone,
+    the same whichever trials run beside it, and each sub-slice is one array
+    operation over all rows.  ``mix`` is a bijection and ``gamma`` is odd, so
+    distinct trials of a seed below ``2**64`` have distinct keys.
     """
+    gamma = np.uint64(0x9E3779B97F4A7C15)
+    keys = _mix(_mix(np.array([seed], dtype=np.uint64)) + np.array(trials, dtype=np.uint64) * gamma)
     edges = block_edges(horizon)
     ends = list(range(_SLICE, warmup, _SLICE)) + [warmup] * (warmup > 0) + [warmup + e for e in edges]
     first = len(ends) - len(edges)  # the first sub-slice after the warmup
-    t0 = drawn = 0
+    t0 = 0
     for i, end in enumerate(ends):
-        if end > drawn:
-            base, drawn = t0, ends[max(bisect.bisect_right(ends, t0 + _DRAW // len(rngs)) - 1, i)]
-            chunk = np.empty((len(rngs), drawn - base))
-            for rng, row in zip(rngs, chunk):
-                rng.random(out=row)
-        yield t0, chunk[:, t0 - base : end - base].T, max(i - first, 0)
+        bits = np.arange(t0 + 1, end + 1, dtype=np.uint64)[:, None] * gamma + keys
+        uniforms = (_mix(bits) >> np.uint64(11)).astype(np.float64)
+        uniforms *= 2.0**-53
+        yield t0, uniforms, max(i - first, 0)
         t0 = end
 
 
@@ -294,9 +309,8 @@ def _batch_chain(
         dest = np.empty((_SLICE, got.shape[2]), dtype=np.int8)  # the client each slot delivers to, 1-based, or 0
         clients = np.arange(1, len(taus) + 1, dtype=np.int8)[:, None, None]
 
-    for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in trials], warmup, horizon):
-        # the comparisons below read u once per level, faster contiguous than as the draw's strided view
-        u = np.ascontiguousarray(u)[:, None]
+    for t0, u, block in _slices(seed, trials, warmup, horizon):
+        u = u[:, None]
         rank = (u >= bounds[0]).view(np.int8)  # a chain has at most 63 levels, one per client
         for bound in bounds[1:]:  # one comparison per level is cheaper than a binary search over a few
             rank += u >= bound
@@ -444,8 +458,8 @@ def _key_lattice(taus: tuple[int, ...], w: tuple[int, ...], box: int):
         reached[first] = True
         frontier = first
         while frontier.size:
-            new = np.sort(np.concatenate((every[0][frontier], every[1][frontier])))
-            new = new[np.diff(new, prepend=-1) > 0]  # each code once, and no -1
+            new = np.sort(np.concatenate(([-1], every[0][frontier], every[1][frontier])))
+            new = new[1:][new[1:] != new[:-1]]  # each code once, and no -1: the sort puts the added -1 first
             frontier = new[~reached[new]]
             reached[frontier] = True
         seen = np.flatnonzero(reached)
@@ -455,8 +469,8 @@ def _key_lattice(taus: tuple[int, ...], w: tuple[int, ...], box: int):
         found = []  # per breadth-first level: its codes, their successors' codes and served clients
         while frontier.size:
             found.append((frontier, *moves(frontier)))
-            new = np.sort(np.concatenate(found[-1][1:3]))
-            new = new[np.diff(new, prepend=-1) > 0]
+            new = np.sort(np.concatenate(([-1], *found[-1][1:3])))
+            new = new[1:][new[1:] != new[:-1]]
             frontier = new[seen.take(np.searchsorted(seen, new), mode="clip") != new]
             seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
             if len(seen) > _WDD_STATES:
@@ -537,7 +551,7 @@ def _batch_wdd(
     got[:, :lag] = _virtual_deliveries(start, lag)[:, :, None, None]
     blocks = np.zeros((math.prod(shape), len(block_edges(horizon))), dtype=np.int16)
 
-    for t0, u, block in _slices([np.random.default_rng((seed, r)) for r in trials], warmup, horizon):
+    for t0, u, block in _slices(seed, trials, warmup, horizon):
         size = len(u)
         reach = u[:, None, None, :] < p_rows  # the outcome, had each client been served
         for j in range(size):

@@ -95,7 +95,8 @@ def run_trial(inst, policy, horizon, trial_seed, start, warmup=0):
     state = tuple(start)
     blocks = np.zeros(len(sim.block_edges(horizon)), dtype=np.int64)
     slots = [[] for _ in range(inst.n_clients)]
-    for t0, uniforms, block in sim._slices([np.random.default_rng(trial_seed)], warmup, horizon):
+    seed, trial = trial_seed
+    for t0, uniforms, block in sim._slices(seed, [trial], warmup, horizon):
         for t, draw in enumerate(uniforms[:, 0].tolist(), t0):
             if t >= warmup:
                 blocks[block] += exceedance_count(state, inst.thresholds)

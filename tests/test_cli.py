@@ -425,6 +425,21 @@ def test_negative_seed_override_is_a_config_error(tmp_path, capsys, command):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["config", "override"])
+def test_a_seed_past_64_bits_is_a_config_error(tmp_path, capsys, route):
+    # the simulator's keys are 64-bit: 2**64 would fold onto seed 0, so it is
+    # refused by name, and the largest key runs
+    for seed, status in ((2**64, 2), (2**65 + 7, 2), (2**64 - 1, 0)):
+        sim_rows = {"policies": ["prr"], "evaluation": "simulate", "sim": {"horizon": 200, "trials": 2}}
+        if route == "config":
+            argv = ["sweep", "--config", str(_tiny_config(tmp_path, **sim_rows, seed=seed))]
+        else:
+            argv = ["sweep", "--config", str(_tiny_config(tmp_path, **sim_rows)), "--seed", str(seed)]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == status
+        err = capsys.readouterr().err
+        assert ("config error" in err and "'seed' must be below 2**64" in err) == (status == 2)
+
+
 @pytest.mark.parametrize("name", ["ps", "explicit"])
 def test_emit_policy_ps_needs_a_max_period(name):
     # fig4 has neither a ps spec with a max_period nor an explicit spec with decisions

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +24,7 @@ from idsched.sim import (
     estimate_costs,
     log_mean_exp,
 )
-from idsched.sim import _DRAW, _MIN_BLOCK, _SLICE, _TABLE, _batch_chain, _slices, _steps
+from idsched.sim import _MIN_BLOCK, _SLICE, _TABLE, _batch_chain, _slices, _steps
 
 
 def _random_policy(inst, seed):
@@ -96,33 +100,31 @@ def test_batch_engines_match_reference_exactly():
             assert [_fields(r) for r in ref] == [_fields(b) for b in tally_trials(tally, 1)[0]]
 
 
-# one sub-slice per draw, a few, and the whole run in one draw
-@pytest.mark.parametrize("draw", [1, 300, 2**20])
-def test_uniform_chunk_size_changes_no_trial(monkeypatch, draw):
-    # Generator.random streams do not depend on the sizes they are drawn in
+def test_a_trial_runs_the_same_alone_or_among_others():
+    # a trial's uniforms are a function of (seed, trial, slot): its stream,
+    # and so its block totals in every engine, do not depend on which trials
+    # run beside it, as WDD's reruns of single trials need
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_policy(inst, 2)
-    horizon, trials, seed, warmup = 2500, 3, 41, 13
-
-    def trials_of_each_engine():
-        start = inst.thresholds
-        policy = sim_oracle.stationary(pol, inst)
-        steps, one_slot = _chain_tallies([stationary_chain(pol, inst)], horizon, trials, seed, warmup)
-        return [
-            [run_trial(inst, policy, horizon, (seed, r), start, warmup) for r in range(trials)],
-            tally_trials(one_slot, 1)[0],
-            tally_trials(steps, 1)[0],
-            [run_trial(inst, sim_oracle.wdd(inst), horizon, (seed, r), start, warmup) for r in range(trials)],
-            tally_trials(_wdd_tally([inst], horizon, trials, seed, start, warmup), 1)[0],
-        ]
-
-    default = trials_of_each_engine()
-    monkeypatch.setattr(sim, "_DRAW", draw)
-    patched = trials_of_each_engine()
-    for engine in range(5):
-        assert [_fields(r) for r in patched[engine]] == [_fields(r) for r in default[engine]]
-    for ref, engine in ((0, 1), (0, 2), (3, 4)):
-        assert [_fields(r) for r in default[ref]] == [_fields(r) for r in default[engine]]
+    chain = stationary_chain(pol, inst)
+    horizon, seed, warmup, trials = 2500, 41, 13, [0, 5, 2, 9]
+    together = [u for _, u, _ in _slices(seed, trials, warmup, horizon)]
+    taus, ps = inst.thresholds, inst.reliabilities
+    lattice = sim._wdd_chains(taus, [ps], [10**3])
+    runs = [  # the chain engine on a chain and on WDD's key lattice, and WDD's slot loop
+        lambda rows: _batch_chain([chain], horizon, rows, seed, warmup)[0],
+        lambda rows: _batch_chain([], horizon, rows, seed, warmup, lattice, taus, taus)[0],
+        lambda rows: sim._batch_wdd(taus, [ps], horizon, rows, seed, taus, warmup),
+    ]
+    among = [run(np.array(trials)) for run in runs]
+    for r, trial in enumerate(trials):
+        alone = [u[:, 0] for _, u, _ in _slices(seed, [trial], warmup, horizon)]
+        assert all(np.array_equal(a, u[:, r]) for a, u in zip(alone, together))
+        for run, blocks in zip(runs, among):
+            assert np.array_equal(run(np.array([trial]))[0], blocks[r])
+    # and a trial's row equals the oracle's
+    ref = run_trial(inst, sim_oracle.stationary(pol, inst), horizon, (seed, trials[1]), taus, warmup)
+    assert _fields(ref) == among[0][1].tolist()
 
 
 def _assert_points_match_reference(insts, policies, tallies, horizon, seed, starts, warmup):
@@ -142,7 +144,7 @@ def _assert_points_match_reference(insts, policies, tallies, horizon, seed, star
         # the start (1, 0), with no warmup to hide its encoding
         ((2, 3), [(0.6, 0.7), (0.8, 0.8)], (1, 0), 500, 0),
         ((2, 3, 4), [(0.6, 0.7, 0.8), (0.7, 0.7, 0.7)], (0, 2, 2), 500, 33),
-        # the warmup crosses a chunk of the uniform stream
+        # a warmup of many sub-slices, far longer than the horizon
         ((2, 3), [(0.6, 0.7), (0.3, 0.9)], None, 50, 20_000),
         # client 1 with a threshold of 1
         ((1, 3), [(0.6, 0.7), (0.9, 0.4)], None, 600, 13),
@@ -168,15 +170,12 @@ def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, sta
     tally = _wdd_tally(insts, horizon, trials, 17, start, warmup)
     runs = tally_trials(tally, len(insts))
     assert len(runs) == len(insts) and all(len(run) == trials for run in runs)
-    # and again with every sub-slice drawn on its own
-    with mock.patch.object(sim, "_DRAW", 1):
-        one_slice = _wdd_tally(insts, horizon, trials, 17, start, warmup)
     with mock.patch.object(sim, "_WDD_STATES", 0):
         assert sim._wdd_chains(taus, reliabilities, [10**3] * len(insts)) == [None] * len(insts)
         slot_by_slot = _wdd_tally(insts, horizon, trials, 17, start, warmup)
     policies = [sim_oracle.wdd(inst) for inst in insts]
     starts = [start or taus] * len(insts)
-    _assert_points_match_reference(insts, policies, [tally, one_slice, slot_by_slot], horizon, 17, starts, warmup)
+    _assert_points_match_reference(insts, policies, [tally, slot_by_slot], horizon, 17, starts, warmup)
 
 
 def test_wdd_chains_rerun_in_a_doubled_box_until_no_row_reaches_its_edge(monkeypatch):
@@ -354,7 +353,7 @@ def test_multi_slot_steps_match_the_oracle(stack, steps, width):
     assert _steps_of(chains) == (steps, width)
     if steps == 1:
         assert sum(len(c.p) for c in chains) * width**2 > _TABLE
-    lengths = [len(u) for _, u, _ in _slices([np.random.default_rng(0)], 13, 600)]
+    lengths = [len(u) for _, u, _ in _slices(0, [0], 13, 600)]
     assert steps == 1 or sum(size % steps > 0 for size in lengths) > 1
     tallies = _chain_tallies(list(chains), 600, 2, 31, 13)
     _assert_points_match_reference(insts, policies, tallies, 600, 31, starts, 13)
@@ -368,12 +367,12 @@ def test_chain_engine_ranks_uniforms_equal_to_a_reliability_as_failures(monkeypa
     edges = np.array([0.0] + levels + [np.nextafter(p, 0.0) for p in levels])
     real = sim._slices
 
-    def slices_at_the_edges(rngs, warmup, horizon):
-        for t0, u, block in real(rngs, warmup, horizon):
+    def slices_at_the_edges(seed, trials, warmup, horizon):
+        for t0, u, block in real(seed, trials, warmup, horizon):
             yield t0, np.where(u < 0.5, edges[(2 * len(edges) * u).astype(int) % len(edges)], u), block
 
     monkeypatch.setattr(sim, "_slices", slices_at_the_edges)
-    drawn = np.concatenate([u.ravel() for _, u, _ in sim._slices([np.random.default_rng((31, 0))], 13, 600)])
+    drawn = np.concatenate([u.ravel() for _, u, _ in sim._slices(31, [0], 13, 600)])
     assert set(edges) <= set(drawn.tolist())
     tallies = _chain_tallies(list(chains), 600, 2, 31, 13)
     _assert_points_match_reference(insts, policies, tallies, 600, 31, starts, 13)
@@ -458,26 +457,65 @@ def test_no_block_is_longer_than_a_sub_slice():
     assert all(max(np.diff(block_edges(h), prepend=0)) <= 2 * _MIN_BLOCK for h in range(1, 20_001))
 
 
-def test_slices_cut_the_chunked_streams_at_every_edge():
-    # a warmup longer than a sub-slice, and a one-block horizon; every
-    # sub-slice drawn on its own, and at the default draw size
-    for draw in (1, _DRAW):
-        with mock.patch.object(sim, "_DRAW", draw):
-            for warmup, horizon in [(5, 2148), (_SLICE + 45, 2148), (_SLICE + 44, 100)]:
-                slices = list(_slices([np.random.default_rng(7), np.random.default_rng(8)], warmup, horizon))
-                total = warmup + horizon
-                for row, seed in enumerate((7, 8)):
-                    whole = np.random.default_rng(seed).random(total)
-                    assert np.array_equal(np.concatenate([u[:, row] for _, u, _ in slices]), whole)
-                edges = [warmup + e for e in block_edges(horizon)]
-                # the sub-slices end at each block edge, the warmup's end and
-                # every _SLICE slots inside the warmup, and nowhere else
-                assert [t0 + len(u) for t0, u, _ in slices] == sorted({*range(_SLICE, warmup, _SLICE), warmup, *edges})
-                start = 0
-                for t0, u, block in slices:
-                    assert t0 == start and 0 < len(u) <= _SLICE
-                    assert block == sum(e <= t0 for e in edges)
-                    start = t0 + len(u)
+def _splitmix64_uniforms(seed, trial, slots):
+    """Trial ``trial``'s first uniforms, written out in Python ints: SplitMix64 on the counter ``(t + 1) * gamma``."""
+    mask, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        return z ^ (z >> 31)
+
+    key = mix(mix(seed) + trial * gamma & mask)
+    return [(mix(key + (t + 1) * gamma & mask) >> 11) / 2**53 for t in range(slots)]
+
+
+def test_slices_compute_splitmix64_and_cut_it_at_every_edge():
+    # a warmup shorter than a sub-slice, one longer, and a one-block horizon;
+    # the largest seed, and a subset of trials in any order, as a rerun reads
+    for seed, trials in [(7, [0, 1]), (2**64 - 1, [3]), (29, [12, 0, 5])]:
+        for warmup, horizon in [(5, 2148), (_SLICE + 45, 2148), (_SLICE + 44, 100)]:
+            slices = list(_slices(seed, trials, warmup, horizon))
+            total = warmup + horizon
+            u = np.concatenate([u for _, u, _ in slices])
+            assert u.shape == (total, len(trials)) and u.dtype == np.float64
+            for row, trial in enumerate(trials):
+                assert u[:, row].tolist() == _splitmix64_uniforms(seed, trial, total)
+            edges = [warmup + e for e in block_edges(horizon)]
+            # the sub-slices end at each block edge, the warmup's end and
+            # every _SLICE slots inside the warmup, and nowhere else
+            assert [t0 + len(u) for t0, u, _ in slices] == sorted({*range(_SLICE, warmup, _SLICE), warmup, *edges})
+            start = 0
+            for t0, u, block in slices:
+                assert t0 == start and 0 < len(u) <= _SLICE
+                assert block == sum(e <= t0 for e in edges)
+                start = t0 + len(u)
+    # 0 <= u < 1, and distinct trials of a seed draw distinct streams
+    u = next(_slices(0, range(256), 0, 64))[1]
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert len({tuple(col) for col in u.T.tolist()}) == 256
+    # a seed outside the 64-bit keys is refused, never folded
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            SimConfig(horizon=100, trials=1, seed=seed)
+
+
+def test_a_simulated_sweep_imports_no_numpy_random():
+    # the uniforms are computed with integer arithmetic; numpy.random (and
+    # the hashlib and OpenSSL it imports) stays out of the process
+    script = (
+        "import sys\n"
+        "from idsched import cli\n"
+        "cfg = cli.load_config({'instance': {'taus': [2, 3], 'ps': [0.6, 0.7], 'theta': 0.05},"
+        " 'policies': ['op-iterative', 'prr', 'wdd'], 'evaluation': 'simulate', 'sim': {'horizon': 500, 'trials': 4}})\n"
+        "rows = cli.run_experiment(cfg)\n"
+        "assert rows and all(row.method == 'simulate' for row in rows), rows\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(sim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_estimate_cost_halves_blocks_only_when_the_tail_is_uncovered():
