@@ -153,10 +153,11 @@ def _excess_tables(inst: Instance) -> np.ndarray:
     the minimal window cost minus one, and x is in the zeroth level set
     exactly when A(x) > 0.
     """
-    tables = transition_tables(inst)
+    tables = transition_tables(inst.thresholds)
+    cost = np.exp(inst.theta * tables.hits)
     g = np.ones(tables.indexer.total_states)
     for _ in range(inst.n_clients):
-        g = tables.cost * g[tables.succ].min(axis=1)
+        g = cost * g[tables.succ].min(axis=1)
     return g - 1.0
 
 
@@ -201,7 +202,7 @@ def build_level_sets(inst: Instance) -> LevelSets:
     gets coefficients and decisions here: its excess, and the action whose
     success successor has the least excess.
     """
-    tables = transition_tables(inst)
+    tables = transition_tables(inst.thresholds)
     excess = _excess_tables(inst)
 
     level = np.where(excess > 0.0, 0, -1)
@@ -248,7 +249,7 @@ def sn_policy(inst: Instance) -> tuple[StationaryPolicy, LevelSets]:
     Raises :class:`StructuralError` if any state ends up without a decision.
     """
     ls = build_level_sets(inst)
-    tables = transition_tables(inst)
+    tables = transition_tables(inst.thresholds)
     coef = 1.0 - np.asarray(inst.reliabilities)
     level, a = ls.level, ls.a
     remain = np.zeros(level.shape, dtype=bool)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import asymptotic, exact, heuristics, sim
 from .errors import ConfigError, SchedulingError, StructuralError
 from .model import AsymptoticInstance, Instance, instance_from_json
@@ -28,6 +26,7 @@ CSV_HEADER = "sweep_value,policy,J,J_normalized,stderr,method,converged"
 _POLICY_NAMES = ("op-iterative", "mlg", "sn", "prr", "wdd", "ps", "explicit")
 _CONFIG_KEYS = ("instance", "policies", "sweep", "evaluation", "sim", "seed", "output")
 _SIM_KEYS = ("horizon", "trials", "warmup")
+_SPEC_KEYS = {"ps": ("max_period",), "explicit": ("decisions",)}  # a policy spec's keys besides 'name'
 EXACT_STATE_CAP = 2000  # most clipped states of a policy evaluated exactly; the optimum and WDD are exempt
 
 
@@ -103,6 +102,7 @@ def load_config(obj: dict | str | Path) -> ExperimentConfig:
             raise ConfigError(f"bad policy spec: {spec!r}")
         if spec["name"] not in _POLICY_NAMES:
             raise ConfigError(f"unknown policy {spec['name']!r}; known: {', '.join(_POLICY_NAMES)}")
+        _check_keys(spec, ("name", *_SPEC_KEYS.get(spec["name"], ())), f"{spec['name']!r} policy spec")
         if any(spec["name"] == seen["name"] for seen in policies):
             raise ConfigError(f"policy {spec['name']!r} is named more than once; its rows could not be told apart")
         if spec["name"] == "ps":
@@ -220,75 +220,45 @@ def _instance_at(cfg: ExperimentConfig, value: float) -> Instance:
         raise ConfigError(f"sweep value {value} produces an invalid instance: {exc}") from exc
 
 
-class _Evaluator:
-    """Per-sweep-point policy construction and evaluation."""
+def _policy(spec: dict, inst: Instance, optimum: exact.GrowthRateResult | None = None) -> exact.StationaryPolicy:
+    """The stationary policy ``spec`` names on ``inst``: op-iterative, mlg, sn or explicit.
 
-    def __init__(self, cfg: ExperimentConfig, inst: Instance):
-        self.cfg = cfg
-        self.inst = inst
-        self._schedules: dict[int, heuristics.PeriodicSchedule] = {}
-        self._optimum: exact.GrowthRateResult | None = None
+    Op-iterative reads the greedy policy of ``optimum``, solving ``inst`` when none is given.
+    """
+    name = spec["name"]
+    if name == "op-iterative":
+        return (optimum or exact.growth_rate_optimal(inst)).policy
+    if name == "mlg":
+        return asymptotic.mlg_stationary_policy(inst)
+    if name == "sn":
+        return asymptotic.sn_policy(inst)[0]
+    return exact.StationaryPolicy(spec["decisions"])
 
-    @staticmethod
-    def solve_optima(evaluators: list["_Evaluator"]) -> None:
-        """Give each evaluator its optimum, all from one stacked ``exact.growth_rate_optima`` call."""
-        for ev, result in zip(evaluators, exact.growth_rate_optima([ev.inst for ev in evaluators])):
-            ev._optimum = result
 
-    def optimum(self) -> exact.GrowthRateResult:
-        """The point's certified growth-rate optimum, computed once: the op-iterative row and the reference J."""
-        if self._optimum is None:
-            self.solve_optima([self])
-        return self._optimum
+def _chains(spec: dict, insts: list[Instance], optima: list[exact.GrowthRateResult]) -> list[exact.Chain | None]:
+    """The policy's finite chain at every sweep point, from the all-threshold state; None per point for WDD.
 
-    def _schedule(self, max_period: int) -> heuristics.PeriodicSchedule:
-        if max_period not in self._schedules:
-            self._schedules[max_period] = heuristics.build_periodic_schedule(self.inst, max_period)
-        return self._schedules[max_period]
-
-    def stationary_policy(self, spec: dict) -> exact.StationaryPolicy | None:
-        name = spec["name"]
-        if name == "op-iterative":
-            return self.optimum().policy
-        if name == "mlg":
-            return asymptotic.mlg_stationary_policy(self.inst)
-        if name == "sn":
-            return asymptotic.sn_policy(self.inst)[0]
-        if name == "explicit":
-            return exact.StationaryPolicy(np.asarray(spec["decisions"], dtype=np.int64))
-        return None
-
-    def exact_chain(self, spec: dict) -> tuple[exact.Chain, str]:
-        """The finite chain of a stationary, PRR or PS policy, to evaluate exactly, and its method.
-
-        The state cap applies to these chains, not to the optimum.
-        """
-        if self.inst.total_states > EXACT_STATE_CAP:
-            raise ConfigError(
-                f"exact evaluation infeasible: {self.inst.total_states} states exceed the cap of {EXACT_STATE_CAP}"
-            )
-        method = {"prr": "exact-augmented", "ps": "exact-periodic"}.get(spec["name"], "exact")
-        return self.chain(spec), method
-
-    def chain(self, spec: dict) -> exact.Chain | None:
-        """The policy's finite chain from the all-threshold state; None for WDD, which has none."""
-        name = spec["name"]
-        if name == "prr":
-            return heuristics.prr_chain(self.inst)
-        if name == "wdd":
-            return None
-        if name == "ps":
-            return heuristics.periodic_chain(self.inst, self._schedule(spec["max_period"]))
-        policy = self.stationary_policy(spec)
-        assert policy is not None
-        return exact.stationary_chain(policy, self.inst)
+    The points share their thresholds, and the PS search reads nothing else,
+    so PS searches its schedule once, on the first point.
+    """
+    name = spec["name"]
+    if name == "wdd":
+        return [None] * len(insts)
+    if name == "prr":
+        return [heuristics.prr_chain(inst) for inst in insts]
+    if name == "ps":
+        schedule = heuristics.build_periodic_schedule(insts[0], spec["max_period"])
+        return [heuristics.periodic_chain(inst, schedule) for inst in insts]
+    return [exact.stationary_chain(_policy(spec, inst, optimum), inst) for inst, optimum in zip(insts, optima)]
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> list[ResultRow]:
     """Evaluate every sweep point x policy; write CSV when a path is given.
 
     The growth-rate optima of every point, which give each row's reference
-    J, are computed in one stacked call, the finite chains of every
+    J and the op-iterative rows, are computed in one stacked call.  Each
+    policy's chains are built once per sweep, and the same chains go to
+    exact evaluation and to the simulator: the finite chains of every
     (policy, point) pair are evaluated exactly in one stacked call, and the
     simulated pairs go to the simulator in one call, so each engine runs
     once per sweep.  Rows are emitted in sorted order, so reruns of the same
@@ -298,40 +268,46 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     target = out_path or cfg.output
     if target is not None:
         _check_output(target)
-    points = [(value, _Evaluator(cfg, _instance_at(cfg, value))) for value in cfg.sweep_values]
-    _Evaluator.solve_optima([ev for _, ev in points])
-    ref_js = [ev.optimum().average_cost for _, ev in points]
+    insts = [_instance_at(cfg, value) for value in cfg.sweep_values]
+    optima = exact.growth_rate_optima(insts)
+    points = list(zip(cfg.sweep_values, [optimum.average_cost for optimum in optima], insts))
     rows = []
-    chains = []
-    simulated = []
+    evaluated = []  # (policy, sweep value, reference J, instance, method, chain) per exact row
+    simulated = []  # the same per simulated row
     for spec in cfg.policies:
-        for (value, ev), ref_j in zip(points, ref_js):
-            if cfg.evaluation != "simulate" and spec["name"] != "wdd":  # WDD has no exact method
-                if spec["name"] == "op-iterative":
-                    optimum = ev.optimum()
-                    j = optimum.average_cost
-                    rows.append(ResultRow(value, spec["name"], j, j / ref_j, None, "growth_rate", optimum.converged))
-                else:
-                    chain, method = ev.exact_chain(spec)
-                    chains.append((spec["name"], value, ref_j, method, chain, ev.inst.theta))
-            if cfg.evaluation != "exact" or spec["name"] == "wdd":
-                simulated.append((spec, value, ev, ref_j))
-    if chains:
-        reports = exact.chain_average_costs([c[4] for c in chains], [c[5] for c in chains])
-        for (name, value, ref_j, method, _, _), report in zip(chains, reports):
+        name = spec["name"]
+        by_chain = cfg.evaluation != "simulate" and name not in ("op-iterative", "wdd")  # WDD has no exact method
+        simulate = cfg.evaluation != "exact" or name == "wdd"
+        if cfg.evaluation != "simulate" and name == "op-iterative":
+            for (value, ref_j, _), optimum in zip(points, optima):
+                j = optimum.average_cost
+                rows.append(ResultRow(value, name, j, j / ref_j, None, "growth_rate", optimum.converged))
+        if by_chain and insts[0].total_states > EXACT_STATE_CAP:
+            raise ConfigError(
+                f"exact evaluation infeasible: {insts[0].total_states} states exceed the cap of {EXACT_STATE_CAP}"
+            )
+        if not (by_chain or simulate):
+            continue
+        chains = _chains(spec, insts, optima)
+        if by_chain:
+            method = {"prr": "exact-augmented", "ps": "exact-periodic"}.get(name, "exact")
+            evaluated += [(name, *point, method, chain) for point, chain in zip(points, chains)]
+        if simulate:
+            simulated += [(name, *point, "simulate", chain) for point, chain in zip(points, chains)]
+    if evaluated:
+        thetas = [inst.theta for _, _, _, inst, _, _ in evaluated]
+        reports = exact.chain_average_costs([chain for *_, chain in evaluated], thetas)
+        for (name, value, ref_j, _, method, _), report in zip(evaluated, reports):
             j = report.average_cost
             rows.append(ResultRow(value, name, j, j / ref_j, None, method, report.converged))
     if simulated:
         if cfg.sim_config is None:
-            name = simulated[0][0]["name"]
-            raise ConfigError(f"policy {name!r} needs simulation but the config has no 'sim' section")
+            raise ConfigError(f"policy {simulated[0][0]!r} needs simulation but the config has no 'sim' section")
         sim_cfg = sim.SimConfig(seed=cfg.seed, **cfg.sim_config)
-        insts = [ev.inst for _, _, ev, _ in simulated]
-        sim_chains = [ev.chain(spec) for spec, _, ev, _ in simulated]
-        for (spec, value, _, ref_j), est in zip(simulated, sim.estimate_costs(insts, sim_chains, sim_cfg)):
-            rows.append(
-                ResultRow(value, spec["name"], est.j_hat, est.j_hat / ref_j, est.stderr_j, "simulate", not est.degenerate)
-            )
+        simulated_insts = [inst for _, _, _, inst, _, _ in simulated]
+        estimates = sim.estimate_costs(simulated_insts, [chain for *_, chain in simulated], sim_cfg)
+        for (name, value, ref_j, _, method, _), est in zip(simulated, estimates):
+            rows.append(ResultRow(value, name, est.j_hat, est.j_hat / ref_j, est.stderr_j, method, not est.degenerate))
     rows.sort(key=lambda r: (r.sweep_value, r.policy, r.method))
     if target is not None:
         _write(target, "\n".join([CSV_HEADER] + [row.csv() for row in rows]) + "\n")
@@ -403,16 +379,14 @@ def emit_policy(cfg: ExperimentConfig, name: str) -> dict:
         raise ConfigError(f"unknown policy {name!r}; known: {', '.join(_POLICY_NAMES)}")
     spec = next((s for s in cfg.policies if s["name"] == name), {"name": name})
     _check_spec(spec, cfg.instance)
-    ev = _Evaluator(cfg, _base_instance(cfg))
+    inst = _base_instance(cfg)
     if name == "ps":
         if "max_period" not in spec:
             raise ConfigError("ps policy needs a spec with a 'max_period' in the config")
-        return ev._schedule(spec["max_period"]).to_json()
+        return heuristics.build_periodic_schedule(inst, spec["max_period"]).to_json()
     if name in ("prr", "wdd"):
         raise ConfigError(f"policy {name!r} is stateful; it has no decision-array form")
-    policy = ev.stationary_policy(spec)
-    assert policy is not None
-    return policy.to_json()
+    return _policy(spec, inst).to_json()
 
 
 # ---------------------------------------------------------------------------

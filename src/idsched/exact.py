@@ -108,7 +108,7 @@ class Chain:
         The chain starts at clipped state ``start`` (default all-threshold)
         with memory 0.
         """
-        tables = transition_tables(inst)
+        tables = transition_tables(inst.thresholds)
         base = np.arange(tables.indexer.total_states * memory) // memory
         return cls(
             succ=tables.succ[base, client] * memory + on_success,
@@ -359,7 +359,7 @@ def growth_rate_optima(insts: Sequence[Instance]) -> list[GrowthRateResult]:
     thresholds = {inst.thresholds for inst in insts}
     if len(thresholds) != 1:
         raise ValueError("the instances of one stacked optimum must share their thresholds")
-    tables = transition_tables(insts[0])
+    tables = transition_tables(insts[0].thresholds)
     n_states = tables.indexer.total_states
     offsets = n_states * np.arange(len(insts))
     ps = np.array([inst.reliabilities for inst in insts])

@@ -293,26 +293,27 @@ class TransitionTables:
     """Dense per-state transition helpers shared by the solvers.
 
     ``succ[s, u-1]`` is the index of the success successor when serving u,
-    ``fail[s]`` the failure successor, ``hits[s]`` the threshold-exceedance
-    count, and ``cost[s]`` the per-slot cost factor.  ``succ`` is stored
-    client-major (``succ.T`` is contiguous), so the optimum's drift gathers
-    each client's successors in one pass.
+    ``fail[s]`` the failure successor, and ``hits[s]`` the
+    threshold-exceedance count, so the slot cost is
+    ``exp(theta * hits[s])``.  ``succ`` is stored client-major (``succ.T``
+    is contiguous), so the optimum's drift gathers each client's successors
+    in one pass.
     """
 
     indexer: StateIndexer
     succ: np.ndarray
     fail: np.ndarray
     hits: np.ndarray
-    cost: np.ndarray
 
 
 @lru_cache(maxsize=64)
-def transition_tables(inst: Instance) -> TransitionTables:
-    indexer = inst.indexer()
+def transition_tables(thresholds: tuple[int, ...]) -> TransitionTables:
+    """The tables of the clipped space of ``thresholds``; they read nothing else, so a sweep shares one."""
+    indexer = StateIndexer(thresholds)
     dims = indexer.dims
-    n = inst.n_clients
+    n = len(thresholds)
     grids = np.indices(dims).reshape(n, -1)  # (N, S) component values in index order
-    taus = np.asarray(inst.thresholds)
+    taus = np.asarray(thresholds)
 
     advanced = np.minimum(grids + 1, taus[:, None])
     fail = np.ravel_multi_index(advanced, dims)
@@ -322,5 +323,4 @@ def transition_tables(inst: Instance) -> TransitionTables:
         comp[u] = 0
         succ[u] = np.ravel_multi_index(comp, dims)
     hits = (grids == taus[:, None]).sum(axis=0).astype(np.int64)
-    cost = np.exp(inst.theta * hits)
-    return TransitionTables(indexer=indexer, succ=succ.T, fail=fail.astype(np.int64), hits=hits, cost=cost)
+    return TransitionTables(indexer=indexer, succ=succ.T, fail=fail.astype(np.int64), hits=hits)

@@ -55,7 +55,7 @@ class DpTable:
         """All clients whose one-step lookahead at horizon ``t`` attains the minimum."""
         if not 1 <= t <= self.horizon:
             raise ValueError("t must be in 1..horizon")
-        qs = _lookahead(transition_tables(inst), inst.reliabilities, self.values[t - 1])[:, self.indexer.index(state)]
+        qs = _lookahead(transition_tables(inst.thresholds), inst.reliabilities, self.values[t - 1])[:, self.indexer.index(state)]
         qmin = qs.min()
         return frozenset(u + 1 for u, q in enumerate(qs) if q <= qmin * (1.0 + TIE_RTOL))
 
@@ -68,14 +68,15 @@ def dp_mdp2(inst, horizon):
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    tables = transition_tables(inst)
+    tables = transition_tables(inst.thresholds)
+    cost = np.exp(inst.theta * tables.hits)
     values = np.empty((horizon + 1, tables.indexer.total_states))
     values[0] = 1.0
     greedy = np.zeros((horizon, tables.indexer.total_states), dtype=np.int64)
     for t in range(1, horizon + 1):
         q = _lookahead(tables, inst.reliabilities, values[t - 1])
         greedy[t - 1] = q.argmin(axis=0) + 1
-        values[t] = tables.cost * q.min(axis=0)
+        values[t] = cost * q.min(axis=0)
     return DpTable(horizon=horizon, values=values, greedy=greedy, indexer=tables.indexer)
 
 

@@ -132,7 +132,7 @@ def test_level_sets_partition_and_membership():
             assert idx in levels.levels[0]
     # seeding rule: an ungraded state whose failure successor sits one level
     # down joins the next level
-    tables = transition_tables(inst)
+    tables = transition_tables(inst.thresholds)
     for k in range(1, len(levels.levels)):
         z = set().union(*levels.levels[:k])
         for idx in range(inst.total_states):
@@ -144,7 +144,7 @@ def test_level_sets_partition_and_membership():
 def test_level_sets_are_seeded_and_closed_on_many_clients(taus):
     inst = Instance(taus, (0.9,) * len(taus), 0.05)
     levels = build_level_sets(inst)
-    tables = transition_tables(inst)
+    tables = transition_tables(inst.thresholds)
     level_of = {}
     for k, members in enumerate(levels.levels):
         for s in members:
@@ -191,7 +191,7 @@ def _sn_oracle(inst, jacobi=False):
     """
     coefficients = tuple(1.0 - p for p in inst.reliabilities)
     n = inst.n_clients
-    tables = transition_tables(inst)
+    tables = transition_tables(inst.thresholds)
     level_of = build_level_sets(inst).level
     excess = _excess_tables(inst).tolist()
 
@@ -370,7 +370,7 @@ def test_sn_policy_near_optimal_two_clients():
 
 def _success_walk(inst):
     """The states MLG visits from (0, 0) while every delivery succeeds, up to the first repeat."""
-    policy, tables, indexer = mlg_stationary_policy(inst), transition_tables(inst), inst.indexer()
+    policy, tables, indexer = mlg_stationary_policy(inst), transition_tables(inst.thresholds), inst.indexer()
     walk, s = [], indexer.index((0, 0))
     while s not in walk:
         walk.append(s)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from idsched import cli, exact, sim
+from idsched import asymptotic, cli, exact, heuristics, model, sim
 from idsched.cli import (
     CSV_HEADER,
     bundled_config_path,
@@ -82,6 +82,16 @@ def test_load_config_validates(tmp_path):
                 "sim": {"horizon": 100, "trials": 2, "warmpu": 10},
             }
         )
+    # a policy-spec key the policy does not read: sn takes no coefficients, prr no period
+    with pytest.raises(ConfigError, match="unknown 'sn' policy spec key.*'coefficients'; known: name$"):
+        load_config(
+            {
+                "instance": {"taus": [2, 3], "bs": [2, 1], "epsilon": 0.1, "theta": 0.05},
+                "policies": [{"name": "sn", "coefficients": [2, 1]}],
+            }
+        )
+    with pytest.raises(ConfigError, match="unknown 'prr' policy spec key.*'max_period'; known: name$"):
+        load_config({"instance": {"taus": [2], "ps": [0.5], "theta": 0.1}, "policies": [{"name": "prr", "max_period": 5}]})
 
 
 def test_bundled_configs_parse():
@@ -320,6 +330,8 @@ def _plain_instance(**fields):
         {"evaluaton": "exact"},
         {"sim": {"horizon": 2000, "trials": 8, "warmpu": 100}},
         {"policies": ["mlg", {"name": "ps", "max_period": 3}, {"name": "ps", "max_period": 6}, "mlg"]},
+        {"policies": [{"name": "sn", "coefficients": [2, 1]}]},
+        {"policies": [{"name": "prr", "max_period": 5}]},
     ],
     ids=[
         "zero-horizon",
@@ -355,6 +367,8 @@ def _plain_instance(**fields):
         "misspelt-key",
         "misspelt-sim-key",
         "repeated-policy",
+        "sn-coefficients",
+        "prr-max-period",
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
@@ -536,6 +550,35 @@ def test_one_simulation_call_per_sweep(tmp_path, monkeypatch, evaluation, polici
     counted = _count_simulation_calls(monkeypatch)
     run_experiment(load_config(_tiny_config(tmp_path, policies=policies, evaluation=evaluation)))
     assert counted == calls
+
+
+def test_a_sweep_builds_each_policy_once(tmp_path, monkeypatch):
+    # three points of one sweep, evaluated exactly and simulated: the PS search
+    # reads only the thresholds, so it runs once; every other policy is built
+    # once per point, and one transition table serves every point
+    calls = {"build_periodic_schedule": 0, "prr_chain": 0, "sn_policy": 0}
+    for module, name in ((heuristics, "build_periodic_schedule"), (heuristics, "prr_chain"), (asymptotic, "sn_policy")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    instance = {"taus": [2, 3, 4], "bs": [1.0, 2.0, 3.0], "epsilon": 0.05, "theta": 0.05}
+    cfg_path = _tiny_config(
+        tmp_path,
+        instance=instance,
+        policies=["sn", "prr", {"name": "ps", "max_period": 6}],
+        sweep={"axis": "epsilon", "values": [0.02, 0.05, 0.1]},
+        evaluation="both",
+        sim={"horizon": 300, "trials": 2},
+    )
+    model.transition_tables.cache_clear()
+    rows = run_experiment(load_config(cfg_path))
+    assert len(rows) == 3 * 3 * 2
+    assert calls == {"build_periodic_schedule": 1, "prr_chain": 3, "sn_policy": 3}
+    assert model.transition_tables.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(
