@@ -145,18 +145,19 @@ def mlg_optimality_check(inst: AsymptoticInstance) -> tuple[bool, str | None]:
 
 
 @lru_cache(maxsize=64)
-def _excess_tables(inst: Instance) -> np.ndarray:
+def _excess_tables(thresholds: tuple[int, ...], theta: float) -> np.ndarray:
     """All-success window cost excess A(x) over state indices.
 
     The window spans N slots starting at x, each slot charged on its
     pre-transition state and every transmission assumed successful; A(x) is
     the minimal window cost minus one, and x is in the zeroth level set
-    exactly when A(x) > 0.
+    exactly when A(x) > 0.  It reads no reliability, so an epsilon sweep
+    shares one table.
     """
-    tables = transition_tables(inst.thresholds)
-    cost = np.exp(inst.theta * tables.hits)
+    tables = transition_tables(thresholds)
+    cost = np.exp(theta * tables.hits)
     g = np.ones(tables.indexer.total_states)
-    for _ in range(inst.n_clients):
+    for _ in range(len(thresholds)):
         g = cost * g[tables.succ].min(axis=1)
     return g - 1.0
 
@@ -203,7 +204,7 @@ def build_level_sets(inst: Instance) -> LevelSets:
     success successor has the least excess.
     """
     tables = transition_tables(inst.thresholds)
-    excess = _excess_tables(inst)
+    excess = _excess_tables(inst.thresholds, inst.theta)
 
     level = np.where(excess > 0.0, 0, -1)
     for k in range(1, min(inst.thresholds) + 1):

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StructuralError
-from .model import Instance, State, transition_tables
+from .model import Instance, transition_tables
 
 TOL = 1e-6  # relative accuracy of a certified J: J_hi - J_lo <= TOL * J_lo
 MAX_ITER = 100_000  # iterations after which a Perron row stops, read at each call
@@ -99,14 +99,12 @@ class Chain:
         client: np.ndarray,
         on_success: np.ndarray | int,
         on_failure: np.ndarray | int,
-        start: State | None = None,
     ) -> "Chain":
         """Chain on pairs ``(s, m)`` of clipped state and memory, index ``s * memory + m``.
 
         ``client`` (0-based) is given per chain index, ``on_success`` and
         ``on_failure`` (the next memory value) per chain index or as a scalar.
-        The chain starts at clipped state ``start`` (default all-threshold)
-        with memory 0.
+        The chain starts at the all-threshold state with memory 0.
         """
         tables = transition_tables(inst.thresholds)
         base = np.arange(tables.indexer.total_states * memory) // memory
@@ -115,14 +113,14 @@ class Chain:
             fail=tables.fail[base] * memory + on_failure,
             p=np.asarray(inst.reliabilities)[client],
             hits=tables.hits[base],
-            start=tables.indexer.index(tuple(inst.thresholds if start is None else start)) * memory,
+            start=tables.indexer.index(inst.thresholds) * memory,
         )
 
 
-def stationary_chain(policy: StationaryPolicy, inst: Instance, start: State | None = None) -> Chain:
+def stationary_chain(policy: StationaryPolicy, inst: Instance) -> Chain:
     """The chain of a stationary policy: memoryless, indexed like the clipped states."""
     policy.validate(inst)
-    return Chain.augmented(inst, 1, policy.decisions - 1, 0, 0, start)
+    return Chain.augmented(inst, 1, policy.decisions - 1, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,24 @@
 The round-robin baseline is packet-level: the token holder keeps the slot
 until a delivery succeeds, then the token rotates.  The periodic baseline is
 open loop: a fixed cyclic sequence indexed by the wall clock, never by state.
-The delivery-debt baseline (WDD), which serves the client with the largest
-weighted delivery debt, has no finite chain in general; ``sim`` simulates
-it as a chain on its exact integer key differences, clipped to a box.
+Its sequence is the one of least failure-free exceedance rate, a closed form
+of each client's service gaps, found by visiting every rotation class of
+every period up to a bound once, as its least rotation (necklace
+generation); the search is exponential in that bound.  The delivery-debt
+baseline (WDD), which serves the client with the largest weighted delivery
+debt, has no finite chain in general; ``sim`` simulates it as a chain on
+its exact integer key differences, clipped to a box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import ConfigError
 from .exact import Chain
-from .model import Instance, State, successor_on_success
+from .model import Instance
 
 
 @dataclass(frozen=True)
@@ -45,25 +48,38 @@ class PeriodicSchedule:
 
 
 def deterministic_cycle_cost(sequence: tuple[int, ...], thresholds: tuple[int, ...]) -> float:
-    """Steady-state threshold exceedances per slot when every transmission succeeds."""
-    n = len(thresholds)
-    state: State = (0,) * n
+    """Steady-state threshold exceedances per slot when every transmission succeeds.
+
+    Over a gap of g slots between two services of client c (cyclically), c
+    sits at its threshold in ``max(0, g - tau_c)`` of them; a client the
+    sequence never serves sits there in every slot.
+    """
     period = len(sequence)
-    # two warm cycles reach the schedule-induced periodic orbit
-    for t in range(2 * period):
-        state = successor_on_success(state, sequence[t % period], thresholds)
-    hits = 0
-    for t in range(period):
-        hits += sum(1 for x, tau in zip(state, thresholds) if x == tau)
-        state = successor_on_success(state, sequence[t % period], thresholds)
+    last = {c: t - period for t, c in enumerate(sequence)}  # each client's last service, one period back
+    hits = (len(thresholds) - len(last)) * period
+    for t, c in enumerate(sequence):
+        hits += max(0, t - last[c] - thresholds[c - 1])
+        last[c] = t
     return hits / period
 
 
-def _is_minimal_rotation(seq: tuple[int, ...]) -> bool:
-    for shift in range(1, len(seq)):
-        if seq[shift:] + seq[:shift] < seq:
-            return False
-    return True
+def _necklaces(n: int, length: int):
+    """Sequences over 1..n of ``length``, one per rotation class as its least rotation, in lexicographic order.
+
+    The FKM walk (Ruskey, Savage & Wang, J. Algorithms 13, 1992): ``word``
+    runs through the Lyndon words of length up to ``length`` in order, and
+    each one whose length divides ``length``, repeated, is a necklace.  The
+    words, extended periodically to ``length``, are the prenecklaces in
+    lexicographic order, so the necklaces come in that order too.
+    """
+    word = [0]
+    while word:
+        word[-1] += 1
+        if length % len(word) == 0:
+            yield tuple(word * (length // len(word)))
+        word = (word * length)[:length]
+        while word and word[-1] == n:
+            word.pop()
 
 
 def build_periodic_schedule(inst: Instance, max_period: int) -> PeriodicSchedule:
@@ -71,33 +87,31 @@ def build_periodic_schedule(inst: Instance, max_period: int) -> PeriodicSchedule
 
     Minimizes the deterministic steady-state exceedance rate; ties prefer the
     shortest period, then the lexicographically smallest sequence.  Exhaustive
-    over periods up to ``max_period``, which is adequate at desk scale; a
-    zero-cost schedule ends the search early since nothing can beat it.
+    over the rotation classes of periods up to ``max_period``, so exponential
+    in it; a zero-cost schedule ends the search early since nothing can beat it.
     """
     n = inst.n_clients
     if max_period < n:
         raise ConfigError(f"max_period {max_period} cannot cover {n} clients")
-    best: tuple[float, int, tuple[int, ...]] | None = None
+    best: tuple[float, tuple[int, ...]] | None = None
     for period in range(n, max_period + 1):
-        for seq in product(range(1, n + 1), repeat=period):
+        for seq in _necklaces(n, period):
             if len(set(seq)) != n:
-                continue
-            if not _is_minimal_rotation(seq):
                 continue
             cost = deterministic_cycle_cost(seq, inst.thresholds)
             if best is None or cost < best[0]:
-                best = (cost, period, seq)
+                best = (cost, seq)
                 if cost == 0.0:
                     return PeriodicSchedule(seq, n)
     assert best is not None
-    return PeriodicSchedule(best[2], n)
+    return PeriodicSchedule(best[1], n)
 
 
 # ---------------------------------------------------------------------------
 # the finite-memory baselines as chains
 
 
-def prr_chain(inst: Instance, start: State | None = None) -> Chain:
+def prr_chain(inst: Instance) -> Chain:
     """Packet-level round robin as a chain on (state, token), index ``state_index * N + token - 1``.
 
     The token holder is served; a delivery passes the token on, a failure
@@ -105,10 +119,10 @@ def prr_chain(inst: Instance, start: State | None = None) -> Chain:
     """
     n = inst.n_clients
     token = np.tile(np.arange(n), inst.total_states)
-    return Chain.augmented(inst, n, token, (token + 1) % n, token, start)
+    return Chain.augmented(inst, n, token, (token + 1) % n, token)
 
 
-def periodic_chain(inst: Instance, sched: PeriodicSchedule, start: State | None = None) -> Chain:
+def periodic_chain(inst: Instance, sched: PeriodicSchedule) -> Chain:
     """A periodic schedule as a chain on (state, phase), index ``state_index * period + phase``.
 
     Phase ``t mod period`` serves ``sequence[phase]``; every slot advances
@@ -117,4 +131,4 @@ def periodic_chain(inst: Instance, sched: PeriodicSchedule, start: State | None 
     phase = np.tile(np.arange(sched.period), inst.total_states)
     following = (phase + 1) % sched.period
     client = np.asarray(sched.sequence)[phase] - 1
-    return Chain.augmented(inst, sched.period, client, following, following, start)
+    return Chain.augmented(inst, sched.period, client, following, following)

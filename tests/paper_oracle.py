@@ -6,9 +6,11 @@ dynamic programs of the clipped (MDP2) and unbounded (MDP1) formulations,
 whose equality on shared states and threshold-shift law the tests assert;
 the enumeration of the stationary decision maps, whose best no-exclusion
 (NE) map attains the optimum; the NE property of a policy; the Doeblin
-hitting times; and the two-client least-time-to-go rule, state by state.
-Nothing here reads ``exact``, so a test that compares the program with these
-is not circular.  Tables are dense over the state space: desk scale only.
+hitting times; the two-client least-time-to-go rule, state by state; and
+the periodic-schedule search, slot by slot over every sequence.  Nothing
+here reads ``exact`` or ``heuristics``, so a test that compares the program
+with these is not circular.  Tables are dense over the state space: desk
+scale only.
 """
 
 import math
@@ -18,7 +20,8 @@ from itertools import product
 import numpy as np
 
 from dense_oracle import eigvals_cost
-from idsched.model import StateIndexer, exclusion_state, step_distribution, transition_tables
+from idsched.errors import ConfigError
+from idsched.model import StateIndexer, exclusion_state, step_distribution, successor_on_success, transition_tables
 
 TIE_RTOL = 1e-9  # relative gap within which lookahead values tie in minimizing_actions
 CELL_CAP = 10**7  # most cells the unbounded DP's table may hold
@@ -233,3 +236,48 @@ def mlg_decide(x, thresholds):
     if x == (0, tau2 - tau1 - 1):
         return 2
     return 1 if tau1 - x[0] < tau2 - x[1] else 2
+
+
+def is_least_rotation(seq):
+    """True iff no rotation of ``seq`` is lexicographically smaller."""
+    return all(seq[shift:] + seq[:shift] >= seq for shift in range(1, len(seq)))
+
+
+def replayed_cycle_cost(sequence, thresholds):
+    """Failure-free threshold exceedances per slot of a cyclic sequence that serves every client.
+
+    Two periods from the all-zero state reach the periodic orbit, since by
+    then every client has been served; the third is counted slot by slot.
+    """
+    state = (0,) * len(thresholds)
+    period = len(sequence)
+    for t in range(2 * period):
+        state = successor_on_success(state, sequence[t % period], thresholds)
+    hits = 0
+    for t in range(period):
+        hits += sum(1 for x, tau in zip(state, thresholds) if x == tau)
+        state = successor_on_success(state, sequence[t], thresholds)
+    return hits / period
+
+
+def periodic_schedule_search(inst, max_period):
+    """The sequence of least failure-free cost among those of period up to ``max_period`` that serve every client.
+
+    Every sequence is tried, shortest periods first and each period in
+    lexicographic order, keeping only least rotations; a strictly lower cost
+    replaces the best, and a zero cost ends the search.
+    """
+    n = inst.n_clients
+    if max_period < n:
+        raise ConfigError(f"max_period {max_period} cannot cover {n} clients")
+    best = None
+    for period in range(n, max_period + 1):
+        for seq in product(range(1, n + 1), repeat=period):
+            if len(set(seq)) != n or not is_least_rotation(seq):
+                continue
+            cost = replayed_cycle_cost(seq, inst.thresholds)
+            if best is None or cost < best[0]:
+                best = cost, seq
+                if cost == 0.0:
+                    return seq
+    return best[1]

@@ -103,7 +103,7 @@ def test_closed_forms_need_two_clients_in_threshold_order_and_tau1_at_least_2(th
 
 def _window(x, inst):
     """The all-success window's excess at state ``x``."""
-    return float(_excess_tables(inst)[inst.indexer().index(x)])
+    return float(_excess_tables(inst.thresholds, inst.theta)[inst.indexer().index(x)])
 
 
 def test_all_success_excess_examples():
@@ -127,7 +127,7 @@ def test_level_sets_partition_and_membership():
     # and contains every state with a component at threshold
     for x in indexer.states():
         idx = indexer.index(x)
-        assert (idx in levels.levels[0]) == (_excess_tables(inst)[idx] > 0.0)
+        assert (idx in levels.levels[0]) == (_excess_tables(inst.thresholds, inst.theta)[idx] > 0.0)
         if any(v == t for v, t in zip(x, inst.thresholds)):
             assert idx in levels.levels[0]
     # seeding rule: an ungraded state whose failure successor sits one level
@@ -193,7 +193,7 @@ def _sn_oracle(inst, jacobi=False):
     n = inst.n_clients
     tables = transition_tables(inst.thresholds)
     level_of = build_level_sets(inst).level
-    excess = _excess_tables(inst).tolist()
+    excess = _excess_tables(inst.thresholds, inst.theta).tolist()
 
     def argmin(pairs):
         best_u, best_val = None, math.inf

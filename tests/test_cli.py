@@ -581,6 +581,16 @@ def test_a_sweep_builds_each_policy_once(tmp_path, monkeypatch):
     assert model.transition_tables.cache_info().misses == 1
 
 
+def test_an_epsilon_sweep_builds_one_excess_table(tmp_path):
+    # SN's level sets read the all-success window excess, which depends on the
+    # thresholds and theta alone: the three points of an epsilon sweep share it
+    instance = {"taus": [2, 3, 4], "bs": [1.0, 1.0, 1.0], "epsilon": 0.1, "theta": 0.05}
+    cfg_path = _tiny_config(tmp_path, instance=instance, policies=["sn"], sweep={"axis": "epsilon", "values": [0.1, 0.2, 0.3]})
+    asymptotic._excess_tables.cache_clear()
+    assert len(run_experiment(load_config(cfg_path))) == 3
+    assert asymptotic._excess_tables.cache_info().misses == 1
+
+
 @pytest.mark.parametrize(
     "instance, sweep",
     [

@@ -224,9 +224,10 @@ def test_ne_policies_have_one_closed_class_with_threshold_state():
         # all-threshold is recurrent and every recurrent state is in its class
         assert closed[idx_tau] and np.array_equal(closed, reach[idx_tau])
         assert not np.diag(weighted)[~closed].any()
-        _assert_classes_from_every_start(exact.stationary_chain(pol, inst), reach)
+        chain = exact.stationary_chain(pol, inst)
+        _assert_classes_from_every_start(chain, reach)
         # every start's row is that one class, members in index order: the same report, bit for bit
-        chains = [exact.stationary_chain(pol, inst, start) for start in inst.indexer().states()]
+        chains = [dataclasses.replace(chain, start=start) for start in range(inst.total_states)]
         reports = exact.chain_average_costs(chains, [inst.theta] * len(chains))
         assert all(report == reports[idx_tau] for report in reports)
 
@@ -309,7 +310,8 @@ def test_average_cost_from_a_transient_start_brackets_the_closed_class():
     # cycle reaches, not the states the start reaches
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_ne_policy(inst, np.random.default_rng(3))
-    chains = [exact.stationary_chain(pol, inst), exact.stationary_chain(pol, inst, (0, 0))]
+    chain = exact.stationary_chain(pol, inst)
+    chains = [chain, dataclasses.replace(chain, start=inst.indexer().index((0, 0)))]
     (member, reached), (start_member, start_reached) = (
         exact._closed_classes(chain.succ, chain.fail, [chain.start]) for chain in chains
     )
@@ -572,11 +574,11 @@ def test_stacked_chains_of_any_size_match_their_own_evaluation():
     # rows of different lengths share one flat stack; none may move another's bracket
     two = Instance((2, 3), (0.6, 0.7), 0.05)
     three = Instance((2, 3, 4), (0.6, 0.7, 0.8), 0.3)
-    policy = _random_ne_policy(two, np.random.default_rng(3))
+    stationary = exact.stationary_chain(_random_ne_policy(two, np.random.default_rng(3)), two)
     chains = [
-        exact.stationary_chain(policy, two),
+        stationary,
         prr_chain(three),
-        exact.stationary_chain(policy, two, start=(0, 0)),  # a transient start
+        dataclasses.replace(stationary, start=two.indexer().index((0, 0))),  # a transient start
         periodic_chain(three, PeriodicSchedule((1, 2, 1, 3), 3)),
     ]
     thetas = [two.theta, three.theta, two.theta, three.theta]

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import paper_oracle
 import sim_oracle
 from dense_oracle import eigvals_cost
 
@@ -12,6 +14,7 @@ from idsched.errors import ConfigError
 from idsched.exact import chain_average_costs
 from idsched.heuristics import (
     PeriodicSchedule,
+    _necklaces,
     build_periodic_schedule,
     deterministic_cycle_cost,
     periodic_chain,
@@ -158,6 +161,52 @@ def test_build_periodic_schedule_examples():
 
     with pytest.raises(ConfigError):
         build_periodic_schedule(inst3, 2)
+
+
+def test_a_client_never_served_is_charged_in_every_slot():
+    # the unserved clients sit at their thresholds in every slot of the steady state
+    assert deterministic_cycle_cost((1,), (2, 3)) == 1.0
+    assert deterministic_cycle_cost((2,), (2, 3, 4)) == 2.0
+    assert deterministic_cycle_cost((1, 1, 3), (2, 3, 1)) == 5 / 3  # client 2 in all three slots, client 3 in two
+
+
+@st.composite
+def _covering_sequences(draw):
+    """Thresholds of 1 to 4 clients, each from 1 to 6, and a sequence of up to 9 slots that serves every client."""
+    n = draw(st.integers(1, 4))
+    taus = tuple(draw(st.integers(1, 6)) for _ in range(n))
+    sequence = draw(st.permutations(range(1, n + 1))) + draw(st.lists(st.integers(1, n), max_size=9 - n))
+    return tuple(draw(st.permutations(sequence))), taus
+
+
+@settings(max_examples=300, deadline=None)
+@given(_covering_sequences())
+def test_gap_cost_equals_the_slot_replay(case):
+    sequence, taus = case
+    assert deterministic_cycle_cost(sequence, taus) == paper_oracle.replayed_cycle_cost(sequence, taus)
+
+
+def test_necklace_walk_yields_the_least_rotations_in_order():
+    for n in range(1, 5):
+        for length in range(1, 8):
+            least = [seq for seq in product(range(1, n + 1), repeat=length) if paper_oracle.is_least_rotation(seq)]
+            assert list(_necklaces(n, length)) == least
+
+
+@st.composite
+def _search_cases(draw):
+    """An instance of 1 to 4 clients at thresholds 1 to 6, where cost ties are common, and a max_period of n to 7."""
+    n = draw(st.integers(1, 4))
+    taus = tuple(draw(st.integers(1, 6)) for _ in range(n))
+    return Instance(taus, (0.9,) * n, 0.05), draw(st.integers(n, 7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_cases())
+@example((Instance((2, 3, 4), (0.9,) * 3, 0.05), 7))
+def test_schedule_search_matches_the_reference(case):
+    inst, max_period = case
+    assert build_periodic_schedule(inst, max_period).sequence == paper_oracle.periodic_schedule_search(inst, max_period)
 
 
 def test_schedule_search_dominates_naive_rotation():

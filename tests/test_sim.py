@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -30,6 +31,11 @@ from idsched.sim import _MIN_BLOCK, _SLICE, _TABLE, _batch_chain, _slices, _step
 def _random_policy(inst, seed):
     rng = np.random.default_rng(seed)
     return StationaryPolicy(rng.integers(1, inst.n_clients + 1, inst.total_states))
+
+
+def _started(chain, inst, start):
+    """``chain`` from clipped state ``start`` with memory 0, where the program starts it at the all-threshold state."""
+    return dataclasses.replace(chain, start=inst.indexer().index(start) * (len(chain.p) // inst.total_states))
 
 
 def _fields(result):
@@ -277,11 +283,11 @@ def test_stacked_chain_engine_matches_reference_per_point():
     b = Instance(taus, (0.9, 0.5, 0.7), 0.05)
     pa, pb, sched = _random_policy(a, 3), _random_policy(b, 4), PeriodicSchedule((3, 2, 1, 2), 3)
     cases = [
-        (a, sim_oracle.stationary(pa, a), stationary_chain(pa, a, taus), taus),
-        (b, sim_oracle.stationary(pb, b), stationary_chain(pb, b, (0, 1, 2)), (0, 1, 2)),
-        (a, sim_oracle.prr(3), prr_chain(a, taus), taus),
-        (b, sim_oracle.prr(3), prr_chain(b, (1, 0, 4)), (1, 0, 4)),
-        (b, sim_oracle.ps(sched.sequence), periodic_chain(b, sched, (0, 1, 2)), (0, 1, 2)),
+        (a, sim_oracle.stationary(pa, a), stationary_chain(pa, a), taus),
+        (b, sim_oracle.stationary(pb, b), _started(stationary_chain(pb, b), b, (0, 1, 2)), (0, 1, 2)),
+        (a, sim_oracle.prr(3), prr_chain(a), taus),
+        (b, sim_oracle.prr(3), _started(prr_chain(b), b, (1, 0, 4)), (1, 0, 4)),
+        (b, sim_oracle.ps(sched.sequence), _started(periodic_chain(b, sched), b, (0, 1, 2)), (0, 1, 2)),
     ]
     insts, policies, chains, starts = zip(*cases)
     assert len({len(c.p) for c in chains}) == 3
@@ -296,7 +302,7 @@ def _two_client_stack():
     pol = _random_policy(a, 8)
     return [
         (a, sim_oracle.stationary(pol, a), stationary_chain(pol, a), taus),
-        (b, sim_oracle.prr(2), prr_chain(b, (0, 3)), (0, 3)),
+        (b, sim_oracle.prr(2), _started(prr_chain(b), b, (0, 3)), (0, 3)),
     ]
 
 
@@ -311,7 +317,7 @@ def _level_groups_stack():
     return [
         (a, sim_oracle.stationary(pa, a), stationary_chain(pa, a), taus),
         (a, sim_oracle.stationary(pb, a), stationary_chain(pb, a), taus),
-        (c, sim_oracle.ps(sched.sequence), periodic_chain(c, sched, start), start),
+        (c, sim_oracle.ps(sched.sequence), _started(periodic_chain(c, sched), c, start), start),
     ]
 
 
@@ -322,7 +328,7 @@ def _stack_above_the_table_limit():
     sched = PeriodicSchedule((1, 2, 3, 3, 2, 3, 1, 3, 2, 3, 3, 2), 3)
     return [
         (inst, sim_oracle.ps(sched.sequence), periodic_chain(inst, sched), taus),
-        (inst, sim_oracle.prr(3), prr_chain(inst, (0, 1, 2)), (0, 1, 2)),
+        (inst, sim_oracle.prr(3), _started(prr_chain(inst), inst, (0, 1, 2)), (0, 1, 2)),
     ]
 
 
@@ -414,7 +420,7 @@ def test_single_client_threshold_frequency():
     # symmetric two-state chain spends half its accounted slots at threshold
     inst = Instance((1,), (0.5,), 0.1)
     pol = StationaryPolicy(np.array([1, 1]))
-    (res,) = tally_trials(_batch_chain([stationary_chain(pol, inst, (0,))], 200_000, 1, 9, 0)[0], 1)[0]
+    (res,) = tally_trials(_batch_chain([_started(stationary_chain(pol, inst), inst, (0,))], 200_000, 1, 9, 0)[0], 1)[0]
     assert res.exceedance_total / 200_000 == pytest.approx(0.5, abs=0.01)
 
 
@@ -424,7 +430,7 @@ def test_estimate_cost_degenerate_and_single_trial():
     perfect = math.nextafter(1.0, 0.0)
     inst = Instance((3, 3), (perfect, perfect), 0.1)
     pol = StationaryPolicy(np.tile([1, 2], inst.total_states)[: inst.total_states])
-    (est,) = estimate_costs([inst], [stationary_chain(pol, inst, (0, 1))], SimConfig(horizon=100, trials=8, seed=1))
+    (est,) = estimate_costs([inst], [_started(stationary_chain(pol, inst), inst, (0, 1))], SimConfig(horizon=100, trials=8, seed=1))
     assert est.j_hat == 0.0
     assert est.degenerate
     assert est.stderr_log == 0.0
@@ -596,15 +602,17 @@ def _engine_cases(draw):
     if kind == "stationary":
         size = inst.total_states
         pol = StationaryPolicy(draw(st.lists(st.integers(1, n), min_size=size, max_size=size)))
-        policy, chain = sim_oracle.stationary(pol, inst), stationary_chain(pol, inst, start)
+        policy, chain = sim_oracle.stationary(pol, inst), stationary_chain(pol, inst)
     elif kind == "prr":
-        policy, chain = sim_oracle.prr(n), prr_chain(inst, start)
+        policy, chain = sim_oracle.prr(n), prr_chain(inst)
     elif kind == "ps":
         sequence = draw(st.permutations(range(1, n + 1))) + draw(st.lists(st.integers(1, n), max_size=3))
         sched = PeriodicSchedule(tuple(sequence), n)
-        policy, chain = sim_oracle.ps(sched.sequence), periodic_chain(inst, sched, start)
+        policy, chain = sim_oracle.ps(sched.sequence), periodic_chain(inst, sched)
     else:
         policy, chain = sim_oracle.wdd(inst), None
+    if chain is not None:
+        chain = _started(chain, inst, start)
     return inst, start, policy, chain, draw(st.integers(0, 300)), draw(st.integers(1, 700))
 
 
