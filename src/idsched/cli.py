@@ -3,7 +3,8 @@
 Subcommands: ``sweep`` (grid of instances x policies to CSV), ``solve`` and
 ``simulate`` (single-point variants), ``describe`` (instance diagnostics),
 ``emit-policy`` (serialize a constructed policy).  Exit codes: 0 success,
-2 configuration error, 3 structural error.
+2 configuration error, 3 structural error.  Every policy is evaluated
+exactly at any size; an instance past memory is a configuration error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ _POLICY_NAMES = ("op-iterative", "mlg", "sn", "prr", "wdd", "ps", "explicit")
 _CONFIG_KEYS = ("instance", "policies", "sweep", "evaluation", "sim", "seed", "output")
 _SIM_KEYS = ("horizon", "trials", "warmup")
 _SPEC_KEYS = {"ps": ("max_period",), "explicit": ("decisions",)}  # a policy spec's keys besides 'name'
-EXACT_STATE_CAP = 2000  # most clipped states of a policy evaluated exactly; the optimum and WDD are exempt
 
 
 @dataclass
@@ -282,10 +282,6 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
             for (value, ref_j, _), optimum in zip(points, optima):
                 j = optimum.average_cost
                 rows.append(ResultRow(value, name, j, j / ref_j, None, "growth_rate", optimum.converged))
-        if by_chain and insts[0].total_states > EXACT_STATE_CAP:
-            raise ConfigError(
-                f"exact evaluation infeasible: {insts[0].total_states} states exceed the cap of {EXACT_STATE_CAP}"
-            )
         if not (by_chain or simulate):
             continue
         chains = _chains(spec, insts, optima)
@@ -368,7 +364,7 @@ def describe(cfg: ExperimentConfig) -> str:
         sizes = [len(members) for members in levels.levels]
         lines.append(f"level-set sizes: {sizes}")
         lines.append(f"level-set remain: {len(levels.remain)}, unplaced: {len(levels.unplaced)}")
-    except (StructuralError, ValueError) as exc:
+    except (StructuralError, ValueError, MemoryError) as exc:
         lines.append(f"level sets unavailable: {exc}")
     return "\n".join(lines)
 
@@ -434,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # memory is the one size rule: an instance too large to solve is a config error
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except SchedulingError as exc:
         print(f"error: {exc}", file=sys.stderr)

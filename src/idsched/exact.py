@@ -234,6 +234,21 @@ def _perron(
     return reports, last
 
 
+def reach(succ: np.ndarray, fail: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """The states reached from ``frontier`` by the moves ``succ`` and ``fail``, as a mask, breadth first."""
+    reached = np.zeros(len(fail), dtype=bool)
+    claim = np.empty(len(fail), dtype=np.int64)  # the last entry naming a state walks it, once
+    reached[frontier] = True
+    while frontier.size:
+        following = np.concatenate([succ[frontier], fail[frontier]])
+        following = following[~reached[following]]
+        entries = np.arange(len(following))
+        claim[following] = entries
+        frontier = following[claim[following] == entries]
+        reached[frontier] = True
+    return reached
+
+
 def _closed_classes(
     succ: np.ndarray, fail: np.ndarray, start: Sequence[int] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -254,21 +269,7 @@ def _closed_classes(
         jump = jump[jump]
     start = np.asarray(start)
     x = jump[start]
-
-    def reach(frontier: np.ndarray) -> np.ndarray:
-        reached = np.zeros(len(fail), dtype=bool)
-        claim = np.empty(len(fail), dtype=np.int64)  # the last entry naming a state walks it, once
-        reached[frontier] = True
-        while frontier.size:
-            following = np.concatenate([succ[frontier], fail[frontier]])
-            following = following[~reached[following]]
-            entries = np.arange(len(following))
-            claim[following] = entries
-            frontier = following[claim[following] == entries]
-            reached[frontier] = True
-        return reached
-
-    member, reached = reach(x), reach(start)
+    member, reached = reach(succ, fail, x), reach(succ, fail, start)
     back = np.zeros(len(fail), dtype=bool)
     back[x] = True
     while not np.array_equal(grown := back | (reached & (back[succ] | back[fail])), back):

@@ -26,8 +26,6 @@ import numpy as np
 
 State = tuple  # tuple[int, ...]; clipped states satisfy 0 <= x_n <= tau_n
 
-_UINT64_MAX = 2**64 - 1
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -56,12 +54,9 @@ class Instance:
         for p in self.reliabilities:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"reliability {p} must lie strictly inside (0, 1)")
-        total = 1
-        for t in self.thresholds:
-            total *= t + 1
-        # dense indexing relies on a native-width state index
-        if total > _UINT64_MAX:
-            raise ValueError("state space does not fit a 64-bit index")
+        # numpy arrays hold under 2**63 bytes, so the (client, state) int64 tables need fewer than 2**60 entries
+        if self.n_clients * self.total_states >= 2**60:
+            raise ValueError(f"{self.total_states} states are past the range of numpy's (client, state) tables")
 
     @property
     def n_clients(self) -> int:

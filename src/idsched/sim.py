@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .exact import Chain
+from .exact import Chain, reach
 from .model import Instance, State
 
 _MIN_BLOCK = 64  # shortest estimator block, in slots
@@ -419,7 +419,7 @@ def _key_lattice(taus: tuple[int, ...], w: tuple[int, ...], box: int):
     absorbs.  The box's points are coded by their digits ``K_c / g_c``, and
     the states are the codes reached from 0, each numbered by its rank.
     Where the box has at most ``_WDD_STATES`` points, every point's moves
-    are computed at once and the points reached are marked breadth first;
+    are computed at once and ``exact.reach`` marks the points reached;
     otherwise the search runs on sorted codes, each level's moves computed
     with array operations.  Returns ``(succ, fail, served, start)``,
     ``served`` the client each state serves, or None past ``_WDD_STATES``
@@ -454,15 +454,9 @@ def _key_lattice(taus: tuple[int, ...], w: tuple[int, ...], box: int):
     first = code(np.zeros((n - 1, 1), dtype=np.int64))
     if volume <= _WDD_STATES:
         every = moves(np.arange(volume))
-        reached = np.zeros(volume, dtype=bool)
-        reached[first] = True
-        frontier = first
-        while frontier.size:
-            new = np.sort(np.concatenate(([-1], every[0][frontier], every[1][frontier])))
-            new = new[1:][new[1:] != new[:-1]]  # each code once, and no -1: the sort puts the added -1 first
-            frontier = new[~reached[new]]
-            reached[frontier] = True
-        seen = np.flatnonzero(reached)
+        # a move out of the box goes to the code past it, which absorbs
+        ends = [np.append(np.where(to >= 0, to, volume), volume) for to in every[:2]]
+        seen = np.flatnonzero(reach(*ends, first)[:volume])
         succ, fail, served = (a[seen] for a in every)
     else:
         seen = frontier = first  # seen is sorted

@@ -163,16 +163,69 @@ def test_a_simulated_row_without_an_error_bar_is_not_converged(tmp_path, trials,
     assert (tmp_path / "out.csv").read_text().splitlines()[1].endswith(",simulate," + str(converged).lower())
 
 
-def test_run_experiment_state_cap(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "EXACT_STATE_CAP", 5)
-    cfg_path = _tiny_config(tmp_path)
-    with pytest.raises(ConfigError):
-        run_experiment(load_config(cfg_path))
-
+def test_run_experiment_state_cap(tmp_path):
     # the optimum reference and WDD's simulation build no finite chain
     cfg_path = _tiny_config(tmp_path, policies=["op-iterative", "wdd"])
     rows = run_experiment(load_config(cfg_path))
     assert {(row.policy, row.method) for row in rows} == {("op-iterative", "growth_rate"), ("wdd", "simulate")}
+
+
+def test_sn_and_prr_are_solved_exactly_at_135135_states():
+    # thresholds (6, 8, 10, 12, 14): every policy is evaluated exactly at any size, as the optimum is
+    cfg = load_config(
+        {
+            "instance": {"taus": [6, 8, 10, 12, 14], "ps": [0.99] * 5, "theta": 0.05},
+            "policies": ["op-iterative", "sn", "prr"],
+        }
+    )
+    assert math.prod(t + 1 for t in cfg.instance.thresholds) == 135_135
+    rows = run_experiment(cfg)
+    assert [(row.policy, row.converged) for row in rows] == [("op-iterative", True), ("prr", True), ("sn", True)]
+    assert all(row.j_normalized >= 1 - 1e-6 for row in rows if row.policy != "op-iterative")
+
+
+# numpy's message on 8 clients of threshold 30; no test allocates past memory, so each raises it in place
+_PAST_MEMORY = "Unable to allocate 49.6 TiB for an array with shape (8, 31, 31, 31, 31, 31, 31, 31, 31) and data type int64"
+
+
+def _past_memory(*args):
+    raise MemoryError(_PAST_MEMORY)
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve"])
+def test_an_optimum_past_memory_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(exact, "growth_rate_optima", _past_memory)
+    assert main([command, "--config", str(_tiny_config(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and _PAST_MEMORY in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve", "describe", "emit-policy"])
+@pytest.mark.parametrize("form", ["plain", "asymptotic"])
+def test_a_state_space_past_numpys_range_is_a_config_error(tmp_path, capsys, command, form):
+    # 63 binary clients: 2**63 states fit a 64-bit index, but their (client, state) tables pass 2**63 bytes
+    if form == "plain":
+        instance = {"taus": [1] * 63, "ps": [0.9] * 63, "theta": 0.05}
+    else:
+        instance = {"taus": [1] * 63, "bs": [1.0] * 63, "epsilon": 0.05, "theta": 0.05}
+    cfg_path = _tiny_config(tmp_path, instance=instance, policies=["sn"], sweep={"axis": "theta", "values": [0.05]})
+    extra = ["--policy", "sn"] if command == "emit-policy" else []
+    assert main([command, "--config", str(cfg_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "past the range of numpy's (client, state) tables" in err
+    assert "Traceback" not in err
+
+
+def test_describe_on_an_instance_past_memory_says_the_level_sets_are_unavailable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(asymptotic, "sn_policy", _past_memory)
+    instance = {"taus": [30] * 8, "ps": [0.99] * 8, "theta": 0.05}
+    cfg_path = _tiny_config(tmp_path, instance=instance, policies=["op-iterative"], sweep=None)
+    assert main(["describe", "--config", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["clients: 8", "thresholds: (30, 30, 30, 30, 30, 30, 30, 30)"]
+    assert "states: 852891037441" in lines and any(line.startswith("theta threshold") for line in lines)
+    assert lines[-1] == "level sets unavailable: " + _PAST_MEMORY
 
 
 def test_sweep_values_that_break_the_instance_are_config_errors(tmp_path):

@@ -41,6 +41,16 @@ def test_instance_rejects_bad_data():
     assert instance_from_json({"taus": [2.0], "ps": [0.5], "theta": 1}).thresholds == (2,)
 
 
+def test_instance_state_spaces_stop_where_numpys_tables_do():
+    # the (client, state) int64 tables need fewer than 2**60 entries; memory rules below that
+    assert Instance((30,) * 8, (0.99,) * 8, 0.05).total_states == 31**8
+    assert Instance((1,) * 54, (0.9,) * 54, 0.05).total_states == 2**54  # 54 * 2**54 entries
+    assert Instance((2**60 - 2,), (0.9,), 0.05).total_states == 2**60 - 1
+    for taus in ((1,) * 55, (1,) * 63, (2**60 - 1,)):
+        with pytest.raises(ValueError, match="past the range of numpy's"):
+            Instance(taus, (0.9,) * len(taus), 0.05)
+
+
 def test_asymptotic_instance_materializes_reliabilities():
     ai = AsymptoticInstance((3, 5), (2.0, 1.0), 0.01, 0.05)
     inst = ai.materialize()
