@@ -207,16 +207,14 @@ class ResultRow:
         )
 
 
-def _instance_at(cfg: ExperimentConfig, value: float) -> Instance:
-    base = cfg.instance
+def _instance_at(cfg: ExperimentConfig, value: float | None = None) -> Instance:
+    """The materialized instance at sweep ``value``, or the config's own with none; an invalid one is a config error."""
     try:
-        if cfg.sweep_axis == "epsilon":
-            assert isinstance(base, AsymptoticInstance)
-            return base.with_epsilon(value).materialize()
-        if isinstance(base, AsymptoticInstance):
-            return base.with_theta(value).materialize()
-        return dataclasses.replace(base, theta=value)
+        inst = cfg.instance if value is None else dataclasses.replace(cfg.instance, **{cfg.sweep_axis: value})
+        return inst.materialize() if isinstance(inst, AsymptoticInstance) else inst
     except ValueError as exc:
+        if value is None:
+            raise ConfigError(f"the config's instance is invalid: {exc}") from exc
         raise ConfigError(f"sweep value {value} produces an invalid instance: {exc}") from exc
 
 
@@ -272,6 +270,11 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     optima = exact.growth_rate_optima(insts)
     points = list(zip(cfg.sweep_values, [optimum.average_cost for optimum in optima], insts))
     rows = []
+
+    def add(value, name, j, ref_j, stderr, method, converged):
+        # a reference J of 0 or less, a bracket straddling 0 at the float floor, normalizes nothing
+        rows.append(ResultRow(value, name, j, j / ref_j if ref_j > 0 else math.nan, stderr, method, converged))
+
     evaluated = []  # (policy, sweep value, reference J, instance, method, chain) per exact row
     simulated = []  # the same per simulated row
     for spec in cfg.policies:
@@ -280,8 +283,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
         simulate = cfg.evaluation != "exact" or name == "wdd"
         if cfg.evaluation != "simulate" and name == "op-iterative":
             for (value, ref_j, _), optimum in zip(points, optima):
-                j = optimum.average_cost
-                rows.append(ResultRow(value, name, j, j / ref_j, None, "growth_rate", optimum.converged))
+                add(value, name, optimum.average_cost, ref_j, None, "growth_rate", optimum.converged)
         if not (by_chain or simulate):
             continue
         chains = _chains(spec, insts, optima)
@@ -294,8 +296,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
         thetas = [inst.theta for _, _, _, inst, _, _ in evaluated]
         reports = exact.chain_average_costs([chain for *_, chain in evaluated], thetas)
         for (name, value, ref_j, _, method, _), report in zip(evaluated, reports):
-            j = report.average_cost
-            rows.append(ResultRow(value, name, j, j / ref_j, None, method, report.converged))
+            add(value, name, report.average_cost, ref_j, None, method, report.converged)
     if simulated:
         if cfg.sim_config is None:
             raise ConfigError(f"policy {simulated[0][0]!r} needs simulation but the config has no 'sim' section")
@@ -303,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
         simulated_insts = [inst for _, _, _, inst, _, _ in simulated]
         estimates = sim.estimate_costs(simulated_insts, [chain for *_, chain in simulated], sim_cfg)
         for (name, value, ref_j, _, method, _), est in zip(simulated, estimates):
-            rows.append(ResultRow(value, name, est.j_hat, est.j_hat / ref_j, est.stderr_j, method, not est.degenerate))
+            add(value, name, est.j_hat, ref_j, est.stderr_j, method, not est.degenerate)
     rows.sort(key=lambda r: (r.sweep_value, r.policy, r.method))
     if target is not None:
         _write(target, "\n".join([CSV_HEADER] + [row.csv() for row in rows]) + "\n")
@@ -327,18 +328,9 @@ def _write(path: str | Path, text: str) -> None:
         raise ConfigError(f"cannot write the output: {exc}") from exc
 
 
-def _base_instance(cfg: ExperimentConfig) -> Instance:
-    """The config's instance before any sweep, materialized; an invalid one is a configuration error."""
-    base = cfg.instance
-    try:
-        return base.materialize() if isinstance(base, AsymptoticInstance) else base
-    except ValueError as exc:
-        raise ConfigError(f"the config's instance is invalid: {exc}") from exc
-
-
 def describe(cfg: ExperimentConfig) -> str:
     """Human-readable instance diagnostics."""
-    inst = _base_instance(cfg)
+    inst = _instance_at(cfg)
     lines = []
     lines.append(f"clients: {inst.n_clients}")
     lines.append(f"thresholds: {inst.thresholds}")
@@ -375,7 +367,7 @@ def emit_policy(cfg: ExperimentConfig, name: str) -> dict:
         raise ConfigError(f"unknown policy {name!r}; known: {', '.join(_POLICY_NAMES)}")
     spec = next((s for s in cfg.policies if s["name"] == name), {"name": name})
     _check_spec(spec, cfg.instance)
-    inst = _base_instance(cfg)
+    inst = _instance_at(cfg)
     if name == "ps":
         if "max_period" not in spec:
             raise ConfigError("ps policy needs a spec with a 'max_period' in the config")

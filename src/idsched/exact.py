@@ -214,8 +214,9 @@ def _perron(
                     break
                 last[position[~keep]] = w[~keep]
                 remap = np.cumsum(keep) - 1
-                succ, fail = remap[succ[:, keep]], remap[fail[keep]]
-                p, excess, w, y, position = p[:, keep], excess[keep], w[keep], y[keep], position[keep]
+                # compress keeps (N, entries) C-contiguous, so _drift's minimum over clients runs along rows
+                succ, fail = remap[succ.compress(keep, axis=1)], remap[fail[keep]]
+                p, excess, w, y, position = p.compress(keep, axis=1), excess[keep], w[keep], y[keep], position[keep]
                 index, lengths = index[narrower], lengths[narrower]
                 starts = np.cumsum(lengths) - lengths
                 v = v[: w.size]

@@ -114,12 +114,6 @@ class AsymptoticInstance:
         ps = tuple(1.0 - b * self.epsilon for b in self.coefficients)
         return Instance(self.thresholds, ps, self.theta)
 
-    def with_epsilon(self, epsilon: float) -> "AsymptoticInstance":
-        return AsymptoticInstance(self.thresholds, self.coefficients, epsilon, self.theta)
-
-    def with_theta(self, theta: float) -> "AsymptoticInstance":
-        return AsymptoticInstance(self.thresholds, self.coefficients, self.epsilon, theta)
-
     @classmethod
     def from_json(cls, obj: dict) -> "AsymptoticInstance":
         return cls(

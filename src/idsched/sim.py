@@ -296,8 +296,9 @@ def _batch_chain(
         bounds[: len(lev), g, 0] = lev
     shape = (len(stack), len(trials))
     sidx = np.repeat([(b + c.start) * width**steps for b, c in zip(base, stack)], len(trials)).reshape(shape)
-    # a block is at most 128 slots (block_edges) and pays at most n <= 63 per
-    # slot (Instance caps the state space at 2**64 - 1), so its total fits 16 bits
+    # a block is at most 128 slots (block_edges) and pays at most n <= 54 per
+    # slot (Instance keeps n * states below 2**60, and states >= 2**n), so its
+    # total fits 16 bits
     blocks = np.zeros((shape[0] * shape[1], len(block_edges(horizon))), dtype=np.int16)
     split = len(chains) * len(trials)  # the first WDD row
     if wdd:
@@ -311,7 +312,7 @@ def _batch_chain(
 
     for t0, u, block in _slices(seed, trials, warmup, horizon):
         u = u[:, None]
-        rank = (u >= bounds[0]).view(np.int8)  # a chain has at most 63 levels, one per client
+        rank = (u >= bounds[0]).view(np.int8)  # a chain has at most n <= 54 levels, one per client
         for bound in bounds[1:]:  # one comparison per level is cheaper than a binary search over a few
             rank += u >= bound
         size = len(u)

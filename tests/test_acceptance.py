@@ -5,6 +5,7 @@ and enforces its runtime budget.  Budgets are generous on modern hardware;
 they guard against algorithmic regressions, not micro-variance.
 """
 
+import dataclasses
 import functools
 import math
 import time
@@ -115,7 +116,7 @@ def test_acceptance_04_leading_order_cost():
     lead = mlg_cost_leading(base)
     ratios = []
     for eps in (1e-2, 3e-3, 1e-3):
-        inst = base.with_epsilon(eps).materialize()
+        inst = dataclasses.replace(base, epsilon=eps).materialize()
         j = chain_average_costs([stationary_chain(mlg_stationary_policy(inst), inst)], [inst.theta])[0].average_cost
         ratios.append(j / lead.evaluate(eps))
     assert ratios[0] >= ratios[1] >= ratios[2]
@@ -142,7 +143,7 @@ def test_acceptance_06_two_client_trends():
     sim_sizes = {1e-1: (30_000, 64), 1e-2: (100_000, 64), 1e-3: (100_000, 256)}
     final_mlg_norm = None
     for eps in (1e-1, 1e-2, 1e-3):
-        inst = base.with_epsilon(eps).materialize()
+        inst = dataclasses.replace(base, epsilon=eps).materialize()
         j_op = growth_rate_optimal(inst).average_cost
         chains = [stationary_chain(mlg_stationary_policy(inst), inst), prr_chain(inst)]
         mlg, prr = chain_average_costs(chains, [inst.theta] * 2)
@@ -163,7 +164,7 @@ def test_acceptance_07_three_client_trends():
     base = AsymptoticInstance((4, 6, 8), (1.0, 1.0, 1.0), 1e-2, 0.05)
     norms = {}
     for eps in (1e-2, 3e-2, 1e-1):
-        inst = base.with_epsilon(eps).materialize()
+        inst = dataclasses.replace(base, epsilon=eps).materialize()
         j_op = growth_rate_optimal(inst).average_cost
         pol_sn, _ = sn_policy(inst)
         chains = {"sn": stationary_chain(pol_sn, inst), "prr": prr_chain(inst)}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -426,7 +427,7 @@ def test_mlg_cost_approaches_leading_term():
     lead = mlg_cost_leading(base)
     ratios = []
     for eps in (1e-2, 3e-3, 1e-3):
-        inst = base.with_epsilon(eps).materialize()
+        inst = dataclasses.replace(base, epsilon=eps).materialize()
         j = chain_average_costs([stationary_chain(mlg_stationary_policy(inst), inst)], [inst.theta])[0].average_cost
         ratios.append(j / lead.evaluate(eps))
     assert ratios == sorted(ratios, reverse=True)

@@ -311,6 +311,43 @@ def test_explicit_policy_round_trips_through_a_sweep(tmp_path):
     assert by_name["explicit"].j == pytest.approx(by_name["mlg"].j, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "command, policies, message",
+    [
+        ("sweep", ["op-iterative", "wdd"], "policy 'wdd' needs simulation but the config has no 'sim' section"),
+        ("simulate", ["op-iterative", "prr"], "simulate needs a 'sim' section in the config"),
+    ],
+    ids=["exact-sweep-with-wdd", "simulate"],
+)
+def test_a_simulation_without_a_sim_section_is_a_config_error(tmp_path, capsys, command, policies, message):
+    # an exact sweep needs no 'sim' section, but WDD has no exact method, and simulate simulates every policy
+    cfg_path = _tiny_config(tmp_path, policies=policies)
+    cfg = json.loads(cfg_path.read_text())
+    del cfg["sim"]
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve"])
+def test_an_optimum_of_zero_at_the_float_floor_normalizes_to_nan(tmp_path, capsys, command):
+    # at epsilon 1e-16 the optimum's certified bracket is symmetric about 0,
+    # so its J is exactly 0; every J_normalized is nan, and the optimum's
+    # bracket, which straddles 0, is not certified
+    instance = {"taus": [2, 3], "bs": [1, 1], "epsilon": 1e-16, "theta": 0.01}
+    cfg_path = _tiny_config(tmp_path, instance=instance, policies=["op-iterative", "sn", "prr"], sweep=None)
+    assert main([command, "--config", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    header, *rows = captured.out.splitlines()
+    assert header == CSV_HEADER and len(rows) == 3
+    rows = {row.split(",")[1]: row.split(",") for row in rows}
+    assert rows["op-iterative"][2:4] == ["0.0", "nan"] and rows["op-iterative"][-1] == "false"
+    assert all(row[3] == "nan" for row in rows.values())
+
+
 def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"instance": {"taus": [2], "ps": [0.5], "theta": 0.1}}))

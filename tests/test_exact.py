@@ -654,6 +654,23 @@ def test_blocking_the_drift_changes_no_bit(monkeypatch):
     assert (growth_rate_optima(insts), exact.chain_average_costs(chains, thetas)) == default
 
 
+def test_stacked_optima_keep_their_client_rows_c_contiguous(monkeypatch):
+    # fig3_small's instance at its five thetas: the rows stop at 120, 128,
+    # 128, 120 and 96 iterations, and each stop compacts the (N, entries) stack;
+    # a column-major stack makes the drift's minimum over clients many times slower
+    layouts = []
+    drift = exact._drift
+
+    def recorded_drift(w, succ, fail, p):
+        layouts.append((succ.flags.c_contiguous, p.flags.c_contiguous))
+        return drift(w, succ, fail, p)
+
+    monkeypatch.setattr(exact, "_drift", recorded_drift)
+    insts = [Instance((4, 8), (0.4, 0.1), theta) for theta in (0.02, 0.05, 0.1, 0.2, 0.4)]
+    assert [result.iterations for result in growth_rate_optima(insts)] == [120, 128, 128, 120, 96]
+    assert len(layouts) == 128 and all(succ and p for succ, p in layouts)
+
+
 def test_stacked_optima_need_shared_thresholds():
     with pytest.raises(ValueError):
         growth_rate_optima([Instance((2, 3), (0.6, 0.7), 0.1), Instance((3, 3), (0.6, 0.7), 0.1)])

@@ -184,16 +184,22 @@ def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, sta
     _assert_points_match_reference(insts, policies, [tally, slot_by_slot], horizon, 17, starts, warmup)
 
 
-def test_wdd_chains_rerun_in_a_doubled_box_until_no_row_reaches_its_edge(monkeypatch):
+@pytest.mark.parametrize(
+    "cap, slot_weights", [(sim._WDD_STATES, []), (400, [[(45, 40, 18)], [(6, 4, 3)]])], ids=["default-cap", "cap-400"]
+)
+def test_wdd_chains_rerun_in_a_doubled_box_until_no_row_reaches_its_edge(monkeypatch, cap, slot_weights):
     # a first box of one largest step tau_c w_c, at reliabilities low enough
     # that failure runs carry the key differences out of it: the rows that
     # end on the edge, and only they, rerun alone in twice the box until none
     # does; the stationary chain in the first call never reruns, and every
-    # row equals the oracle's
+    # row equals the oracle's.  At a cap of 400 states two reruns pass the
+    # cap and run in the slot loop: the (45, 40, 18)-weight point's in a box
+    # of 480 (716 states) and the (6, 4, 3)-weight point's in 96 (448 states)
     taus = (2, 3, 4)
     insts = [Instance(taus, ps, 0.05) for ps in ((0.3,) * 3, (0.99,) * 3, (0.4, 0.3, 0.5), (0.6, 0.7, 0.8))]
     pol = _random_policy(insts[3], 11)
     calls = []  # per engine call: finite chains, WDD's points, trials, and which of WDD's rows ended on the edge
+    slots = []  # per call of the slot loop: its points
     boxes = []  # per build of WDD's chains: each point's box
     build, chain_engine, slot_loop = sim._wdd_chains, sim._batch_chain, sim._batch_wdd
 
@@ -211,13 +217,16 @@ def test_wdd_chains_rerun_in_a_doubled_box_until_no_row_reaches_its_edge(monkeyp
     def recorded_slots(taus, points, horizon, trials, *args):
         # a rerun whose doubled box has too many points runs slot by slot, with no edge
         calls.append((0, [frozenset(ps) for ps in points], list(trials), [np.zeros(len(trials), dtype=bool)]))
+        slots.append(points)
         return slot_loop(taus, points, horizon, trials, *args)
 
     monkeypatch.setattr(sim, "_first_box", lambda taus, w, worst, trial_slots: max(t * x for t, x in zip(taus, w)))
     monkeypatch.setattr(sim, "_wdd_chains", recorded_build)
     monkeypatch.setattr(sim, "_batch_chain", recorded_chains)
     monkeypatch.setattr(sim, "_batch_wdd", recorded_slots)
+    monkeypatch.setattr(sim, "_WDD_STATES", cap)
     runs = sim._run_trials(insts, [None, None, None, stationary_chain(pol, insts[3])], SimConfig(600, 6, 23, 13))
+    assert [[sim._wdd_weights(taus, ps) for ps in points] for points in slots] == slot_weights
     # the first call runs the stationary chain's 6 rows and WDD's 18; some of
     # WDD's rows end on the edge, and not all
     (finite, points, trials, edge), *reruns = calls
