@@ -24,13 +24,9 @@ from .exact import (
     theta_threshold,
 )
 from .asymptotic import (
-    AsymptoticCost,
     LevelSets,
     build_level_sets,
-    mlg_cost_leading,
-    mlg_optimality_check,
     mlg_stationary_policy,
-    optimal_cost_lower_bound,
     sn_policy,
 )
 from .heuristics import (

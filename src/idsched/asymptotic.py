@@ -1,28 +1,20 @@
 """High-reliability regime machinery.
 
-Covers the two-client modified least-time-to-go (MLG) policy with its
-leading-order cost expansions and optimality conditions, stated on an
-``AsymptoticInstance`` (``p_n = 1 - b_n epsilon``, thresholds
-``(tau, tau + delta)``, risk exponent theta), and the level-set construction
-that grades states by the order (in the failure rate epsilon) of their
-near-term cost, with the resulting multi-client stationary policy.
+Covers the two-client modified least-time-to-go (MLG) policy, and the
+level-set construction that grades states by the order (in the failure
+rate epsilon) of their near-term cost, with the resulting multi-client
+stationary policy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import StructuralError
-from .model import (
-    AsymptoticInstance,
-    Instance,
-    StateIndexer,
-    transition_tables,
-)
+from .model import Instance, StateIndexer, transition_tables
 from .exact import StationaryPolicy
 
 
@@ -47,97 +39,6 @@ def mlg_stationary_policy(inst: Instance) -> StationaryPolicy:
     if tau2 > tau1:
         decisions[0, tau2 - tau1 - 1] = 2  # the override state (0, delta - 1)
     return StationaryPolicy(decisions.ravel())
-
-
-@dataclass(frozen=True)
-class AsymptoticCost:
-    """Leading term ``coefficient * epsilon**order`` of a cost expansion."""
-
-    coefficient: float
-    order: int
-    case_tag: str
-
-    def __post_init__(self) -> None:
-        if self.coefficient <= 0:
-            raise ValueError("leading coefficient must be positive")
-
-    def evaluate(self, epsilon: float) -> float:
-        return self.coefficient * epsilon**self.order
-
-
-def _case_tag(delta: int) -> str:
-    if delta == 0:
-        return "delta=0"
-    if delta == 1:
-        return "delta=1"
-    return "delta>=2"
-
-
-def _two_clients(inst: AsymptoticInstance) -> tuple[int, int, float, float, float]:
-    """``(tau, delta, b1, b2, theta)`` of an instance with thresholds ``(tau, tau + delta)`` and an MLG policy."""
-    if not mlg_admits(inst.thresholds):
-        raise ValueError("the closed forms need two clients with tau_1 <= tau_2")
-    tau, tau2 = inst.thresholds
-    if tau < 2:
-        raise ValueError("the leading-order expansions require tau >= 2")
-    b1, b2 = inst.coefficients
-    return tau, tau2 - tau, b1, b2, inst.theta
-
-
-def _a0_coefficient(tau: int, b1: float, b2: float, theta: float) -> float:
-    mid = sum(b1**j * b2 ** (tau - 1 - j) for j in range(1, tau - 1))
-    return (math.expm1(theta) / theta) * mid + (b1 ** (tau - 1) + b2 ** (tau - 1)) / (
-        2.0 * theta
-    ) * (math.e**2 - 1.0)
-
-
-def mlg_cost_leading(inst: AsymptoticInstance) -> AsymptoticCost:
-    """Leading-order average cost of the least-time-to-go policy."""
-    tau, delta, b1, b2, theta = _two_clients(inst)
-    if delta == 0:
-        coeff = _a0_coefficient(tau, b1, b2, theta)
-    elif delta == 1:
-        coeff = math.expm1(theta) / (2.0 * theta) * sum(
-            b1**j * b2 ** (tau - 1 - j) for j in range(tau)
-        )
-    else:
-        coeff = math.expm1(theta) / (theta * delta) * b1 ** (tau - 1)
-    return AsymptoticCost(coefficient=coeff, order=tau - 1, case_tag=_case_tag(delta))
-
-
-def optimal_cost_lower_bound(inst: AsymptoticInstance) -> AsymptoticCost:
-    """Leading-order lower bound on the cost of any stationary policy."""
-    tau, delta, b1, b2, theta = _two_clients(inst)
-    b_min = min(b1, b2)
-    if delta == 0:
-        coeff = _a0_coefficient(tau, b1, b2, theta)
-    elif delta == 1:
-        a1 = b1 ** (tau - 1) + (tau - 1) * b_min ** (tau - 1)
-        coeff = math.expm1(theta) / (2.0 * theta) * a1
-    else:
-        head = b1 ** (tau - 1)
-        mid = head + (tau - 1) * b_min ** (tau - 1)
-        cross = sum(b2**j * b1 ** (tau - 1 - j) for j in range(1, tau))
-        a2 = min(head / delta, mid / (delta + 1), (mid + cross) / (delta + 2))
-        coeff = math.expm1(theta) / theta * a2
-    return AsymptoticCost(coefficient=coeff, order=tau - 1, case_tag=_case_tag(delta))
-
-
-def mlg_optimality_check(inst: AsymptoticInstance) -> tuple[bool, str | None]:
-    """Sufficient conditions for the least-time-to-go policy to be asymptotically optimal.
-
-    Returns (True, tag) when one of the three case conditions holds, where the
-    tag names the matched case ("i": delta = 0; "ii": delta = 1 with b1 <= b2;
-    "iii": delta >= 2 with b1^(tau-1) <= delta (tau-1) b2^(tau-1)).
-    """
-    tau, delta, b1, b2, _ = _two_clients(inst)
-    if delta == 0:
-        return True, "i"
-    if delta == 1:
-        return (True, "ii") if b1 <= b2 else (False, None)
-    lhs = b1 ** (tau - 1)
-    rhs = delta * (tau - 1) * b2 ** (tau - 1)
-    return (True, "iii") if lhs <= rhs else (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +69,15 @@ class LevelSets:
 
     ``level[s]`` grades state ``s``: its minimal near-term cost excess is of
     order epsilon^level, and -1 marks a state the grading never reached.
-    Levels run from 0 to the smallest threshold.  ``a`` and ``b`` hold each
-    state's coefficient and auxiliary (fallback) coefficient, NaN where
-    unset, and ``decision`` the client served (1-based), 0 where undecided.
+    Levels run from 0 to the smallest threshold.  ``a`` holds each state's
+    coefficient, NaN where unset, and ``decision`` the client served
+    (1-based), 0 where undecided.
     ``remain`` holds the states whose value needed the fallback relaxation.
     """
 
     indexer: StateIndexer
     level: np.ndarray
     a: np.ndarray
-    b: np.ndarray
     decision: np.ndarray
     remain: frozenset
 
@@ -220,7 +120,7 @@ def build_level_sets(inst: Instance) -> LevelSets:
     a[y0] = excess[y0]
     decision = np.zeros(level.shape, dtype=np.int64)
     decision[y0] = excess[tables.succ[y0]].argmin(axis=1) + 1
-    return LevelSets(tables.indexer, level, a, np.full(level.shape, np.nan), decision, frozenset())
+    return LevelSets(tables.indexer, level, a, decision, frozenset())
 
 
 def _settle(ls: LevelSets, states: np.ndarray, values: np.ndarray) -> None:
@@ -243,7 +143,7 @@ def sn_policy(inst: Instance) -> tuple[StationaryPolicy, LevelSets]:
     The second kind is settled in rounds, each taking every state whose
     same-level successors are settled.  States left on within-level cycles
     go to a fallback: ``n - 1`` in-order (ascending state index) relaxation
-    sweeps of auxiliary coefficients ``b`` over the level, each run as the
+    sweeps of auxiliary coefficients ``x`` over the level, each run as the
     fixed point of ``x(s) = min_u [(t < s ? x(t) : old(t)) + c(s, u)]``, so
     it reproduces the sequential sweep from the same operands.
 
@@ -298,7 +198,6 @@ def sn_policy(inst: Instance) -> tuple[StationaryPolicy, LevelSets]:
                 x = swept
         values = np.where(inside, x[local], 0.0) + cost
         _settle(ls, members[todo], np.where(choice, values, np.inf)[todo])
-        ls.b[members] = x
 
     missing = np.flatnonzero(ls.decision == 0)
     if len(missing):

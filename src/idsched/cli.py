@@ -272,7 +272,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     rows = []
 
     def add(value, name, j, ref_j, stderr, method, converged):
-        # a reference J of 0 or less, a bracket straddling 0 at the float floor, normalizes nothing
+        # a reference J of 0, a bracket that rounding left at or below 0, normalizes nothing
         rows.append(ResultRow(value, name, j, j / ref_j if ref_j > 0 else math.nan, stderr, method, converged))
 
     evaluated = []  # (policy, sweep value, reference J, instance, method, chain) per exact row
@@ -334,7 +334,7 @@ def describe(cfg: ExperimentConfig) -> str:
     lines = []
     lines.append(f"clients: {inst.n_clients}")
     lines.append(f"thresholds: {inst.thresholds}")
-    lines.append(f"reliabilities: {tuple(round(p, 12) for p in inst.reliabilities)}")
+    lines.append(f"reliabilities: {inst.reliabilities}")
     lines.append(f"theta: {inst.theta}")
     lines.append(f"states: {inst.total_states}")
     th = exact.theta_threshold(inst)

@@ -65,7 +65,6 @@ class CostEstimate:
     """
 
     j_hat: float
-    stderr_log: float
     stderr_j: float
     degenerate: bool
     block_length: float
@@ -687,7 +686,8 @@ def _block_estimate(theta: float, fine: np.ndarray, cfg: SimConfig) -> CostEstim
     while True:
         w = theta * fine.reshape(cfg.trials, per_trial, -1).sum(axis=2).ravel()
         shifted = np.exp(w - w.max())
-        coverage = float(shifted.sum() ** 2 / (shifted @ shifted)) / w.size
+        # not shifted @ shifted: a BLAS dot threads past 10,000 weights, and one call then takes milliseconds
+        coverage = float(shifted.sum() ** 2 / np.square(shifted).sum()) / w.size
         if coverage >= _MIN_COVERAGE or per_trial == fine.shape[1]:
             break
         per_trial *= 2
@@ -700,7 +700,6 @@ def _block_estimate(theta: float, fine: np.ndarray, cfg: SimConfig) -> CostEstim
         stderr_log = 0.0
     return CostEstimate(
         j_hat=j_hat,
-        stderr_log=stderr_log,
         stderr_j=stderr_log / (theta * block_length),
         degenerate=degenerate,
         block_length=block_length,

@@ -6,11 +6,14 @@ dynamic programs of the clipped (MDP2) and unbounded (MDP1) formulations,
 whose equality on shared states and threshold-shift law the tests assert;
 the enumeration of the stationary decision maps, whose best no-exclusion
 (NE) map attains the optimum; the NE property of a policy; the Doeblin
-hitting times; the two-client least-time-to-go rule, state by state; and
-the periodic-schedule search, slot by slot over every sequence.  Nothing
-here reads ``exact`` or ``heuristics``, so a test that compares the program
-with these is not circular.  Tables are dense over the state space: desk
-scale only.
+hitting times; the two-client least-time-to-go rule, state by state, and
+its high-reliability closed forms on an ``AsymptoticInstance``
+(``p_n = 1 - b_n epsilon``, thresholds ``(tau, tau + delta)``): the
+leading cost term, the stationary lower bound and the optimality
+conditions; and the periodic-schedule search, slot by slot over every
+sequence.  Nothing here reads ``exact``, ``asymptotic`` or
+``heuristics``, so a test that compares the program with these is not
+circular.  Tables are dense over the state space: desk scale only.
 """
 
 import math
@@ -236,6 +239,97 @@ def mlg_decide(x, thresholds):
     if x == (0, tau2 - tau1 - 1):
         return 2
     return 1 if tau1 - x[0] < tau2 - x[1] else 2
+
+
+@dataclass(frozen=True)
+class AsymptoticCost:
+    """Leading term ``coefficient * epsilon**order`` of a cost expansion."""
+
+    coefficient: float
+    order: int
+    case_tag: str
+
+    def __post_init__(self):
+        if self.coefficient <= 0:
+            raise ValueError("leading coefficient must be positive")
+
+    def evaluate(self, epsilon):
+        return self.coefficient * epsilon**self.order
+
+
+def _case_tag(delta):
+    if delta == 0:
+        return "delta=0"
+    if delta == 1:
+        return "delta=1"
+    return "delta>=2"
+
+
+def _two_clients(inst):
+    """``(tau, delta, b1, b2, theta)`` of an instance with thresholds ``(tau, tau + delta)`` and an MLG policy."""
+    if len(inst.thresholds) != 2 or inst.thresholds[0] > inst.thresholds[1]:
+        raise ValueError("the closed forms need two clients with tau_1 <= tau_2")
+    tau, tau2 = inst.thresholds
+    if tau < 2:
+        raise ValueError("the leading-order expansions require tau >= 2")
+    b1, b2 = inst.coefficients
+    return tau, tau2 - tau, b1, b2, inst.theta
+
+
+def _a0_coefficient(tau, b1, b2, theta):
+    mid = sum(b1**j * b2 ** (tau - 1 - j) for j in range(1, tau - 1))
+    return (math.expm1(theta) / theta) * mid + (b1 ** (tau - 1) + b2 ** (tau - 1)) / (
+        2.0 * theta
+    ) * (math.e**2 - 1.0)
+
+
+def mlg_cost_leading(inst):
+    """Leading-order average cost of the least-time-to-go policy."""
+    tau, delta, b1, b2, theta = _two_clients(inst)
+    if delta == 0:
+        coeff = _a0_coefficient(tau, b1, b2, theta)
+    elif delta == 1:
+        coeff = math.expm1(theta) / (2.0 * theta) * sum(
+            b1**j * b2 ** (tau - 1 - j) for j in range(tau)
+        )
+    else:
+        coeff = math.expm1(theta) / (theta * delta) * b1 ** (tau - 1)
+    return AsymptoticCost(coefficient=coeff, order=tau - 1, case_tag=_case_tag(delta))
+
+
+def optimal_cost_lower_bound(inst):
+    """Leading-order lower bound on the cost of any stationary policy."""
+    tau, delta, b1, b2, theta = _two_clients(inst)
+    b_min = min(b1, b2)
+    if delta == 0:
+        coeff = _a0_coefficient(tau, b1, b2, theta)
+    elif delta == 1:
+        a1 = b1 ** (tau - 1) + (tau - 1) * b_min ** (tau - 1)
+        coeff = math.expm1(theta) / (2.0 * theta) * a1
+    else:
+        head = b1 ** (tau - 1)
+        mid = head + (tau - 1) * b_min ** (tau - 1)
+        cross = sum(b2**j * b1 ** (tau - 1 - j) for j in range(1, tau))
+        a2 = min(head / delta, mid / (delta + 1), (mid + cross) / (delta + 2))
+        coeff = math.expm1(theta) / theta * a2
+    return AsymptoticCost(coefficient=coeff, order=tau - 1, case_tag=_case_tag(delta))
+
+
+def mlg_optimality_check(inst):
+    """Sufficient conditions for the least-time-to-go policy to be asymptotically optimal.
+
+    Returns (True, tag) when one of the three case conditions holds, where the
+    tag names the matched case ("i": delta = 0; "ii": delta = 1 with b1 <= b2;
+    "iii": delta >= 2 with b1^(tau-1) <= delta (tau-1) b2^(tau-1)).
+    """
+    tau, delta, b1, b2, _ = _two_clients(inst)
+    if delta == 0:
+        return True, "i"
+    if delta == 1:
+        return (True, "ii") if b1 <= b2 else (False, None)
+    lhs = b1 ** (tau - 1)
+    rhs = delta * (tau - 1) * b2 ** (tau - 1)
+    return (True, "iii") if lhs <= rhs else (False, None)
 
 
 def is_least_rotation(seq):

@@ -13,13 +13,17 @@ import time
 import numpy as np
 
 from dense_oracle import recurrent, stationary_dense
-from paper_oracle import Mdp1Table, doeblin_hitting_times, dp_mdp1, dp_mdp2, enumerated_optimum, is_ne
-
-from idsched.asymptotic import (
+from paper_oracle import (
+    Mdp1Table,
+    doeblin_hitting_times,
+    dp_mdp1,
+    dp_mdp2,
+    enumerated_optimum,
+    is_ne,
     mlg_cost_leading,
-    mlg_stationary_policy,
-    sn_policy,
 )
+
+from idsched.asymptotic import mlg_stationary_policy, sn_policy
 from idsched.exact import (
     StationaryPolicy,
     chain_average_costs,

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from dense_oracle import cycle_expectations
-from paper_oracle import is_ne, mlg_decide
+from paper_oracle import is_ne, mlg_cost_leading, mlg_decide, mlg_optimality_check, optimal_cost_lower_bound
 
 from idsched.asymptotic import (
     _excess_tables,
     build_level_sets,
-    mlg_cost_leading,
-    mlg_optimality_check,
     mlg_stationary_policy,
-    optimal_cost_lower_bound,
     sn_policy,
 )
 from idsched.exact import (
@@ -174,14 +171,14 @@ def test_level_sets_are_seeded_and_closed_on_many_clients(taus):
 def test_level_sets_are_parallel_arrays_over_every_state():
     inst = Instance((2, 2), (0.9, 0.9), 0.1)
     _, levels = sn_policy(inst)
-    assert {getattr(levels, name).shape for name in ("level", "a", "b", "decision")} == {(9,)}
+    assert {getattr(levels, name).shape for name in ("level", "a", "decision")} == {(9,)}
     assert sorted(i for members in levels.levels for i in members) == list(range(9))
     assert (levels.decision > 0).all()
     assert levels.unplaced == frozenset()
 
 
 def _sn_oracle(inst, jacobi=False):
-    """SN built one state at a time from the model: ``(decisions, a, b, remain)``, with dicts keyed by state.
+    """SN built one state at a time from the model: ``(decisions, a, remain)``, with dicts keyed by state.
 
     Level 0 takes its excess and the action whose success successor has the
     least excess.  Each later level settles its states in ascending passes,
@@ -203,7 +200,7 @@ def _sn_oracle(inst, jacobi=False):
                 best_u, best_val = u, val
         return best_val, best_u
 
-    a_values, decisions, b_values, remain = {}, {}, {}, set()
+    a_values, decisions, remain = {}, {}, set()
     for s in range(inst.total_states):
         if level_of[s] == 0:
             a_values[s] = excess[s]
@@ -260,17 +257,14 @@ def _sn_oracle(inst, jacobi=False):
                     b_local[s] = relax_value(s, snapshot)[0]
             for s in sorted(pending):
                 a_values[s], decisions[s] = relax_value(s, b_local)
-            b_values.update(b_local)
-    return decisions, a_values, b_values, remain
+    return decisions, a_values, remain
 
 
 def _oracle_arrays(inst, oracle):
     """The oracle's dicts as state-indexed arrays: NaN for an unset value, 0 for no decision."""
-    decisions, a_values, b_values, remain = oracle
-    out = {"decision": np.zeros(inst.total_states, dtype=np.int64)}
-    for name, mapping in (("a", a_values), ("b", b_values)):
-        out[name] = np.full(inst.total_states, np.nan)
-        out[name][list(mapping)] = list(mapping.values())
+    decisions, a_values, remain = oracle
+    out = {"decision": np.zeros(inst.total_states, dtype=np.int64), "a": np.full(inst.total_states, np.nan)}
+    out["a"][list(a_values)] = list(a_values.values())
     out["decision"][list(decisions)] = list(decisions.values())
     out["remain"] = frozenset(remain)
     return out
@@ -299,10 +293,8 @@ def test_sn_policy_matches_the_per_state_oracle_bitwise(inst):
     expected = _oracle_arrays(inst, _sn_oracle(inst))
     assert np.array_equal(policy.decisions, expected["decision"])
     assert np.array_equal(levels.decision, expected["decision"])
-    for name in ("a", "b"):
-        got = getattr(levels, name)
-        assert np.array_equal(np.isnan(got), np.isnan(expected[name]))
-        assert got.tobytes() == expected[name].tobytes()
+    assert np.array_equal(np.isnan(levels.a), np.isnan(expected["a"]))
+    assert levels.a.tobytes() == expected["a"].tobytes()
     assert levels.remain == expected["remain"]
     # the oracle grades by build_level_sets, which places every state
     assert np.array_equal(levels.level, build_level_sets(inst).level)

@@ -286,6 +286,14 @@ def test_describe_mentions_threshold_and_levels(tmp_path):
     assert "one client" in describe(single)
 
 
+def test_describe_prints_reliabilities_unrounded(tmp_path):
+    # 1 - 1e-16 rounded to 12 digits would print as 1.0, the reliability of a config error
+    cfg = load_config({"instance": {"taus": [2, 3], "bs": [1, 1], "epsilon": 1e-16, "theta": 0.01}, "policies": ["mlg"]})
+    p = 1.0 - 1e-16
+    assert p < 1.0
+    assert f"reliabilities: {(p, p)}" in describe(cfg).splitlines()
+
+
 def test_emit_policy_shapes(tmp_path):
     cfg = load_config(bundled_config_path("fig5"))
     payload = emit_policy(cfg, "sn")
@@ -332,20 +340,19 @@ def test_a_simulation_without_a_sim_section_is_a_config_error(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["sweep", "solve"])
-def test_an_optimum_of_zero_at_the_float_floor_normalizes_to_nan(tmp_path, capsys, command):
-    # at epsilon 1e-16 the optimum's certified bracket is symmetric about 0,
-    # so its J is exactly 0; every J_normalized is nan, and the optimum's
-    # bracket, which straddles 0, is not certified
+def test_rows_at_the_float_floor_print_no_negative_j(tmp_path, capsys, command):
+    # at epsilon 1e-16 every bracket's lower end rounds below 0, where rho - 1
+    # cannot lie (every slot costs at least 1): it is raised to 0, so no J is
+    # negative, and no bracket without a positive lower end is certified
     instance = {"taus": [2, 3], "bs": [1, 1], "epsilon": 1e-16, "theta": 0.01}
-    cfg_path = _tiny_config(tmp_path, instance=instance, policies=["op-iterative", "sn", "prr"], sweep=None)
+    cfg_path = _tiny_config(tmp_path, instance=instance, policies=["op-iterative", "mlg", "sn", "prr"], sweep=None)
     assert main([command, "--config", str(cfg_path)]) == 0
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     header, *rows = captured.out.splitlines()
-    assert header == CSV_HEADER and len(rows) == 3
+    assert header == CSV_HEADER and len(rows) == 4
     rows = {row.split(",")[1]: row.split(",") for row in rows}
-    assert rows["op-iterative"][2:4] == ["0.0", "nan"] and rows["op-iterative"][-1] == "false"
-    assert all(row[3] == "nan" for row in rows.values())
+    assert all(float(row[2]) >= 0.0 and row[-1] == "false" for row in rows.values())
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -442,7 +442,7 @@ def test_estimate_cost_degenerate_and_single_trial():
     (est,) = estimate_costs([inst], [_started(stationary_chain(pol, inst), inst, (0, 1))], SimConfig(horizon=100, trials=8, seed=1))
     assert est.j_hat == 0.0
     assert est.degenerate
-    assert est.stderr_log == 0.0
+    assert est.stderr_j == 0.0
 
     # one trial: the estimate is the raw exceedance rate
     inst2 = Instance((1,), (0.5,), 0.1)
