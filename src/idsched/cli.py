@@ -268,12 +268,13 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
         _check_output(target)
     insts = [_instance_at(cfg, value) for value in cfg.sweep_values]
     optima = exact.growth_rate_optima(insts)
-    points = list(zip(cfg.sweep_values, [optimum.average_cost for optimum in optima], insts))
+    # an optimum whose bracket has no positive lower end (the float floor) is no reference: J_normalized is nan
+    refs = [optimum.average_cost if optimum.j_lo > 0 else math.nan for optimum in optima]
+    points = list(zip(cfg.sweep_values, refs, insts))
     rows = []
 
     def add(value, name, j, ref_j, stderr, method, converged):
-        # a reference J of 0, a bracket that rounding left at or below 0, normalizes nothing
-        rows.append(ResultRow(value, name, j, j / ref_j if ref_j > 0 else math.nan, stderr, method, converged))
+        rows.append(ResultRow(value, name, j, j / ref_j, stderr, method, converged))
 
     evaluated = []  # (policy, sweep value, reference J, instance, method, chain) per exact row
     simulated = []  # the same per simulated row

@@ -65,8 +65,8 @@ class StationaryPolicy:
 class SolveReport:
     """A certified average cost: of one policy, or the optimum's.
 
-    ``[j_lo, j_hi]`` brackets J, each end at least 0; ``average_cost`` is
-    its midpoint, and ``converged`` is true iff ``j_lo > 0`` and
+    ``[j_lo, j_hi]`` brackets J; ``average_cost`` is its midpoint, or 0
+    where rounding leaves that below 0, and ``converged`` is true iff
     ``j_hi - j_lo <= TOL * j_lo``.
     """
 
@@ -180,9 +180,9 @@ def _perron(
     narrowest so far, the one reported, or at ``MAX_ITER``.  A row reads
     only its own entries, so its bits do not depend on the rows stacked with
     it, and a stopped row leaves the stack.  Returns one report per row, J
-    the midpoint of its bracket ``ln(1 + [lo, hi]) / theta``, each end
-    raised to 0 where rounding leaves it below, and each row's last iterate
-    ``w``, at the row's own positions.
+    the midpoint of its bracket ``ln(1 + [lo, hi]) / theta``, raised to 0
+    where rounding leaves it below, and each row's last iterate ``w``, at
+    the row's own positions.
     """
     rows = len(lengths)
     lo, hi = np.full(rows, -np.inf), np.full(rows, np.inf)
@@ -229,10 +229,10 @@ def _perron(
         top += 1.0
         w /= top
     last[position] = w
-    # every slot costs at least 1, so rho - 1 >= 0: an end below 0 is rounding at the float floor
-    j_lo, j_hi = np.log1p(np.maximum(lo, 0.0)) / thetas, np.log1p(np.maximum(hi, 0.0)) / thetas
+    j_lo, j_hi = np.log1p(lo) / thetas, np.log1p(hi) / thetas
+    # every slot costs at least 1, so J >= 0: a midpoint below 0 is rounding at the float floor
     reports = [
-        SolveReport(float((a + b) / 2), float(a), float(b), int(k), bool(a > 0 and b - a <= TOL * a))
+        SolveReport(max(0.0, float((a + b) / 2)), float(a), float(b), int(k), bool(b - a <= TOL * a))
         for a, b, k in zip(j_lo, j_hi, iterations)
     ]
     return reports, last

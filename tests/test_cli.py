@@ -340,10 +340,12 @@ def test_a_simulation_without_a_sim_section_is_a_config_error(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["sweep", "solve"])
-def test_rows_at_the_float_floor_print_no_negative_j(tmp_path, capsys, command):
-    # at epsilon 1e-16 every bracket's lower end rounds below 0, where rho - 1
-    # cannot lie (every slot costs at least 1): it is raised to 0, so no J is
-    # negative, and no bracket without a positive lower end is certified
+def test_an_optimum_of_zero_at_the_float_floor_normalizes_to_nan(tmp_path, capsys, command):
+    # at epsilon 1e-16 the optimum's certified bracket is symmetric about 0,
+    # so its J is exactly 0; every J_normalized is nan, and the optimum's
+    # bracket, which straddles 0, is not certified.  MLG's bracket lies
+    # mostly below 0, and its midpoint is raised to 0: every slot costs at
+    # least 1, so no J is negative
     instance = {"taus": [2, 3], "bs": [1, 1], "epsilon": 1e-16, "theta": 0.01}
     cfg_path = _tiny_config(tmp_path, instance=instance, policies=["op-iterative", "mlg", "sn", "prr"], sweep=None)
     assert main([command, "--config", str(cfg_path)]) == 0
@@ -352,7 +354,22 @@ def test_rows_at_the_float_floor_print_no_negative_j(tmp_path, capsys, command):
     header, *rows = captured.out.splitlines()
     assert header == CSV_HEADER and len(rows) == 4
     rows = {row.split(",")[1]: row.split(",") for row in rows}
-    assert all(float(row[2]) >= 0.0 and row[-1] == "false" for row in rows.values())
+    assert rows["op-iterative"][2:4] == ["0.0", "nan"] and rows["op-iterative"][-1] == "false"
+    assert rows["mlg"][2] == "0.0"
+    assert all(float(row[2]) >= 0.0 and row[3] == "nan" and row[-1] == "false" for row in rows.values())
+
+
+def test_an_optimum_with_no_positive_lower_end_normalizes_to_nan(tmp_path, capsys):
+    # with b = (3, 1) the optimum's bracket straddles 0 with a positive
+    # midpoint of rounding noise (1.8e-18); a ratio to it would be noise too
+    instance = {"taus": [2, 3], "bs": [3, 1], "epsilon": 1e-16, "theta": 0.01}
+    cfg_path = _tiny_config(tmp_path, instance=instance, policies=["op-iterative", "mlg", "sn", "prr"], sweep=None)
+    optimum = exact.growth_rate_optimal(load_config(cfg_path).instance.materialize())
+    assert optimum.j_lo < 0 < optimum.average_cost
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == CSV_HEADER and len(rows) == 4
+    assert all(float(row.split(",")[2]) >= 0.0 and row.split(",")[3] == "nan" for row in rows)
 
 
 def test_main_exit_codes(tmp_path, capsys):
