@@ -12,9 +12,9 @@ are bitwise identical.  A finite-memory policy enters as its ``exact.Chain``,
 which carries its start; WDD enters as ``None`` and starts from the
 all-threshold state.  WDD decides on exact integer keys (``_wdd_weights``), so
 its decision lives on a lattice of key differences, and it runs on that
-lattice in the chain engine too (``_wdd_chains``), paying from its deliveries;
-past the lattice's state cap it runs slot by slot on the same keys
-(``_batch_wdd``).
+lattice in the chain engine too (``_wdd_chains``), paying from its deliveries.
+A row that ends on its lattice's edge, and every row of a lattice past its
+state cap, runs slot by slot on the same keys (``_batch_wdd``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .exact import Chain, reach
-from .model import Instance, State
+from .model import Instance
 
 _MIN_BLOCK = 64  # shortest estimator block, in slots
 _MIN_COVERAGE = 0.5  # least effective sample size of the block weights, per block
@@ -213,11 +213,6 @@ def _table_rows(chains: list[Chain], levels: list[np.ndarray], width: int):
     return succ, fail, hits, np.arange(width) <= q[:, None], np.array(base)
 
 
-def _virtual_deliveries(start: State, lag: int) -> np.ndarray:
-    """Deliveries ``(client, slot)`` in the ``lag`` slots before the first: one at slot ``-x - 1`` for each client's start ``x``."""
-    return np.arange(lag) == lag - 1 - np.asarray(start)[:, None]
-
-
 def _exceedances(got: np.ndarray, taus: tuple[int, ...]) -> np.ndarray:
     """Each row's exceedance total over a sub-slice, from its deliveries.
 
@@ -225,7 +220,9 @@ def _exceedances(got: np.ndarray, taus: tuple[int, ...]) -> np.ndarray:
     slot ``i`` of the ``lag = max(taus)`` slots before the sub-slice and
     then its own.  Client ``c`` pays in a slot where it had no delivery in
     the ``tau_c`` slots before: the OR over that window, built from ORs of
-    doubling widths, is false.
+    doubling widths, is false.  Before the first sub-slice no row has a
+    delivery, which is the all-threshold start: it puts client ``c``'s last
+    delivery at slot ``-tau_c - 1``, outside every window.
     """
     lag = max(taus)
     size = got.shape[1] - lag
@@ -243,19 +240,18 @@ def _exceedances(got: np.ndarray, taus: tuple[int, ...]) -> np.ndarray:
 def _batch_chain(
     chains: list[Chain],
     horizon: int,
-    trials: int | Sequence[int],
+    trials: int,
     seed: int,
     warmup: int,
     wdd: list[Chain] = (),
     taus: tuple[int, ...] = (),
-    start: State = (),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Block exceedance totals ``(rows, blocks)`` of each chain's trials, from its ``start``, and each row's last state.
+    """Block exceedance totals ``(rows, blocks)`` of each chain's first ``trials`` trials, from its start, and each row's last state.
 
-    ``trials`` is a count or the indices of the trials to run, and row
-    ``(chain, trial)`` draws trial ``trial``'s uniforms.  ``wdd`` are WDD's
-    chains on key differences (``_wdd_chains``), stacked after ``chains``;
-    their rows start from clipped state ``start`` under thresholds ``taus``.
+    Row ``(chain, trial)`` draws trial ``trial``'s uniforms.  ``wdd`` are
+    WDD's chains on key differences (``_wdd_chains``), stacked after
+    ``chains``; their rows start from the all-threshold state under
+    thresholds ``taus``.
     A slot from state ``s`` succeeds iff its uniform is below ``p[s]``, so
     it depends on the uniform only through its rank among the chain's own
     distinct reliabilities ``levels``, the number of them at or below it:
@@ -276,7 +272,6 @@ def _batch_chain(
     pays from those deliveries and the last ``max(taus)`` slots' before them
     (``_exceedances``).  A row's last state is its index in its own chain.
     """
-    trials = range(trials) if isinstance(trials, int) else trials
     stack = [*chains, *wdd]
     levels = [np.array(sorted(set(c.p.tolist()))) for c in stack]
     width = max(map(len, levels)) + 1
@@ -293,23 +288,22 @@ def _batch_chain(
     bounds = np.full((width - 1, len(ranked), 1), np.inf)
     for g, lev in enumerate(ranked.values()):
         bounds[: len(lev), g, 0] = lev
-    shape = (len(stack), len(trials))
-    sidx = np.repeat([(b + c.start) * width**steps for b, c in zip(base, stack)], len(trials)).reshape(shape)
+    shape = (len(stack), trials)
+    sidx = np.repeat([(b + c.start) * width**steps for b, c in zip(base, stack)], trials).reshape(shape)
     # a block is at most 128 slots (block_edges) and pays at most n <= 54 per
     # slot (Instance keeps n * states below 2**60, and states >= 2**n), so its
     # total fits 16 bits
     blocks = np.zeros((shape[0] * shape[1], len(block_edges(horizon))), dtype=np.int16)
-    split = len(chains) * len(trials)  # the first WDD row
+    split = len(chains) * trials  # the first WDD row
     if wdd:
         # got[c, i]: the deliveries to client c in the lag slots before the
         # sub-slice, then in its slots
         lag = max(taus)
         got = np.zeros((len(taus), lag + _SLICE, len(blocks) - split), dtype=bool)
-        got[:, :lag] = _virtual_deliveries(start, lag)[:, :, None]
         dest = np.empty((_SLICE, got.shape[2]), dtype=np.int8)  # the client each slot delivers to, 1-based, or 0
         clients = np.arange(1, len(taus) + 1, dtype=np.int8)[:, None, None]
 
-    for t0, u, block in _slices(seed, trials, warmup, horizon):
+    for t0, u, block in _slices(seed, range(trials), warmup, horizon):
         u = u[:, None]
         rank = (u >= bounds[0]).view(np.int8)  # a chain has at most n <= 54 levels, one per client
         for bound in bounds[1:]:  # one comparison per level is cheaper than a binary search over a few
@@ -388,7 +382,7 @@ def _wdd_weights(taus: tuple[int, ...], ps: tuple[float, ...]) -> tuple[int, ...
 
 
 def _first_box(taus: tuple[int, ...], w: tuple[int, ...], worst: float, trial_slots: int) -> int:
-    """WDD's first box of key differences, sized from the input so that rows seldom reach its edge.
+    """WDD's box of key differences, sized from the input so that rows seldom reach its edge and rerun slot by slot.
 
     Deliveries keep the keys within about one largest step ``s = max_c
     tau_c w_c`` of each other, and WDD's rows stay inside ``2 s`` unless the
@@ -413,11 +407,11 @@ def _key_lattice(taus: tuple[int, ...], w: tuple[int, ...], box: int):
     w_c`` (``_wdd_weights``): from ``K``, the first largest of ``(0, K)``.
     A slot adds ``w_c - w_0`` to every ``K_c``; a delivery to client 0 adds
     ``tau_0 w_0`` to each of them, and one to client ``c`` takes ``tau_c
-    w_c`` from ``K_c``.  Every row starts at ``K = 0``, whatever its clipped
-    state, so ``K_c`` stays a multiple of ``g_c``, the gcd of its three
-    moves.  A move out of the box goes to the last state, the edge, which
-    absorbs.  The box's points are coded by their digits ``K_c / g_c``, and
-    the states are the codes reached from 0, each numbered by its rank.
+    w_c`` from ``K_c``.  Every row starts at ``K = 0``, so ``K_c`` stays a
+    multiple of ``g_c``, the gcd of its three moves.  A move out of the box
+    goes to the last state, the edge, which absorbs.  The box's points are
+    coded by their digits ``K_c / g_c``, and the states are the codes
+    reached from 0, each numbered by its rank.
     Where the box has at most ``_WDD_STATES`` points, every point's moves
     are computed at once and ``exact.reach`` marks the points reached;
     otherwise the search runs on sorted codes, each level's moves computed
@@ -510,18 +504,18 @@ def _batch_wdd(
     horizon: int,
     trials: int | Sequence[int],
     seed: int,
-    start: State,
     warmup: int,
 ) -> np.ndarray:
     """Block exceedance totals ``(rows, blocks)`` of WDD's trials, rows ``(point, trial)``, slot by slot.
 
     The points (their reliabilities) have two clients or more, and
-    ``trials`` is a count or the indices of the trials to run.  Each slot
-    serves the first largest of ``(0, K)``, ``K`` the key differences of
-    ``_key_lattice``, writes whether each client got a delivery into ``got``
-    and moves ``K`` as the lattice does.  ``K`` is int64 where no run of
-    ``warmup + horizon`` slots can overflow it, and Python ints otherwise.
-    Rows pay from their deliveries (``_exceedances``).
+    ``trials`` is a count or the indices of the trials to run.  Each row
+    starts from the all-threshold state with ``K = 0``.  Each slot serves
+    the first largest of ``(0, K)``, ``K`` the key differences of
+    ``_key_lattice`` with no box, writes whether each client got a delivery
+    into ``got`` and moves ``K`` as the lattice does.  ``K`` is int64 where
+    no run of ``warmup + horizon`` slots can overflow it, and Python ints
+    otherwise.  Rows pay from their deliveries (``_exceedances``).
     """
     trials = range(trials) if isinstance(trials, int) else trials
     n, lag = len(taus), max(taus)
@@ -542,7 +536,6 @@ def _batch_wdd(
     index = np.empty(shape, dtype=np.int8)  # the served client, from three clients on
     best, better = np.empty(shape, dtype=dtype), np.empty(shape, dtype=bool)
     got = np.zeros((n, lag + _SLICE, *shape), dtype=bool)  # as in _batch_chain
-    got[:, :lag] = _virtual_deliveries(start, lag)[:, :, None, None]
     blocks = np.zeros((math.prod(shape), len(block_edges(horizon))), dtype=np.int16)
 
     for t0, u, block in _slices(seed, trials, warmup, horizon):
@@ -572,27 +565,25 @@ def _batch_wdd(
     return blocks
 
 
-def _run_trials(
-    insts: list[Instance], chains: list[Chain | None], cfg: SimConfig, start: State | None = None
-) -> list[tuple[np.ndarray, slice]]:
-    """The trials of every point ``(insts[i], chains[i])``, in one call of the chain engine but for WDD's reruns and slot loop.
+def _run_trials(insts: list[Instance], chains: list[Chain | None], cfg: SimConfig) -> list[tuple[np.ndarray, slice]]:
+    """The trials of every point ``(insts[i], chains[i])``, in one call of the chain engine but for WDD's slot loop.
 
     Returns each point's engine block totals and its slice of their rows.  A
-    chain of ``None`` stands for WDD, from ``start`` (the all-threshold state
-    by default).  The points must share thresholds.  Points whose engine
-    inputs are equal share one set of rows: for WDD the inputs are the
-    reliabilities (theta never enters the engine), for a chain its start and
-    the arrays the engine reads.  WDD runs as chains on its key lattices
-    (``_wdd_chains``) in the chain engine's call, each in a first box sized
-    from the input (``_first_box``).  A row that ends on its box's edge
-    reruns alone, on its own stream, in twice the box, until none does, so
-    the box never changes a row; no other row reruns.  Past the lattice's
-    state cap WDD runs slot by slot (``_batch_wdd``).
+    chain of ``None`` stands for WDD, from the all-threshold state.  The
+    points must share thresholds.  Points whose engine inputs are equal
+    share one set of rows: for WDD the inputs are the reliabilities (theta
+    never enters the engine), for a chain its start and the arrays the
+    engine reads.  WDD runs as chains on its key lattices (``_wdd_chains``)
+    in the chain engine's call, each in a box sized from the input
+    (``_first_box``) and built once.  A row that ends on its box's edge
+    reruns alone, on its own stream, in the slot loop (``_batch_wdd``),
+    which has no box, so the box never changes a row; no other row reruns.
+    Past the lattice's state cap every row of the point runs in the slot
+    loop.
     """
     taus = insts[0].thresholds
     if any(inst.thresholds != taus for inst in insts):
         raise ValueError("the points of one simulation must share thresholds")
-    start = taus if start is None else start
     points: dict = {"wdd": {}, "chain": {}}
     keys = []
     for inst, chain in zip(insts, chains):
@@ -611,32 +602,19 @@ def _run_trials(
     boxes = [_first_box(taus, w, worst[w], len(wdd) * trials * (warmup + horizon)) for w in weights]
     built = _wdd_chains(taus, wdd, boxes)
     rows = {}  # per (kind, group): the engine's block totals and the group's first row in them
-    rerun = []  # (WDD's point, its trials that ended on their box's edge)
     lattice = [i for i, chain in enumerate(built) if chain is not None]
     if finite or lattice:
-        totals, ends = _batch_chain(finite, horizon, trials, seed, warmup, [built[i] for i in lattice], taus, start)
+        totals, ends = _batch_chain(finite, horizon, trials, seed, warmup, [built[i] for i in lattice], taus)
         rows.update({("chain", g): (totals, g * trials) for g in range(len(finite))})
         for k, i in enumerate(lattice, len(finite)):
             rows["wdd", i] = (totals, k * trials)
-            rerun.append((i, np.flatnonzero(ends[k * trials : (k + 1) * trials] == len(built[i].p) - 1)))
+            edge = np.flatnonzero(ends[k * trials : (k + 1) * trials] == len(built[i].p) - 1)
+            if edge.size:
+                totals[k * trials + edge] = _batch_wdd(taus, [wdd[i]], horizon, edge, seed, warmup)
     slow = [i for i, chain in enumerate(built) if chain is None]
     if slow:
-        totals = _batch_wdd(taus, [wdd[i] for i in slow], horizon, trials, seed, start, warmup)
+        totals = _batch_wdd(taus, [wdd[i] for i in slow], horizon, trials, seed, warmup)
         rows.update({("wdd", i): (totals, k * trials) for k, i in enumerate(slow)})
-    rerun = [(i, edge) for i, edge in rerun if edge.size]
-    while rerun:
-        for i, _ in rerun:
-            boxes[i] *= 2
-        built = _wdd_chains(taus, [wdd[i] for i, _ in rerun], [boxes[i] for i, _ in rerun])
-        again = []
-        for (i, edge), chain in zip(rerun, built):
-            totals, first = rows["wdd", i]
-            if chain is None:  # past the state cap: the same keys, slot by slot
-                totals[first + edge] = _batch_wdd(taus, [wdd[i]], horizon, edge, seed, start, warmup)
-                continue
-            totals[first + edge], ends = _batch_chain([], horizon, edge, seed, warmup, [chain], taus, start)
-            again.append((i, edge[ends == len(chain.p) - 1]))
-        rerun = [(i, edge) for i, edge in again if edge.size]
     group = {key: g for kind in points.values() for g, key in enumerate(kind)}
     found = [rows[key[0], group[key]] for key in keys]
     return [(totals, slice(first, first + trials)) for totals, first in found]
@@ -651,8 +629,8 @@ def estimate_costs(insts: list[Instance], chains: list[Chain | None], cfg: SimCo
 
     The points share thresholds, and a chain of None stands for WDD.  One
     call of the chain engine runs every point, WDD's on its key lattices;
-    only WDD's rows that end on their box's edge rerun, and only lattices
-    past their state cap run in WDD's slot loop.  Points with equal engine
+    WDD's slot loop reruns only the rows that end on their box's edge, and
+    runs only the lattices past their state cap.  Points with equal engine
     inputs share their trials (see ``_run_trials``).
     Each trial is cut into ``n`` nested blocks of mean length
     ``L = horizon / n`` (see ``block_edges``).  With ``C_b`` the exceedance

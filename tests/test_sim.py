@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import sim_oracle
 from sim_oracle import run_trial, tally_trials
 
-from idsched import sim
+from idsched import cli, sim
 from idsched.errors import ConfigError
 from idsched.exact import StationaryPolicy, chain_average_costs, stationary_chain
 from idsched.heuristics import PeriodicSchedule, periodic_chain, prr_chain
@@ -51,12 +51,12 @@ def _chain_tallies(chains, horizon, trials, seed, warmup):
     return [default, one_slot]
 
 
-def _wdd_tally(insts, horizon, trials, seed, start, warmup):
-    """WDD's block totals, rows ``(point, trial)``, as a sweep runs them.
+def _wdd_tally(insts, horizon, trials, seed, warmup):
+    """WDD's block totals, rows ``(point, trial)``, from the all-threshold state, as a sweep runs them.
 
     That is as chains on key lattices, and slot by slot past their state cap.
     """
-    runs = sim._run_trials(insts, [None] * len(insts), SimConfig(horizon, trials, seed, warmup), start)
+    runs = sim._run_trials(insts, [None] * len(insts), SimConfig(horizon, trials, seed, warmup))
     return np.concatenate([blocks[rows] for blocks, rows in runs])
 
 
@@ -85,7 +85,7 @@ def test_batch_engines_match_reference_exactly():
     inst4 = Instance((2, 3, 4, 5), (0.6, 0.9, 0.7, 0.8), 0.05)
     for case in (inst1, inst, inst4):
         refw = [run_trial(case, sim_oracle.wdd(case), 400, (55, r), case.thresholds, warmup=7) for r in range(5)]
-        batw = tally_trials(_wdd_tally([case], 400, 5, 55, None, 7), 1)[0]
+        batw = tally_trials(_wdd_tally([case], 400, 5, 55, 7), 1)[0]
         for r, b in zip(refw, batw):
             assert r.exceedance_total == b.exceedance_total
             assert r.block_exceedances.tolist() == b.block_exceedances.tolist()
@@ -108,29 +108,28 @@ def test_batch_engines_match_reference_exactly():
 
 def test_a_trial_runs_the_same_alone_or_among_others():
     # a trial's uniforms are a function of (seed, trial, slot): its stream,
-    # and so its block totals in every engine, do not depend on which trials
-    # run beside it, as WDD's reruns of single trials need
+    # and so its block totals in WDD's slot loop, do not depend on which
+    # trials run beside it, and equal its row among all the trials of the
+    # chain engine, as the rerun of a row that ends on its box's edge needs
     inst = Instance((2, 3), (0.6, 0.7), 0.05)
     pol = _random_policy(inst, 2)
-    chain = stationary_chain(pol, inst)
     horizon, seed, warmup, trials = 2500, 41, 13, [0, 5, 2, 9]
     together = [u for _, u, _ in _slices(seed, trials, warmup, horizon)]
     taus, ps = inst.thresholds, inst.reliabilities
     lattice = sim._wdd_chains(taus, [ps], [10**3])
-    runs = [  # the chain engine on a chain and on WDD's key lattice, and WDD's slot loop
-        lambda rows: _batch_chain([chain], horizon, rows, seed, warmup)[0],
-        lambda rows: _batch_chain([], horizon, rows, seed, warmup, lattice, taus, taus)[0],
-        lambda rows: sim._batch_wdd(taus, [ps], horizon, rows, seed, taus, warmup),
-    ]
-    among = [run(np.array(trials)) for run in runs]
+    # trials 0 .. 9 of a chain and of WDD's key lattice, whose rows stay off its edge
+    every, ends = _batch_chain([stationary_chain(pol, inst)], horizon, 10, seed, warmup, lattice, taus)
+    assert not (ends[10:] == len(lattice[0].p) - 1).any()
+    every = every.reshape(2, 10, -1)
+    among = sim._batch_wdd(taus, [ps], horizon, np.array(trials), seed, warmup)
+    assert np.array_equal(among, every[1, trials])
     for r, trial in enumerate(trials):
         alone = [u[:, 0] for _, u, _ in _slices(seed, [trial], warmup, horizon)]
         assert all(np.array_equal(a, u[:, r]) for a, u in zip(alone, together))
-        for run, blocks in zip(runs, among):
-            assert np.array_equal(run(np.array([trial]))[0], blocks[r])
+        assert np.array_equal(sim._batch_wdd(taus, [ps], horizon, np.array([trial]), seed, warmup)[0], among[r])
     # and a trial's row equals the oracle's
     ref = run_trial(inst, sim_oracle.stationary(pol, inst), horizon, (seed, trials[1]), taus, warmup)
-    assert _fields(ref) == among[0][1].tolist()
+    assert _fields(ref) == every[0, trials[1]].tolist()
 
 
 def _assert_points_match_reference(insts, policies, tallies, horizon, seed, starts, warmup):
@@ -143,107 +142,86 @@ def _assert_points_match_reference(insts, policies, tallies, horizon, seed, star
 
 
 @pytest.mark.parametrize(
-    "taus, reliabilities, start, horizon, warmup",
+    "taus, reliabilities, horizon, warmup",
     [
         # a repeated reliability vector (at another theta), warmup off the block grid
-        ((2, 3), [(0.6, 0.7), (0.9, 0.5), (0.6, 0.7)], None, 600, 13),
-        # the start (1, 0), with no warmup to hide its encoding
-        ((2, 3), [(0.6, 0.7), (0.8, 0.8)], (1, 0), 500, 0),
-        ((2, 3, 4), [(0.6, 0.7, 0.8), (0.7, 0.7, 0.7)], (0, 2, 2), 500, 33),
+        ((2, 3), [(0.6, 0.7), (0.9, 0.5), (0.6, 0.7)], 600, 13),
+        # no warmup: the rows pay from their first slot, with no delivery before it
+        ((2, 3), [(0.6, 0.7), (0.8, 0.8)], 500, 0),
+        ((2, 3), [(0.6, 0.7), (0.8, 0.5)], 500, 0),
+        ((2, 3, 4), [(0.6, 0.7, 0.8), (0.7, 0.7, 0.7)], 500, 33),
         # a warmup of many sub-slices, far longer than the horizon
-        ((2, 3), [(0.6, 0.7), (0.3, 0.9)], None, 50, 20_000),
+        ((2, 3), [(0.6, 0.7), (0.3, 0.9)], 50, 20_000),
         # client 1 with a threshold of 1
-        ((1, 3), [(0.6, 0.7), (0.9, 0.4)], None, 600, 13),
-        # a start below the thresholds, with no warmup to hide its encoding
-        ((2, 3), [(0.6, 0.7), (0.8, 0.5)], (0, 3), 500, 0),
+        ((1, 3), [(0.6, 0.7), (0.9, 0.4)], 600, 13),
         # equal reliabilities, where the decision ties exactly; a 3-slot warmup
         # makes a sub-slice shorter than the carried deliveries
-        ((2, 4), [(0.9, 0.9), (0.6, 0.6)], None, 1000, 3),
+        ((2, 4), [(0.9, 0.9), (0.6, 0.6)], 1000, 3),
         # a full 256-slot sub-slice in the warmup, and a horizon off the 256 grid
-        ((2, 3), [(0.6, 0.7)], None, 777, 300),
-        # unequal decimal reliabilities from starts below the thresholds: two
-        # clients near fig4's, whose weights are (165, 98), three, and four
-        ((3, 5), [(0.98, 0.99), (0.8, 0.9)], (0, 4), 700, 9),
-        ((2, 3, 4), [(0.95, 0.9, 0.85), (0.5, 0.6, 0.55)], (1, 3, 0), 600, 17),
-        ((2, 3, 4, 5), [(0.9, 0.95, 0.85, 0.8), (0.7, 0.6, 0.7, 0.9)], (2, 0, 3, 1), 500, 21),
+        ((2, 3), [(0.6, 0.7)], 777, 300),
+        # unequal decimal reliabilities: two clients near fig4's, whose weights
+        # are (165, 98), three, and four
+        ((3, 5), [(0.98, 0.99), (0.8, 0.9)], 700, 9),
+        ((2, 3, 4), [(0.95, 0.9, 0.85), (0.5, 0.6, 0.55)], 600, 17),
+        ((2, 3, 4, 5), [(0.9, 0.95, 0.85, 0.8), (0.7, 0.6, 0.7, 0.9)], 500, 21),
     ],
 )
-def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, start, horizon, warmup):
+def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, horizon, warmup):
     # every point runs on its key lattice, stacked in one call of the chain
     # engine; then slot by slot, past a state cap of 0
     insts = [Instance(taus, ps, 0.05 * (k + 1)) for k, ps in enumerate(reliabilities)]
     trials = 2 if warmup > horizon else 4
-    tally = _wdd_tally(insts, horizon, trials, 17, start, warmup)
+    tally = _wdd_tally(insts, horizon, trials, 17, warmup)
     runs = tally_trials(tally, len(insts))
     assert len(runs) == len(insts) and all(len(run) == trials for run in runs)
     with mock.patch.object(sim, "_WDD_STATES", 0):
         assert sim._wdd_chains(taus, reliabilities, [10**3] * len(insts)) == [None] * len(insts)
-        slot_by_slot = _wdd_tally(insts, horizon, trials, 17, start, warmup)
+        slot_by_slot = _wdd_tally(insts, horizon, trials, 17, warmup)
     policies = [sim_oracle.wdd(inst) for inst in insts]
-    starts = [start or taus] * len(insts)
-    _assert_points_match_reference(insts, policies, [tally, slot_by_slot], horizon, 17, starts, warmup)
+    _assert_points_match_reference(insts, policies, [tally, slot_by_slot], horizon, 17, [taus] * len(insts), warmup)
 
 
-@pytest.mark.parametrize(
-    "cap, slot_weights", [(sim._WDD_STATES, []), (400, [[(45, 40, 18)], [(6, 4, 3)]])], ids=["default-cap", "cap-400"]
-)
-def test_wdd_chains_rerun_in_a_doubled_box_until_no_row_reaches_its_edge(monkeypatch, cap, slot_weights):
-    # a first box of one largest step tau_c w_c, at reliabilities low enough
-    # that failure runs carry the key differences out of it: the rows that
-    # end on the edge, and only they, rerun alone in twice the box until none
-    # does; the stationary chain in the first call never reruns, and every
-    # row equals the oracle's.  At a cap of 400 states two reruns pass the
-    # cap and run in the slot loop: the (45, 40, 18)-weight point's in a box
-    # of 480 (716 states) and the (6, 4, 3)-weight point's in 96 (448 states)
+def test_wdd_rows_that_end_on_the_box_edge_rerun_in_the_slot_loop(monkeypatch):
+    # a box of one largest step tau_c w_c, at reliabilities low enough that
+    # failure runs carry the key differences out of it: the rows that end on
+    # the edge, and only they, rerun alone in WDD's slot loop, which has no
+    # box; the lattices are built once, the stationary chain never reruns,
+    # and every row equals the oracle's
     taus = (2, 3, 4)
     insts = [Instance(taus, ps, 0.05) for ps in ((0.3,) * 3, (0.99,) * 3, (0.4, 0.3, 0.5), (0.6, 0.7, 0.8))]
+    points = [inst.reliabilities for inst in insts[:3]]
     pol = _random_policy(insts[3], 11)
-    calls = []  # per engine call: finite chains, WDD's points, trials, and which of WDD's rows ended on the edge
-    slots = []  # per call of the slot loop: its points
-    boxes = []  # per build of WDD's chains: each point's box
+    builds = []  # per build of WDD's chains: its points
+    calls = []  # per call of the chain engine: its finite chains and, per WDD point, the trials that ended on the edge
+    reruns = []  # per call of the slot loop: its points and trials
     build, chain_engine, slot_loop = sim._wdd_chains, sim._batch_chain, sim._batch_wdd
 
-    def recorded_build(taus, points, sizes):
-        boxes.append(dict(zip(points, sizes)))
-        return build(taus, points, sizes)
+    def recorded_build(taus, points, boxes):
+        builds.append(list(points))
+        return build(taus, points, boxes)
 
-    def recorded_chains(chains, horizon, trials, seed, warmup, wdd, *args):
-        totals, ends = chain_engine(chains, horizon, trials, seed, warmup, wdd, *args)
-        trials = range(trials) if isinstance(trials, int) else trials
-        edge = [ends[len(chains) * len(trials) :].reshape(len(wdd), -1)[k] == len(c.p) - 1 for k, c in enumerate(wdd)]
-        calls.append((len(chains), [frozenset(c.p.tolist()) for c in wdd], list(trials), edge))
+    def recorded_chains(chains, horizon, trials, seed, warmup, wdd, taus):
+        totals, ends = chain_engine(chains, horizon, trials, seed, warmup, wdd, taus)
+        rows = ends[len(chains) * trials :].reshape(len(wdd), trials)
+        calls.append((len(chains), [np.flatnonzero(row == len(c.p) - 1).tolist() for row, c in zip(rows, wdd)]))
         return totals, ends
 
-    def recorded_slots(taus, points, horizon, trials, *args):
-        # a rerun whose doubled box has too many points runs slot by slot, with no edge
-        calls.append((0, [frozenset(ps) for ps in points], list(trials), [np.zeros(len(trials), dtype=bool)]))
-        slots.append(points)
-        return slot_loop(taus, points, horizon, trials, *args)
+    def recorded_slots(taus, points, horizon, trials, seed, warmup):
+        reruns.append((list(points), np.asarray(trials).tolist()))
+        return slot_loop(taus, points, horizon, trials, seed, warmup)
 
     monkeypatch.setattr(sim, "_first_box", lambda taus, w, worst, trial_slots: max(t * x for t, x in zip(taus, w)))
     monkeypatch.setattr(sim, "_wdd_chains", recorded_build)
     monkeypatch.setattr(sim, "_batch_chain", recorded_chains)
     monkeypatch.setattr(sim, "_batch_wdd", recorded_slots)
-    monkeypatch.setattr(sim, "_WDD_STATES", cap)
     runs = sim._run_trials(insts, [None, None, None, stationary_chain(pol, insts[3])], SimConfig(600, 6, 23, 13))
-    assert [[sim._wdd_weights(taus, ps) for ps in points] for points in slots] == slot_weights
-    # the first call runs the stationary chain's 6 rows and WDD's 18; some of
-    # WDD's rows end on the edge, and not all
-    (finite, points, trials, edge), *reruns = calls
-    assert finite == 1 and len(points) == 3 and trials == list(range(6))
-    pending = {(p, r) for p, hit in zip(points, edge) for r in np.flatnonzero(hit)}
-    assert 0 < len(pending) < 18 and len(reruns) >= 2
-    # each rerun runs one WDD point, no finite chain, and exactly the trials
-    # of that point that ended on the edge before
-    while reruns:
-        done, reruns = reruns[: len({p for p, _ in pending})], reruns[len({p for p, _ in pending}) :]
-        assert {(p, r) for _, (p,), trials, _ in done for r in trials} == pending
-        assert all(finite == 0 for finite, *_ in done)
-        pending = {(p, trials[r]) for _, (p,), trials, (hit,) in done for r in np.flatnonzero(hit)}
-    assert not pending
-    # each rerun builds its points in twice their last box
-    for before, after in zip(boxes, boxes[1:]):
-        assert after and all(size == 2 * before[point] for point, size in after.items())
+    # one build and one call of the chain engine, with the stationary chain's
+    # 6 rows and WDD's 18; some of WDD's rows end on the edge, and not all
+    assert builds == [points]
+    ((finite, edges),) = calls
+    assert finite == 1 and len(edges) == 3 and 0 < sum(map(len, edges)) < 18
+    # each point with rows on the edge reruns exactly those rows, alone
+    assert reruns == [([ps], edge) for ps, edge in zip(points, edges) if edge]
     tallies = [np.concatenate([blocks[rows] for blocks, rows in runs])]
     policies = [sim_oracle.wdd(inst) for inst in insts[:3]] + [sim_oracle.stationary(pol, insts[3])]
     _assert_points_match_reference(insts, policies, tallies, 600, 23, [taus] * 4, 13)
@@ -251,6 +229,22 @@ def test_wdd_chains_rerun_in_a_doubled_box_until_no_row_reaches_its_edge(monkeyp
     (chain,) = sim._wdd_chains(taus, [insts[0].reliabilities], [12])
     last = len(chain.p) - 1
     assert chain.succ[last] == chain.fail[last] == last
+
+
+def test_no_wdd_row_of_a_bundled_figure_leaves_its_box(monkeypatch):
+    # the slot loop is WDD's fallback, for lattices past their state cap and
+    # rows that end on their box's edge: at the benchmark's sizes (6,000
+    # slots after a 1,000-slot warmup) no WDD point of the bundled figures
+    # needs it, at five seeds
+    def refused(*args):
+        raise AssertionError("WDD ran in its slot loop")
+
+    monkeypatch.setattr(sim, "_batch_wdd", refused)
+    for name, trials in (("fig3_small", 64), ("fig4", 192), ("fig5", 128)):
+        cfg = cli.load_config(cli.bundled_config_path(name))
+        insts = [cli._instance_at(cfg, value) for value in cfg.sweep_values]
+        for seed in (29, 1, 2, 3, 4):
+            sim._run_trials(insts, [None] * len(insts), SimConfig(6000, trials, seed, 1000))
 
 
 def test_wdd_chains_share_one_set_of_table_rows():
@@ -274,11 +268,11 @@ def test_wdd_slot_loop_takes_any_reliabilities_and_keys_past_int64():
     step = max(t * x for t, x in zip(taus, sim._wdd_weights(taus, ragged)))
     assert 2 * 311 * step >= 2**63 and sim._wdd_chains(taus, [ragged], [2 * step]) == [None]
     insts = [Instance(taus, ps, 0.05) for ps in ((0.6, 0.6, 0.6), (0.6, 0.7, 0.8), ragged)]
-    tally = _wdd_tally(insts, 300, 3, 5, (1, 0, 2), 11)
+    tally = _wdd_tally(insts, 300, 3, 5, 11)
     with mock.patch.object(sim, "_WDD_STATES", 0):
-        assert np.array_equal(_wdd_tally(insts, 300, 3, 5, (1, 0, 2), 11), tally)
+        assert np.array_equal(_wdd_tally(insts, 300, 3, 5, 11), tally)
     policies = [sim_oracle.wdd(inst) for inst in insts]
-    _assert_points_match_reference(insts, policies, [tally], 300, 5, [(1, 0, 2)] * 3, 11)
+    _assert_points_match_reference(insts, policies, [tally], 300, 5, [taus] * 3, 11)
     # a reliability whose nearest fraction of denominator 10**6 is 0 has no key
     with pytest.raises(ConfigError):
         estimate_costs([Instance((2, 3), (0.9, 1e-7), 0.05)], [None], SimConfig(horizon=100, trials=1, seed=0))
@@ -594,9 +588,10 @@ def test_warmup_shifts_accounting():
 
 @st.composite
 def _engine_cases(draw):
-    """A policy of each kind on 1 to 3 clients with thresholds up to 4, from a random start.
+    """A policy of each kind on 1 to 3 clients with thresholds up to 4.
 
-    WDD comes twice: at equal reliabilities and at random ones, whose
+    A finite chain starts from a random state, WDD from the all-threshold
+    one.  WDD comes twice: at equal reliabilities and at random ones, whose
     fractions' large denominators mostly send it to the slot loop.
     """
     n = draw(st.integers(1, 3))
@@ -607,7 +602,6 @@ def _engine_cases(draw):
     else:
         ps = tuple(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
     inst = Instance(taus, ps, 0.05)
-    start = tuple(draw(st.integers(0, tau)) for tau in taus)
     if kind == "stationary":
         size = inst.total_states
         pol = StationaryPolicy(draw(st.lists(st.integers(1, n), min_size=size, max_size=size)))
@@ -620,7 +614,10 @@ def _engine_cases(draw):
         policy, chain = sim_oracle.ps(sched.sequence), periodic_chain(inst, sched)
     else:
         policy, chain = sim_oracle.wdd(inst), None
-    if chain is not None:
+    if chain is None:
+        start = taus
+    else:
+        start = tuple(draw(st.integers(0, tau)) for tau in taus)
         chain = _started(chain, inst, start)
     return inst, start, policy, chain, draw(st.integers(0, 300)), draw(st.integers(1, 700))
 
@@ -630,7 +627,7 @@ def _engine_cases(draw):
 def test_batch_engines_match_the_oracle_on_generated_cases(case, seed):
     inst, start, policy, chain, warmup, horizon = case
     if chain is None:
-        tallies = [_wdd_tally([inst], horizon, 2, seed, start, warmup)]
+        tallies = [_wdd_tally([inst], horizon, 2, seed, warmup)]
     else:
         tallies = _chain_tallies([chain], horizon, 2, seed, warmup)
     _assert_points_match_reference([inst], [policy], tallies, horizon, seed, [start], warmup)
