@@ -181,8 +181,8 @@ def _perron(
     only its own entries, so its bits do not depend on the rows stacked with
     it, and a stopped row leaves the stack.  Returns one report per row, J
     the midpoint of its bracket ``ln(1 + [lo, hi]) / theta``, raised to 0
-    where rounding leaves it below, and each row's last iterate ``w``, at
-    the row's own positions.
+    where rounding leaves it below (a nan midpoint stays nan), and each
+    row's last iterate ``w``, at the row's own positions.
     """
     rows = len(lengths)
     lo, hi = np.full(rows, -np.inf), np.full(rows, np.inf)
@@ -230,10 +230,12 @@ def _perron(
         w /= top
     last[position] = w
     j_lo, j_hi = np.log1p(lo) / thetas, np.log1p(hi) / thetas
-    # every slot costs at least 1, so J >= 0: a midpoint below 0 is rounding at the float floor
+    # every slot costs at least 1, so J >= 0: a midpoint below 0 is rounding
+    # at the float floor; a nan one, from a nan bracket end, stays nan
+    mids = (j_lo + j_hi) / 2
     reports = [
-        SolveReport(max(0.0, float((a + b) / 2)), float(a), float(b), int(k), bool(b - a <= TOL * a))
-        for a, b, k in zip(j_lo, j_hi, iterations)
+        SolveReport(0.0 if mid < 0 else float(mid), float(a), float(b), int(k), bool(b - a <= TOL * a))
+        for mid, a, b, k in zip(mids, j_lo, j_hi, iterations)
     ]
     return reports, last
 

@@ -14,7 +14,9 @@ all-threshold state.  WDD decides on exact integer keys (``_wdd_weights``), so
 its decision lives on a lattice of key differences, and it runs on that
 lattice in the chain engine too (``_wdd_chains``), paying from its deliveries.
 A row that ends on its lattice's edge, and every row of a lattice past its
-state cap, runs slot by slot on the same keys (``_batch_wdd``).
+state cap, runs slot by slot on the same keys (``_batch_wdd``), where each
+slot serves the argmax of the key differences and a zero row, as a lattice
+state does, at every client count.
 """
 
 from __future__ import annotations
@@ -502,65 +504,53 @@ def _batch_wdd(
     taus: tuple[int, ...],
     points: list[tuple[float, ...]],
     horizon: int,
-    trials: int | Sequence[int],
+    trials: Sequence[int],
     seed: int,
     warmup: int,
 ) -> np.ndarray:
-    """Block exceedance totals ``(rows, blocks)`` of WDD's trials, rows ``(point, trial)``, slot by slot.
+    """Block exceedance totals ``(rows, blocks)`` of WDD's trials ``trials``, rows ``(point, trial)``, slot by slot.
 
-    The points (their reliabilities) have two clients or more, and
-    ``trials`` is a count or the indices of the trials to run.  Each row
-    starts from the all-threshold state with ``K = 0``.  Each slot serves
-    the first largest of ``(0, K)``, ``K`` the key differences of
-    ``_key_lattice`` with no box, writes whether each client got a delivery
-    into ``got`` and moves ``K`` as the lattice does.  ``K`` is int64 where
-    no run of ``warmup + horizon`` slots can overflow it, and Python ints
-    otherwise.  Rows pay from their deliveries (``_exceedances``).
+    Each row starts from the all-threshold state with ``K = 0``.  ``K``
+    holds the key differences of ``_key_lattice`` with no box, and a zero
+    row ``K_0 = 0`` in front, so each slot serves the first largest of
+    ``(0, K)``, its argmax over the clients, at every client count.  The
+    slot writes whether each client got a delivery into ``got`` and moves
+    ``K`` as the lattice does, each move an n-vector that leaves ``K_0``
+    at 0.  ``K`` is int64 where no run of ``warmup + horizon`` slots can
+    overflow it, and Python ints otherwise.  Rows pay from their
+    deliveries (``_exceedances``).
     """
-    trials = range(trials) if isinstance(trials, int) else trials
     n, lag = len(taus), max(taus)
     weights = [_wdd_weights(taus, ps) for ps in points]
     # a slot moves each K_c by at most 2 max_c tau_c w_c
     largest = 2 * (warmup + horizon) * max(t * x for w in weights for t, x in zip(taus, w))
     dtype = np.int64 if largest < 2**63 else object
-    # per-slot arrays are client-major, (client, point, trial), so that each
-    # operation runs along the trials
-    shape = (len(points), len(trials))
-    w = np.array(weights, dtype=dtype).T[:, :, None]
-    drift = w[1:] - w[0]
-    gain, loss = taus[0] * w[0], np.array(taus[1:], dtype=dtype)[:, None, None] * w[1:]
-    p_rows = np.ascontiguousarray(np.broadcast_to(np.array(points).T[:, :, None], (n, *shape)))
-    keys = np.zeros((n - 1, *shape), dtype=dtype)
-    served = np.empty((n, *shape), dtype=bool)  # one-hot in the client
-    clients = np.arange(n, dtype=np.int8)[:, None, None]
-    index = np.empty(shape, dtype=np.int8)  # the served client, from three clients on
-    best, better = np.empty(shape, dtype=dtype), np.empty(shape, dtype=bool)
-    got = np.zeros((n, lag + _SLICE, *shape), dtype=bool)  # as in _batch_chain
-    blocks = np.zeros((math.prod(shape), len(block_edges(horizon))), dtype=np.int16)
+    # per-slot arrays are (client, row), the rows point-major, so that each
+    # operation runs along the rows
+    w = np.repeat(np.array(weights, dtype=dtype).T, len(trials), axis=1)
+    drift = w - w[0]  # a slot's move
+    gain = np.zeros_like(w)  # a delivery to client 0
+    gain[1:] = taus[0] * w[0]
+    loss = np.array(taus, dtype=dtype)[:, None] * w  # a delivery to client c >= 1, in row c
+    loss[0] = 0
+    p = np.array(points).T[:, :, None]
+    keys = np.zeros_like(w)
+    clients = np.arange(n)[:, None]
+    got = np.zeros((n, lag + _SLICE, w.shape[1]), dtype=bool)  # as in _batch_chain
+    blocks = np.zeros((w.shape[1], len(block_edges(horizon))), dtype=np.int16)
 
     for t0, u, block in _slices(seed, trials, warmup, horizon):
         size = len(u)
-        reach = u[:, None, None, :] < p_rows  # the outcome, had each client been served
+        reach = (u[:, None, None, :] < p).reshape(size, n, -1)  # the outcome, had each client been served
         for j in range(size):
-            if n == 2:
-                np.greater(keys[0], 0, out=served[1])
-                np.logical_not(served[1], out=served[0])
-            else:
-                np.greater(keys[0], 0, out=index.view(bool))  # 0 or 1, without a cast to int8
-                np.maximum(keys[0], 0, out=best)
-                for c in range(2, n):
-                    np.greater(keys[c - 1], best, out=better)
-                    np.copyto(index, c, where=better)
-                    if c + 1 < n:
-                        np.maximum(best, keys[c - 1], out=best)
-                np.equal(clients, index, out=served)
             now = got[:, lag + j]
-            np.logical_and(served, reach[j], out=now)
+            np.equal(clients, keys.argmax(axis=0), out=now)
+            now &= reach[j]
             keys += drift
             np.add(keys, gain, out=keys, where=now[0])
-            np.subtract(keys, loss, out=keys, where=now[1:])
+            np.subtract(keys, loss, out=keys, where=now)
         if t0 >= warmup:
-            blocks[:, block] += _exceedances(got[:, : lag + size].reshape(n, lag + size, -1), taus)
+            blocks[:, block] += _exceedances(got[:, : lag + size], taus)
         got[:, :lag] = got[:, size : size + lag]
     return blocks
 
@@ -613,7 +603,7 @@ def _run_trials(insts: list[Instance], chains: list[Chain | None], cfg: SimConfi
                 totals[k * trials + edge] = _batch_wdd(taus, [wdd[i]], horizon, edge, seed, warmup)
     slow = [i for i, chain in enumerate(built) if chain is None]
     if slow:
-        totals = _batch_wdd(taus, [wdd[i] for i in slow], horizon, trials, seed, warmup)
+        totals = _batch_wdd(taus, [wdd[i] for i in slow], horizon, range(trials), seed, warmup)
         rows.update({("wdd", i): (totals, k * trials) for k, i in enumerate(slow)})
     group = {key: g for kind in points.values() for g, key in enumerate(kind)}
     found = [rows[key[0], group[key]] for key in keys]

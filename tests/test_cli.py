@@ -372,6 +372,19 @@ def test_an_optimum_with_no_positive_lower_end_normalizes_to_nan(tmp_path, capsy
     assert all(float(row.split(",")[2]) >= 0.0 and row.split(",")[3] == "nan" for row in rows)
 
 
+def test_a_nan_bracket_prints_a_nan_j(tmp_path, capsys):
+    # at theta 20 the iterate's small components fall below float resolution
+    # and every bracket is [nan, inf]: its midpoint is nan, not a J of 0.0,
+    # and the row is not certified
+    instance = {"taus": [2, 3], "ps": [0.6, 0.7], "theta": 20}
+    cfg_path = _tiny_config(tmp_path, instance=instance, policies=["op-iterative", "mlg", "prr", "sn"], sweep=None)
+    with pytest.warns(RuntimeWarning):
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == CSV_HEADER and len(rows) == 4
+    assert all(row.split(",")[2:4] == ["nan", "nan"] and row.split(",")[-1] == "false" for row in rows)
+
+
 def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"instance": {"taus": [2], "ps": [0.5], "theta": 0.1}}))

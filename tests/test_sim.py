@@ -164,6 +164,9 @@ def _assert_points_match_reference(insts, policies, tallies, horizon, seed, star
         ((3, 5), [(0.98, 0.99), (0.8, 0.9)], 700, 9),
         ((2, 3, 4), [(0.95, 0.9, 0.85), (0.5, 0.6, 0.55)], 600, 17),
         ((2, 3, 4, 5), [(0.9, 0.95, 0.85, 0.8), (0.7, 0.6, 0.7, 0.9)], 500, 21),
+        # one client: a key lattice of one state, and a slot loop whose keys
+        # are the zero row alone
+        ((3,), [(0.7,), (0.4,)], 500, 9),
     ],
 )
 def test_stacked_wdd_engine_matches_reference_per_point(taus, reliabilities, horizon, warmup):
